@@ -9,6 +9,7 @@ a checkout without sources that must fail without printing a result.
 """
 
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -95,6 +96,13 @@ def test_dihedral_cover_formula_matches_exhaustive_cover(corners):
     g = cayley.dihedral_group(corners)
     for n in (2, 3):
         assert workloads.dihedral_cover(corners, n) == cayley.covering_report(g, n).covering_size
+
+
+def test_left_out_probes_still_meet_their_frozen_covers(tmp_path):
+    qprobe = workloads.Qprobe(random.Random(0), False, False, str(tmp_path))
+    for spec, n in sorted(workloads.LEFT_OUT):
+        job = qprobe._job(spec, n)
+        assert job.check(job.run()) is None
 
 
 def test_probe_check_rejects_a_non_cover():

@@ -80,28 +80,30 @@ def timed_loop(workload, rng, seconds: float, tracer=None) -> tuple[list, list]:
 
 
 def summarize(records: list[dict]) -> dict:
-    """Time each input by its best pass (best-of-k, k = passes), then take
-    the median, the 90th percentile and the rate over the inputs."""
-    best: dict[int, dict] = {}
+    """Time each input by the median of its passes, then take the median,
+    the 90th percentile and the rate over the inputs.  On a shared host the
+    median of many passes moved less from run to run than the best pass."""
+    by_key: dict[int, list[dict]] = {}
     for r in records:
-        if r["key"] not in best or r["s"] < best[r["key"]]["s"]:
-            best[r["key"]] = r
-    times_ms = [r["s"] * 1000.0 for r in best.values()]
-    scans = [r for r in best.values() if r["elements"]]
+        by_key.setdefault(r["key"], []).append(r)
+    typical = {key: {"label": rs[0]["label"], "s": statistics.median(r["s"] for r in rs), "elements": rs[0]["elements"]}
+               for key, rs in by_key.items()}
+    times_ms = [r["s"] * 1000.0 for r in typical.values()]
+    scans = [r for r in typical.values() if r["elements"]]
     return {
         "jobs": len(records),
         "failed": sum(1 for r in records if not r["ok"]),
-        "inputs": len(best),
-        "passes": len(records) // len(best),
-        "jobs_per_s": len(best) / sum(r["s"] for r in best.values()),
+        "inputs": len(typical),
+        "passes": len(records) // len(typical),
+        "jobs_per_s": len(typical) / sum(r["s"] for r in typical.values()),
         "job_ms_p50": statistics.median(times_ms),
         "job_ms_p90": statistics.quantiles(times_ms, n=10, method="inclusive")[8] if len(times_ms) > 1 else times_ms[0],
         "elements_per_s": sum(r["elements"] for r in scans) / sum(r["s"] for r in scans) if scans else 0.0,
         "backends": sorted({r["backend"] for r in records if r["backend"]}),
         "by_label": {
-            label: {"inputs": len(ms), "median_best_ms": statistics.median(ms)}
-            for label in sorted({r["label"] for r in best.values()})
-            for ms in [[r["s"] * 1000.0 for r in best.values() if r["label"] == label]]
+            label: {"inputs": len(ms), "median_ms": statistics.median(ms)}
+            for label in sorted({r["label"] for r in typical.values()})
+            for ms in [[r["s"] * 1000.0 for r in typical.values() if r["label"] == label]]
         },
     }
 
