@@ -69,7 +69,6 @@ from .subgroup import (
 from .kernels import (
     ScanResult,
     ScanViolation,
-    active_backend,
     element_dims,
     scan_group_bound,
     scan_subgroup_dichotomy,

@@ -241,7 +241,8 @@ def covering_number(
             ub = len(better)
 
     cert = CoverCertificate(reps=tuple(best_reps), size=ub, exact=exact, universe=size)
-    assert cert.verify(g, [int(s) for s in sub])
+    if not cert.verify(g, [int(s) for s in sub]):
+        raise RuntimeError(f"cover certificate with representatives {cert.reps} does not cover the group")
     return ub, cert
 
 

@@ -24,6 +24,7 @@ from .group import (
     InducedAutomorphism,
     commutation_matrix,
     commutator_vector,
+    format_element,
     from_vectors,
 )
 from .subgroup import EdgeFunctional, in_kernel_subgroup
@@ -89,7 +90,11 @@ def up_edge_formula(ctx: GroupContext, aut: InducedAutomorphism, x: GroupElement
                     if not aut.moves_coset(v_gen):
                         continue
                     u_el, v_el = from_vectors(ctx, u_gen), from_vectors(ctx, v_gen)
-                    assert _recheck_up(ctx, aut, x, y, u_el, v_el)
+                    if not _recheck_up(ctx, aut, x, y, u_el, v_el):
+                        raise RuntimeError(
+                            f"up-formula witness pair u={format_element(ctx, u_el)}, "
+                            f"v={format_element(ctx, v_el)} failed its re-check"
+                        )
                     return FormulaTrace(True, "VertexLikeEnumeration", witnesses=(u_el, v_el))
     return FormulaTrace(False, "VertexLikeEnumeration")
 
@@ -125,9 +130,12 @@ def down_edge_formula(ctx: GroupContext, ell: EdgeFunctional, x: GroupElement, y
     stacked = FpMatrix(ctx.p, ctx.vertex_order, [r for m in mats for r in m.rows])
     wit_gen = kernel_basis(stacked)[0]
     wit = from_vectors(ctx, wit_gen)
-    assert not wit_gen.is_zero()
-    assert in_kernel_subgroup(ctx, ell, wit)
-    assert _commutes(ctx, wit_gen, x.gen) and _commutes(ctx, wit_gen, y.gen)
+    if (
+        wit_gen.is_zero()
+        or not in_kernel_subgroup(ctx, ell, wit)
+        or not (_commutes(ctx, wit_gen, x.gen) and _commutes(ctx, wit_gen, y.gen))
+    ):
+        raise RuntimeError(f"down-formula witness {format_element(ctx, wit)} failed its re-check")
     return FormulaTrace(True, "KernelIntersection", witnesses=(wit,), note=f"kernel dim {dim}")
 
 

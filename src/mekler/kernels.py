@@ -1,7 +1,7 @@
-"""Hot kernels for the centralizer-dimension scans.
+"""Batch scans of centralizer dimensions over all small supports.
 
-The dichotomy and bound suites enumerate every support pattern of size up
-to 3 with every exponent pattern; on the adequate fragments that is tens of
+The dichotomy and bound suites check every support pattern of size up to 3
+with every exponent pattern; on the adequate fragments that is tens of
 millions of elements, far too many for the generic sparse eliminator.  The
 per-element computation factors exactly: in the commutation matrix of an
 element supported on S, every column outside S is either killed by a
@@ -14,20 +14,27 @@ B of within-support rows.  So
                    kernel: zero on every common neighbor and
                    rank([B; ell|S]) == rank(B).
 
-Size-3 scans run either as numba @njit loops or as a vectorized pure-numpy
-path (per-anchor boolean matmuls plus rank lookup tables built by the same
-tiny eliminator); choose with the MEKLER_BACKEND env flag (numba | numpy,
-default numba when importable).  Sizes 1 and 2 are cheap and always use the
-vectorized path.  Agreement with the generic eliminator and with
-brute-force coset counting is asserted in the test suite.
+The verdict on an element therefore depends only on a small signature of
+its support: the size, which pairs of S are non-adjacent, which vertices of
+S the functional is nonzero on, the number t of common neighbours and
+whether the functional is nonzero on one of them; for a single vertex also
+whether it is a natural and whether it is provisioned.  A scan counts the
+supports of each signature, checks each signature once against every
+exponent pattern through rank tables built by the same tiny eliminator the
+reference path uses, and lists actual supports only for the signatures
+that violate.  Size-3 supports are counted one anchor (smallest vertex) at
+a time, so memory stays at one row of pairs.  t is nonzero only on pairs
+and triples inside some neighbourhood N(v), so it is counted from those.
+Nothing assumes the graph is nice.  Agreement with element_dims, the
+generic eliminator and brute-force coset counting is asserted in the test
+suite.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,45 +42,12 @@ from .graphs import Natural, Vertex
 from .group import GroupContext
 from .subgroup import DIM_THRESHOLD, PROVISION_PARTNERS, EdgeFunctional
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_ENV_BACKEND = os.environ.get("MEKLER_BACKEND", "").strip().lower()
-if _ENV_BACKEND not in ("", "numba", "numpy"):
-    raise ValueError(f"MEKLER_BACKEND must be 'numba' or 'numpy', got {_ENV_BACKEND!r}")
-
-
-def active_backend() -> str:
-    if _ENV_BACKEND == "numpy":
-        return "numpy"
-    if _ENV_BACKEND == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("MEKLER_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
 MODE_GROUP = 0
 MODE_SUBGROUP = 1
 
 KIND_GROUP_BOUND = 0  # non-single-natural support above the group bound
 KIND_SUBGROUP_HIGH = 1  # subgroup member, not a lone natural, at/over threshold
 KIND_SUBGROUP_LOW = 2  # provisioned lone natural below threshold
-
-_VIOLATION_CAP = 200
 
 
 def _ranks_small_py(rows: list[list[int]], ell_row: list[int], p: int) -> tuple[int, int]:
@@ -103,19 +77,15 @@ def _ranks_small_py(rows: list[list[int]], ell_row: list[int], p: int) -> tuple[
 
 def _block_rows(size: int, nonadj_bits: tuple[int, ...], exps: Sequence[int], p: int) -> list[list[int]]:
     """Rows of B in local support coordinates; pair (u, w) with u before w
-    contributes a_w at column u and -a_u at column w."""
+    contributes a_w at column u and -a_u at column w.  nonadj_bits follows
+    itertools.combinations order: (0, 1), (0, 2), (1, 2)."""
     rows = []
-    if size == 2:
-        if nonadj_bits[0]:
-            rows.append([exps[1] % p, (-exps[0]) % p])
-    elif size == 3:
-        nij, nik, njk = nonadj_bits
-        if nij:
-            rows.append([exps[1] % p, (-exps[0]) % p, 0])
-        if nik:
-            rows.append([exps[2] % p, 0, (-exps[0]) % p])
-        if njk:
-            rows.append([0, exps[2] % p, (-exps[1]) % p])
+    for bit, (u, w) in zip(nonadj_bits, itertools.combinations(range(size), 2)):
+        if bit:
+            row = [0] * size
+            row[u] = exps[w] % p
+            row[w] = (-exps[u]) % p
+            rows.append(row)
     return rows
 
 
@@ -148,17 +118,8 @@ def element_dims(
     values = {v: (ell.value(v) if ell else 0) for v in ctx.vertex_order}
     t = len(common)
     tl = sum(1 for v in common if values[v] % p)
-    bits = []
-    if size == 2:
-        bits = (0 if support[1] in adj[support[0]] else 1,)
-    elif size == 3:
-        i, j, k = support
-        bits = (
-            0 if j in adj[i] else 1,
-            0 if k in adj[i] else 1,
-            0 if k in adj[j] else 1,
-        )
-    rows = _block_rows(size, tuple(bits), list(exps), p)
+    bits = tuple(0 if w in adj[u] else 1 for u, w in itertools.combinations(support, 2))
+    rows = _block_rows(size, bits, list(exps), p)
     ell_row = [values[s] % p for s in support]
     rank_b, rank_bl = _ranks_small_py(rows, ell_row, p)
     dim_group = size + t - rank_b
@@ -170,7 +131,7 @@ def element_dims(
     return dim_group, dim_subgroup, member
 
 
-# --- scan plumbing -----------------------------------------------------------
+# --- signature-histogram scan ---------------------------------------------------
 
 
 @dataclass
@@ -184,8 +145,10 @@ class ScanViolation:
 
 @dataclass
 class ScanResult:
+    """Outcome of one scan.  violations are ordered by support size, then
+    support (in vertex order), then exponent pattern."""
+
     mode: int
-    backend: str
     max_support: int
     elements_checked: int
     members_checked: int
@@ -200,80 +163,28 @@ class ScanResult:
 
 
 def _context_arrays(ctx: GroupContext, ell: EdgeFunctional | None):
-    adj = ctx.graph.adjacency_matrix().astype(np.uint8)
+    """Adjacency matrix, ell bits, natural mask and provisioned mask, in
+    vertex order.  Functional values are 0 or 1, so the bits are the values."""
+    adj = ctx.graph.adjacency_matrix().astype(bool)
     if ell is None:
-        ellv = np.zeros(len(ctx), dtype=np.int64)
+        ellbit = np.zeros(len(ctx), dtype=np.int64)
     else:
-        ellv = ell.values_array(ctx) % ctx.p
-    nat = np.array([isinstance(v, Natural) for v in ctx.vertex_order], dtype=np.uint8)
-    prov = np.zeros(len(ctx), dtype=np.uint8)
+        ellbit = (ell.values_array(ctx) % ctx.p != 0).astype(np.int64)
+    nat = np.array([isinstance(v, Natural) for v in ctx.vertex_order], dtype=np.int64)
     g = ctx.graph
-    for idx, v in enumerate(ctx.vertex_order):
-        if isinstance(v, Natural) and len(g.gadget_partners(v.n)) >= PROVISION_PARTNERS:
-            prov[idx] = 1
-    return adj, ellv, nat, prov
-
-
-def _exp_patterns(p: int, size: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(1, p), repeat=size)), dtype=np.int64)
-
-
-def _decode_violations(ctx: GroupContext, raw: np.ndarray) -> list[ScanViolation]:
-    out = []
-    for row in raw:
-        size = int(row[0])
-        idxs = [int(row[1 + t]) for t in range(size)]
-        exps = tuple(int(row[4 + t]) for t in range(size))
-        out.append(
-            ScanViolation(
-                kind=int(row[9]),
-                support=tuple(ctx.vertex_order[i] for i in idxs),
-                exps=exps,
-                dim_group=int(row[7]),
-                dim_subgroup=int(row[8]),
-            )
-        )
-    return out
-
-
-# --- sizes 1 and 2: always vectorized numpy ----------------------------------
-
-
-def _scan_size1(adj, ellv, nat, prov, p, mode, low, high):
-    nverts = adj.shape[0]
-    deg = adj.sum(axis=1).astype(np.int64)
-    ellnz = (ellv % p != 0).astype(np.int64)
-    degl = (adj * ellnz[None, :]).sum(axis=1).astype(np.int64)
-    dim_g = 1 + deg
-    vanish = (degl == 0) & (ellnz == 0)
-    dim_s = dim_g - 1 + vanish.astype(np.int64)
-    member = ellnz == 0  # e * ell(v) = 0 iff ell(v) = 0, any nonzero e
-    records = []
-    nexp = p - 1
-    checked = nverts * nexp
-    members = int(member.sum()) * nexp
-    if mode == MODE_GROUP:
-        bad = np.flatnonzero((nat == 0) & (dim_g > high))
-        for v in bad:
-            for e in range(1, p):
-                records.append((1, v, -1, -1, e, 0, 0, int(dim_g[v]), -1, KIND_GROUP_BOUND))
-    else:
-        high_bad = np.flatnonzero(member & (nat == 0) & (dim_s >= low))
-        low_bad = np.flatnonzero(member & (nat == 1) & (prov == 1) & (dim_s < low))
-        for v in high_bad:
-            for e in range(1, p):
-                records.append((1, v, -1, -1, e, 0, 0, int(dim_g[v]), int(dim_s[v]), KIND_SUBGROUP_HIGH))
-        for v in low_bad:
-            for e in range(1, p):
-                records.append((1, v, -1, -1, e, 0, 0, int(dim_g[v]), int(dim_s[v]), KIND_SUBGROUP_LOW))
-    return checked, members, records
+    prov = np.array(
+        [isinstance(v, Natural) and len(g.gadget_partners(v.n)) >= PROVISION_PARTNERS for v in ctx.vertex_order],
+        dtype=np.int64,
+    )
+    return adj, ellbit, nat, prov
 
 
 def _rank_tables(p: int, size: int):
     """Lookup tables over (non-adjacency pattern, exponent pattern, ell bits),
-    built with the same tiny eliminator the reference path uses."""
+    built with the same tiny eliminator the reference path uses; also the
+    exponent patterns themselves."""
     pats = list(itertools.product(range(1, p), repeat=size))
-    nbits = 1 if size == 2 else 3
+    nbits = size * (size - 1) // 2
     rank_b = np.zeros((1 << nbits, len(pats)), dtype=np.int64)
     rank_bl = np.zeros((1 << nbits, len(pats), 1 << size), dtype=np.int64)
     memb = np.zeros((len(pats), 1 << size), dtype=bool)
@@ -288,290 +199,134 @@ def _rank_tables(p: int, size: int):
                 rank_bl[na, ci, lp] = rbl
                 if na == 0:
                     memb[ci, lp] = sum(e * l for e, l in zip(exps, lrow)) % p == 0
-    return rank_b, rank_bl, memb
+    return rank_b, rank_bl, memb, pats
 
 
-def _scan_size2(adj, ellv, nat, prov, p, mode, low, high):
-    nverts = adj.shape[0]
-    if nverts < 2:
-        return 0, 0, []
-    adjb = adj.astype(bool)
-    adjf = adj.astype(np.float32)
-    ellnz = (ellv % p != 0)
-    common = adjf @ adjf.T
-    common_l = (adjf * ellnz.astype(np.float32)[None, :]) @ adjf.T
-    jj, kk = np.triu_indices(nverts, k=1)
-    t_all = common[jj, kk].astype(np.int64)
-    tl_all = common_l[jj, kk].astype(np.int64)
-    napat = (~adjb[jj, kk]).astype(np.int64)
-    lpat = (ellv[jj] % p != 0).astype(np.int64) * 2 + (ellv[kk] % p != 0).astype(np.int64)
-    rank_b, rank_bl, memb_t = _rank_tables(p, 2)
-    pats = _exp_patterns(p, 2)
-    records = []
+def _support_batches(adj: np.ndarray, ellbit: np.ndarray, size: int) -> Iterator[tuple]:
+    """Every support of the given size in lexicographic order, in batches of
+    (supports, t, tl): an (m, size) index array, the common-neighbour count
+    of each support and how many of those the functional is nonzero on.
+    Size 3 comes one anchor i at a time: t of {i, j, k} counts the v in
+    N(i) whose neighbourhood holds the pair (j, k)."""
+    n = adj.shape[0]
+    if size == 1:
+        yield np.arange(n)[:, None], adj.sum(axis=1), adj.astype(np.int64) @ ellbit
+        return
+    jj, kk = np.triu_indices(n, k=1)
+    # wedges: every pair (a, b) inside some N(v), by its index in (jj, kk)
+    centre, first, pair_id = [], [], []
+    for v in range(n):
+        nb = np.flatnonzero(adj[v])
+        a, b = (nb[x] for x in np.triu_indices(len(nb), k=1))
+        centre.append(np.full(len(a), v))
+        first.append(a)
+        pair_id.append(a * n - a * (a + 1) // 2 + b - a - 1)
+    centre, first, pair_id = (np.concatenate(x).astype(np.int64) for x in (centre, first, pair_id))
+    if size == 2:
+        t = np.bincount(pair_id, minlength=len(jj))
+        tl = np.bincount(pair_id, weights=ellbit[centre], minlength=len(jj)).astype(np.int64)
+        yield np.column_stack([jj, kk]), t, tl
+        return
+    for i in range(n - 2):
+        start = (i + 1) * n - (i + 1) * (i + 2) // 2  # first pair (j, k) with j > i
+        sel = adj[i, centre] & (first > i)
+        local = pair_id[sel] - start
+        m = len(jj) - start
+        t = np.bincount(local, minlength=m)
+        tl = np.bincount(local, weights=ellbit[centre[sel]], minlength=m).astype(np.int64)
+        yield np.column_stack([np.full(m, i), jj[start:], kk[start:]]), t, tl
+
+
+def _signatures(sup, t, tl, adj, ellbit, nat, prov, size: int) -> np.ndarray:
+    """One integer per support, packing (t, tl > 0, non-adjacency bits,
+    ell bits, natural and provisioned bits) from high to low."""
+    code = t * 2 + (tl > 0)
+    for u, w in itertools.combinations(range(size), 2):
+        code = code * 2 + ~adj[sup[:, u], sup[:, w]]
+    for u in range(size):
+        code = code * 2 + ellbit[sup[:, u]]
+    if size == 1:
+        return code * 4 + nat[sup[:, 0]] * 2 + prov[sup[:, 0]]
+    return code * 4
+
+
+def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support, low, high):
+    """Scan every support up to max_support; returns (elements, members,
+    records) with records (kind, support indices, exps, dim_group,
+    dim_subgroup) in ScanResult order."""
     checked = 0
     members = 0
-    for ci in range(len(pats)):
-        rb = rank_b[napat, ci]
-        dim_g = 2 + t_all - rb
-        checked += t_all.size
+    records = []
+    for size in range(1, max_support + 1):
+        rank_b, rank_bl, memb, pats = _rank_tables(p, size)
+        hist = np.zeros(0, dtype=np.int64)
+        for sup, t, tl in _support_batches(adj, ellbit, size):
+            counts = np.bincount(_signatures(sup, t, tl, adj, ellbit, nat, prov, size))
+            hist = np.pad(hist, (0, max(0, len(counts) - len(hist))))
+            hist[: len(counts)] += counts
+        codes = np.flatnonzero(hist)
+        counts = hist[codes]
+        nbits = size * (size - 1) // 2
+        lone_nat = (size == 1) & ((codes >> 1) & 1 == 1)
+        provisioned = codes & 1 == 1
+        lp = (codes >> 2) & ((1 << size) - 1)
+        na = (codes >> (2 + size)) & ((1 << nbits) - 1)
+        tl_pos = (codes >> (2 + size + nbits)) & 1
+        t = codes >> (3 + size + nbits)
+        rb = rank_b[na]  # (signatures, patterns) from here on
+        dim_g = size + t[:, None] - rb
+        checked += int(counts.sum()) * len(pats)
+        kind = np.full(dim_g.shape, -1)
         if mode == MODE_GROUP:
-            bad = np.flatnonzero(dim_g > high)
-            for t in bad:
-                records.append(
-                    (2, int(jj[t]), int(kk[t]), -1, int(pats[ci, 0]), int(pats[ci, 1]), 0, int(dim_g[t]), -1, KIND_GROUP_BOUND)
-                )
+            dim_s = np.full(dim_g.shape, -1)
+            kind[~lone_nat[:, None] & (dim_g > high)] = KIND_GROUP_BOUND
         else:
-            member = memb_t[ci, lpat]
-            members += int(member.sum())
-            rbl = rank_bl[napat, ci, lpat]
-            vanish = (tl_all == 0) & (rbl == rb)
-            dim_s = dim_g - 1 + vanish.astype(np.int64)
-            bad = np.flatnonzero(member & (dim_s >= low))
-            for t in bad:
-                records.append(
-                    (2, int(jj[t]), int(kk[t]), -1, int(pats[ci, 0]), int(pats[ci, 1]), 0, int(dim_g[t]), int(dim_s[t]), KIND_SUBGROUP_HIGH)
-                )
-    return checked, members, records
-
-
-# --- size 3: numba kernel ----------------------------------------------------
-
-
-@njit(cache=True)
-def _scan3_numba_core(adj, ellv, p, mode, low, high, exp_pats, viol, cap):  # pragma: no cover - jit
-    nverts = adj.shape[0]
-    npat = exp_pats.shape[0]
-    checked = 0
-    members = 0
-    nv = 0
-    common = np.empty(nverts, dtype=np.int64)
-    m = np.zeros((4, 3), dtype=np.int64)
-    for i in range(nverts - 2):
-        for j in range(i + 1, nverts - 1):
-            nc = 0
-            for v in range(nverts):
-                if adj[i, v] != 0 and adj[j, v] != 0:
-                    common[nc] = v
-                    nc += 1
-            nij = 1 - adj[i, j]
-            for k in range(j + 1, nverts):
-                t = 0
-                tl = 0
-                for c in range(nc):
-                    v = common[c]
-                    if adj[k, v] != 0:
-                        t += 1
-                        if ellv[v] % p != 0:
-                            tl += 1
-                nik = 1 - adj[i, k]
-                njk = 1 - adj[j, k]
-                li = ellv[i] % p
-                lj = ellv[j] % p
-                lk = ellv[k] % p
-                for pi in range(npat):
-                    e1 = exp_pats[pi, 0]
-                    e2 = exp_pats[pi, 1]
-                    e3 = exp_pats[pi, 2]
-                    checked += 1
-                    is_member = (e1 * li + e2 * lj + e3 * lk) % p == 0
-                    if mode == 1:
-                        if not is_member:
-                            continue
-                        members += 1
-                    nr = 0
-                    if nij != 0:
-                        m[nr, 0] = e2
-                        m[nr, 1] = (p - e1) % p
-                        m[nr, 2] = 0
-                        nr += 1
-                    if nik != 0:
-                        m[nr, 0] = e3
-                        m[nr, 1] = 0
-                        m[nr, 2] = (p - e1) % p
-                        nr += 1
-                    if njk != 0:
-                        m[nr, 0] = 0
-                        m[nr, 1] = e3
-                        m[nr, 2] = (p - e2) % p
-                        nr += 1
-                    m[nr, 0] = li
-                    m[nr, 1] = lj
-                    m[nr, 2] = lk
-                    rank = 0
-                    for col in range(3):
-                        piv = -1
-                        for r in range(rank, nr):
-                            if m[r, col] % p != 0:
-                                piv = r
-                                break
-                        if piv < 0:
-                            continue
-                        for c in range(3):
-                            tmp = m[rank, c]
-                            m[rank, c] = m[piv, c]
-                            m[piv, c] = tmp
-                        pv = m[rank, col]
-                        for r in range(rank + 1, nr + 1):
-                            f = m[r, col]
-                            if f % p != 0:
-                                for c in range(3):
-                                    m[r, c] = (m[r, c] * pv - f * m[rank, c]) % p
-                        rank += 1
-                    extra = 0
-                    for c in range(3):
-                        if m[nr, c] % p != 0:
-                            extra = 1
-                            break
-                    dim_g = 3 + t - rank
-                    if mode == 0:
-                        if dim_g > high and nv < cap:
-                            viol[nv, 0] = 3
-                            viol[nv, 1] = i
-                            viol[nv, 2] = j
-                            viol[nv, 3] = k
-                            viol[nv, 4] = e1
-                            viol[nv, 5] = e2
-                            viol[nv, 6] = e3
-                            viol[nv, 7] = dim_g
-                            viol[nv, 8] = -1
-                            viol[nv, 9] = 0
-                            nv += 1
-                    else:
-                        vanish = 1 if (tl == 0 and extra == 0) else 0
-                        dim_s = dim_g - 1 + vanish
-                        if dim_s >= low and nv < cap:
-                            viol[nv, 0] = 3
-                            viol[nv, 1] = i
-                            viol[nv, 2] = j
-                            viol[nv, 3] = k
-                            viol[nv, 4] = e1
-                            viol[nv, 5] = e2
-                            viol[nv, 6] = e3
-                            viol[nv, 7] = dim_g
-                            viol[nv, 8] = dim_s
-                            viol[nv, 9] = 1
-                            nv += 1
-    return checked, members, nv
-
-
-def _scan_size3_numba(adj, ellv, nat, prov, p, mode, low, high):
-    viol = np.zeros((_VIOLATION_CAP, 10), dtype=np.int64)
-    pats = _exp_patterns(p, 3)
-    checked, members, nv = _scan3_numba_core(
-        adj.astype(np.uint8), ellv.astype(np.int64), p, mode, low, high, pats, viol, _VIOLATION_CAP
-    )
-    return checked, members, [tuple(int(x) for x in row) for row in viol[:nv]]
-
-
-# --- size 3: pure-numpy vectorized path ---------------------------------------
-
-
-def _scan_size3_numpy(adj, ellv, nat, prov, p, mode, low, high):
-    nverts = adj.shape[0]
-    if nverts < 3:
-        return 0, 0, []
-    adjb = adj.astype(bool)
-    adjf = adj.astype(np.float32)
-    ellnz = (ellv % p != 0)
-    ellbit = ellnz.astype(np.int64)
-    rank_b, rank_bl, memb_t = _rank_tables(p, 3)
-    pats = _exp_patterns(p, 3)
-    records = []
-    checked = 0
-    members = 0
-    for i in range(nverts - 2):
-        rest = nverts - i - 1
-        if rest < 2:
-            break
-        wi = adjb & adjb[i][None, :]  # wi[j, v] = adj to both i and j
-        wif = wi.astype(np.float32)
-        t_all = wif @ adjf.T  # [j, k]: common neighbors of {i, j, k}
-        tl_all = (wif * ellnz.astype(np.float32)[None, :]) @ adjf.T
-        jr, kr = np.triu_indices(rest, k=1)
-        jj = jr + i + 1
-        kk = kr + i + 1
-        t_v = t_all[jj, kk].astype(np.int64)
-        tl_v = tl_all[jj, kk].astype(np.int64)
-        napat = (
-            (~adjb[i, jj]).astype(np.int64) * 4
-            + (~adjb[i, kk]).astype(np.int64) * 2
-            + (~adjb[jj, kk]).astype(np.int64)
-        )
-        lpat = ellbit[i] * 4 + ellbit[jj] * 2 + ellbit[kk]
-        for ci in range(len(pats)):
-            rb = rank_b[napat, ci]
-            dim_g = 3 + t_v - rb
-            checked += t_v.size
-            if mode == MODE_GROUP:
-                bad = np.flatnonzero(dim_g > high)
-                for t in bad:
+            member = memb[:, lp].T
+            members += int((counts[:, None] * member).sum())
+            vanish = (tl_pos[:, None] == 0) & (rank_bl[na, :, lp] == rb)
+            dim_s = dim_g - 1 + vanish
+            kind[member & ~lone_nat[:, None] & (dim_s >= low)] = KIND_SUBGROUP_HIGH
+            kind[member & (lone_nat & provisioned)[:, None] & (dim_s < low)] = KIND_SUBGROUP_LOW
+        bad_codes = codes[(kind >= 0).any(axis=1)]
+        if not len(bad_codes):
+            continue
+        for sup, t, tl in _support_batches(adj, ellbit, size):
+            code = _signatures(sup, t, tl, adj, ellbit, nat, prov, size)
+            for pos in np.flatnonzero(np.isin(code, bad_codes)):
+                r = np.searchsorted(codes, code[pos])
+                for ci in np.flatnonzero(kind[r] >= 0):
                     records.append(
-                        (3, i, int(jj[t]), int(kk[t]), int(pats[ci, 0]), int(pats[ci, 1]), int(pats[ci, 2]), int(dim_g[t]), -1, KIND_GROUP_BOUND)
-                    )
-            else:
-                member = memb_t[ci, lpat]
-                members += int(member.sum())
-                rbl = rank_bl[napat, ci, lpat]
-                vanish = (tl_v == 0) & (rbl == rb)
-                dim_s = dim_g - 1 + vanish.astype(np.int64)
-                bad = np.flatnonzero(member & (dim_s >= low))
-                for t in bad:
-                    records.append(
-                        (3, i, int(jj[t]), int(kk[t]), int(pats[ci, 0]), int(pats[ci, 1]), int(pats[ci, 2]), int(dim_g[t]), int(dim_s[t]), KIND_SUBGROUP_HIGH)
+                        (int(kind[r, ci]), tuple(int(x) for x in sup[pos]), pats[ci], int(dim_g[r, ci]), int(dim_s[r, ci]))
                     )
     return checked, members, records
 
 
-def _run_scan(ctx, ell, mode, max_support, low, high, backend):
+def _run_scan(ctx, ell, mode, max_support, low, high):
     if max_support < 1 or max_support > 3:
         raise ValueError("support budgets beyond 3 are not covered by the dichotomy statements")
-    if backend is None:
-        backend = active_backend()
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    adj, ellv, nat, prov = _context_arrays(ctx, ell)
-    p = ctx.p
-    checked = 0
-    members = 0
-    raw: list[tuple] = []
-    c, m, r = _scan_size1(adj, ellv, nat, prov, p, mode, low, high)
-    checked, members = checked + c, members + m
-    raw.extend(r)
-    if max_support >= 2:
-        c, m, r = _scan_size2(adj, ellv, nat, prov, p, mode, low, high)
-        checked, members = checked + c, members + m
-        raw.extend(r)
-    if max_support >= 3:
-        size3 = _scan_size3_numba if backend == "numba" else _scan_size3_numpy
-        c, m, r = size3(adj, ellv, nat, prov, p, mode, low, high)
-        checked, members = checked + c, members + m
-        raw.extend(r)
-    result = ScanResult(
+    adj, ellbit, nat, prov = _context_arrays(ctx, ell)
+    checked, members, records = _scan_arrays(adj, ellbit, nat, prov, ctx.p, mode, max_support, low, high)
+    verts = ctx.vertex_order
+    return ScanResult(
         mode=mode,
-        backend=backend,
         max_support=max_support,
         elements_checked=checked,
         members_checked=members if mode == MODE_SUBGROUP else checked,
-        violations=_decode_violations(ctx, np.array(raw, dtype=np.int64).reshape(-1, 10)),
+        violations=[
+            ScanViolation(kind=k, support=tuple(verts[i] for i in sup), exps=exps, dim_group=dg, dim_subgroup=ds)
+            for k, sup, exps, dg, ds in records
+        ],
     )
-    return result
 
 
-def scan_group_bound(ctx: GroupContext, max_support: int = 3, bound: int = 5, backend: str | None = None) -> ScanResult:
+def scan_group_bound(ctx: GroupContext, max_support: int = 3, bound: int = 5) -> ScanResult:
     """Exhaustively confirm dim_group <= bound for every support of size up
     to max_support that is not a lone natural."""
-    return _run_scan(ctx, None, MODE_GROUP, max_support, low=DIM_THRESHOLD, high=bound, backend=backend)
+    return _run_scan(ctx, None, MODE_GROUP, max_support, low=DIM_THRESHOLD, high=bound)
 
 
-def scan_subgroup_dichotomy(
-    ctx: GroupContext,
-    ell: EdgeFunctional,
-    max_support: int = 3,
-    backend: str | None = None,
-) -> ScanResult:
+def scan_subgroup_dichotomy(ctx: GroupContext, ell: EdgeFunctional, max_support: int = 3) -> ScanResult:
     """Exhaustively confirm the subgroup dichotomy on small supports:
     provisioned lone naturals at or above the threshold, everything else
     strictly below it."""
-    return _run_scan(ctx, ell, MODE_SUBGROUP, max_support, low=DIM_THRESHOLD, high=DIM_THRESHOLD - 1, backend=backend)
+    return _run_scan(ctx, ell, MODE_SUBGROUP, max_support, low=DIM_THRESHOLD, high=DIM_THRESHOLD - 1)

@@ -181,7 +181,7 @@ def test_criterion_04_dimension_bound(ctx34):
         4,
         "centralizer dimension <= 5 for all small non-natural supports",
         scan.ok and scan.elements_checked == expected == 50184 and dt < 300.0,
-        f"{scan.elements_checked} elements, backend {scan.backend}, {dt:.1f}s",
+        f"{scan.elements_checked} elements, {dt:.1f}s",
     )
 
 
@@ -368,8 +368,7 @@ def test_criterion_09_dichotomy(ctx286):
         9,
         "subgroup dimension dichotomy on the 286-vertex provisioned fragment",
         scan.ok and counts_ok and naturals_high and dt < 600.0,
-        f"{scan.members_checked} members of {scan.elements_checked} elements, "
-        f"backend {scan.backend}, {dt:.1f}s",
+        f"{scan.members_checked} members of {scan.elements_checked} elements, {dt:.1f}s",
     )
 
 

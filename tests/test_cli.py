@@ -6,7 +6,12 @@ import pytest
 
 from mekler.cayley import format_cayley_text, symmetric_group
 from mekler.cli import main
+from mekler import verify
 from mekler.graphs import FragmentSpec
+from mekler.group import GroupContext
+from mekler.interpret import build_down_fragment
+from mekler.subgroup import EdgeFunctional
+from mekler.verify import SuiteResult, VerifyConfig
 
 
 def run(capsys, *argv):
@@ -88,6 +93,20 @@ def test_verify_lemmas_structured(capsys):
     assert payload["config"]["naturals"] == [0, 1, 2]
     assert payload["config"]["r_edges"] == [[0, 1]]
     assert payload["checks"] and all(c["passed"] for c in payload["checks"])
+
+
+def test_natural_dimension_check_compares_with_closed_form(monkeypatch):
+    ctx = GroupContext(build_down_fragment([0, 1]), 3)
+    ell = EdgeFunctional.from_edges([(0, 1)])
+    name = "generic eliminator reproduces natural dimensions"
+    res = SuiteResult(config=VerifyConfig())
+    verify._dichotomy_checks(res, ctx, ell, 1)
+    assert [c.passed for c in res.checks if c.name == name] == [True]
+    generic = verify.centralizer_dim_in_subgroup
+    monkeypatch.setattr(verify, "centralizer_dim_in_subgroup", lambda *args: generic(*args) + 1)
+    res = SuiteResult(config=VerifyConfig())
+    verify._dichotomy_checks(res, ctx, ell, 1)
+    assert [c.passed for c in res.checks if c.name == name] == [False]
 
 
 def test_roundtrip_cli(capsys):

@@ -1,10 +1,15 @@
 """Edge formulas: grid truth tables, oracle agreement, traces, budgets."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import mekler
 from mekler.formulas import (
     BudgetError,
     FormulaTrace,
@@ -177,3 +182,50 @@ def test_oracle_budget_and_validation():
         full_coset_oracle(small, "up", xs, ys)  # no automorphism given
     with pytest.raises(ValueError):
         full_coset_oracle(small, "down", xs, ys)  # no functional given
+
+
+def test_witness_rechecks_survive_python_O():
+    """The witness re-checks raise instead of asserting, so they still run
+    when python -O strips asserts."""
+    script = textwrap.dedent(
+        """
+        import warnings
+        import mekler.formulas as f
+        from mekler.graphs import Natural, build_fragment, pair_swap_automorphism
+        from mekler.group import GroupContext, InducedAutomorphism, generator
+        from mekler.interpret import build_down_fragment
+        from mekler.subgroup import EdgeFunctional
+
+        assert False, "asserts are live: not running under -O"
+        warnings.simplefilter("ignore")
+        g = build_fragment([0, 1], [(0, 1)])
+        ctx = GroupContext(g, 3)
+        aut = InducedAutomorphism(ctx, pair_swap_automorphism(g, [(0, 1)]))
+        x, y = generator(ctx, Natural(0)), generator(ctx, Natural(1))
+        print("up", f.up_edge_formula(ctx, aut, x, y).verdict)
+        f._recheck_up = lambda *args: False
+        try:
+            f.up_edge_formula(ctx, aut, x, y)
+        except RuntimeError as err:
+            print("up raised:", err)
+
+        dctx = GroupContext(build_down_fragment([0, 1]), 3)
+        ell = EdgeFunctional.from_edges([(0, 1)])
+        dx, dy = generator(dctx, Natural(0)), generator(dctx, Natural(1))
+        print("down", f.down_edge_formula(dctx, ell, dx, dy).verdict)
+        f._commutes = lambda *args: False
+        try:
+            f.down_edge_formula(dctx, ell, dx, dy)
+        except RuntimeError as err:
+            print("down raised:", err)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(mekler.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "up True" and lines[2] == "down True"
+    assert lines[1].startswith("up raised: up-formula witness pair u=x[")
+    assert lines[3].startswith("down raised: down-formula witness x[")
+    assert len(lines) == 4

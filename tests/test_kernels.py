@@ -1,9 +1,6 @@
-"""Scan kernels against brute force, the generic eliminator, and each other."""
+"""Scan kernels against brute force, the generic eliminator and element_dims."""
 
 import itertools
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -18,26 +15,44 @@ from mekler.group import (
 )
 from mekler.interpret import build_down_fragment
 from mekler.kernels import (
-    HAS_NUMBA,
     KIND_GROUP_BOUND,
     KIND_SUBGROUP_HIGH,
     KIND_SUBGROUP_LOW,
     MODE_SUBGROUP,
     ScanResult,
     _context_arrays,
-    _scan_size1,
-    active_backend,
+    _scan_arrays,
     element_dims,
     scan_group_bound,
     scan_subgroup_dichotomy,
 )
-from mekler.subgroup import DIM_THRESHOLD, EdgeFunctional, centralizer_dim_in_subgroup
-
-BACKENDS = ["numpy"] + (["numba"] if HAS_NUMBA else [])
+from mekler.subgroup import DIM_THRESHOLD, PROVISION_PARTNERS, EdgeFunctional, centralizer_dim_in_subgroup
 
 
 def ctx7():
     return GroupContext(build_fragment([0, 1], [(0, 1)]), 3, warn_not_nice=False)
+
+
+def fragment18():
+    return build_fragment([0, 1, 2], all_pairs([0, 1, 2]))
+
+
+def planted_bound_fragment():
+    # an extra hub-pentagon chord pushes the hub to degree 5: dim 6 > 5
+    return build_fragment([0, 1], [(0, 1)], extra_edges=[(Gadget(0, 1, "0"), Gadget(0, 1, "1.25"))])
+
+
+def planted_dichotomy_fragment():
+    # joining the R-pair hub to two other hubs lifts a non-natural member
+    # to the threshold: dim_s = 6 on a support that is not a lone natural
+    return build_fragment(
+        range(4),
+        all_pairs(range(4)),
+        extra_edges=[
+            (Gadget(0, 1, "0"), Gadget(0, 2, "0")),
+            (Gadget(0, 1, "0"), Gadget(0, 3, "0")),
+        ],
+    )
 
 
 def normalized(violations):
@@ -105,81 +120,100 @@ def test_element_dims_validation():
 
 def test_group_bound_holds_on_clean_fragments():
     ctx = GroupContext(build_fragment(range(4), all_pairs(range(4))), 3)
-    results = {b: scan_group_bound(ctx, backend=b) for b in BACKENDS}
-    for b, res in results.items():
-        assert res.ok and bool(res)
-        assert res.backend == b
-        assert res.elements_checked == 50184
-        assert res.members_checked == res.elements_checked  # group mode
-        assert res.max_support == 3
+    res = scan_group_bound(ctx)
+    assert res.ok and bool(res)
+    assert res.elements_checked == 50184
+    assert res.members_checked == res.elements_checked  # group mode
+    assert res.max_support == 3
 
 
 def test_dichotomy_holds_on_down_fragment():
     ctx = GroupContext(build_down_fragment([0, 1]), 3)
     ell = EdgeFunctional.from_edges([(0, 1)])
-    results = {b: scan_subgroup_dichotomy(ctx, ell, backend=b) for b in BACKENDS}
-    counts = set()
-    for b, res in results.items():
-        assert res.ok
-        assert res.mode == MODE_SUBGROUP
-        assert res.members_checked < res.elements_checked
-        counts.add((res.elements_checked, res.members_checked))
-    assert len(counts) == 1
+    res = scan_subgroup_dichotomy(ctx, ell)
+    assert res.ok
+    assert res.mode == MODE_SUBGROUP
+    assert res.members_checked < res.elements_checked
 
 
-def test_backends_agree_and_counts_are_frozen():
-    g = build_fragment([0, 1, 2], all_pairs([0, 1, 2]))
-    ctx = GroupContext(g, 3)
+def test_counts_are_frozen_on_18_vertices():
+    ctx = GroupContext(fragment18(), 3)
     ell = EdgeFunctional.from_edges([(0, 1)])
-    per_backend = []
-    for b in BACKENDS:
-        res = scan_subgroup_dichotomy(ctx, ell, backend=b)
-        # 18 vertices: 18*2 singles + 153*4 pairs + 816*8 triples
-        assert res.elements_checked == 18 * 2 + 153 * 4 + 816 * 8 == 7176
-        per_backend.append((res.members_checked, normalized(res.violations)))
-        assert res.ok
-    assert len(set(str(x) for x in per_backend)) == 1
+    res = scan_subgroup_dichotomy(ctx, ell)
+    # 18 vertices: 18*2 singles + 153*4 pairs + 816*8 triples
+    assert res.elements_checked == 18 * 2 + 153 * 4 + 816 * 8 == 7176
+    assert res.ok
+
+
+def oracle_scan(ctx, ell):
+    """(elements, members, violations) of a scan, from element_dims on
+    every support of size <= 3 and every exponent pattern."""
+    elements = members = 0
+    found = []
+    for size in (1, 2, 3):
+        for sup in itertools.combinations(ctx.vertex_order, size):
+            lone_nat = size == 1 and isinstance(sup[0], Natural)
+            provisioned = lone_nat and len(ctx.graph.gadget_partners(sup[0].n)) >= PROVISION_PARTNERS
+            for exps in itertools.product(range(1, ctx.p), repeat=size):
+                dim_g, dim_s, member = element_dims(ctx, ell, sup, exps)
+                elements += 1
+                members += member
+                if ell is None:
+                    if not lone_nat and dim_g > DIM_THRESHOLD - 1:
+                        found.append((KIND_GROUP_BOUND, sup, exps, dim_g, -1))
+                elif member and not lone_nat and dim_s >= DIM_THRESHOLD:
+                    found.append((KIND_SUBGROUP_HIGH, sup, exps, dim_g, dim_s))
+                elif member and provisioned and dim_s < DIM_THRESHOLD:
+                    found.append((KIND_SUBGROUP_LOW, sup, exps, dim_g, dim_s))
+    return elements, members, sorted((k, tuple(str(s) for s in sup), e, dg, ds) for k, sup, e, dg, ds in found)
+
+
+@pytest.mark.parametrize(
+    "make, p, mode, violations",
+    [
+        pytest.param(fragment18, 3, "bound", 0, id="ctx18-p3-bound"),
+        pytest.param(fragment18, 3, "dichotomy", 0, id="ctx18-p3-dichotomy"),
+        pytest.param(fragment18, 5, "bound", 0, id="ctx18-p5-bound"),
+        pytest.param(fragment18, 5, "dichotomy", 0, id="ctx18-p5-dichotomy"),
+        pytest.param(planted_bound_fragment, 3, "bound", 2, id="planted-bound-bound"),
+        pytest.param(planted_bound_fragment, 3, "dichotomy", 0, id="planted-bound-dichotomy"),
+        pytest.param(planted_dichotomy_fragment, 3, "bound", 6, id="planted-dichotomy-bound"),
+        pytest.param(planted_dichotomy_fragment, 3, "dichotomy", 2, id="planted-dichotomy-dichotomy"),
+    ],
+)
+def test_scan_matches_element_dims_on_every_support(make, p, mode, violations):
+    ctx = GroupContext(make(), p, warn_not_nice=False)
+    if mode == "bound":
+        ell, res = None, scan_group_bound(ctx)
+    else:
+        ell = EdgeFunctional.from_edges([(0, 1)])
+        res = scan_subgroup_dichotomy(ctx, ell)
+    elements, members, expected = oracle_scan(ctx, ell)
+    assert res.elements_checked == elements
+    assert res.members_checked == members
+    assert normalized(res.violations) == expected
+    assert len(expected) == violations
 
 
 def test_planted_group_bound_violation():
-    # an extra hub-pentagon chord pushes the hub to degree 5: dim 6 > 5
-    g = build_fragment([0, 1], [(0, 1)], extra_edges=[(Gadget(0, 1, "0"), Gadget(0, 1, "1.25"))])
-    ctx = GroupContext(g, 3, warn_not_nice=False)
-    found = []
-    for b in BACKENDS:
-        res = scan_group_bound(ctx, backend=b)
-        assert not res.ok and not bool(res)
-        assert all(v.kind == KIND_GROUP_BOUND for v in res.violations)
-        assert any(
-            v.support == (Gadget(0, 1, "0"),) and v.dim_group == 6 for v in res.violations
-        )
-        found.append(normalized(res.violations))
-    assert all(f == found[0] for f in found)
+    ctx = GroupContext(planted_bound_fragment(), 3, warn_not_nice=False)
+    res = scan_group_bound(ctx)
+    assert not res.ok and not bool(res)
+    assert all(v.kind == KIND_GROUP_BOUND for v in res.violations)
+    assert any(
+        v.support == (Gadget(0, 1, "0"),) and v.dim_group == 6 for v in res.violations
+    )
 
 
 def test_planted_dichotomy_violation():
-    # joining the R-pair hub to two other hubs lifts a non-natural member
-    # to the threshold: dim_s = 6 on a support that is not a lone natural
-    g = build_fragment(
-        range(4),
-        all_pairs(range(4)),
-        extra_edges=[
-            (Gadget(0, 1, "0"), Gadget(0, 2, "0")),
-            (Gadget(0, 1, "0"), Gadget(0, 3, "0")),
-        ],
-    )
-    ctx = GroupContext(g, 3, warn_not_nice=False)
+    ctx = GroupContext(planted_dichotomy_fragment(), 3, warn_not_nice=False)
     ell = EdgeFunctional.from_edges([(0, 1)])
-    found = []
-    for b in BACKENDS:
-        res = scan_subgroup_dichotomy(ctx, ell, backend=b)
-        assert not res.ok
-        hits = [v for v in res.violations if v.support == (Gadget(0, 1, "0"),)]
-        assert hits and all(v.kind == KIND_SUBGROUP_HIGH for v in hits)
-        assert all(v.dim_subgroup >= DIM_THRESHOLD for v in res.violations)
-        assert res.elements_checked == 50184  # counts depend on size only
-        found.append(normalized(res.violations))
-    assert all(f == found[0] for f in found)
+    res = scan_subgroup_dichotomy(ctx, ell)
+    assert not res.ok
+    hits = [v for v in res.violations if v.support == (Gadget(0, 1, "0"),)]
+    assert hits and all(v.kind == KIND_SUBGROUP_HIGH for v in hits)
+    assert all(v.dim_subgroup >= DIM_THRESHOLD for v in res.violations)
+    assert res.elements_checked == 50184  # counts depend on size only
 
 
 def test_low_side_violation_detected_with_doctored_provisioning():
@@ -187,15 +221,15 @@ def test_low_side_violation_detected_with_doctored_provisioning():
     # force the provisioned mask at the private layer and watch kind 2 fire
     ctx = ctx7()
     ell = EdgeFunctional.from_edges([])
-    adj, ellv, nat, prov = _context_arrays(ctx, ell)
+    adj, ellbit, nat, prov = _context_arrays(ctx, ell)
     assert prov.sum() == 0  # two partners each: genuinely unprovisioned
-    checked, members, records = _scan_size1(
-        adj, ellv, nat, nat.copy(), ctx.p, MODE_SUBGROUP, DIM_THRESHOLD, DIM_THRESHOLD - 1
+    checked, members, records = _scan_arrays(
+        adj, ellbit, nat, nat.copy(), ctx.p, MODE_SUBGROUP, 1, DIM_THRESHOLD, DIM_THRESHOLD - 1
     )
     assert checked == 7 * 2
-    low = [r for r in records if r[9] == KIND_SUBGROUP_LOW]
+    low = [r for r in records if r[0] == KIND_SUBGROUP_LOW]
     assert len(low) == 4  # both naturals, both exponents
-    assert all(r[8] < DIM_THRESHOLD for r in low)
+    assert all(r[4] < DIM_THRESHOLD for r in low)
 
 
 def test_scan_validation():
@@ -204,9 +238,6 @@ def test_scan_validation():
         scan_group_bound(ctx, max_support=4)
     with pytest.raises(ValueError):
         scan_group_bound(ctx, max_support=0)
-    with pytest.raises(ValueError):
-        scan_group_bound(ctx, backend="fortran")
-    assert active_backend() in ("numba", "numpy")
 
 
 def test_small_supports_only_paths():
@@ -218,26 +249,3 @@ def test_small_supports_only_paths():
     assert res1.elements_checked == 14
     assert isinstance(res1, ScanResult)
 
-
-def test_env_flag_is_validated_at_import():
-    env = dict(os.environ, MEKLER_BACKEND="fortran")
-    r = subprocess.run(
-        [sys.executable, "-c", "import mekler.kernels"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert r.returncode != 0
-    assert "MEKLER_BACKEND" in r.stderr
-
-
-def test_env_flag_selects_backend():
-    env = dict(os.environ, MEKLER_BACKEND="numpy")
-    r = subprocess.run(
-        [sys.executable, "-c", "import mekler.kernels as k; print(k.active_backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert r.returncode == 0
-    assert r.stdout.strip() == "numpy"
