@@ -10,7 +10,7 @@ the graph back from group-theoretic queries alone.  A side probe treats
 root counting and coset covering in finite groups given by Cayley tables.
 """
 
-from .fplinear import FpScalar, FpVector, FpMatrix, kernel_basis, kernel_intersection_dim
+from .fplinear import FpScalar, FpVector, FpMatrix, kernel_basis
 from .graphs import (
     Natural,
     Gadget,
@@ -41,6 +41,8 @@ from .group import (
     is_central,
     is_vertex_like,
     is_natural_vertex_like,
+    commuting_kernel_dim,
+    commuting_kernel_basis,
     centralizer_dim_mod_center,
     format_element,
     parse_element,

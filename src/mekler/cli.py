@@ -8,9 +8,10 @@ Subcommands:
   ext-check      index-2 extension axioms and the base-membership formula
   qprobe         root-counting and coset-cover probes on a finite group
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 the
+Exit codes: 0 no check failed, 1 a verification failed, 2 the
 configuration itself was rejected (bad prime, inadequate fragment,
-enumeration budget exceeded, unparseable input).
+enumeration budget exceeded, unparseable input).  A check skipped for its
+budget prints SKIP ("passed": null in JSON) and does not fail the run.
 """
 
 from __future__ import annotations

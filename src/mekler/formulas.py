@@ -16,14 +16,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fplinear import FpMatrix, FpVector, kernel_basis, kernel_intersection_dim
+from .fplinear import FpVector
 from .group import (
     Coset,
     GroupContext,
     GroupElement,
     InducedAutomorphism,
-    commutation_matrix,
     commutator_vector,
+    commuting_kernel_basis,
     format_element,
     from_vectors,
 )
@@ -123,12 +123,10 @@ def down_edge_formula(ctx: GroupContext, ell: EdgeFunctional, x: GroupElement, y
             raise ValueError(f"{name} is not in the kernel subgroup")
     if not power_separated(ctx, x, y):
         return FormulaTrace(False, "KernelIntersection", note="power-related inputs")
-    mats = [commutation_matrix(ctx, x.gen), commutation_matrix(ctx, y.gen), ell.matrix(ctx)]
-    dim = kernel_intersection_dim(mats)
-    if dim == 0:
+    basis = commuting_kernel_basis(ctx, [x.gen, y.gen], ell)
+    if not basis:
         return FormulaTrace(False, "KernelIntersection")
-    stacked = FpMatrix(ctx.p, ctx.vertex_order, [r for m in mats for r in m.rows])
-    wit_gen = kernel_basis(stacked)[0]
+    wit_gen = basis[0]
     wit = from_vectors(ctx, wit_gen)
     if (
         wit_gen.is_zero()
@@ -136,7 +134,7 @@ def down_edge_formula(ctx: GroupContext, ell: EdgeFunctional, x: GroupElement, y
         or not (_commutes(ctx, wit_gen, x.gen) and _commutes(ctx, wit_gen, y.gen))
     ):
         raise RuntimeError(f"down-formula witness {format_element(ctx, wit)} failed its re-check")
-    return FormulaTrace(True, "KernelIntersection", witnesses=(wit,), note=f"kernel dim {dim}")
+    return FormulaTrace(True, "KernelIntersection", witnesses=(wit,), note=f"kernel dim {len(basis)}")
 
 
 def full_coset_oracle(

@@ -3,7 +3,8 @@
 Vectors are sparse maps from hashable keys to nonzero residues; matrices
 are row lists over an explicit, fixed column order.  Everything is exact
 integer arithmetic mod p; the modulus rides along on every object and is
-checked whenever two of them meet.
+checked whenever two of them meet.  The one eliminator, rref_indexed,
+works on index-keyed rows, from a matrix or straight from a caller.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class FpMatrix:
         return [{ci[k]: v for k, v in r.items()} for r in self.rows]
 
 
-def _rref_indexed(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+def rref_indexed(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
     """Incremental reduced row echelon form on index-keyed sparse rows.
 
     Returns {pivot column index: normalized row} with every pivot column
@@ -223,7 +224,26 @@ def _rref_indexed(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int
 
 
 def rank(m: FpMatrix) -> int:
-    return len(_rref_indexed(m._indexed_rows(), m.p))
+    return len(rref_indexed(m._indexed_rows(), m.p))
+
+
+def kernel_basis_indexed(rows: list[dict[int, int]], ncols: int, p: int) -> list[dict[int, int]]:
+    """Kernel of index-keyed rows over columns 0..ncols-1 as its reduced
+    echelon basis, by pivot column; that basis is unique to the subspace."""
+    pivots = rref_indexed(rows, p)
+    raw: list[dict[int, int]] = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = {f: 1}
+        for c, prow in pivots.items():
+            coef = prow.get(f, 0)
+            if coef:
+                vec[c] = (-coef) % p
+        raw.append(vec)
+    # canonicalize: the basis itself in reduced echelon form
+    reduced = rref_indexed(raw, p)
+    return [reduced[c] for c in sorted(reduced)]
 
 
 def kernel_basis(m: FpMatrix) -> list[FpVector]:
@@ -232,44 +252,11 @@ def kernel_basis(m: FpMatrix) -> list[FpVector]:
     Dimension is len(m.columns) - rank(m); an all-zero matrix yields the
     full standard basis.
     """
-    p = m.p
-    pivots = _rref_indexed(m._indexed_rows(), p)
-    free_cols = [i for i in range(len(m.columns)) if i not in pivots]
-    raw: list[dict[int, int]] = []
-    for f in free_cols:
-        vec = {f: 1}
-        for c, prow in pivots.items():
-            coef = prow.get(f, 0)
-            if coef:
-                vec[c] = (-coef) % p
-        raw.append(vec)
-    # canonicalize: the basis itself in reduced echelon form
-    reduced = _rref_indexed(raw, p)
-    out = []
-    for c in sorted(reduced):
-        row = reduced[c]
-        out.append(FpVector(p, {m.columns[i]: v for i, v in row.items()}))
-    return out
+    return [
+        FpVector(m.p, {m.columns[i]: v for i, v in vec.items()})
+        for vec in kernel_basis_indexed(m._indexed_rows(), len(m.columns), m.p)
+    ]
 
 
 def kernel_dim(m: FpMatrix) -> int:
     return len(m.columns) - rank(m)
-
-
-def kernel_intersection_dim(matrices: Sequence[FpMatrix]) -> int:
-    """Dimension of the intersection of the kernels of the given matrices.
-
-    All matrices must share modulus and column order; computed by stacking
-    rows and eliminating once.
-    """
-    if not matrices:
-        raise ValueError("need at least one matrix")
-    first = matrices[0]
-    stacked: list[dict[int, int]] = []
-    for m in matrices:
-        if m.p != first.p:
-            raise ValueError(f"modulus mismatch: {m.p} vs {first.p}")
-        if m.columns != first.columns:
-            raise ValueError("column order mismatch between matrices")
-        stacked.extend(m._indexed_rows())
-    return len(first.columns) - len(_rref_indexed(stacked, first.p))

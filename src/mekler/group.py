@@ -10,6 +10,10 @@ Multiplication collects the right factor's generators leftward, so the
 cocycle picks up a_w * b_u at coordinate (u, w); commutators use the
 convention [g, h] = g^-1 h^-1 g h, giving the alternating form
 lambda(a, b)_(u,w) = a_w b_u - a_u b_w on generator cosets.
+
+Centralizer dimensions, common kernels and their witness bases all come
+from one support-local engine (commuting_kernel_dim, commuting_kernel_basis);
+commutation_matrix builds the same system over all columns as its oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .fplinear import FpMatrix, FpVector, is_odd_prime, kernel_dim
+from .fplinear import FpMatrix, FpVector, is_odd_prime, kernel_basis_indexed, rref_indexed
 from .graphs import (
     Gadget,
     Graph,
@@ -227,8 +231,54 @@ class CentralizerDim(NamedTuple):
     central_input: bool
 
 
+def commuting_rows(pairs: Iterable[tuple[int, int]], family: Sequence[dict[int, int]], p: int) -> list[dict[int, int]]:
+    """Index-keyed rows b |-> a_w b_u - a_u b_w of lambda(a, -) on non-adjacent
+    column pairs (u, w), for each coset a (column index -> reduced exponent)."""
+    rows = []
+    for u, w in pairs:
+        for a in family:
+            row = {k: c for k, c in ((u, a.get(w, 0)), (w, -a.get(u, 0) % p)) if c}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _local_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tuple[list[Vertex], list[dict[int, int]]]:
+    """The commuting system on the columns that can be nonzero in its kernel:
+    the family's support S and the common neighbours of S, in vertex order.
+    Any other column t is non-adjacent to some s in S, where a member with
+    a_s != 0 gives the single-entry row -a_s b_t, so b_t = 0."""
+    p = ctx.p
+    adj = ctx.graph.adjacency
+    key = ctx.vindex.__getitem__
+    sup = sorted(set().union(*(a.support() for a in family)), key=key)
+    common = frozenset.intersection(*(adj[s] for s in sup)) if sup else ctx.vertex_order
+    cols = sorted([*sup, *common], key=key)
+    local = {v: i for i, v in enumerate(cols)}
+    pairs = [(local[u], local[w]) for i, u in enumerate(sup) for w in sup[i + 1 :] if w not in adj[u]]
+    rows = commuting_rows(pairs, [{local[v]: c for v, c in a.items()} for a in family], p)
+    if functional is not None:
+        rows.append({i: c for i, v in enumerate(cols) if (c := functional.value(v) % p)})
+    return cols, rows
+
+
+def commuting_kernel_dim(ctx: GroupContext, family: Sequence[Coset], functional=None) -> int:
+    """dim of {b mod Z : [a, b] = e for every a in the family}, intersected
+    with the kernel of the functional (anything with value(vertex), such as
+    an EdgeFunctional) when one is given."""
+    cols, rows = _local_system(ctx, family, functional)
+    return len(cols) - len(rref_indexed(rows, ctx.p))
+
+
+def commuting_kernel_basis(ctx: GroupContext, family: Sequence[Coset], functional=None) -> list[Coset]:
+    """That kernel's reduced echelon basis over the vertex order, by pivot."""
+    cols, rows = _local_system(ctx, family, functional)
+    return [FpVector(ctx.p, {cols[i]: c for i, c in v.items()}) for v in kernel_basis_indexed(rows, len(cols), ctx.p)]
+
+
 def commutation_matrix(ctx: GroupContext, agen: FpVector) -> FpMatrix:
-    """Matrix of b |-> lambda(a, b) over vertex columns.
+    """Matrix of b |-> lambda(a, b) over all vertex columns, the oracle for
+    the support-local engine.
 
     Only central coordinates touching supp(a) can be nonzero, so rows are
     built for those pairs alone (each row has at most two entries); absent
@@ -263,12 +313,10 @@ def commutation_matrix(ctx: GroupContext, agen: FpVector) -> FpMatrix:
 def centralizer_dim_mod_center(ctx: GroupContext, a: GroupElement) -> CentralizerDim:
     """dim of {b mod Z : [a, b] = e}, as the kernel of b |-> lambda(a, b).
 
-    A central input centralizes everything; that degenerate case reports
-    the full dimension |V| with the flag set rather than erroring.
+    A central input centralizes everything: the full dimension |V|, with
+    the flag set.
     """
-    if is_central(a):
-        return CentralizerDim(len(ctx), True)
-    return CentralizerDim(kernel_dim(commutation_matrix(ctx, a.gen)), False)
+    return CentralizerDim(commuting_kernel_dim(ctx, [a.gen]), is_central(a))
 
 
 class InducedAutomorphism:

@@ -20,11 +20,12 @@ S the functional is nonzero on, the number t of common neighbours and
 whether the functional is nonzero on one of them; for a single vertex also
 whether it is a natural and whether it is provisioned.  A scan counts the
 supports of each signature, checks each signature once against every
-exponent pattern through rank tables built by the same tiny eliminator the
-reference path uses, and lists actual supports only for the signatures
-that violate.  Size-3 supports are counted one anchor (smallest vertex) at
-a time, so memory stays at one row of pairs.  t is nonzero only on pairs
-and triples inside some neighbourhood N(v), so it is counted from those.
+exponent pattern through rank tables, built once per (p, size) from the
+rows of group.commuting_rows, and lists actual supports only for the
+signatures that violate.  Size-3 supports are counted one anchor (smallest
+vertex) at a time, so memory stays at one row of pairs.  t is nonzero only
+on pairs and triples inside some neighbourhood N(v), so it is counted from
+those.
 Nothing assumes the graph is nice.  Agreement with element_dims, the
 generic eliminator and brute-force coset counting is asserted in the test
 suite.
@@ -32,14 +33,16 @@ suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .fplinear import FpVector, rref_indexed
 from .graphs import Natural, Vertex
-from .group import GroupContext
+from .group import GroupContext, commuting_kernel_dim, commuting_rows
 from .subgroup import DIM_THRESHOLD, PROVISION_PARTNERS, EdgeFunctional
 
 MODE_GROUP = 0
@@ -50,52 +53,13 @@ KIND_SUBGROUP_HIGH = 1  # subgroup member, not a lone natural, at/over threshold
 KIND_SUBGROUP_LOW = 2  # provisioned lone natural below threshold
 
 
-def _ranks_small_py(rows: list[list[int]], ell_row: list[int], p: int) -> tuple[int, int]:
-    """rank(B) and rank([B; ell]) for a block of at most 3 short rows."""
-    ncols = len(ell_row)
-    m = [list(r) for r in rows] + [list(ell_row)]
-    nrows = len(rows)
-    rank = 0
-    for col in range(ncols):
-        piv = -1
-        for r in range(rank, nrows):
-            if m[r][col] % p:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, nrows + 1):
-            f = m[r][col]
-            if f % p:
-                m[r] = [(m[r][c] * pv - f * m[rank][c]) % p for c in range(ncols)]
-        rank += 1
-    extra = 1 if any(v % p for v in m[nrows]) else 0
-    return rank, rank + extra
-
-
-def _block_rows(size: int, nonadj_bits: tuple[int, ...], exps: Sequence[int], p: int) -> list[list[int]]:
-    """Rows of B in local support coordinates; pair (u, w) with u before w
-    contributes a_w at column u and -a_u at column w.  nonadj_bits follows
-    itertools.combinations order: (0, 1), (0, 2), (1, 2)."""
-    rows = []
-    for bit, (u, w) in zip(nonadj_bits, itertools.combinations(range(size), 2)):
-        if bit:
-            row = [0] * size
-            row[u] = exps[w] % p
-            row[w] = (-exps[u]) % p
-            rows.append(row)
-    return rows
-
-
 def element_dims(
     ctx: GroupContext,
     ell: EdgeFunctional | None,
     support: Sequence[Vertex],
     exps: Sequence[int],
 ) -> tuple[int, int, bool]:
-    """Reference per-element computation: (dim_group, dim_subgroup, member).
+    """Per-element reference for the scans: (dim_group, dim_subgroup, member).
 
     With ell None the subgroup entries degenerate to the group ones and
     member is True.  Exponents must be nonzero mod p.
@@ -106,29 +70,14 @@ def element_dims(
         raise ValueError("support and exponents must be nonempty and aligned")
     if any(e % p == 0 for e in exps):
         raise ValueError("exponents must be nonzero mod p")
-    adj = ctx.graph.adjacency
-    sup_set = set(support)
-    if len(sup_set) != size:
+    if len(set(support)) != size:
         raise ValueError("support vertices must be distinct")
-    common = [
-        v
-        for v in ctx.vertex_order
-        if v not in sup_set and all(v in adj[s] for s in support)
-    ]
-    values = {v: (ell.value(v) if ell else 0) for v in ctx.vertex_order}
-    t = len(common)
-    tl = sum(1 for v in common if values[v] % p)
-    bits = tuple(0 if w in adj[u] else 1 for u, w in itertools.combinations(support, 2))
-    rows = _block_rows(size, bits, list(exps), p)
-    ell_row = [values[s] % p for s in support]
-    rank_b, rank_bl = _ranks_small_py(rows, ell_row, p)
-    dim_group = size + t - rank_b
-    member = sum(e * values[s] for e, s in zip(exps, support)) % p == 0
-    vanish = (tl == 0) and (rank_bl == rank_b)
-    dim_subgroup = dim_group - (0 if vanish else 1)
+    coset = FpVector(p, dict(zip(support, exps)))
+    dim_group = commuting_kernel_dim(ctx, [coset])
     if ell is None:
         return dim_group, dim_group, True
-    return dim_group, dim_subgroup, member
+    member = sum(e * ell.value(s) for e, s in zip(exps, support)) % p == 0
+    return dim_group, commuting_kernel_dim(ctx, [coset], ell), member
 
 
 # --- signature-histogram scan ---------------------------------------------------
@@ -179,26 +128,29 @@ def _context_arrays(ctx: GroupContext, ell: EdgeFunctional | None):
     return adj, ellbit, nat, prov
 
 
+@functools.cache
 def _rank_tables(p: int, size: int):
-    """Lookup tables over (non-adjacency pattern, exponent pattern, ell bits),
-    built with the same tiny eliminator the reference path uses; also the
-    exponent patterns themselves."""
-    pats = list(itertools.product(range(1, p), repeat=size))
-    nbits = size * (size - 1) // 2
+    """Lookup tables over (non-adjacency pattern, exponent pattern, ell bits):
+    rank(B) and rank([B; ell|S]) for the within-support block B of the
+    commuting system, whose rows follow group.commuting_rows; also the
+    membership table and the exponent patterns themselves."""
+    pats = tuple(itertools.product(range(1, p), repeat=size))
+    pairs = list(itertools.combinations(range(size), 2))
+    nbits = len(pairs)
+    ell_bits = [[(lp >> (size - 1 - t)) & 1 for t in range(size)] for lp in range(1 << size)]
+    ell_rows = [{t: 1 for t, bit in enumerate(bits) if bit} for bits in ell_bits]
     rank_b = np.zeros((1 << nbits, len(pats)), dtype=np.int64)
     rank_bl = np.zeros((1 << nbits, len(pats), 1 << size), dtype=np.int64)
-    memb = np.zeros((len(pats), 1 << size), dtype=bool)
     for na in range(1 << nbits):
-        bits = tuple((na >> (nbits - 1 - t)) & 1 for t in range(nbits))
+        nonadj = [pr for t, pr in enumerate(pairs) if (na >> (nbits - 1 - t)) & 1]
         for ci, exps in enumerate(pats):
-            rows = _block_rows(size, bits, exps, p)
-            for lp in range(1 << size):
-                lrow = [(lp >> (size - 1 - t)) & 1 for t in range(size)]
-                rb, rbl = _ranks_small_py(rows, lrow, p)
-                rank_b[na, ci] = rb
-                rank_bl[na, ci, lp] = rbl
-                if na == 0:
-                    memb[ci, lp] = sum(e * l for e, l in zip(exps, lrow)) % p == 0
+            rows = commuting_rows(nonadj, [dict(enumerate(exps))], p)
+            rank_b[na, ci] = len(rref_indexed(rows, p))
+            for lp, lrow in enumerate(ell_rows):
+                rank_bl[na, ci, lp] = len(rref_indexed(rows + [lrow], p))
+    memb = np.array(pats) @ np.array(ell_bits).T % p == 0
+    for table in (rank_b, rank_bl, memb):
+        table.flags.writeable = False  # shared by every scan through the cache
     return rank_b, rank_bl, memb, pats
 
 

@@ -19,14 +19,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .fplinear import FpMatrix, FpScalar, FpVector, kernel_basis, kernel_intersection_dim
+from .fplinear import FpMatrix, FpScalar, FpVector, kernel_basis
 from .graphs import Natural, Vertex
 from .group import (
     GroupContext,
     GroupElement,
-    commutation_matrix,
     commutator,
     commutator_vector,
+    commuting_kernel_dim,
     format_element,
     generator,
     is_central,
@@ -207,10 +207,7 @@ def centralizer_dim_in_subgroup(ctx: GroupContext, ell: EdgeFunctional, a: Group
     intersected with the functional's kernel."""
     if not in_kernel_subgroup(ctx, ell, a):
         raise ValueError("element is not in the kernel subgroup")
-    if is_central(a):
-        surjective = any(ell.value(v) % ctx.p != 0 for v in ctx.vertex_order)
-        return len(ctx) - (1 if surjective else 0)
-    return kernel_intersection_dim([commutation_matrix(ctx, a.gen), ell.matrix(ctx)])
+    return commuting_kernel_dim(ctx, [a.gen], ell)
 
 
 @dataclass

@@ -137,6 +137,22 @@ def test_nonassociative_loop_rejected():
         FiniteGroup(t)
 
 
+def test_large_nonassociative_latin_square_rejected():
+    # Z_130 with the intercalate at rows 1, 66 and columns 2, 67 swapped:
+    # still a Latin square with identity 0 and two-sided inverses (no 0 is
+    # moved), but (1*1)*1 = 3 while 1*(1*1) = 1*2 = 68
+    n = 130
+    t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    t[[1, 1, 66, 66], [2, 67, 2, 67]] = t[[1, 1, 66, 66], [67, 2, 67, 2]]
+    assert (np.sort(t, axis=0) == np.arange(n)[:, None]).all()
+    assert (np.sort(t, axis=1) == np.arange(n)[None, :]).all()
+    assert t[t[1, 1], 1] != t[1, t[1, 1]]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(t)
+    # the untouched table of the same order is accepted
+    assert len(FiniteGroup((np.arange(n)[:, None] + np.arange(n)[None, :]) % n)) == n
+
+
 def test_cyclic_group_basics():
     g = cyclic_group(6)
     assert len(g) == 6

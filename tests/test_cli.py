@@ -1,12 +1,13 @@
 """Command line behavior: exit codes, output formats, file round trips."""
 
 import json
+import random
 
 import pytest
 
 from mekler.cayley import format_cayley_text, symmetric_group
 from mekler.cli import main
-from mekler import verify
+from mekler import group, kernels, subgroup, verify
 from mekler.graphs import FragmentSpec
 from mekler.group import GroupContext
 from mekler.interpret import build_down_fragment
@@ -93,6 +94,54 @@ def test_verify_lemmas_structured(capsys):
     assert payload["config"]["naturals"] == [0, 1, 2]
     assert payload["config"]["r_edges"] == [[0, 1]]
     assert payload["checks"] and all(c["passed"] for c in payload["checks"])
+
+
+def test_budget_skipped_oracle_checks_are_skip_not_pass(capsys):
+    args = ("verify-lemmas", "--p", "3", "--budget-samples", "20", "--budget-oracle", "10")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    skipped = [ln for ln in out.splitlines() if ln.startswith("SKIP")]
+    assert len(skipped) == 2
+    assert all("formula evaluators agree with full enumeration" in ln and "exceeds budget 10" in ln for ln in skipped)
+    assert not any(ln.startswith("PASS") and "skipped" in ln for ln in out.splitlines())
+    assert out.endswith("\n23/25 checks passed, 2 skipped: ok\n")
+    code, out, _ = run(capsys, *args, "--format", "structured")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert [c["passed"] for c in payload["checks"]].count(None) == 2
+    assert all(c["passed"] is True for c in payload["checks"] if c["passed"] is not None)
+
+
+def test_skipped_check_never_hides_a_failure():
+    res = SuiteResult(config=VerifyConfig())
+    verify._check(res, "skipped", None, "skipped: over budget")
+    verify._check(res, "passed", True)
+    assert res.ok
+    verify._check(res, "failed", False)
+    assert not res.ok
+    assert res.render_text().endswith("\n1/3 checks passed, 1 skipped: FAILURE\n")
+    assert json.loads(res.render_json())["checks"][0]["passed"] is None
+
+
+def test_dimension_cross_checks_do_not_compare_the_engine_with_itself(monkeypatch):
+    """Both dimension cross-checks fail once the support-local engine is off
+    by one wherever it is called: their other side is the full-column system."""
+    ctx = GroupContext(build_down_fragment([0, 1]), 3)
+    ell = EdgeFunctional.from_edges([(0, 1)])
+    names = ("fast dimension formula matches the generic eliminator", "generic eliminator reproduces natural dimensions")
+
+    def verdicts():
+        res = SuiteResult(config=VerifyConfig())
+        verify._centralizer_bound_checks(res, ctx, random.Random(0), 1)
+        verify._dichotomy_checks(res, ctx, ell, 1)
+        return [c.passed for c in res.checks if c.name in names]
+
+    assert verdicts() == [True, True]
+    engine = group.commuting_kernel_dim
+    for module in (group, kernels, subgroup):
+        monkeypatch.setattr(module, "commuting_kernel_dim", lambda *args: engine(*args) + 1)
+    assert verdicts() == [False, False]
 
 
 def test_natural_dimension_check_compares_with_closed_form(monkeypatch):

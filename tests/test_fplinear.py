@@ -12,7 +12,6 @@ from mekler.fplinear import (
     is_odd_prime,
     kernel_basis,
     kernel_dim,
-    kernel_intersection_dim,
     rank,
 )
 
@@ -149,28 +148,3 @@ def test_kernel_basis_is_reduced_echelon():
         for other in basis:
             if vec is not other:
                 assert other.get(min(vec.support())) == 0
-
-
-def test_kernel_intersection_matches_stacking():
-    rng = random.Random(1)
-    p = 3
-    ncols = 4
-    for _ in range(25):
-        rows_a = [[rng.randrange(p) for _ in range(ncols)] for _ in range(2)]
-        rows_b = [[rng.randrange(p) for _ in range(ncols)] for _ in range(2)]
-        ma = matrix_from_lists(rows_a, ncols, p)
-        mb = matrix_from_lists(rows_b, ncols, p)
-        stacked = matrix_from_lists(rows_a + rows_b, ncols, p)
-        assert kernel_intersection_dim([ma, mb]) == kernel_dim(stacked)
-
-
-def test_kernel_intersection_validates_inputs():
-    ma = matrix_from_lists([[1, 0]], 2, 3)
-    mb = matrix_from_lists([[1, 0]], 2, 5)
-    with pytest.raises(ValueError):
-        kernel_intersection_dim([ma, mb])
-    mc = FpMatrix(3, ["x", "y"])
-    with pytest.raises(ValueError):
-        kernel_intersection_dim([ma, mc])
-    with pytest.raises(ValueError):
-        kernel_intersection_dim([])

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from mekler.fplinear import FpVector
+from mekler.fplinear import FpMatrix, FpVector, kernel_basis, kernel_dim
 from mekler.graphs import Gadget, Natural, all_pairs, build_fragment, pair_swap_automorphism, vertex_key
 from mekler.group import (
     CentralizerDim,
@@ -21,8 +21,11 @@ from mekler.group import (
     all_vertex_like_cosets,
     central_generator,
     centralizer_dim_mod_center,
+    commutation_matrix,
     commutator,
     commutator_vector,
+    commuting_kernel_basis,
+    commuting_kernel_dim,
     format_element,
     generator,
     identity,
@@ -37,6 +40,7 @@ from mekler.group import (
     random_element,
     vertex_like_parts,
 )
+from mekler.subgroup import EdgeFunctional
 
 
 def ctx7(p=3):
@@ -194,6 +198,36 @@ def test_centralizer_dims_by_vertex_kind():
     assert centralizer_dim_mod_center(ctx, identity(ctx)) == CentralizerDim(7, True)
     z = central_generator(ctx, Natural(0), Natural(1))
     assert centralizer_dim_mod_center(ctx, z) == CentralizerDim(7, True)
+
+
+@pytest.mark.parametrize("r_edges", [[], [(0, 1)]], ids=["R-empty", "R-01"])
+def test_support_local_engine_matches_full_columns(r_edges):
+    """Every coset of the 7-vertex fragment, with and without the
+    functional, and every pair of cosets of support <= 2 down to the
+    kernel basis, against the commuting system over all |V| columns."""
+    ctx = ctx7()
+    ell = EdgeFunctional.from_edges(r_edges)
+    verts = ctx.vertex_order
+    cosets = [
+        FpVector(ctx.p, {v: c for v, c in zip(verts, pattern) if c})
+        for pattern in itertools.product(range(ctx.p), repeat=len(verts))
+    ]
+    assert len(cosets) == 3**7
+    rows = {agen: commutation_matrix(ctx, agen).rows for agen in cosets}
+
+    def full_columns(family, functional=None):
+        extra = [functional.vector(ctx)] if functional else []
+        return FpMatrix(ctx.p, verts, [r for agen in family for r in rows[agen]] + extra)
+
+    for agen in cosets:
+        assert commuting_kernel_dim(ctx, [agen]) == kernel_dim(full_columns([agen]))
+        assert commuting_kernel_dim(ctx, [agen], ell) == kernel_dim(full_columns([agen], ell))
+    small = [agen for agen in cosets if len(agen) <= 2]
+    assert len(small) == 1 + 7 * 2 + 21 * 4
+    for xgen in small:
+        for ygen in small:
+            basis = commuting_kernel_basis(ctx, [xgen, ygen], ell)
+            assert basis == kernel_basis(full_columns([xgen, ygen], ell))
 
 
 def test_vertex_like_predicates():

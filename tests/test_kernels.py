@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
-from mekler.fplinear import FpVector
+from mekler.fplinear import FpVector, kernel_dim
 from mekler.graphs import Gadget, Natural, all_pairs, build_fragment
 from mekler.group import (
     GroupContext,
     GroupElement,
     centralizer_dim_mod_center,
+    commutation_matrix,
     commutator_vector,
     from_vectors,
 )
@@ -93,6 +94,9 @@ def test_element_dims_against_brute_force():
 
 
 def test_element_dims_against_generic_eliminator():
+    """element_dims, centralizer_dim_mod_center and centralizer_dim_in_subgroup
+    all run the support-local engine; the generic eliminator on the system
+    over all |V| columns is the independent side."""
     ctx = GroupContext(build_fragment([0, 1, 2], all_pairs([0, 1, 2])), 3)
     ell = EdgeFunctional.from_edges([(0, 2)])
     verts = ctx.vertex_order
@@ -100,8 +104,11 @@ def test_element_dims_against_generic_eliminator():
         for sup in itertools.combinations(verts[::2], size):
             for exps in itertools.product((1, 2), repeat=size):
                 a = from_vectors(ctx, FpVector(3, dict(zip(sup, exps))))
+                full = commutation_matrix(ctx, a.gen)
                 dim_g, dim_s, member = element_dims(ctx, ell, sup, exps)
-                assert dim_g == centralizer_dim_mod_center(ctx, a).dim
+                assert dim_g == centralizer_dim_mod_center(ctx, a).dim == kernel_dim(full)
+                full.append_row(ell.vector(ctx))
+                assert dim_s == kernel_dim(full)
                 if member:
                     assert dim_s == centralizer_dim_in_subgroup(ctx, ell, a)
 
