@@ -12,6 +12,7 @@ root counting and coset covering in finite groups given by Cayley tables.
 
 from .fplinear import FpScalar, FpVector, FpMatrix, kernel_basis
 from .graphs import (
+    ConfigError,
     Natural,
     Gadget,
     Graph,
@@ -76,6 +77,7 @@ from .kernels import (
     scan_subgroup_dichotomy,
 )
 from .interpret import (
+    InternalFault,
     RecoveredGraph,
     RoundTripResult,
     power_equivalent,

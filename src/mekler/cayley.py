@@ -16,8 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .group import GroupContext, from_vectors, format_element, mul as ctx_mul
 from .fplinear import FpVector
+from .graphs import ConfigError
+from .group import GroupContext, from_vectors, format_element, mul as ctx_mul
 
 DEFAULT_MAX_ORDER = 2048
 
@@ -34,17 +35,17 @@ class FiniteGroup:
     def __init__(self, table, names: Sequence[str] | None = None):
         t = np.asarray(table, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("table must be square")
+            raise ConfigError("table must be square")
         n = t.shape[0]
         if n == 0:
-            raise ValueError("empty table")
+            raise ConfigError("empty table")
         if t.min() < 0 or t.max() >= n:
-            raise ValueError("table entries must index elements")
+            raise ConfigError("table entries must index elements")
         ar = np.arange(n)
         if not (np.sort(t, axis=1) == ar[None, :]).all():
-            raise ValueError("a row is not a permutation of the elements")
+            raise ConfigError("a row is not a permutation of the elements")
         if not (np.sort(t, axis=0) == ar[:, None]).all():
-            raise ValueError("a column is not a permutation of the elements")
+            raise ConfigError("a column is not a permutation of the elements")
         rows_id = np.flatnonzero((t == ar[None, :]).all(axis=1))
         e = -1
         for cand in rows_id:
@@ -52,20 +53,20 @@ class FiniteGroup:
                 e = int(cand)
                 break
         if e < 0:
-            raise ValueError("no two-sided identity")
+            raise ConfigError("no two-sided identity")
         inv = np.empty(n, dtype=np.int64)
         for g in range(n):
             hs = np.flatnonzero(t[g] == e)
             if hs.size != 1 or t[hs[0], g] != e:
-                raise ValueError(f"element {g} lacks a two-sided inverse")
+                raise ConfigError(f"element {g} lacks a two-sided inverse")
             inv[g] = hs[0]
         for g in _generating_set(t, e):
             if not (t[t[:, g], :] == t[:, t[g, :]]).all():  # (x g) y against x (g y)
-                raise ValueError("table is not associative")
+                raise ConfigError("table is not associative")
         if names is not None:
             names = tuple(names)
             if len(names) != n:
-                raise ValueError("names must match the element count")
+                raise ConfigError("names must match the element count")
         self.table = t
         self.names = names
         self.identity = e
@@ -292,7 +293,7 @@ def covering_report(g: FiniteGroup, n: int = 2, exact_cap: int = 2000) -> CoverR
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
-        raise ValueError("order must be positive")
+        raise ConfigError("order must be positive")
     ar = np.arange(n)
     return FiniteGroup((ar[:, None] + ar[None, :]) % n, names=tuple(str(i) for i in range(n)))
 
@@ -307,11 +308,11 @@ def from_permutation_generators(
 ) -> FiniteGroup:
     """Close a set of permutations under composition and tabulate."""
     if not perms:
-        raise ValueError("need at least one generator")
+        raise ConfigError("need at least one generator")
     npts = len(perms[0])
     for pm in perms:
         if len(pm) != npts or sorted(pm) != list(range(npts)):
-            raise ValueError("generators must be permutations of the same point set")
+            raise ConfigError("generators must be permutations of the same point set")
     ident = tuple(range(npts))
     elems = {ident: 0}
     order = [ident]
@@ -323,7 +324,7 @@ def from_permutation_generators(
                 prod = _compose(el, pm)
                 if prod not in elems:
                     if len(order) >= max_order:
-                        raise ValueError(f"group order exceeds the cap of {max_order}")
+                        raise ConfigError(f"group order exceeds the cap of {max_order}")
                     elems[prod] = len(order)
                     order.append(prod)
                     nxt.append(prod)
@@ -357,7 +358,7 @@ def _cycle_notation(pm: tuple[int, ...]) -> str:
 
 def symmetric_group(n: int) -> FiniteGroup:
     if n < 1 or n > 6:
-        raise ValueError("full symmetric tables kept to n <= 6")
+        raise ConfigError("full symmetric tables kept to n <= 6")
     if n == 1:
         return from_permutation_generators([(0,)])
     swap = tuple([1, 0] + list(range(2, n)))
@@ -368,7 +369,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the n-gon as permutations of its corners."""
     if n < 3:
-        raise ValueError("need at least a triangle")
+        raise ConfigError("need at least a triangle")
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((-i) % n for i in range(n))
     return from_permutation_generators([rot, ref])
@@ -377,7 +378,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 def sl2_permutation_group(q: int) -> FiniteGroup:
     """SL2 over the prime field of size q acting on the nonzero plane vectors."""
     if q < 2 or any(q % d == 0 for d in range(2, q)):
-        raise ValueError("q must be prime")
+        raise ConfigError("q must be prime")
     points = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
     pidx = {pt: i for i, pt in enumerate(points)}
 
@@ -395,16 +396,16 @@ def sl2_permutation_group(q: int) -> FiniteGroup:
 def cayley_from_context(ctx: GroupContext, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Tabulate the fragment's whole group, names in element text form."""
     p = ctx.p
-    nv = len(ctx.vertex_order)
-    nc = len(ctx.central_basis)
+    nv, nc = ctx.n, ctx.ncentral
     order = p ** (nv + nc)
     if order > max_order:
-        raise ValueError(f"group order {order} exceeds the cap of {max_order}")
+        raise ConfigError(f"group order {order} exceeds the cap of {max_order}")
+    keys = [ctx.central_key_at(k) for k in range(nc)]
     elems = []
     index = {}
     for coeffs in itertools.product(range(p), repeat=nv + nc):
-        gen = FpVector(p, dict(zip(ctx.vertex_order, coeffs[:nv])))
-        cen = FpVector(p, dict(zip(ctx.central_basis, coeffs[nv:])))
+        gen = FpVector(p, dict(enumerate(coeffs[:nv])))
+        cen = FpVector(p, dict(zip(keys, coeffs[nv:])))
         el = from_vectors(ctx, gen, cen)
         index[el] = len(elems)
         elems.append(el)
@@ -426,19 +427,26 @@ def format_cayley_text(g: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens: Sequence[str]) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as err:
+        raise ConfigError(f"expected integers: {err}") from err
+
+
 def parse_cayley_text(text: str) -> FiniteGroup:
     """First line the order, then that many rows of 0-based indices."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
-        raise ValueError("empty table file")
-    n = int(lines[0])
+        raise ConfigError("empty table file")
+    n = _ints([lines[0]])[0]
     if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
+        raise ConfigError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        row = [int(tok) for tok in ln.split()]
+        row = _ints(ln.split())
         if len(row) != n:
-            raise ValueError("row length differs from the declared order")
+            raise ConfigError("row length differs from the declared order")
         rows.append(row)
     return FiniteGroup(np.array(rows, dtype=np.int64))
 
@@ -451,7 +459,7 @@ def parse_permutation_text(text: str, n_points: int | None = None) -> FiniteGrou
     one-line image form like 2 3 1."""
     raw = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
     if not raw:
-        raise ValueError("no generators")
+        raise ConfigError("no generators")
     cycles_per_line: list[list[list[int]]] = []
     images_per_line: list[list[int]] = []
     peak = 0
@@ -459,31 +467,31 @@ def parse_permutation_text(text: str, n_points: int | None = None) -> FiniteGrou
         if ln.startswith("("):
             rest = _CYCLE_RE.sub("", ln).strip()
             if rest:
-                raise ValueError(f"unparsed text in cycle line: {rest!r}")
+                raise ConfigError(f"unparsed text in cycle line: {rest!r}")
             cycs = []
             for body in _CYCLE_RE.findall(ln):
-                pts = [int(tok) for tok in body.replace(",", " ").split()]
+                pts = _ints(body.replace(",", " ").split())
                 if len(pts) != len(set(pts)) or any(x < 1 for x in pts):
-                    raise ValueError(f"bad cycle {body!r}")
+                    raise ConfigError(f"bad cycle {body!r}")
                 peak = max(peak, max(pts, default=0))
                 cycs.append(pts)
             cycles_per_line.append(cycs)
             images_per_line.append([])
         else:
-            img = [int(tok) for tok in ln.replace(",", " ").split()]
+            img = _ints(ln.replace(",", " ").split())
             if sorted(img) != list(range(1, len(img) + 1)):
-                raise ValueError(f"not a permutation of 1..{len(img)}: {ln!r}")
+                raise ConfigError(f"not a permutation of 1..{len(img)}: {ln!r}")
             peak = max(peak, len(img))
             images_per_line.append(img)
             cycles_per_line.append([])
     npts = n_points if n_points is not None else peak
     if npts < 1:
-        raise ValueError("empty point set")
+        raise ConfigError("empty point set")
     perms = []
     for cycs, img in zip(cycles_per_line, images_per_line):
         if img:
             if len(img) != npts:
-                raise ValueError("image line length differs from the point count")
+                raise ConfigError("image line length differs from the point count")
             perms.append(tuple(x - 1 for x in img))
         else:
             images = list(range(npts))

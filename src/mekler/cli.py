@@ -9,9 +9,9 @@ Subcommands:
   qprobe         root-counting and coset-cover probes on a finite group
 
 Exit codes: 0 no check failed, 1 a verification failed, 2 the
-configuration itself was rejected (bad prime, inadequate fragment,
-enumeration budget exceeded, unparseable input).  A check skipped for its
-budget prints SKIP ("passed": null in JSON) and does not fail the run.
+configuration itself was rejected (ConfigError: bad prime or unparseable
+input; AdequacyError; BudgetError).  Any other exception is a fault and
+propagates.  A check skipped for its budget prints SKIP and does not fail.
 """
 
 from __future__ import annotations
@@ -37,23 +37,46 @@ from .cayley import (
     symmetric_group,
 )
 from .formulas import BudgetError
-from .graphs import FragmentSpec, all_pairs, build_fragment, check_nice, pair_swap_automorphism
+from .graphs import ConfigError, FragmentSpec, all_pairs, build_fragment, check_nice, pair_swap_automorphism
 from .group import GroupContext, InducedAutomorphism
 from .interpret import natural_graph, roundtrip
 from .subgroup import AdequacyError
 from .verify import SuiteResult, VerifyConfig, verify_lemmas
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as err:
+        raise ConfigError(f"expected an integer, got {text.strip()!r}") from err
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {path}: {err}") from err
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
+
+
 def _parse_naturals(text: str) -> list[int]:
     text = text.strip()
     if not text:
-        raise ValueError("empty naturals list")
+        raise ConfigError("empty naturals list")
     if "," not in text:
-        count = int(text)
+        count = _int(text)
         if count < 1:
-            raise ValueError("natural count must be positive")
+            raise ConfigError("natural count must be positive")
         return list(range(count))
-    return sorted({int(tok) for tok in text.split(",") if tok.strip()})
+    return sorted({_int(tok) for tok in text.split(",") if tok.strip()})
 
 
 def _parse_edges(text: str) -> list[tuple[int, int]]:
@@ -66,15 +89,13 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
         if not tok:
             continue
         a, _, b = tok.partition("-")
-        out.append((int(a), int(b)))
+        out.append((_int(a), _int(b)))
     return out
 
 
 def _load_graph(args):
     if getattr(args, "json", None):
-        with open(args.json) as fh:
-            spec = FragmentSpec.from_json(fh.read())
-        return spec.build()
+        return FragmentSpec.from_json(_read(args.json)).build()
     naturals = _parse_naturals(args.naturals)
     if args.pairs == "all":
         pairs = list(all_pairs(naturals))
@@ -88,8 +109,7 @@ def _load_graph(args):
 def _emit(args, text: str) -> None:
     sys.stdout.write(text)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
 
 
 def cmd_nice(args) -> int:
@@ -142,8 +162,7 @@ def cmd_fragment(args) -> int:
         text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(spec.to_json())
+        _write(args.out, spec.to_json())
         sys.stdout.write(f"fragment JSON written to {args.out}\n")
     return 0
 
@@ -212,26 +231,24 @@ def _load_probe_group(spec: str) -> FiniteGroup:
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "sl2":
-        return sl2_permutation_group(int(arg))
+        return sl2_permutation_group(_int(arg))
     if kind == "cyclic":
-        return cyclic_group(int(arg))
+        return cyclic_group(_int(arg))
     if kind == "sym":
-        return symmetric_group(int(arg))
+        return symmetric_group(_int(arg))
     if kind == "dihedral":
-        return dihedral_group(int(arg))
+        return dihedral_group(_int(arg))
     if kind == "mekler":
-        p = int(arg)
+        p = _int(arg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ctx = GroupContext(build_fragment([0, 1]), p)
             return cayley_from_context(ctx)
     if kind == "cayley":
-        with open(arg) as fh:
-            return parse_cayley_text(fh.read())
+        return parse_cayley_text(_read(arg))
     if kind == "perm":
-        with open(arg) as fh:
-            return parse_permutation_text(fh.read())
-    raise ValueError(f"unknown group spec {spec!r}; use sl2:Q, cyclic:N, sym:N, dihedral:N, mekler:P, cayley:PATH or perm:PATH")
+        return parse_permutation_text(_read(arg))
+    raise ConfigError(f"unknown group spec {spec!r}; use sl2:Q, cyclic:N, sym:N, dihedral:N, mekler:P, cayley:PATH or perm:PATH")
 
 
 def cmd_qprobe(args) -> int:
@@ -338,10 +355,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (AdequacyError, BudgetError) as err:
-        print(f"configuration rejected: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (ConfigError, AdequacyError, BudgetError) as err:
         print(f"configuration rejected: {err}", file=sys.stderr)
         return 2
 

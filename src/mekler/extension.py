@@ -10,9 +10,11 @@ base and keeps its flip, so its p-th power (p odd) still flips.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .group import GroupContext, GroupElement, InducedAutomorphism, identity, inv, mul
+from .graphs import ConfigError
+from .group import GroupContext, GroupElement, InducedAutomorphism, format_element, identity, inv, mul, parse_element
 
 
 @dataclass(frozen=True)
@@ -65,16 +67,14 @@ def in_base_by_power_formula(ctx: GroupContext, aut: InducedAutomorphism, a: Ext
 
 
 def format_ext(ctx: GroupContext, a: ExtElement) -> str:
-    from .group import format_element
-
     return f"({format_element(ctx, a.h)}, {a.eps})"
 
 
-def parse_ext(ctx: GroupContext, text: str) -> ExtElement:
-    from .group import parse_element
+_EXT_RE = re.compile(r"\((.*),\s*([-+]?\d{1,4000})\s*\)")
 
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"cannot parse extension element {text!r}")
-    body, _, eps_s = text[1:-1].rpartition(",")
-    return ExtElement(parse_element(ctx, body.strip()), int(eps_s.strip()))
+
+def parse_ext(ctx: GroupContext, text: str) -> ExtElement:
+    m = _EXT_RE.fullmatch(text.strip())
+    if not m:
+        raise ConfigError(f"cannot parse extension element {text!r}")
+    return ExtElement(parse_element(ctx, m.group(1).strip()), int(m.group(2)))

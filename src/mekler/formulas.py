@@ -75,18 +75,18 @@ def up_edge_formula(ctx: GroupContext, aut: InducedAutomorphism, x: GroupElement
     if not power_separated(ctx, x, y):
         return FormulaTrace(False, "VertexLikeEnumeration", note="power-related inputs")
     p = ctx.p
-    for w in ctx.vertex_order:
+    for w in range(ctx.n):
         for alpha in range(1, p):
-            u_gen = FpVector(p, {w: alpha})
+            u_gen = FpVector.from_reduced(p, {w: alpha})
             if not (_commutes(ctx, u_gen, x.gen) and _commutes(ctx, u_gen, y.gen)):
                 continue
-            for s in ctx.vertex_order:
-                if aut.perm[s] == s:
+            for s in range(ctx.n):
+                if aut.iperm[s] == s:
                     continue
-                if not _commutes(ctx, u_gen, FpVector(p, {s: 1})):
+                if not _commutes(ctx, u_gen, FpVector.from_reduced(p, {s: 1})):
                     continue
                 for beta in range(1, p):
-                    v_gen = FpVector(p, {s: beta})
+                    v_gen = FpVector.from_reduced(p, {s: beta})
                     if not aut.moves_coset(v_gen):
                         continue
                     u_el, v_el = from_vectors(ctx, u_gen), from_vectors(ctx, v_gen)
@@ -160,12 +160,10 @@ def full_coset_oracle(
     if not power_separated(ctx, x, y):
         return False
     p = ctx.p
-    verts = ctx.vertex_order
 
     def cosets():
         for pattern in itertools.product(range(p), repeat=n):
-            entries = {verts[i]: c for i, c in enumerate(pattern) if c}
-            yield FpVector(p, entries)
+            yield FpVector.from_reduced(p, {i: c for i, c in enumerate(pattern) if c})
 
     if formula == "up":
         if aut is None:

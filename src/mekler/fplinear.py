@@ -10,7 +10,7 @@ works on index-keyed rows, from a matrix or straight from a caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, ItemsView, Mapping, Sequence
 
 
 def is_odd_prime(p: int) -> bool:
@@ -80,14 +80,24 @@ class FpVector:
         return cls(p)
 
     @classmethod
+    def from_reduced(cls, p: int, entries: dict) -> "FpVector":
+        """Wrap entries that are already reduced mod p with no zeros; the
+        dict is taken over, not copied or re-normalized."""
+        vec = cls.__new__(cls)
+        vec.p = p
+        vec._entries = entries
+        vec._hash = None
+        return vec
+
+    @classmethod
     def basis(cls, p: int, key: Hashable, value: int = 1) -> "FpVector":
         return cls(p, {key: value})
 
     def get(self, key: Hashable) -> int:
         return self._entries.get(key, 0)
 
-    def items(self) -> Iterator[tuple[Hashable, int]]:
-        return iter(self._entries.items())
+    def items(self) -> ItemsView[Hashable, int]:
+        return self._entries.items()
 
     def support(self) -> frozenset:
         return frozenset(self._entries)
@@ -107,11 +117,7 @@ class FpVector:
                 out[k] = s
             else:
                 out.pop(k, None)
-        vec = FpVector.__new__(FpVector)
-        vec.p = self.p
-        vec._entries = out
-        vec._hash = None
-        return vec
+        return FpVector.from_reduced(self.p, out)
 
     def __sub__(self, other: "FpVector") -> "FpVector":
         return self + (-other)
@@ -121,14 +127,7 @@ class FpVector:
 
     def scale(self, c: int) -> "FpVector":
         c %= self.p
-        vec = FpVector.__new__(FpVector)
-        vec.p = self.p
-        vec._hash = None
-        if c == 0:
-            vec._entries = {}
-        else:
-            vec._entries = {k: (v * c) % self.p for k, v in self._entries.items()}
-        return vec
+        return FpVector.from_reduced(self.p, {k: (v * c) % self.p for k, v in self._entries.items()} if c else {})
 
     def __mul__(self, c: int) -> "FpVector":
         return self.scale(c)

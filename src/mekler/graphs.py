@@ -21,7 +21,12 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 LEVELS = ("0", "1", "1.25", "1.5", "1.75")
-PENTAGON_LEVELS = LEVELS[1:]
+
+
+class ConfigError(ValueError):
+    """Rejected input: a bad prime, vertex, element or fragment text, or a
+    configuration the constructions cannot honour.  The command line maps
+    this (and nothing broader) to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,7 @@ class Natural:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("natural vertex index must be >= 0")
+            raise ConfigError("natural vertex index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,9 @@ class Gadget:
 
     def __post_init__(self):
         if not (0 <= self.a < self.b):
-            raise ValueError(f"gadget pair must be ordered distinct naturals, got ({self.a}, {self.b})")
+            raise ConfigError(f"gadget pair must be ordered distinct naturals, got ({self.a}, {self.b})")
         if self.level not in LEVELS:
-            raise ValueError(f"unknown gadget level {self.level!r}")
+            raise ConfigError(f"unknown gadget level {self.level!r}")
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -68,14 +73,16 @@ def encode_vertex(v: Vertex) -> str:
 
 def decode_vertex(text: str) -> Vertex:
     text = text.strip()
-    if text.startswith("n:"):
-        return Natural(int(text[2:]))
-    if text.startswith("g:"):
-        body = text[2:]
-        pair_part, _, level = body.rpartition(":")
-        a_s, _, b_s = pair_part.partition(",")
-        return Gadget(int(a_s), int(b_s), level)
-    raise ValueError(f"cannot decode vertex {text!r}")
+    try:
+        if text.startswith("n:"):
+            return Natural(int(text[2:]))
+        if text.startswith("g:"):
+            pair_part, _, level = text[2:].rpartition(":")
+            a_s, _, b_s = pair_part.partition(",")
+            return Gadget(int(a_s), int(b_s), level)
+    except ValueError as err:
+        raise ConfigError(f"cannot decode vertex {text[:40]!r}: {err}") from err
+    raise ConfigError(f"cannot decode vertex {text[:40]!r}")
 
 
 def host_degree(v: Vertex) -> tuple[bool, int | None]:
@@ -90,7 +97,7 @@ def host_degree(v: Vertex) -> tuple[bool, int | None]:
 
 def _edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
     if u == v:
-        raise ValueError(f"self loop at {encode_vertex(u)}")
+        raise ConfigError(f"self loop at {encode_vertex(u)}")
     return (u, v) if vertex_key(u) < vertex_key(v) else (v, u)
 
 
@@ -103,7 +110,7 @@ class Graph:
         norm = set()
         for u, v in edges:
             if u not in vset or v not in vset:
-                raise ValueError(f"edge endpoint not a vertex: {encode_vertex(u)}-{encode_vertex(v)}")
+                raise ConfigError(f"edge endpoint not a vertex: {encode_vertex(u)}-{encode_vertex(v)}")
             norm.add(_edge(u, v))
         self.edges: frozenset[tuple[Vertex, Vertex]] = frozenset(norm)
         adj: dict[Vertex, set[Vertex]] = {v: set() for v in self.vertices}
@@ -171,10 +178,10 @@ def build_fragment(
     seen_pairs = set()
     for a, b in gadget_pairs:
         if a == b:
-            raise ValueError(f"gadget pair must have distinct members, got ({a}, {b})")
+            raise ConfigError(f"gadget pair must have distinct members, got ({a}, {b})")
         a, b = min(a, b), max(a, b)
         if a not in nat_set or b not in nat_set:
-            raise ValueError(f"gadget pair ({a}, {b}) mentions a natural outside the fragment")
+            raise ConfigError(f"gadget pair ({a}, {b}) mentions a natural outside the fragment")
         if (a, b) in seen_pairs:
             continue
         seen_pairs.add((a, b))
@@ -285,7 +292,7 @@ def pair_swap_automorphism(g: Graph, r_edges: Iterable[tuple[int, int]]) -> dict
     for a, b in r_edges:
         a, b = min(a, b), max(a, b)
         if (a, b) not in present:
-            raise ValueError(f"pair ({a}, {b}) has no gadget in this fragment")
+            raise ConfigError(f"pair ({a}, {b}) has no gadget in this fragment")
         swap_pairs.add((a, b))
     perm: dict[Vertex, Vertex] = {}
     for v in g.vertices:
@@ -325,16 +332,19 @@ class FragmentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "FragmentSpec":
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or "naturals" not in doc:
-            raise ValueError("graph document must be an object with a 'naturals' field")
-        naturals = tuple(int(n) for n in doc["naturals"])
-        pairs = tuple(
-            (int(pr[0]), int(pr[1])) for pr in doc.get("gadget_pairs", []) or []
-        )
-        extra = tuple((str(e[0]), str(e[1])) for e in doc.get("extra_edges", []) or [])
-        p = doc.get("p")
-        return cls(naturals=naturals, gadget_pairs=pairs, extra_edges=extra, p=None if p is None else int(p))
+        try:
+            doc = json.loads(text)
+            if not isinstance(doc, dict) or "naturals" not in doc:
+                raise ConfigError("graph document must be an object with a 'naturals' field")
+            naturals = tuple(int(n) for n in doc["naturals"])
+            pairs = tuple((int(pr[0]), int(pr[1])) for pr in doc.get("gadget_pairs", []) or [])
+            extra = tuple((str(e[0]), str(e[1])) for e in doc.get("extra_edges", []) or [])
+            p = doc.get("p")
+            return cls(naturals=naturals, gadget_pairs=pairs, extra_edges=extra, p=None if p is None else int(p))
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, KeyError, IndexError, OverflowError, RecursionError) as err:
+            raise ConfigError(f"bad fragment document: {err}") from err
 
 
 def all_pairs(naturals: Sequence[int]) -> tuple[tuple[int, int], ...]:

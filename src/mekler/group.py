@@ -11,6 +11,12 @@ cocycle picks up a_w * b_u at coordinate (u, w); commutators use the
 convention [g, h] = g^-1 h^-1 g h, giving the alternating form
 lambda(a, b)_(u,w) = a_w b_u - a_u b_w on generator cosets.
 
+Inside the library a vertex is its index in ctx.vertex_order and the
+central coordinate (u, w) is the int key u * n + w, so sorted keys are the
+central basis in its (u, w) order; adjacency is one int bitmask per vertex.
+Natural/Gadget vertices appear only at the boundary: generator and
+central_generator arguments and the element text form.
+
 Centralizer dimensions, common kernels and their witness bases all come
 from one support-local engine (commuting_kernel_dim, commuting_kernel_basis);
 commutation_matrix builds the same system over all columns as its oracle.
@@ -18,6 +24,7 @@ commutation_matrix builds the same system over all columns as its oracle.
 
 from __future__ import annotations
 
+import bisect
 import re
 import warnings
 from dataclasses import dataclass
@@ -25,20 +32,17 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .fplinear import FpMatrix, FpVector, is_odd_prime, kernel_basis_indexed, rref_indexed
 from .graphs import (
-    Gadget,
+    ConfigError,
     Graph,
-    Natural,
     Vertex,
     check_nice,
     decode_vertex,
     encode_vertex,
     host_degree,
     is_graph_automorphism,
-    vertex_key,
 )
 
-Pair = tuple[Vertex, Vertex]
-Coset = FpVector  # generator-side cosets mod the center are plain F_p vectors
+Coset = FpVector  # generator-side cosets mod the center, keyed by vertex index
 
 
 class GroupContext:
@@ -47,49 +51,59 @@ class GroupContext:
     Immutable after construction by convention.  Building a context on a
     graph that is not nice issues a warning (the construction stays a
     perfectly good group; the model-theoretic guarantees are what need
-    niceness).
+    niceness).  No central coordinate is listed up front: keys are computed
+    on demand and central_key_at unranks the k-th one through prefix sums
+    of each vertex's count of later non-neighbours.
     """
 
     def __init__(self, graph: Graph, p: int, warn_not_nice: bool = True):
         if not is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+            raise ConfigError(f"p must be an odd prime, got {p}")
         self.graph = graph
         self.p = p
         self.vertex_order: tuple[Vertex, ...] = graph.vertices
         self.vindex = graph.index
-        basis: list[Pair] = []
-        verts = self.vertex_order
-        for i, u in enumerate(verts):
-            adj_u = graph.adjacency[u]
-            for w in verts[i + 1 :]:
-                if w not in adj_u:
-                    basis.append((u, w))
-        self.central_basis: tuple[Pair, ...] = tuple(basis)
-        self.cindex = {pr: i for i, pr in enumerate(basis)}
+        self.n = n = len(graph.vertices)
+        self.adj = tuple(sum(1 << graph.index[w] for w in graph.adjacency[v]) for v in graph.vertices)
+        self._later = [0]  # central coordinates (u, w) with u below each index
+        for u, mask in enumerate(self.adj):
+            self._later.append(self._later[-1] + n - 1 - u - (mask >> (u + 1)).bit_count())
+        self.ncentral = self._later[-1]  # C(n, 2) - |E|
         self.nice_report = check_nice(graph)
         if warn_not_nice and not self.nice_report.is_nice:
             warnings.warn(f"graph is not nice ({self.nice_report.summary()})", stacklevel=2)
 
-    def nonadjacent(self, u: Vertex, w: Vertex) -> bool:
-        return u != w and w not in self.graph.adjacency[u]
+    def nonadjacent(self, u: int, w: int) -> bool:
+        return u != w and not (self.adj[u] >> w) & 1
 
-    def central_pair(self, u: Vertex, w: Vertex) -> Pair:
-        pr = (u, w) if vertex_key(u) < vertex_key(w) else (w, u)
-        if pr not in self.cindex:
-            raise ValueError(f"({encode_vertex(pr[0])}, {encode_vertex(pr[1])}) is not a central basis pair")
-        return pr
+    def central_pair(self, u: Vertex, w: Vertex) -> int:
+        """The central key of the non-adjacent vertex pair {u, w}."""
+        i, j = sorted((self.vindex.get(u, -1), self.vindex.get(w, -1)))
+        if i < 0 or not self.nonadjacent(i, j):
+            raise ConfigError(f"({encode_vertex(u)}, {encode_vertex(w)}) is not a central basis pair")
+        return i * self.n + j
+
+    def central_key_at(self, k: int) -> int:
+        """The k-th central key in ascending order."""
+        if not 0 <= k < self.ncentral:
+            raise IndexError(f"central coordinate {k} out of range")
+        u = bisect.bisect_right(self._later, k) - 1
+        free = ~self.adj[u] & ((1 << self.n) - 1) >> (u + 1) << (u + 1)  # non-neighbours above u
+        for _ in range(k - self._later[u]):
+            free &= free - 1  # drop the lowest
+        return u * self.n + (free & -free).bit_length() - 1
 
     def __len__(self) -> int:
-        return len(self.vertex_order)
+        return self.n
 
     def __repr__(self) -> str:
-        return f"GroupContext(|V|={len(self)}, p={self.p}, central={len(self.central_basis)})"
+        return f"GroupContext(|V|={self.n}, p={self.p}, central={self.ncentral})"
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    gen: FpVector  # keyed by Vertex
-    cen: FpVector  # keyed by central basis Pair
+    gen: FpVector  # keyed by vertex index
+    cen: FpVector  # keyed by central key
 
     def __post_init__(self):
         if self.gen.p != self.cen.p:
@@ -102,52 +116,49 @@ def identity(ctx: GroupContext) -> GroupElement:
 
 def generator(ctx: GroupContext, v: Vertex, exp: int = 1) -> GroupElement:
     if v not in ctx.vindex:
-        raise ValueError(f"{encode_vertex(v)} is not a vertex of this fragment")
-    return GroupElement(FpVector(ctx.p, {v: exp}), FpVector.zero(ctx.p))
+        raise ConfigError(f"{encode_vertex(v)} is not a vertex of this fragment")
+    return GroupElement(FpVector(ctx.p, {ctx.vindex[v]: exp}), FpVector.zero(ctx.p))
 
 
 def central_generator(ctx: GroupContext, u: Vertex, w: Vertex, exp: int = 1) -> GroupElement:
-    pr = ctx.central_pair(u, w)
-    return GroupElement(FpVector.zero(ctx.p), FpVector(ctx.p, {pr: exp}))
+    return GroupElement(FpVector.zero(ctx.p), FpVector(ctx.p, {ctx.central_pair(u, w): exp}))
 
 
 def from_vectors(ctx: GroupContext, gen: FpVector, cen: FpVector | None = None) -> GroupElement:
     return GroupElement(gen, cen if cen is not None else FpVector.zero(ctx.p))
 
 
-def _collection_cocycle(ctx: GroupContext, agen: FpVector, bgen: FpVector) -> FpVector:
-    """beta(a, b): central correction from collecting b's generators past a's.
+def _accumulate(out: dict[int, int], key: int, c: int, p: int) -> None:
+    s = (out.get(key, 0) + c) % p
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
-    Coordinate (u, w), u < w non-adjacent, receives a_w * b_u.
-    """
-    p = ctx.p
-    out: dict[Pair, int] = {}
-    adj = ctx.graph.adjacency
-    for wa, ca in agen.items():
-        adj_wa = adj[wa]
-        kwa = vertex_key(wa)
-        for ub, cb in bgen.items():
-            if ub == wa or ub in adj_wa:
-                continue
-            if vertex_key(ub) < kwa:  # only swaps where a's vertex comes later
-                pr = (ub, wa)
-                s = (out.get(pr, 0) + ca * cb) % p
-                if s:
-                    out[pr] = s
-                else:
-                    out.pop(pr, None)
-    return FpVector(p, out)
+
+def _add_cocycle(ctx: GroupContext, cen: dict[int, int], agen: FpVector, bgen: FpVector) -> FpVector:
+    """cen plus beta(a, b), the central correction from collecting b's
+    generators past a's: coordinate (u, w), u < w non-adjacent, gets a_w * b_u."""
+    p, n, adj = ctx.p, ctx.n, ctx.adj
+    bitems = bgen.items()
+    for w, ca in agen.items():
+        adj_w = adj[w]
+        for u, cb in bitems:
+            if u < w and not (adj_w >> u) & 1:  # only swaps where a's vertex comes later
+                _accumulate(cen, u * n + w, ca * cb, p)
+    return FpVector.from_reduced(p, cen)
 
 
 def mul(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
-    gen = a.gen + b.gen
-    cen = a.cen + b.cen + _collection_cocycle(ctx, a.gen, b.gen)
-    return GroupElement(gen, cen)
+    cen = dict(a.cen.items())
+    for k, c in b.cen.items():
+        _accumulate(cen, k, c, ctx.p)
+    return GroupElement(a.gen + b.gen, _add_cocycle(ctx, cen, a.gen, b.gen))
 
 
 def inv(ctx: GroupContext, a: GroupElement) -> GroupElement:
     # a * a^-1 = e forces cen(a^-1) = -cen(a) + beta(a, a)
-    return GroupElement(-a.gen, -a.cen + _collection_cocycle(ctx, a.gen, a.gen))
+    return GroupElement(-a.gen, _add_cocycle(ctx, dict((-a.cen).items()), a.gen, a.gen))
 
 
 def pow_(ctx: GroupContext, a: GroupElement, k: int) -> GroupElement:
@@ -169,32 +180,31 @@ def commutator_vector(ctx: GroupContext, agen: FpVector, bgen: FpVector) -> FpVe
     Coordinate (u, w) gets a_w b_u - a_u b_w; adjacent pairs contribute
     nothing because the generators commute.
     """
-    p = ctx.p
-    out: dict[Pair, int] = {}
-    adj = ctx.graph.adjacency
+    p, n, adj = ctx.p, ctx.n, ctx.adj
+    out: dict[int, int] = {}
+    bitems = bgen.items()
     for s, ca in agen.items():
         adj_s = adj[s]
-        ks = vertex_key(s)
-        for t, cb in bgen.items():
-            if t == s or t in adj_s:
+        for t, cb in bitems:
+            if t == s or (adj_s >> t) & 1:
                 continue
-            if vertex_key(t) < ks:
-                pr, term = (t, s), ca * cb  # s plays w: +a_w b_u
+            if t < s:
+                key, c = t * n + s, ca * cb  # s plays w: +a_w b_u
             else:
-                pr, term = (s, t), -ca * cb  # s plays u: -a_u b_w
-            v = (out.get(pr, 0) + term) % p
-            if v:
-                out[pr] = v
+                key, c = s * n + t, -ca * cb  # s plays u: -a_u b_w
+            c = (out.get(key, 0) + c) % p
+            if c:
+                out[key] = c
             else:
-                out.pop(pr, None)
-    return FpVector(p, out)
+                out.pop(key, None)
+    return FpVector.from_reduced(p, out)
 
 
 def commutator(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(FpVector.zero(ctx.p), commutator_vector(ctx, a.gen, b.gen))
 
 
-def support(a: GroupElement) -> frozenset[Vertex]:
+def support(a: GroupElement) -> frozenset[int]:
     return a.gen.support()
 
 
@@ -211,7 +221,8 @@ def is_vertex_like(a: GroupElement) -> bool:
     return len(a.gen) == 1
 
 
-def vertex_like_parts(a: GroupElement) -> tuple[Vertex, int]:
+def vertex_like_parts(a: GroupElement) -> tuple[int, int]:
+    """(vertex index, exponent) of a vertex-like element."""
     if not is_vertex_like(a):
         raise ValueError("element is not vertex-like")
     ((v, c),) = a.gen.items()
@@ -223,7 +234,7 @@ def is_natural_vertex_like(ctx: GroupContext, a: GroupElement) -> bool:
     if not is_vertex_like(a):
         return False
     v, _ = vertex_like_parts(a)
-    return host_degree(v)[0]
+    return host_degree(ctx.vertex_order[v])[0]
 
 
 class CentralizerDim(NamedTuple):
@@ -243,22 +254,23 @@ def commuting_rows(pairs: Iterable[tuple[int, int]], family: Sequence[dict[int, 
     return rows
 
 
-def _local_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tuple[list[Vertex], list[dict[int, int]]]:
+def _local_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tuple[list[int], list[dict[int, int]]]:
     """The commuting system on the columns that can be nonzero in its kernel:
     the family's support S and the common neighbours of S, in vertex order.
     Any other column t is non-adjacent to some s in S, where a member with
     a_s != 0 gives the single-entry row -a_s b_t, so b_t = 0."""
-    p = ctx.p
-    adj = ctx.graph.adjacency
-    key = ctx.vindex.__getitem__
-    sup = sorted(set().union(*(a.support() for a in family)), key=key)
-    common = frozenset.intersection(*(adj[s] for s in sup)) if sup else ctx.vertex_order
-    cols = sorted([*sup, *common], key=key)
+    p, adj = ctx.p, ctx.adj
+    sup = sorted(set().union(*(a.support() for a in family)))
+    common = (1 << ctx.n) - 1
+    for s in sup:
+        common &= adj[s]
+    cols = sorted({*sup, *(t for t in range(ctx.n) if (common >> t) & 1)})
     local = {v: i for i, v in enumerate(cols)}
-    pairs = [(local[u], local[w]) for i, u in enumerate(sup) for w in sup[i + 1 :] if w not in adj[u]]
+    pairs = [(local[u], local[w]) for i, u in enumerate(sup) for w in sup[i + 1 :] if not (adj[u] >> w) & 1]
     rows = commuting_rows(pairs, [{local[v]: c for v, c in a.items()} for a in family], p)
     if functional is not None:
-        rows.append({i: c for i, v in enumerate(cols) if (c := functional.value(v) % p)})
+        verts = ctx.vertex_order
+        rows.append({i: c for i, v in enumerate(cols) if (c := functional.value(verts[v]) % p)})
     return cols, rows
 
 
@@ -286,28 +298,16 @@ def commutation_matrix(ctx: GroupContext, agen: FpVector) -> FpMatrix:
     """
     p = ctx.p
     rows: list[FpVector] = []
-    adj = ctx.graph.adjacency
-    seen: set[Pair] = set()
+    seen: set[tuple[int, int]] = set()
     for s in agen.support():
-        adj_s = adj[s]
-        for t in ctx.vertex_order:
-            if t == s or t in adj_s:
-                continue
-            pr = (s, t) if vertex_key(s) < vertex_key(t) else (t, s)
-            if pr in seen:
-                continue
-            seen.add(pr)
-            u, w = pr
-            entries = {}
-            aw = agen.get(w)
-            au = agen.get(u)
-            if aw:
-                entries[u] = aw
-            if au:
-                entries[w] = (-au) % p
-            if entries:
-                rows.append(FpVector(p, entries))
-    return FpMatrix(p, ctx.vertex_order, rows)
+        for t in range(ctx.n):
+            u, w = min(s, t), max(s, t)
+            if ctx.nonadjacent(s, t) and (u, w) not in seen:
+                seen.add((u, w))
+                row = FpVector(p, {u: agen.get(w), w: -agen.get(u)})
+                if not row.is_zero():
+                    rows.append(row)
+    return FpMatrix(p, range(ctx.n), rows)
 
 
 def centralizer_dim_mod_center(ctx: GroupContext, a: GroupElement) -> CentralizerDim:
@@ -322,9 +322,9 @@ def centralizer_dim_mod_center(ctx: GroupContext, a: GroupElement) -> Centralize
 class InducedAutomorphism:
     """Group automorphism induced by a graph automorphism.
 
-    Permutes generator coordinates outright; a central coordinate (u, w)
-    lands on the ordered image pair with sign -1 when the images arrive
-    out of order (the commutator flips).  The permutation is validated at
+    Permutes generator indices outright; a central coordinate (u, w) lands
+    on the ordered image pair with sign -1 when the images arrive out of
+    order (the commutator flips).  The permutation is validated at
     construction, not trusted.
     """
 
@@ -332,62 +332,52 @@ class InducedAutomorphism:
         if not is_graph_automorphism(ctx.graph, perm):
             raise ValueError("mapping is not an automorphism of the fragment")
         self.ctx = ctx
-        self.perm = dict(perm)
-        pair_map: dict[Pair, tuple[Pair, int]] = {}
-        for u, w in ctx.central_basis:
-            iu, iw = self.perm[u], self.perm[w]
-            if vertex_key(iu) < vertex_key(iw):
-                pair_map[(u, w)] = ((iu, iw), 1)
-            else:
-                pair_map[(u, w)] = ((iw, iu), -1)
-        self.pair_map = pair_map
-        self.is_involution = all(self.perm[v2] == v for v, v2 in self.perm.items())
+        self.iperm = tuple(ctx.vindex[perm[v]] for v in ctx.vertex_order)
+        self.is_involution = all(self.iperm[j] == i for i, j in enumerate(self.iperm))
 
     def apply(self, a: GroupElement) -> GroupElement:
-        p = self.ctx.p
-        cen_entries: dict[Pair, int] = {}
-        for pr, c in a.cen.items():
-            target, sign = self.pair_map[pr]
-            cen_entries[target] = (cen_entries.get(target, 0) + sign * c) % p
-        # The generator word maps factor by factor; multiplying the images
-        # back together picks up the collection corrections where the
+        ctx, iperm = self.ctx, self.iperm
+        p, n, adj = ctx.p, ctx.n, ctx.adj
+        cen: dict[int, int] = {}
+        for key, c in a.cen.items():
+            iu, iw = iperm[key // n], iperm[key % n]
+            if iu < iw:
+                _accumulate(cen, iu * n + iw, c, p)
+            else:
+                _accumulate(cen, iw * n + iu, -c, p)
+        # The generator word maps factor by factor; collecting the images
+        # back into vertex order picks up a_w a_u at (u, w) wherever the
         # permutation inverts a non-commuting pair.  Permuting coordinates
         # alone would not be a homomorphism.
-        prod = identity(self.ctx)
-        for v in sorted(a.gen.support(), key=vertex_key):
-            prod = mul(self.ctx, prod, generator(self.ctx, self.perm[v], a.gen.get(v)))
-        return GroupElement(prod.gen, prod.cen + FpVector(p, cen_entries))
+        word = [(iperm[v], c) for v, c in sorted(a.gen.items())]
+        for k, (w, cw) in enumerate(word):
+            for u, cu in word[k + 1 :]:
+                if u < w and not (adj[w] >> u) & 1:
+                    _accumulate(cen, u * n + w, cw * cu, p)
+        return GroupElement(FpVector.from_reduced(p, dict(word)), FpVector.from_reduced(p, cen))
 
     def apply_coset(self, gen: FpVector) -> FpVector:
-        return FpVector(self.ctx.p, {self.perm[v]: c for v, c in gen.items()})
+        return FpVector.from_reduced(self.ctx.p, {self.iperm[v]: c for v, c in gen.items()})
 
     def moves_coset(self, gen: FpVector) -> bool:
         return self.apply_coset(gen) != gen
 
 
-def induced_automorphism(ctx: GroupContext, perm: dict[Vertex, Vertex], a: GroupElement) -> GroupElement:
-    return InducedAutomorphism(ctx, perm).apply(a)
-
-
 # --- element text form ------------------------------------------------------
 
-_GEN_RE = re.compile(r"^x\[([^\]]+)\]\^(-?\d+)$")
+# exponents stop at 4000 digits, inside what int() converts
+_GEN_RE = re.compile(r"^x\[([^\]]+)\]\^(-?\d{1,4000})$")
 _CEN_RE = re.compile(r"^z\{(.*)\}$")
-_PAIR_RE = re.compile(r"\(([^()]+)\):(-?\d+)")
+_PAIR_RE = re.compile(r"\(([^()]+)\):(-?\d{1,4000})")
 
 
 def format_element(ctx: GroupContext, a: GroupElement) -> str:
     """Canonical text form, e.g. x[n:0]^2 * x[g:0,1:0]^1 * z{(n:0,n:1):2}."""
-    parts = []
-    for v in ctx.vertex_order:
-        c = a.gen.get(v)
-        if c:
-            parts.append(f"x[{encode_vertex(v)}]^{c}")
-    cen_bits = []
-    for pr in ctx.central_basis:
-        c = a.cen.get(pr)
-        if c:
-            cen_bits.append(f"({encode_vertex(pr[0])},{encode_vertex(pr[1])}):{c}")
+    verts = ctx.vertex_order
+    parts = [f"x[{encode_vertex(verts[v])}]^{c}" for v, c in sorted(a.gen.items())]
+    cen_bits = [
+        f"({encode_vertex(verts[k // ctx.n])},{encode_vertex(verts[k % ctx.n])}):{c}" for k, c in sorted(a.cen.items())
+    ]
     if cen_bits:
         parts.append("z{" + ", ".join(cen_bits) + "}")
     return " * ".join(parts) if parts else "e"
@@ -397,15 +387,16 @@ def parse_element(ctx: GroupContext, text: str) -> GroupElement:
     text = text.strip()
     if text == "e":
         return identity(ctx)
-    gen: dict[Vertex, int] = {}
-    cen: dict[Pair, int] = {}
+    gen: dict[int, int] = {}
+    cen: dict[int, int] = {}
     for token in (t.strip() for t in text.split("*")):
         m = _GEN_RE.match(token)
         if m:
             v = decode_vertex(m.group(1))
             if v not in ctx.vindex:
-                raise ValueError(f"vertex {m.group(1)!r} is not in this fragment")
-            gen[v] = gen.get(v, 0) + int(m.group(2))
+                raise ConfigError(f"vertex {m.group(1)!r} is not in this fragment")
+            i = ctx.vindex[v]
+            gen[i] = gen.get(i, 0) + int(m.group(2))
             continue
         m = _CEN_RE.match(token)
         if m:
@@ -416,11 +407,11 @@ def parse_element(ctx: GroupContext, text: str) -> GroupElement:
                     # the comma directly before the second vertex prefix
                     halves = re.split(r",(?=[ng]:)", pm.group(1), maxsplit=1)
                     if len(halves) != 2:
-                        raise ValueError(f"cannot parse central pair {pm.group(1)!r}")
-                    pr = ctx.central_pair(decode_vertex(halves[0].strip()), decode_vertex(halves[1].strip()))
-                    cen[pr] = cen.get(pr, 0) + int(pm.group(2))
+                        raise ConfigError(f"cannot parse central pair {pm.group(1)!r}")
+                    key = ctx.central_pair(decode_vertex(halves[0]), decode_vertex(halves[1]))
+                    cen[key] = cen.get(key, 0) + int(pm.group(2))
             continue
-        raise ValueError(f"cannot parse element token {token!r}")
+        raise ConfigError(f"cannot parse element token {token!r}")
     return GroupElement(FpVector(ctx.p, gen), FpVector(ctx.p, cen))
 
 
@@ -435,31 +426,20 @@ def random_element(
     allow_central_part: bool = True,
 ) -> GroupElement:
     """Random normal-form element with small support, for law suites."""
-    nverts = len(ctx.vertex_order)
-    k = rng.randint(0, min(max_support, nverts))
-    picks = rng.sample(range(nverts), k)
-    gen = {ctx.vertex_order[i]: rng.randint(1, ctx.p - 1) for i in picks}
-    cen: dict[Pair, int] = {}
-    if allow_central_part and ctx.central_basis:
-        for _ in range(rng.randint(0, max_central)):
-            pr = ctx.central_basis[rng.randrange(len(ctx.central_basis))]
-            cen[pr] = rng.randint(1, ctx.p - 1)
-    return GroupElement(FpVector(ctx.p, gen), FpVector(ctx.p, cen))
+    k = rng.randint(0, min(max_support, ctx.n))
+    gen = {i: rng.randint(1, ctx.p - 1) for i in rng.sample(range(ctx.n), k)}
+    cen = random_central(ctx, rng, max_central).cen if allow_central_part else FpVector.zero(ctx.p)
+    return GroupElement(FpVector.from_reduced(ctx.p, gen), cen)
 
 
 def random_central(ctx: GroupContext, rng, max_terms: int = 3) -> GroupElement:
-    cen: dict[Pair, int] = {}
-    if ctx.central_basis:
-        for _ in range(rng.randint(0, max_terms)):
-            pr = ctx.central_basis[rng.randrange(len(ctx.central_basis))]
-            cen[pr] = rng.randint(1, ctx.p - 1)
-    return GroupElement(FpVector.zero(ctx.p), FpVector(ctx.p, cen))
+    cen: dict[int, int] = {}
+    for _ in range(rng.randint(0, max_terms) if ctx.ncentral else 0):
+        key = ctx.central_key_at(rng.randrange(ctx.ncentral))  # draw the pair before its exponent
+        cen[key] = rng.randint(1, ctx.p - 1)
+    return GroupElement(FpVector.zero(ctx.p), FpVector.from_reduced(ctx.p, cen))
 
 
 def all_vertex_like_cosets(ctx: GroupContext) -> list[FpVector]:
     """Every coset x_v^alpha mod Z, in (vertex order, exponent) order."""
-    out = []
-    for v in ctx.vertex_order:
-        for a in range(1, ctx.p):
-            out.append(FpVector(ctx.p, {v: a}))
-    return out
+    return [FpVector.from_reduced(ctx.p, {v: a}) for v in range(ctx.n) for a in range(1, ctx.p)]

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 
 from .formulas import FormulaTrace, down_edge_formula, up_edge_formula
-from .graphs import Graph, Natural, all_pairs, build_fragment, pair_swap_automorphism
+from .graphs import ConfigError, Graph, Natural, all_pairs, build_fragment, pair_swap_automorphism
 from .group import (
     GroupContext,
     GroupElement,
@@ -46,6 +46,11 @@ from .subgroup import (
 # an unprovisioned helper natural shows dimension = number of gadgeted
 # partners, which must stay under the threshold of 6
 MAX_TESTED_DOWN = 5
+
+
+class InternalFault(RuntimeError):
+    """A recovery pipeline contradicted itself: a fault in this library,
+    never a verdict on the input graph."""
 
 
 def power_equivalent(ctx: GroupContext, a: GroupElement, b: GroupElement) -> bool:
@@ -102,17 +107,17 @@ def _partition_by_power(ctx: GroupContext, elements: list[GroupElement]) -> list
     return classes
 
 
-def _classes_to_labels(classes: list[list[GroupElement]]) -> dict[int, list[GroupElement]]:
+def _classes_to_labels(ctx: GroupContext, classes: list[list[GroupElement]]) -> dict[int, list[GroupElement]]:
     reps: dict[int, list[GroupElement]] = {}
     for cls in classes:
         supports = {vertex_like_parts(a)[0] for a in cls}
         if len(supports) != 1:
-            raise AssertionError("power-equivalence class mixes support vertices")
-        v = supports.pop()
+            raise InternalFault("power-equivalence class mixes support vertices")
+        v = ctx.vertex_order[supports.pop()]
         if not isinstance(v, Natural):
-            raise AssertionError("recovered class is not on a natural vertex")
+            raise InternalFault("recovered class is not on a natural vertex")
         if v.n in reps:
-            raise AssertionError("two classes claim the same natural")
+            raise InternalFault("two classes claim the same natural")
         reps[v.n] = cls
     return reps
 
@@ -138,7 +143,7 @@ def _recover_edges(ctx, reps_by_label, evaluate, translates):
                 if first is None:
                     first = tr
             if any(v != verdicts[0] for v in verdicts):
-                raise AssertionError(f"edge verdict for ({n}, {m}) depends on the chosen representatives")
+                raise InternalFault(f"edge verdict for ({n}, {m}) depends on the chosen representatives")
             traces[(n, m)] = first
             if verdicts[0]:
                 edges.add((n, m))
@@ -167,7 +172,7 @@ def recover_graph_up(
     for v in ctx.vertex_order:
         sample.extend(_sample_class(ctx, v, rng, translates))
     naturals_only = [a for a in sample if is_natural_vertex_like(ctx, a)]
-    reps_by_label = _classes_to_labels(_partition_by_power(ctx, naturals_only))
+    reps_by_label = _classes_to_labels(ctx, _partition_by_power(ctx, naturals_only))
     labels, edges, traces = _recover_edges(
         ctx, reps_by_label, lambda x, y: up_edge_formula(ctx, aut, x, y), translates
     )
@@ -197,7 +202,7 @@ def recover_graph_down(
             continue
         sample.extend(_sample_class(ctx, v, rng, translates))
     members = [a for a in sample if natural_vertex_like_by_dimension(ctx, ell, a, adequacy)]
-    reps_by_label = _classes_to_labels(_partition_by_power(ctx, members))
+    reps_by_label = _classes_to_labels(ctx, _partition_by_power(ctx, members))
     labels, edges, traces = _recover_edges(
         ctx, reps_by_label, lambda x, y: down_edge_formula(ctx, ell, x, y), translates
     )
@@ -218,9 +223,9 @@ def build_down_fragment(tested: list[int], aux_count: int = PROVISION_PARTNERS) 
     the threshold can separate only when len(tested) <= 5.
     """
     if not tested:
-        raise ValueError("need at least one tested natural")
+        raise ConfigError("need at least one tested natural")
     if len(tested) > MAX_TESTED_DOWN:
-        raise ValueError(
+        raise ConfigError(
             f"down recovery separates at most {MAX_TESTED_DOWN} tested naturals; "
             f"helper naturals would reach the dimension threshold with {len(tested)}"
         )
@@ -265,12 +270,12 @@ def roundtrip(
     """Encode gamma, then recover it through the requested pipeline(s) and
     compare labels and edges exactly."""
     if pipeline not in ("up", "down", "both"):
-        raise ValueError(f"pipeline must be up, down or both, got {pipeline!r}")
+        raise ConfigError(f"pipeline must be up, down or both, got {pipeline!r}")
     if any(not isinstance(v, Natural) for v in gamma.vertices):
-        raise ValueError("round-trip input must be a graph on natural vertices only")
+        raise ConfigError("round-trip input must be a graph on natural vertices only")
     naturals = sorted(gamma.naturals())
     if len(naturals) < 2:
-        raise ValueError("need at least two vertices to recover a graph")
+        raise ConfigError("need at least two vertices to recover a graph")
     edges = _graph_edge_labels(gamma)
     messages: list[str] = []
     up_rec = down_rec = None

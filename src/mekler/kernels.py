@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .fplinear import FpVector, rref_indexed
-from .graphs import Natural, Vertex
+from .graphs import ConfigError, Natural, Vertex
 from .group import GroupContext, commuting_kernel_dim, commuting_rows
 from .subgroup import DIM_THRESHOLD, PROVISION_PARTNERS, EdgeFunctional
 
@@ -72,7 +72,7 @@ def element_dims(
         raise ValueError("exponents must be nonzero mod p")
     if len(set(support)) != size:
         raise ValueError("support vertices must be distinct")
-    coset = FpVector(p, dict(zip(support, exps)))
+    coset = FpVector(p, {ctx.vindex[v]: e for v, e in zip(support, exps)})
     dim_group = commuting_kernel_dim(ctx, [coset])
     if ell is None:
         return dim_group, dim_group, True
@@ -118,7 +118,7 @@ def _context_arrays(ctx: GroupContext, ell: EdgeFunctional | None):
     if ell is None:
         ellbit = np.zeros(len(ctx), dtype=np.int64)
     else:
-        ellbit = (ell.values_array(ctx) % ctx.p != 0).astype(np.int64)
+        ellbit = (np.array(ell.values(ctx)) % ctx.p != 0).astype(np.int64)
     nat = np.array([isinstance(v, Natural) for v in ctx.vertex_order], dtype=np.int64)
     g = ctx.graph
     prov = np.array(
@@ -255,7 +255,7 @@ def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support, low, high):
 
 def _run_scan(ctx, ell, mode, max_support, low, high):
     if max_support < 1 or max_support > 3:
-        raise ValueError("support budgets beyond 3 are not covered by the dichotomy statements")
+        raise ConfigError("support budgets beyond 3 are not covered by the dichotomy statements")
     adj, ellbit, nat, prov = _context_arrays(ctx, ell)
     checked, members, records = _scan_arrays(adj, ellbit, nat, prov, ctx.p, mode, max_support, low, high)
     verts = ctx.vertex_order

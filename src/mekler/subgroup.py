@@ -17,10 +17,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from .fplinear import FpMatrix, FpScalar, FpVector, kernel_basis
-from .graphs import Natural, Vertex
+from .graphs import ConfigError, Natural, Vertex
 from .group import (
     GroupContext,
     GroupElement,
@@ -28,9 +26,11 @@ from .group import (
     commutator_vector,
     commuting_kernel_dim,
     format_element,
+    from_vectors,
     generator,
     is_central,
     mul,
+    random_element,
 )
 
 # dimension threshold separating naturals from the rest, taken as given
@@ -54,7 +54,7 @@ class EdgeFunctional:
         norm = frozenset((min(a, b), max(a, b)) for a, b in edges)
         for a, b in norm:
             if a == b:
-                raise ValueError("edge with equal endpoints")
+                raise ConfigError("edge with equal endpoints")
         return cls(norm)
 
     def value(self, v: Vertex) -> int:
@@ -64,22 +64,21 @@ class EdgeFunctional:
             return 0 if v.pair in self.r_edges else 1
         return 1
 
+    def values(self, ctx: GroupContext) -> list[int]:
+        """Vertex values by vertex index."""
+        return [self.value(v) for v in ctx.vertex_order]
+
     def vector(self, ctx: GroupContext) -> FpVector:
-        return FpVector(ctx.p, {v: self.value(v) for v in ctx.vertex_order})
+        return FpVector(ctx.p, dict(enumerate(self.values(ctx))))
 
     def matrix(self, ctx: GroupContext) -> FpMatrix:
-        return FpMatrix(ctx.p, ctx.vertex_order, [self.vector(ctx)])
-
-    def values_array(self, ctx: GroupContext) -> np.ndarray:
-        return np.array([self.value(v) for v in ctx.vertex_order], dtype=np.int64)
+        return FpMatrix(ctx.p, range(ctx.n), [self.vector(ctx)])
 
     def value_on(self, ctx: GroupContext, a: GroupElement) -> FpScalar:
         """The functional extended to group elements: sum of exponent times
         vertex value over the support; central coordinates contribute 0."""
-        total = 0
-        for v, c in a.gen.items():
-            total += c * self.value(v)
-        return FpScalar(total, ctx.p)
+        verts = ctx.vertex_order
+        return FpScalar(sum(c * self.value(verts[v]) for v, c in a.gen.items()), ctx.p)
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.r_edges))
@@ -113,22 +112,20 @@ def verify_index_p(ctx: GroupContext, ell: EdgeFunctional) -> IndexReport:
     functional vanishes identically is reported as the degenerate
     "index 1 in fragment" case, not an error.
     """
-    verts = ctx.vertex_order
+    vals = ell.values(ctx)
+    gens = [generator(ctx, v) for v in ctx.vertex_order]
     additive = True
     kills = True
     pairs = 0
-    for u, w in itertools.combinations(verts, 2):
-        xu, xw = generator(ctx, u), generator(ctx, w)
-        prod = mul(ctx, xu, xw)
-        if ell.value_on(ctx, prod).value != (ell.value(u) + ell.value(w)) % ctx.p:
+    for u, w in itertools.combinations(range(ctx.n), 2):
+        prod = mul(ctx, gens[u], gens[w])
+        if ell.value_on(ctx, prod).value != (vals[u] + vals[w]) % ctx.p:
             additive = False
-        if not ell.value_on(ctx, commutator(ctx, xu, xw)).is_zero():
+        if not ell.value_on(ctx, commutator(ctx, gens[u], gens[w])).is_zero():
             kills = False
         pairs += 1
     rng = random.Random(0)
     samples = 0
-    from .group import random_element  # local import keeps module init light
-
     for _ in range(200):
         a = random_element(ctx, rng)
         b = random_element(ctx, rng)
@@ -137,28 +134,21 @@ def verify_index_p(ctx: GroupContext, ell: EdgeFunctional) -> IndexReport:
         if lhs != rhs:
             additive = False
         samples += 1
-    surjective = any(ell.value(v) % ctx.p != 0 for v in verts)
+    surjective = any(val % ctx.p != 0 for val in vals)
+    ok = surjective and additive and kills
     if not surjective:
-        return IndexReport(
-            is_index_p=False,
-            degenerate=True,
-            surjective=False,
-            additive_on_pairs=additive,
-            kills_commutators=kills,
-            pairs_checked=pairs,
-            samples_checked=samples,
-            message="index 1 in fragment: functional vanishes on every vertex",
-        )
-    ok = additive and kills
+        message = "index 1 in fragment: functional vanishes on every vertex"
+    else:
+        message = "kernel certified normal of index p" if ok else "homomorphism certification failed"
     return IndexReport(
         is_index_p=ok,
-        degenerate=False,
-        surjective=True,
+        degenerate=not surjective,
+        surjective=surjective,
         additive_on_pairs=additive,
         kills_commutators=kills,
         pairs_checked=pairs,
         samples_checked=samples,
-        message="kernel certified normal of index p" if ok else "homomorphism certification failed",
+        message=message,
     )
 
 
@@ -184,21 +174,22 @@ def center_of_subgroup_check(ctx: GroupContext, ell: EdgeFunctional, support_bud
     only a composite member catches it).  Enumerates generator cosets of
     support size up to the budget.
     """
-    verts = ctx.vertex_order
+    p = ctx.p
+    vals = ell.values(ctx)
     witnesses = kernel_basis(ell.matrix(ctx))
     checked = 0
     failures: list[str] = []
-    exps = range(1, ctx.p)
+    exps = range(1, p)
     for size in range(1, support_budget + 1):
-        for combo in itertools.combinations(verts, size):
-            values = [ell.value(v) for v in combo]
+        for combo in itertools.combinations(range(ctx.n), size):
+            values = [vals[v] for v in combo]
             for pattern in itertools.product(exps, repeat=size):
-                if sum(c * val for c, val in zip(pattern, values)) % ctx.p != 0:
+                if sum(c * val for c, val in zip(pattern, values)) % p != 0:
                     continue  # not in the subgroup
-                agen = FpVector(ctx.p, dict(zip(combo, pattern)))
+                agen = FpVector.from_reduced(p, dict(zip(combo, pattern)))
                 checked += 1
                 if all(commutator_vector(ctx, agen, w).is_zero() for w in witnesses):
-                    failures.append(format_element(ctx, GroupElement(agen, FpVector.zero(ctx.p))))
+                    failures.append(format_element(ctx, from_vectors(ctx, agen)))
     return CenterCheckResult(ok=not failures, checked=checked, failures=failures)
 
 
@@ -252,7 +243,7 @@ def assess_adequacy(ctx: GroupContext, ell: EdgeFunctional) -> FragmentAdequacy:
     dims: dict[int, int] = {}
     separated = True
     for n in unprovisioned:
-        d = centralizer_dim_in_subgroup(ctx, ell, generator(ctx, Natural(n)))
+        d = commuting_kernel_dim(ctx, [FpVector(ctx.p, {ctx.vindex[Natural(n)]: 1})], ell)
         dims[n] = d
         if d >= DIM_THRESHOLD:
             separated = False

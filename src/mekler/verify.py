@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import random
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .extension import ExtElement, ext_conjugate, ext_identity, ext_inv, ext_mul, ext_pow, in_base_by_power_formula
 from .formulas import BudgetError, down_edge_formula, full_coset_oracle, up_edge_formula
 from .fplinear import kernel_dim
-from .graphs import Natural, build_fragment, check_nice, pair_swap_automorphism
+from .graphs import ConfigError, Natural, build_fragment, check_nice, pair_swap_automorphism
 from .group import (
     GroupContext,
     InducedAutomorphism,
@@ -32,7 +32,6 @@ from .group import (
     pow_,
     random_central,
     random_element,
-    vertex_key,
 )
 from .interpret import build_down_fragment, build_up_fragment, natural_graph, roundtrip
 from .kernels import element_dims, scan_group_bound, scan_subgroup_dichotomy
@@ -72,20 +71,11 @@ class VerifyConfig:
         nats = tuple(sorted(set(self.naturals)))
         edges = tuple(sorted((min(a, b), max(a, b)) for a, b in self.r_edges))
         if len(nats) < 2:
-            raise ValueError("need at least two naturals")
+            raise ConfigError("need at least two naturals")
         for a, b in edges:
             if a == b or a not in nats or b not in nats:
-                raise ValueError(f"edge {a}-{b} is not a pair of configured naturals")
-        return VerifyConfig(
-            p=self.p,
-            seed=self.seed,
-            naturals=nats,
-            r_edges=edges,
-            samples=self.samples,
-            support_budget=self.support_budget,
-            oracle_budget=self.oracle_budget,
-            translates=self.translates,
-        )
+                raise ConfigError(f"edge {a}-{b} is not a pair of configured naturals")
+        return replace(self, naturals=nats, r_edges=edges)
 
 
 @dataclass
@@ -168,7 +158,7 @@ def _defining_relation_checks(res, ctx):
                 ok = (
                     len(c.gen) == 0
                     and len(c.cen) == 1
-                    and c.cen.get((u, w)) in (1, ctx.p - 1)
+                    and c.cen.get(ctx.central_pair(u, w)) in (1, ctx.p - 1)
                 )
                 rev = commutator(ctx, generator(ctx, w), generator(ctx, u))
                 if not ok or mul(ctx, c, rev) != identity(ctx):
@@ -195,7 +185,7 @@ def _centralizer_bound_checks(res, ctx, rng, support_budget):
     for _ in range(20):
         size = rng.randrange(1, min(3, len(verts)) + 1)
         support = rng.sample(verts, size)
-        support.sort(key=vertex_key)
+        support.sort(key=ctx.vindex.__getitem__)
         exps = [1 + rng.randrange(ctx.p - 1) for _ in support]
         a = identity(ctx)
         for v, k in zip(support, exps):
@@ -310,8 +300,9 @@ def _dichotomy_checks(res, ctx, ell, support_budget):
     sample_dims = []
     agree = True
     for n in ctx.graph.naturals()[:2]:
-        d = centralizer_dim_in_subgroup(ctx, ell, generator(ctx, Natural(n)))
-        full = commutation_matrix(ctx, generator(ctx, Natural(n)).gen)  # over all |V| columns
+        x = generator(ctx, Natural(n))
+        d = centralizer_dim_in_subgroup(ctx, ell, x)
+        full = commutation_matrix(ctx, x.gen)  # over all |V| columns
         full.append_row(ell.vector(ctx))
         agree = agree and d == kernel_dim(full)
         sample_dims.append(f"x[n:{n}]:{d}")

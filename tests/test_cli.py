@@ -8,7 +8,7 @@ import pytest
 from mekler.cayley import format_cayley_text, symmetric_group
 from mekler.cli import main
 from mekler import group, kernels, subgroup, verify
-from mekler.graphs import FragmentSpec
+from mekler.graphs import ConfigError, FragmentSpec
 from mekler.group import GroupContext
 from mekler.interpret import build_down_fragment
 from mekler.subgroup import EdgeFunctional
@@ -300,3 +300,56 @@ def test_qprobe_bad_specs(capsys, tmp_path):
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("fault", [ValueError, KeyError])
+def test_internal_error_is_not_a_rejected_configuration(capsys, monkeypatch, fault):
+    """Only ConfigError (with AdequacyError and BudgetError) means exit 2: a
+    plain ValueError or KeyError from the group core propagates instead."""
+
+    def broken(*args):
+        raise fault("fault inside the group core")
+
+    monkeypatch.setattr(verify, "mul", broken)
+    with pytest.raises(fault, match="fault inside the group core"):
+        main(["verify-lemmas", "--budget-samples", "5"])
+    captured = capsys.readouterr()
+    assert "configuration rejected" not in captured.err
+    assert captured.out == ""
+
+
+def test_config_error_from_the_core_exits_2(capsys, monkeypatch):
+    def rejecting(*args):
+        raise ConfigError("rejected inside the group core")
+
+    monkeypatch.setattr(verify, "mul", rejecting)
+    code, out, err = run(capsys, "verify-lemmas", "--budget-samples", "5")
+    assert code == 2 and out == ""
+    assert "configuration rejected: rejected inside the group core" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nice", "--naturals", "0,x"),
+        ("roundtrip", "--r-edges", "0-y"),
+        ("qprobe", "--group", "cyclic:many"),
+        ("verify-lemmas", "--naturals", "0,1,2,3,4,5"),
+        ("verify-lemmas", "--budget-support", "4", "--budget-samples", "5"),
+        ("ext-check", "--naturals", "0,1,2", "--r-edges", "0-3"),
+        ("fragment", "--naturals", "0,1", "--pairs", "0-3"),
+    ],
+)
+def test_rejected_inputs_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "configuration rejected" in err
+
+
+def test_unreadable_and_unwritable_paths_exit_2(capsys, tmp_path):
+    bad = tmp_path / "binary.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "nice", "--json", str(bad))
+    assert code == 2 and "configuration rejected" in err
+    code, _, err = run(capsys, "nice", "--out", str(tmp_path / "missing" / "report.txt"))
+    assert code == 2 and "cannot write" in err

@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 from mekler.fplinear import FpMatrix, FpVector, kernel_basis, kernel_dim
-from mekler.graphs import Gadget, Natural, all_pairs, build_fragment, pair_swap_automorphism, vertex_key
+from mekler.graphs import Gadget, Natural, all_pairs, build_fragment, pair_swap_automorphism
 from mekler.group import (
     CentralizerDim,
     GroupContext,
@@ -55,7 +55,7 @@ def oracle_mul(ctx, x, y):
     p = ctx.p
     word = []
     for src in (x, y):
-        for v in sorted(src.gen.support(), key=vertex_key):
+        for v in sorted(src.gen.support()):
             word.append([v, src.gen.get(v)])
     cen = {}
     for src in (x, y):
@@ -66,10 +66,10 @@ def oracle_mul(ctx, x, y):
         swapped = False
         for i in range(len(word) - 1):
             (s, a), (t, b) = word[i], word[i + 1]
-            if vertex_key(t) < vertex_key(s):
+            if t < s:
                 if ctx.nonadjacent(s, t):
                     # x_s^a x_t^b = x_t^b x_s^a [x_s, x_t]^(a b)
-                    pr = (t, s)
+                    pr = t * ctx.n + s
                     cen[pr] = (cen.get(pr, 0) + a * b) % p
                 word[i], word[i + 1] = [t, b], [s, a]
                 swapped = True
@@ -84,7 +84,7 @@ def oracle_mul(ctx, x, y):
 
 def oracle_inv(ctx, x):
     # (l1 ... lk z)^-1 = z^-1 lk^-1 ... l1^-1, then collect
-    letters = [(v, -x.gen.get(v)) for v in sorted(x.gen.support(), key=vertex_key)]
+    letters = [(v, -x.gen.get(v)) for v in sorted(x.gen.support())]
     acc = GroupElement(FpVector.zero(ctx.p), -x.cen)
     for v, e in reversed(letters):
         acc = oracle_mul(ctx, acc, GroupElement(FpVector(ctx.p, {v: e}), FpVector.zero(ctx.p)))
@@ -142,9 +142,9 @@ def test_defining_relations_frozen():
     x0, x1 = generator(ctx, n0), generator(ctx, n1)
     # z_(u,w) is the commutator of the later generator with the earlier:
     # [x1, x0] = z, so [x0, x1] = z^(p-1) and x1 x0 = x0 x1 z
-    assert commutator(ctx, x1, x0).cen.get((n0, n1)) == 1
-    assert commutator(ctx, x0, x1).cen.get((n0, n1)) == ctx.p - 1
-    assert mul(ctx, x1, x0).cen.get((n0, n1)) == 1
+    assert commutator(ctx, x1, x0).cen.get(ctx.central_pair(n0, n1)) == 1
+    assert commutator(ctx, x0, x1).cen.get(ctx.central_pair(n0, n1)) == ctx.p - 1
+    assert mul(ctx, x1, x0).cen.get(ctx.central_pair(n0, n1)) == 1
     assert mul(ctx, x0, x1).cen.is_zero()
     # adjacent generators commute outright
     hub = Gadget(0, 1, "0")
@@ -170,7 +170,7 @@ def brute_centralizer_count(ctx, a):
     verts = ctx.vertex_order
     count = 0
     for exps in itertools.product(range(ctx.p), repeat=len(verts)):
-        bgen = FpVector(ctx.p, {v: e for v, e in zip(verts, exps) if e})
+        bgen = FpVector(ctx.p, {i: e for i, e in enumerate(exps) if e})
         if commutator_vector(ctx, a.gen, bgen).is_zero():
             count += 1
     return count
@@ -209,7 +209,7 @@ def test_support_local_engine_matches_full_columns(r_edges):
     ell = EdgeFunctional.from_edges(r_edges)
     verts = ctx.vertex_order
     cosets = [
-        FpVector(ctx.p, {v: c for v, c in zip(verts, pattern) if c})
+        FpVector(ctx.p, {i: c for i, c in enumerate(pattern) if c})
         for pattern in itertools.product(range(ctx.p), repeat=len(verts))
     ]
     assert len(cosets) == 3**7
@@ -217,7 +217,7 @@ def test_support_local_engine_matches_full_columns(r_edges):
 
     def full_columns(family, functional=None):
         extra = [functional.vector(ctx)] if functional else []
-        return FpMatrix(ctx.p, verts, [r for agen in family for r in rows[agen]] + extra)
+        return FpMatrix(ctx.p, range(len(verts)), [r for agen in family for r in rows[agen]] + extra)
 
     for agen in cosets:
         assert commuting_kernel_dim(ctx, [agen]) == kernel_dim(full_columns([agen]))
@@ -234,7 +234,7 @@ def test_vertex_like_predicates():
     ctx = ctx7()
     a = mul(ctx, generator(ctx, Natural(1), 2), central_generator(ctx, Natural(0), Natural(1)))
     assert is_vertex_like(a)
-    assert vertex_like_parts(a) == (Natural(1), 2)
+    assert vertex_like_parts(a) == (ctx.vindex[Natural(1)], 2)
     assert is_natural_vertex_like(ctx, a)
     pent = generator(ctx, Gadget(0, 1, "1.5"))
     assert is_vertex_like(pent) and not is_natural_vertex_like(ctx, pent)
@@ -326,10 +326,10 @@ def test_induced_automorphism_rejects_non_automorphism():
 def test_apply_coset_and_moves_coset():
     ctx = ctx18(3)
     aut = InducedAutomorphism(ctx, pair_swap_automorphism(ctx.graph, [(0, 1)]))
-    moved = FpVector(3, {Gadget(0, 1, "1"): 1})
-    assert aut.apply_coset(moved) == FpVector(3, {Gadget(0, 1, "1.75"): 1})
+    moved = FpVector(3, {ctx.vindex[Gadget(0, 1, "1")]: 1})
+    assert aut.apply_coset(moved) == FpVector(3, {ctx.vindex[Gadget(0, 1, "1.75")]: 1})
     assert aut.moves_coset(moved)
-    assert not aut.moves_coset(FpVector(3, {Natural(0): 2}))
+    assert not aut.moves_coset(FpVector(3, {ctx.vindex[Natural(0)]: 2}))
 
 
 def test_context_validation_and_niceness_warning():
@@ -344,8 +344,8 @@ def test_context_validation_and_niceness_warning():
         warnings.simplefilter("error")
         GroupContext(g7, 3, warn_not_nice=False)
         ctx = ctx18(3)  # nice graph: no warning either
-    assert len(ctx.central_basis) == sum(
-        1 for u, w in itertools.combinations(ctx.graph.vertices, 2) if ctx.nonadjacent(u, w)
+    assert ctx.ncentral == sum(
+        1 for u, w in itertools.combinations(ctx.graph.vertices, 2) if ctx.nonadjacent(ctx.vindex[u], ctx.vindex[w])
     )
 
 
@@ -364,6 +364,57 @@ def test_all_vertex_like_cosets():
     ctx = ctx7(3)
     cosets = all_vertex_like_cosets(ctx)
     assert len(cosets) == 7 * 2
-    assert cosets[0] == FpVector(3, {Natural(0): 1})
-    assert cosets[1] == FpVector(3, {Natural(0): 2})
+    assert cosets[0] == FpVector(3, {ctx.vindex[Natural(0)]: 1})
+    assert cosets[1] == FpVector(3, {ctx.vindex[Natural(0)]: 2})
     assert len(set(cosets)) == len(cosets)
+
+
+def old_pair_enumeration(ctx):
+    """The central basis as it used to be listed up front: (u, w) for u < w
+    in vertex order with w not adjacent to u."""
+    verts = ctx.vertex_order
+    return [(u, w) for i, u in enumerate(verts) for w in verts[i + 1 :] if w not in ctx.graph.adjacency[u]]
+
+
+def planted_edge_ctx():
+    # a hub-pentagon chord: one central coordinate fewer than the clean fragment
+    frag = build_fragment([0, 1], [(0, 1)], extra_edges=[(Gadget(0, 1, "0"), Gadget(0, 1, "1.25"))])
+    return GroupContext(frag, 3, warn_not_nice=False)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [ctx7, lambda: ctx18(3), lambda: ctx18(5), planted_edge_ctx],
+    ids=["ctx7", "ctx18-p3", "ctx18-p5", "planted-edge"],
+)
+def test_central_unranking_matches_the_old_pair_enumeration(make):
+    ctx = make()
+    verts, n, p = ctx.vertex_order, len(ctx.vertex_order), ctx.p
+    pairs = old_pair_enumeration(ctx)
+    assert ctx.ncentral == len(pairs)
+    unranked = [ctx.central_key_at(k) for k in range(ctx.ncentral)]
+    assert [(verts[key // n], verts[key % n]) for key in unranked] == pairs
+    assert unranked == [ctx.vindex[u] * n + ctx.vindex[w] for u, w in pairs]
+    for k in (-1, len(pairs)):
+        with pytest.raises(IndexError):
+            ctx.central_key_at(k)
+
+    def as_pairs(a):
+        return {verts[i]: c for i, c in a.gen.items()}, {(verts[k // n], verts[k % n]): c for k, c in a.cen.items()}
+
+    # seeded draws pick the same pairs as indexing the old list with the same RNG calls
+    for seed in range(4):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(25):
+            picks = oracle.sample(range(n), oracle.randint(0, min(4, n)))
+            gen = {verts[i]: oracle.randint(1, p - 1) for i in picks}
+            cen = {}
+            for _ in range(oracle.randint(0, 2)):
+                pr = pairs[oracle.randrange(len(pairs))]
+                cen[pr] = oracle.randint(1, p - 1)
+            assert as_pairs(random_element(ctx, rng)) == (gen, cen)
+            cen = {}
+            for _ in range(oracle.randint(0, 3)):
+                pr = pairs[oracle.randrange(len(pairs))]
+                cen[pr] = oracle.randint(1, p - 1)
+            assert as_pairs(random_central(ctx, rng)) == ({}, cen)

@@ -5,6 +5,9 @@ import warnings
 
 import pytest
 
+from mekler import interpret
+from mekler.cli import main as cli_main
+from mekler.formulas import FormulaTrace
 from mekler.graphs import Natural, build_fragment, pair_swap_automorphism
 from mekler.group import (
     GroupContext,
@@ -17,6 +20,7 @@ from mekler.group import (
 )
 from mekler.interpret import (
     MAX_TESTED_DOWN,
+    InternalFault,
     RoundTripResult,
     build_down_fragment,
     build_up_fragment,
@@ -173,3 +177,24 @@ def test_roundtrip_input_validation():
     frag = build_fragment([0, 1], [(0, 1)])
     with pytest.raises(ValueError):
         roundtrip(frag)  # gadget vertices are not a plain natural graph
+
+
+def test_representative_dependent_edge_verdict_is_an_internal_fault(monkeypatch):
+    """The edge formula is about cosets, so verdicts that change with the
+    chosen representatives are a library fault, raised as InternalFault:
+    not an AssertionError (python -O keeps it) and not a ValueError (the
+    command line never reads it as rejected input)."""
+    calls = []
+
+    def flipping(ctx, aut, x, y):
+        calls.append((x, y))
+        return FormulaTrace(len(calls) % 2 == 1, "VertexLikeEnumeration")
+
+    monkeypatch.setattr(interpret, "up_edge_formula", flipping)
+    with pytest.raises(InternalFault, match="depends on the chosen representatives"):
+        roundtrip(natural_graph([0, 1, 2], [(0, 1)]), pipeline="up")
+    assert len(calls) == 2  # the first label pair, both translates
+    assert issubclass(InternalFault, RuntimeError)
+    assert not issubclass(InternalFault, (AssertionError, ValueError))
+    with pytest.raises(InternalFault):
+        cli_main(["roundtrip", "--naturals", "0,1,2", "--pipeline", "up"])

@@ -73,14 +73,14 @@ def test_element_dims_against_brute_force():
             (("empty", []), ("r01", [(0, 1)]))}
     all_cosets = []
     for pattern in itertools.product(range(p), repeat=len(verts)):
-        gen = FpVector(p, {v: c for v, c in zip(verts, pattern) if c})
+        gen = FpVector(p, {i: c for i, c in enumerate(pattern) if c})
         flags = {name: sum(c * ell.value(v) for v, c in zip(verts, pattern)) % p == 0
                  for name, ell in ells.items()}
         all_cosets.append((gen, flags))
     for size in (1, 2, 3):
         for sup in itertools.combinations(verts, size):
             for exps in itertools.product(range(1, p), repeat=size):
-                agen = FpVector(p, dict(zip(sup, exps)))
+                agen = FpVector(p, dict(zip((ctx.vindex[v] for v in sup), exps)))
                 commuting = [flags for gen, flags in all_cosets
                              if commutator_vector(ctx, agen, gen).is_zero()]
                 dim_free, dim_free_sub, always = element_dims(ctx, None, sup, exps)
@@ -103,7 +103,7 @@ def test_element_dims_against_generic_eliminator():
     for size in (1, 2, 3):
         for sup in itertools.combinations(verts[::2], size):
             for exps in itertools.product((1, 2), repeat=size):
-                a = from_vectors(ctx, FpVector(3, dict(zip(sup, exps))))
+                a = from_vectors(ctx, FpVector(3, dict(zip((ctx.vindex[v] for v in sup), exps))))
                 full = commutation_matrix(ctx, a.gen)
                 dim_g, dim_s, member = element_dims(ctx, ell, sup, exps)
                 assert dim_g == centralizer_dim_mod_center(ctx, a).dim == kernel_dim(full)

@@ -39,7 +39,7 @@ def ctx7(p=3):
 def all_gen_vectors(ctx):
     verts = ctx.vertex_order
     for exps in itertools.product(range(ctx.p), repeat=len(verts)):
-        yield FpVector(ctx.p, {v: e for v, e in zip(verts, exps) if e})
+        yield FpVector(ctx.p, {i: e for i, e in enumerate(exps) if e})
 
 
 def test_edge_functional_vertex_values():
