@@ -10,7 +10,7 @@ the graph back from group-theoretic queries alone.  A side probe treats
 root counting and coset covering in finite groups given by Cayley tables.
 """
 
-from .fplinear import FpScalar, FpVector, FpMatrix, kernel_basis
+from .fplinear import FpVector, FpMatrix
 from .graphs import (
     ConfigError,
     Natural,
@@ -28,7 +28,6 @@ from .graphs import (
 from .group import (
     GroupContext,
     GroupElement,
-    CentralizerDim,
     InducedAutomorphism,
     mul,
     inv,
@@ -80,7 +79,6 @@ from .interpret import (
     InternalFault,
     RecoveredGraph,
     RoundTripResult,
-    power_equivalent,
     natural_graph,
     build_up_fragment,
     build_down_fragment,

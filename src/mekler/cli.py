@@ -217,11 +217,11 @@ def cmd_ext_check(args) -> int:
 
     naturals = _parse_naturals(args.naturals)
     edges = _parse_edges(args.r_edges)
+    cfg = VerifyConfig(p=args.p, seed=args.seed, naturals=tuple(naturals), r_edges=tuple(edges), samples=args.samples)
+    res = SuiteResult(config=cfg.normalized())
     frag = build_fragment(naturals, all_pairs(naturals))
     ctx = GroupContext(frag, args.p)
     aut = InducedAutomorphism(ctx, pair_swap_automorphism(frag, edges))
-    cfg = VerifyConfig(p=args.p, seed=args.seed, naturals=tuple(naturals), r_edges=tuple(edges))
-    res = SuiteResult(config=cfg.normalized())
     _extension_checks(res, ctx, aut, random.Random(args.seed), args.samples)
     _emit(args, "\n".join(c.line() for c in res.checks) + "\n")
     return 0 if res.ok else 1

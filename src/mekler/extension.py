@@ -10,11 +10,9 @@ base and keeps its flip, so its p-th power (p odd) still flips.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .graphs import ConfigError
-from .group import GroupContext, GroupElement, InducedAutomorphism, format_element, identity, inv, mul, parse_element
+from .group import GroupContext, GroupElement, InducedAutomorphism, identity, inv, mul
 
 
 @dataclass(frozen=True)
@@ -64,17 +62,3 @@ def in_base_by_power_formula(ctx: GroupContext, aut: InducedAutomorphism, a: Ext
     """Membership in the base group, decided by the definable condition
     a^p = identity rather than by reading the eps coordinate."""
     return ext_pow(ctx, aut, a, ctx.p) == ext_identity(ctx)
-
-
-def format_ext(ctx: GroupContext, a: ExtElement) -> str:
-    return f"({format_element(ctx, a.h)}, {a.eps})"
-
-
-_EXT_RE = re.compile(r"\((.*),\s*([-+]?\d{1,4000})\s*\)")
-
-
-def parse_ext(ctx: GroupContext, text: str) -> ExtElement:
-    m = _EXT_RE.fullmatch(text.strip())
-    if not m:
-        raise ConfigError(f"cannot parse extension element {text!r}")
-    return ExtElement(parse_element(ctx, m.group(1).strip()), int(m.group(2)))

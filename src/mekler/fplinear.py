@@ -9,7 +9,6 @@ works on index-keyed rows, from a matrix or straight from a caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Iterable, ItemsView, Mapping, Sequence
 
 
@@ -27,31 +26,6 @@ def is_odd_prime(p: int) -> bool:
 def _check_same_p(a, b) -> None:
     if a.p != b.p:
         raise ValueError(f"modulus mismatch: {a.p} vs {b.p}")
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """A boxed residue mod p, for API surfaces that hand back a bare value."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def __add__(self, other: "FpScalar") -> "FpScalar":
-        _check_same_p(self, other)
-        return FpScalar(self.value + other.value, self.p)
-
-    def __neg__(self) -> "FpScalar":
-        return FpScalar(-self.value, self.p)
-
-    def __mul__(self, other: "FpScalar") -> "FpScalar":
-        _check_same_p(self, other)
-        return FpScalar(self.value * other.value, self.p)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
 
 
 class FpVector:
@@ -88,10 +62,6 @@ class FpVector:
         vec._entries = entries
         vec._hash = None
         return vec
-
-    @classmethod
-    def basis(cls, p: int, key: Hashable, value: int = 1) -> "FpVector":
-        return cls(p, {key: value})
 
     def get(self, key: Hashable) -> int:
         return self._entries.get(key, 0)
@@ -181,7 +151,7 @@ class FpMatrix:
         return [{ci[k]: v for k, v in r.items()} for r in self.rows]
 
 
-def rref_indexed(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+def rref_indexed(rows: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
     """Incremental reduced row echelon form on index-keyed sparse rows.
 
     Returns {pivot column index: normalized row} with every pivot column
@@ -226,7 +196,7 @@ def rank(m: FpMatrix) -> int:
     return len(rref_indexed(m._indexed_rows(), m.p))
 
 
-def kernel_basis_indexed(rows: list[dict[int, int]], ncols: int, p: int) -> list[dict[int, int]]:
+def kernel_basis_indexed(rows: Iterable[dict[int, int]], ncols: int, p: int) -> list[dict[int, int]]:
     """Kernel of index-keyed rows over columns 0..ncols-1 as its reduced
     echelon basis, by pivot column; that basis is unique to the subspace."""
     pivots = rref_indexed(rows, p)
@@ -249,7 +219,8 @@ def kernel_basis(m: FpMatrix) -> list[FpVector]:
     """Basis of {x : m @ x = 0}, in reduced echelon form over m.columns.
 
     Dimension is len(m.columns) - rank(m); an all-zero matrix yields the
-    full standard basis.
+    full standard basis.  The library does not call it: it is the tests'
+    full-column oracle for the commuting-kernel engine.
     """
     return [
         FpVector(m.p, {m.columns[i]: v for i, v in vec.items()})

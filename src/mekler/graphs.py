@@ -20,6 +20,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .fplinear import is_odd_prime
+
 LEVELS = ("0", "1", "1.25", "1.5", "1.75")
 
 
@@ -314,6 +316,10 @@ class FragmentSpec:
     gadget_pairs: tuple[tuple[int, int], ...] = ()
     extra_edges: tuple[tuple[str, str], ...] = ()
     p: int | None = None
+
+    def __post_init__(self):
+        if self.p is not None and not is_odd_prime(self.p):
+            raise ConfigError(f"p must be an odd prime, got {self.p}")
 
     def build(self) -> Graph:
         extra = [(decode_vertex(u), decode_vertex(v)) for u, v in self.extra_edges]

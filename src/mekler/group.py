@@ -17,18 +17,21 @@ central basis in its (u, w) order; adjacency is one int bitmask per vertex.
 Natural/Gadget vertices appear only at the boundary: generator and
 central_generator arguments and the element text form.
 
-Centralizer dimensions, common kernels and their witness bases all come
-from one support-local engine (commuting_kernel_dim, commuting_kernel_basis);
-commutation_matrix builds the same system over all columns as its oracle.
+Centralizer dimensions, common kernels, their witness bases and the
+kernel subgroup's center all come from one support-local engine
+(commuting_kernel_dim, commuting_kernel_basis), whose rows commuting_rows
+builds per coset from that coset's own support; commutation_matrix builds
+the same system over all columns as its oracle.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .fplinear import FpMatrix, FpVector, is_odd_prime, kernel_basis_indexed, rref_indexed
 from .graphs import (
@@ -237,28 +240,34 @@ def is_natural_vertex_like(ctx: GroupContext, a: GroupElement) -> bool:
     return host_degree(ctx.vertex_order[v])[0]
 
 
-class CentralizerDim(NamedTuple):
-    dim: int
-    central_input: bool
+def commuting_rows(family: Sequence[dict[int, int]], nonadj: Mapping[int, int], p: int) -> Iterator[dict[int, int]]:
+    """Index-keyed rows b |-> a_s b_t - a_t b_s of lambda(a, -), one for
+    each coset a (column index -> reduced exponent) and each non-adjacent
+    pair {s, t} with s in supp(a); nonadj[s] is the bitmask of the columns
+    not adjacent to s.  A t outside supp(a) gives the single-entry row
+    a_s b_t.  Rows are generated, not listed: a family whose support is all
+    of V has tens of thousands."""
+    for a in family:
+        for s, cs in a.items():
+            mask = nonadj[s]
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                t = low.bit_length() - 1
+                ct = a.get(t)
+                if ct is None:
+                    yield {t: cs}
+                elif s < t:  # the pair {s, t} is met once, from its smaller end
+                    yield {t: cs, s: -ct % p}
 
 
-def commuting_rows(pairs: Iterable[tuple[int, int]], family: Sequence[dict[int, int]], p: int) -> list[dict[int, int]]:
-    """Index-keyed rows b |-> a_w b_u - a_u b_w of lambda(a, -) on non-adjacent
-    column pairs (u, w), for each coset a (column index -> reduced exponent)."""
-    rows = []
-    for u, w in pairs:
-        for a in family:
-            row = {k: c for k, c in ((u, a.get(w, 0)), (w, -a.get(u, 0) % p)) if c}
-            if row:
-                rows.append(row)
-    return rows
-
-
-def _local_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tuple[list[int], list[dict[int, int]]]:
+def _local_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tuple[list[int], Iterable[dict[int, int]]]:
     """The commuting system on the columns that can be nonzero in its kernel:
     the family's support S and the common neighbours of S, in vertex order.
     Any other column t is non-adjacent to some s in S, where a member with
-    a_s != 0 gives the single-entry row -a_s b_t, so b_t = 0."""
+    a_s != 0 gives the single-entry row a_s b_t, so b_t = 0.  Common
+    neighbours are adjacent to all of S, so only columns of S start or meet
+    a row."""
     p, adj = ctx.p, ctx.adj
     sup = sorted(set().union(*(a.support() for a in family)))
     common = (1 << ctx.n) - 1
@@ -266,11 +275,11 @@ def _local_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tup
         common &= adj[s]
     cols = sorted({*sup, *(t for t in range(ctx.n) if (common >> t) & 1)})
     local = {v: i for i, v in enumerate(cols)}
-    pairs = [(local[u], local[w]) for i, u in enumerate(sup) for w in sup[i + 1 :] if not (adj[u] >> w) & 1]
-    rows = commuting_rows(pairs, [{local[v]: c for v, c in a.items()} for a in family], p)
+    nonadj = {local[s]: sum(1 << local[t] for t in sup if t != s and not (adj[s] >> t) & 1) for s in sup}
+    rows = commuting_rows([{local[v]: c for v, c in a.items()} for a in family], nonadj, p)
     if functional is not None:
         verts = ctx.vertex_order
-        rows.append({i: c for i, v in enumerate(cols) if (c := functional.value(verts[v]) % p)})
+        rows = itertools.chain(rows, [{i: c for i, v in enumerate(cols) if (c := functional.value(verts[v]) % p)}])
     return cols, rows
 
 
@@ -310,13 +319,10 @@ def commutation_matrix(ctx: GroupContext, agen: FpVector) -> FpMatrix:
     return FpMatrix(p, range(ctx.n), rows)
 
 
-def centralizer_dim_mod_center(ctx: GroupContext, a: GroupElement) -> CentralizerDim:
-    """dim of {b mod Z : [a, b] = e}, as the kernel of b |-> lambda(a, b).
-
-    A central input centralizes everything: the full dimension |V|, with
-    the flag set.
-    """
-    return CentralizerDim(commuting_kernel_dim(ctx, [a.gen]), is_central(a))
+def centralizer_dim_mod_center(ctx: GroupContext, a: GroupElement) -> int:
+    """dim of {b mod Z : [a, b] = e}, as the kernel of b |-> lambda(a, b);
+    a central input centralizes everything, dimension |V|."""
+    return commuting_kernel_dim(ctx, [a.gen])
 
 
 class InducedAutomorphism:
@@ -418,18 +424,12 @@ def parse_element(ctx: GroupContext, text: str) -> GroupElement:
 # --- sampling ----------------------------------------------------------------
 
 
-def random_element(
-    ctx: GroupContext,
-    rng,
-    max_support: int = 4,
-    max_central: int = 2,
-    allow_central_part: bool = True,
-) -> GroupElement:
-    """Random normal-form element with small support, for law suites."""
+def random_element(ctx: GroupContext, rng, max_support: int = 4) -> GroupElement:
+    """Random normal-form element with small support and at most two
+    central terms, for law suites."""
     k = rng.randint(0, min(max_support, ctx.n))
     gen = {i: rng.randint(1, ctx.p - 1) for i in rng.sample(range(ctx.n), k)}
-    cen = random_central(ctx, rng, max_central).cen if allow_central_part else FpVector.zero(ctx.p)
-    return GroupElement(FpVector.from_reduced(ctx.p, gen), cen)
+    return GroupElement(FpVector.from_reduced(ctx.p, gen), random_central(ctx, rng, 2).cen)
 
 
 def random_central(ctx: GroupContext, rng, max_terms: int = 3) -> GroupElement:
@@ -438,8 +438,3 @@ def random_central(ctx: GroupContext, rng, max_terms: int = 3) -> GroupElement:
         key = ctx.central_key_at(rng.randrange(ctx.ncentral))  # draw the pair before its exponent
         cen[key] = rng.randint(1, ctx.p - 1)
     return GroupElement(FpVector.zero(ctx.p), FpVector.from_reduced(ctx.p, cen))
-
-
-def all_vertex_like_cosets(ctx: GroupContext) -> list[FpVector]:
-    """Every coset x_v^alpha mod Z, in (vertex order, exponent) order."""
-    return [FpVector.from_reduced(ctx.p, {v: a}) for v in range(ctx.n) for a in range(1, ctx.p)]

@@ -21,14 +21,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .formulas import FormulaTrace, down_edge_formula, up_edge_formula
+from .formulas import FormulaTrace, down_edge_formula, power_separated, up_edge_formula
 from .graphs import ConfigError, Graph, Natural, all_pairs, build_fragment, pair_swap_automorphism
 from .group import (
     GroupContext,
     GroupElement,
     InducedAutomorphism,
     generator,
-    is_central,
     is_natural_vertex_like,
     mul,
     pow_,
@@ -51,17 +50,6 @@ MAX_TESTED_DOWN = 5
 class InternalFault(RuntimeError):
     """A recovery pipeline contradicted itself: a fault in this library,
     never a verdict on the input graph."""
-
-
-def power_equivalent(ctx: GroupContext, a: GroupElement, b: GroupElement) -> bool:
-    """b lies in <a> modulo the center (and symmetrically): the two elements
-    name the same recovered vertex."""
-    if is_central(a) or is_central(b):
-        return is_central(a) and is_central(b)
-    for k in range(1, ctx.p):
-        if b.gen == k * a.gen:
-            return True
-    return False
 
 
 def natural_graph(naturals: list[int], edges: list[tuple[int, int]]) -> Graph:
@@ -99,7 +87,7 @@ def _partition_by_power(ctx: GroupContext, elements: list[GroupElement]) -> list
     classes: list[list[GroupElement]] = []
     for a in elements:
         for cls in classes:
-            if power_equivalent(ctx, a, cls[0]):
+            if not power_separated(ctx, a, cls[0]):
                 cls.append(a)
                 break
         else:
@@ -214,13 +202,13 @@ def build_up_fragment(naturals: list[int]) -> Graph:
     return build_fragment(naturals, all_pairs(naturals))
 
 
-def build_down_fragment(tested: list[int], aux_count: int = PROVISION_PARTNERS) -> Graph:
+def build_down_fragment(tested: list[int]) -> Graph:
     """Host fragment for the subgroup pipeline.
 
     Each tested natural is gadgeted with every other tested natural and with
-    aux_count fresh helpers, so tested naturals are provisioned.  Helpers are
-    gadgeted only with tested ones; their dimension equals len(tested), so
-    the threshold can separate only when len(tested) <= 5.
+    PROVISION_PARTNERS fresh helpers, so tested naturals are provisioned.
+    Helpers are gadgeted only with tested ones; their dimension equals
+    len(tested), so the threshold can separate only when len(tested) <= 5.
     """
     if not tested:
         raise ConfigError("need at least one tested natural")
@@ -229,7 +217,7 @@ def build_down_fragment(tested: list[int], aux_count: int = PROVISION_PARTNERS) 
             f"down recovery separates at most {MAX_TESTED_DOWN} tested naturals; "
             f"helper naturals would reach the dimension threshold with {len(tested)}"
         )
-    aux = [max(tested) + 1 + i for i in range(aux_count)]
+    aux = [max(tested) + 1 + i for i in range(PROVISION_PARTNERS)]
     pairs = list(all_pairs(tested)) + [(t, a) for t in tested for a in aux]
     return build_fragment(list(tested) + aux, pairs)
 

@@ -142,9 +142,13 @@ def _rank_tables(p: int, size: int):
     rank_b = np.zeros((1 << nbits, len(pats)), dtype=np.int64)
     rank_bl = np.zeros((1 << nbits, len(pats), 1 << size), dtype=np.int64)
     for na in range(1 << nbits):
-        nonadj = [pr for t, pr in enumerate(pairs) if (na >> (nbits - 1 - t)) & 1]
+        nonadj = dict.fromkeys(range(size), 0)  # per-column non-adjacency bitmasks of the pattern
+        for t, (u, w) in enumerate(pairs):
+            if (na >> (nbits - 1 - t)) & 1:
+                nonadj[u] |= 1 << w
+                nonadj[w] |= 1 << u
         for ci, exps in enumerate(pats):
-            rows = commuting_rows(nonadj, [dict(enumerate(exps))], p)
+            rows = list(commuting_rows([dict(enumerate(exps))], nonadj, p))
             rank_b[na, ci] = len(rref_indexed(rows, p))
             for lp, lrow in enumerate(ell_rows):
                 rank_bl[na, ci, lp] = len(rref_indexed(rows + [lrow], p))

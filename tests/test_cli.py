@@ -1,10 +1,14 @@
 """Command line behavior: exit codes, output formats, file round trips."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import mekler
 from mekler.cayley import format_cayley_text, symmetric_group
 from mekler.cli import main
 from mekler import group, kernels, subgroup, verify
@@ -214,6 +218,34 @@ def test_fragment_writes_loadable_json(capsys, tmp_path):
     assert json.loads(out)["vertices"] == 18
 
 
+def test_fragment_rejects_a_prime_that_is_not_odd(capsys, tmp_path):
+    spec_path = tmp_path / "frag.json"
+    code, out, err = run(capsys, "fragment", "--p", "4", "--out", str(spec_path))
+    assert code == 2 and out == ""
+    assert "configuration rejected: p must be an odd prime, got 4" in err
+    assert not spec_path.exists()
+
+
+def test_verify_lemmas_report_is_the_same_under_python_O():
+    """No invariant relies on assert: with asserts stripped, the default
+    suite still passes and prints the same bytes."""
+    src = os.path.dirname(os.path.dirname(mekler.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "mekler.cli", "verify-lemmas", "--format", "structured"],
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        for flags in ([], ["-O"])
+    ]
+    for r in runs:
+        assert r.returncode == 0, r.stderr.decode()
+    assert runs[1].stdout == runs[0].stdout
+    assert json.loads(runs[1].stdout)["ok"] is True
+
+
 def test_fragment_structured(capsys):
     code, out, _ = run(
         capsys, "fragment", "--naturals", "0,1,2", "--pairs", "0-1", "--format", "structured"
@@ -338,6 +370,8 @@ def test_config_error_from_the_core_exits_2(capsys, monkeypatch):
         ("verify-lemmas", "--budget-support", "4", "--budget-samples", "5"),
         ("ext-check", "--naturals", "0,1,2", "--r-edges", "0-3"),
         ("fragment", "--naturals", "0,1", "--pairs", "0-3"),
+        ("verify-lemmas", "--budget-samples", "0"),
+        ("ext-check", "--samples", "-1"),
     ],
 )
 def test_rejected_inputs_exit_2(capsys, argv):

@@ -11,9 +11,7 @@ from mekler.extension import (
     ext_inv,
     ext_mul,
     ext_pow,
-    format_ext,
     in_base_by_power_formula,
-    parse_ext,
 )
 from mekler.graphs import Natural, all_pairs, build_fragment, pair_swap_automorphism
 from mekler.group import (
@@ -114,18 +112,6 @@ def test_conjugation_preserves_base_membership():
         a = random_ext(ctx, rng)
         conj = ext_conjugate(ctx, aut, t, a)
         assert in_base_by_power_formula(ctx, aut, conj) == in_base_by_power_formula(ctx, aut, a)
-
-
-def test_format_parse_ext_round_trip():
-    ctx, aut = make_ctx()
-    rng = random.Random(11)
-    for _ in range(25):
-        a = random_ext(ctx, rng)
-        assert parse_ext(ctx, format_ext(ctx, a)) == a
-    assert format_ext(ctx, ext_identity(ctx)) == "(e, 0)"
-    assert parse_ext(ctx, "(e, 1)") == ExtElement(identity(ctx), 1)
-    with pytest.raises(ValueError):
-        parse_ext(ctx, "x[n:0]^1")
 
 
 def test_extension_requires_an_involution():

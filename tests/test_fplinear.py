@@ -7,7 +7,6 @@ import pytest
 
 from mekler.fplinear import (
     FpMatrix,
-    FpScalar,
     FpVector,
     is_odd_prime,
     kernel_basis,
@@ -42,22 +41,6 @@ def test_is_odd_prime():
         assert not is_odd_prime(bad)
 
 
-def test_scalar_arithmetic_exhaustive():
-    p = 5
-    for a in range(p):
-        for b in range(p):
-            assert (FpScalar(a, p) + FpScalar(b, p)).value == (a + b) % p
-            assert (FpScalar(a, p) * FpScalar(b, p)).value == (a * b) % p
-        assert (-FpScalar(a, p)).value == (-a) % p
-    assert FpScalar(0, 5).is_zero()
-    assert not FpScalar(3, 5).is_zero()
-
-
-def test_scalar_normalizes_value():
-    assert FpScalar(7, 3).value == 1
-    assert FpScalar(-1, 3).value == 2
-
-
 def test_vector_basic_ops():
     p = 3
     v = FpVector(p, {"a": 1, "b": 2})
@@ -72,7 +55,6 @@ def test_vector_basic_ops():
     assert v.scale(3).is_zero()
     assert len(v) == 2
     assert FpVector.zero(p).is_zero()
-    assert FpVector.basis(p, "x").get("x") == 1
 
 
 def test_vector_drops_zero_entries():

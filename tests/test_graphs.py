@@ -9,6 +9,7 @@ import itertools
 import pytest
 
 from mekler.graphs import (
+    ConfigError,
     FragmentSpec,
     Gadget,
     Graph,
@@ -274,6 +275,15 @@ def test_fragment_spec_optional_p_and_errors():
         FragmentSpec.from_json("[1, 2]")
     with pytest.raises(ValueError):
         FragmentSpec.from_json('{"gadget_pairs": []}')
+
+
+def test_fragment_spec_rejects_a_prime_that_is_not_odd():
+    for bad in (4, 2, 1, 0, -3, 9):
+        with pytest.raises(ConfigError, match="odd prime"):
+            FragmentSpec(naturals=(0, 1), p=bad)
+        with pytest.raises(ConfigError, match="odd prime"):
+            FragmentSpec.from_json(f'{{"naturals": [0, 1], "p": {bad}}}')
+    assert FragmentSpec.from_json('{"naturals": [0, 1], "p": 7}').p == 7
 
 
 def test_all_pairs():

@@ -12,11 +12,8 @@ from mekler.graphs import Natural, build_fragment, pair_swap_automorphism
 from mekler.group import (
     GroupContext,
     InducedAutomorphism,
-    central_generator,
     generator,
-    identity,
     mul,
-    pow_,
 )
 from mekler.interpret import (
     MAX_TESTED_DOWN,
@@ -25,26 +22,11 @@ from mekler.interpret import (
     build_down_fragment,
     build_up_fragment,
     natural_graph,
-    power_equivalent,
     recover_graph_down,
     recover_graph_up,
     roundtrip,
 )
 from mekler.subgroup import PROVISION_PARTNERS, AdequacyError, EdgeFunctional
-
-
-def test_power_equivalent():
-    ctx = GroupContext(build_fragment([0, 1], [(0, 1)]), 3, warn_not_nice=False)
-    x0, x1 = generator(ctx, Natural(0)), generator(ctx, Natural(1))
-    z = central_generator(ctx, Natural(0), Natural(1))
-    assert power_equivalent(ctx, x0, pow_(ctx, x0, 2))
-    assert power_equivalent(ctx, x0, mul(ctx, x0, z))
-    assert not power_equivalent(ctx, x0, x1)
-    assert power_equivalent(ctx, z, identity(ctx))
-    assert not power_equivalent(ctx, z, x0)
-    assert not power_equivalent(ctx, x0, z)
-    # products of distinct generators are their own class
-    assert not power_equivalent(ctx, x0, mul(ctx, x0, x1))
 
 
 def test_natural_graph_shape():

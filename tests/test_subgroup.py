@@ -5,16 +5,19 @@ import random
 
 import pytest
 
-from mekler.fplinear import FpVector
+from mekler.fplinear import FpMatrix, FpVector, kernel_basis
 from mekler.graphs import Gadget, Natural, all_pairs, build_fragment
 from mekler.group import (
     GroupContext,
     GroupElement,
     central_generator,
     commutator_vector,
+    commuting_kernel_basis,
+    from_vectors,
     generator,
     identity,
     mul,
+    parse_element,
     random_element,
 )
 from mekler.interpret import build_down_fragment
@@ -52,7 +55,6 @@ def test_edge_functional_vertex_values():
     for lev in ("1", "1.25", "1.5", "1.75"):
         assert ell.value(Gadget(0, 1, lev)) == 1
         assert ell.value(Gadget(0, 2, lev)) == 1
-    assert ell.sorted_edges() == ((0, 1),)
     with pytest.raises(ValueError):
         EdgeFunctional.from_edges([(2, 2)])
 
@@ -64,12 +66,12 @@ def test_value_on_is_additive():
     for _ in range(40):
         a = random_element(ctx, rng)
         b = random_element(ctx, rng)
-        lhs = ell.value_on(ctx, mul(ctx, a, b)).value
-        assert lhs == (ell.value_on(ctx, a).value + ell.value_on(ctx, b).value) % ctx.p
+        lhs = ell.value_on(ctx, mul(ctx, a, b))
+        assert lhs == (ell.value_on(ctx, a) + ell.value_on(ctx, b)) % ctx.p
     # central parts contribute nothing
     z = central_generator(ctx, Natural(0), Natural(1))
     a = generator(ctx, Gadget(0, 1, "1"))
-    assert ell.value_on(ctx, mul(ctx, a, z)).value == ell.value_on(ctx, a).value == 1
+    assert ell.value_on(ctx, mul(ctx, a, z)) == ell.value_on(ctx, a) == 1
     assert in_kernel_subgroup(ctx, ell, z)
     assert not in_kernel_subgroup(ctx, ell, a)
 
@@ -79,7 +81,7 @@ def test_kernel_has_index_p_by_exhaustion():
     ell = EdgeFunctional.from_edges([])
     counts = {r: 0 for r in range(ctx.p)}
     for gen in all_gen_vectors(ctx):
-        counts[ell.value_on(ctx, GroupElement(gen, FpVector.zero(ctx.p))).value] += 1
+        counts[ell.value_on(ctx, GroupElement(gen, FpVector.zero(ctx.p)))] += 1
     # cosets of the kernel split the group evenly: index exactly p
     assert counts == {r: ctx.p ** 6 for r in range(ctx.p)}
 
@@ -106,31 +108,107 @@ def test_verify_index_p_degenerate_fragment():
 
 
 def test_center_check_passes_on_gadgeted_fragments():
-    for r_edges in ([], [(0, 1)]):
-        ctx = ctx7()
-        ell = EdgeFunctional.from_edges(r_edges)
-        res = center_of_subgroup_check(ctx, ell)
-        assert res
-        assert res.ok and not res.failures
-        # checked = subgroup members among generator words of support <= 2
-        verts = ctx.vertex_order
-        expected = 0
-        for size in (1, 2):
-            for combo in itertools.combinations(verts, size):
-                for pattern in itertools.product(range(1, 3), repeat=size):
-                    if sum(c * ell.value(v) for c, v in zip(pattern, combo)) % 3 == 0:
-                        expected += 1
-        assert res.checked == expected
+    for k, p in itertools.product((3, 4, 5), (3, 5)):
+        ctx = GroupContext(build_down_fragment(list(range(k))), p)
+        for r_edges in ([], [(0, 1)], [(0, 1), (1, 2)]):
+            res = center_of_subgroup_check(ctx, EdgeFunctional.from_edges(r_edges))
+            assert res
+            assert res.ok and not res.failures
+            assert res.witnesses == ctx.n - 1  # the functional is onto F_p
 
 
 def test_center_check_fails_on_single_vertex_fragment():
     # one lone generator is central in its (abelian) group but not formally
-    # central in normal form, so the witness search must report it
+    # central in normal form, so the certificate must report it
     ctx = GroupContext(build_fragment([0]), 3, warn_not_nice=False)
     res = center_of_subgroup_check(ctx, EdgeFunctional.from_edges([]))
     assert not res.ok
-    assert res.failures == ["x[n:0]^1", "x[n:0]^2"]
+    assert res.failures == ["x[n:0]^1"]
+    assert res.witnesses == 1
     assert not bool(res)
+    # two adjacent naturals: the whole group is abelian, the center is everything
+    ctx = GroupContext(build_fragment([0, 1], extra_edges=[(Natural(0), Natural(1))]), 3, warn_not_nice=False)
+    res = center_of_subgroup_check(ctx, EdgeFunctional.from_edges([]))
+    assert not res.ok
+    assert res.failures == ["x[n:0]^1", "x[n:1]^1"]
+
+
+def test_single_generators_are_not_a_complete_witness_family():
+    # the hub of the R pair commutes with every single-generator member of
+    # the subgroup; only a composite witness shows it is not central
+    ctx = ctx7()
+    ell = EdgeFunctional.from_edges([(0, 1)])
+    singles = [FpVector(3, {i: 1}) for i, v in enumerate(ctx.vertex_order) if ell.value(v) == 0]
+    hub = FpVector(3, {ctx.vindex[Gadget(0, 1, "0")]: 1})
+    assert commuting_kernel_basis(ctx, singles, ell) == [hub]
+    assert center_of_subgroup_check(ctx, ell).ok
+
+
+def small_support_center_oracle(ctx, ell):
+    """Subgroup cosets of support <= 2 that commute with the reduced kernel
+    basis of the functional, by enumeration."""
+    p = ctx.p
+    witnesses = kernel_basis(FpMatrix(p, range(ctx.n), [ell.vector(ctx)]))
+    found = set()
+    for size in (1, 2):
+        for combo in itertools.combinations(range(ctx.n), size):
+            for pattern in itertools.product(range(1, p), repeat=size):
+                agen = FpVector(p, dict(zip(combo, pattern)))
+                if ell.value_on(ctx, from_vectors(ctx, agen)) != 0:
+                    continue
+                if all(commutator_vector(ctx, agen, w).is_zero() for w in witnesses):
+                    found.add(agen)
+    return found
+
+
+def span(p, basis):
+    out = set()
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        v = FpVector.zero(p)
+        for c, b in zip(coeffs, basis):
+            v = v + b.scale(c)
+        out.add(v)
+    return out
+
+
+def universal_pentagon_fragment():
+    """The 7-vertex fragment with two pentagon vertices joined to every
+    other vertex, so their difference is central in the subgroup."""
+    g = build_fragment([0, 1], [(0, 1)])
+    pents = [Gadget(0, 1, "1"), Gadget(0, 1, "1.5")]
+    extra = [(u, v) for u in pents for v in g.vertices if u != v and not g.has_edge(u, v)]
+    return build_fragment([0, 1], [(0, 1)], extra)
+
+
+@pytest.mark.parametrize(
+    "frag, p, r_edges",
+    [
+        (build_fragment([0]), 3, []),
+        (build_fragment([0, 1], extra_edges=[(Natural(0), Natural(1))]), 5, []),
+        (build_fragment([0, 1], [(0, 1)]), 3, []),
+        (build_fragment([0, 1], [(0, 1)]), 3, [(0, 1)]),
+        (universal_pentagon_fragment(), 3, []),
+        (build_down_fragment([0, 1, 2]), 3, [(0, 1)]),
+    ],
+    ids=["lone-natural", "adjacent-naturals-p5", "R-empty", "R-01", "universal-pentagons", "down-3"],
+)
+def test_center_check_against_small_support_oracle(frag, p, r_edges):
+    """The support <= 2 enumeration finds exactly the small members of the
+    certified center, so the exact check fails whenever it does; on
+    fragments small enough, every subgroup coset is tried against every
+    other."""
+    ctx = GroupContext(frag, p, warn_not_nice=False)
+    ell = EdgeFunctional.from_edges(r_edges)
+    res = center_of_subgroup_check(ctx, ell)
+    center = [parse_element(ctx, text).gen for text in res.failures]
+    found = small_support_center_oracle(ctx, ell)
+    assert found == {v for v in span(p, center) if 0 < len(v) <= 2}
+    if found:
+        assert not res.ok
+    if p ** ctx.n <= 3**7:
+        members = [gen for gen in all_gen_vectors(ctx) if ell.value_on(ctx, from_vectors(ctx, gen)) == 0]
+        brute = {b for b in members if all(commutator_vector(ctx, a, b).is_zero() for a in members)}
+        assert brute == span(p, center)
 
 
 def brute_subgroup_centralizer_count(ctx, ell, a):
