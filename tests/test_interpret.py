@@ -7,13 +7,16 @@ import pytest
 
 from mekler import interpret
 from mekler.cli import main as cli_main
-from mekler.formulas import FormulaTrace
+from mekler.formulas import FormulaTrace, power_separated
 from mekler.graphs import Natural, build_fragment, pair_swap_automorphism
 from mekler.group import (
     GroupContext,
     InducedAutomorphism,
+    central_generator,
     generator,
+    identity,
     mul,
+    pow_,
 )
 from mekler.interpret import (
     MAX_TESTED_DOWN,
@@ -27,6 +30,30 @@ from mekler.interpret import (
     roundtrip,
 )
 from mekler.subgroup import PROVISION_PARTNERS, AdequacyError, EdgeFunctional
+
+
+def test_power_equivalent():
+    # two elements name the same recovered vertex iff they are not power-separated
+    ctx = GroupContext(build_fragment([0, 1], [(0, 1)]), 3, warn_not_nice=False)
+    x0, x1 = generator(ctx, Natural(0)), generator(ctx, Natural(1))
+    z = central_generator(ctx, Natural(0), Natural(1))
+
+    def equivalent(a, b):
+        return not power_separated(ctx, a, b)
+
+    assert equivalent(x0, pow_(ctx, x0, 2))
+    assert equivalent(x0, mul(ctx, x0, z))
+    assert not equivalent(x0, x1)
+    assert equivalent(z, identity(ctx))
+    assert not equivalent(z, x0)
+    assert not equivalent(x0, z)
+    # products of distinct generators are their own class
+    assert not equivalent(x0, mul(ctx, x0, x1))
+    # the recovery's vertex classes are the classes of this relation
+    x01 = mul(ctx, x0, x1)
+    classes = interpret._partition_by_power(ctx, [x0, x1, pow_(ctx, x0, 2), x01, mul(ctx, x1, z)])
+    assert [len(c) for c in classes] == [2, 2, 1]
+    assert classes[2] == [x01]
 
 
 def test_natural_graph_shape():
