@@ -448,7 +448,11 @@ def parse_cayley_text(text: str) -> FiniteGroup:
         if len(row) != n:
             raise ConfigError("row length differs from the declared order")
         rows.append(row)
-    return FiniteGroup(np.array(rows, dtype=np.int64))
+    try:
+        table = np.array(rows, dtype=np.int64)
+    except OverflowError as err:  # an entry past int64 cannot index an element
+        raise ConfigError("table entries must index elements") from err
+    return FiniteGroup(table)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -487,6 +491,10 @@ def parse_permutation_text(text: str, n_points: int | None = None) -> FiniteGrou
     npts = n_points if n_points is not None else peak
     if npts < 1:
         raise ConfigError("empty point set")
+    # every group under the order cap acts faithfully on at most that many
+    # points (its regular action), so a larger point set only costs memory
+    if npts > DEFAULT_MAX_ORDER:
+        raise ConfigError(f"{npts} points exceed the cap of {DEFAULT_MAX_ORDER}")
     perms = []
     for cycs, img in zip(cycles_per_line, images_per_line):
         if img:
@@ -496,6 +504,8 @@ def parse_permutation_text(text: str, n_points: int | None = None) -> FiniteGrou
         else:
             images = list(range(npts))
             for pts in cycs:
+                if max(pts, default=0) > npts:
+                    raise ConfigError(f"cycle point {max(pts)} is beyond the {npts} points")
                 for a, b in zip(pts, pts[1:] + pts[:1]):
                     images[a - 1] = b - 1
             perms.append(tuple(images))

@@ -245,17 +245,25 @@ def commuting_rows(family: Sequence[dict[int, int]], nonadj: Mapping[int, int], 
     each coset a (column index -> reduced exponent) and each non-adjacent
     pair {s, t} with s in supp(a); nonadj[s] is the bitmask of the columns
     not adjacent to s.  A t outside supp(a) gives the single-entry row
-    a_s b_t.  Rows are generated, not listed: a family whose support is all
-    of V has tens of thousands."""
+    a_s b_t, which forces b_t = 0; since every such row for t is a scalar
+    multiple of the first, column t gets it only the first time it comes up
+    in a call.  The forced bitmask records those columns, and a coset walks
+    nonadj[s] & (own | ~forced), own being its support, so forced columns
+    are never visited again except as the other end of a two-entry row.
+    The row span, hence every kernel and its reduced echelon basis, is what
+    one row per pair would give.  Rows are generated, not listed."""
+    forced = 0
     for a in family:
+        own = sum(1 << s for s in a)
         for s, cs in a.items():
-            mask = nonadj[s]
+            mask = nonadj[s] & (own | ~forced)
             while mask:
                 low = mask & -mask
                 mask ^= low
                 t = low.bit_length() - 1
                 ct = a.get(t)
                 if ct is None:
+                    forced |= low
                     yield {t: cs}
                 elif s < t:  # the pair {s, t} is met once, from its smaller end
                     yield {t: cs, s: -ct % p}

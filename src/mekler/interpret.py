@@ -76,7 +76,7 @@ def _sample_class(ctx: GroupContext, v, rng: random.Random, translates: int) -> 
     the same coset class."""
     base = generator(ctx, v)
     out = [base]
-    for _ in range(max(0, translates)):
+    for _ in range(translates):
         alpha = 1 + rng.randrange(ctx.p - 1)
         z = random_central(ctx, rng)
         out.append(mul(ctx, pow_(ctx, base, alpha), z))
@@ -122,7 +122,7 @@ def _recover_edges(ctx, reps_by_label, evaluate, translates):
             an, am = reps_by_label[n], reps_by_label[m]
             verdicts: list[bool] = []
             first: FormulaTrace | None = None
-            for t in range(max(1, translates)):
+            for t in range(translates):
                 a = an[t % len(an)]
                 b = am[(t + 1) % len(am)]
                 x, y = (a, b) if t % 2 == 0 else (b, a)
@@ -259,6 +259,8 @@ def roundtrip(
     compare labels and edges exactly."""
     if pipeline not in ("up", "down", "both"):
         raise ConfigError(f"pipeline must be up, down or both, got {pipeline!r}")
+    if translates < 1:
+        raise ConfigError(f"translates must be at least 1, got {translates}")
     if any(not isinstance(v, Natural) for v in gamma.vertices):
         raise ConfigError("round-trip input must be a graph on natural vertices only")
     naturals = sorted(gamma.naturals())

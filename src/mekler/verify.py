@@ -74,6 +74,8 @@ class VerifyConfig:
             raise ConfigError("need at least two naturals")
         if self.samples < 1:
             raise ConfigError(f"sample budget must be at least 1, got {self.samples}")
+        if self.translates < 1:
+            raise ConfigError(f"translates must be at least 1, got {self.translates}")
         for a, b in edges:
             if a == b or a not in nats or b not in nats:
                 raise ConfigError(f"edge {a}-{b} is not a pair of configured naturals")

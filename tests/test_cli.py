@@ -372,6 +372,8 @@ def test_config_error_from_the_core_exits_2(capsys, monkeypatch):
         ("fragment", "--naturals", "0,1", "--pairs", "0-3"),
         ("verify-lemmas", "--budget-samples", "0"),
         ("ext-check", "--samples", "-1"),
+        ("roundtrip", "--translates", "-3", "--naturals", "0,1,2", "--r-edges", "0-1"),
+        ("verify-lemmas", "--translates", "0"),
     ],
 )
 def test_rejected_inputs_exit_2(capsys, argv):

@@ -11,12 +11,13 @@ import warnings
 
 import pytest
 
-from mekler.fplinear import FpMatrix, FpVector, kernel_basis, kernel_dim
+from mekler.fplinear import FpMatrix, FpVector, kernel_basis, kernel_dim, rref_indexed
 from mekler.graphs import Gadget, Natural, all_pairs, build_fragment, pair_swap_automorphism
 from mekler.group import (
     GroupContext,
     GroupElement,
     InducedAutomorphism,
+    _local_system,
     central_generator,
     centralizer_dim_mod_center,
     commutation_matrix,
@@ -38,6 +39,7 @@ from mekler.group import (
     random_element,
     vertex_like_parts,
 )
+from mekler.interpret import build_down_fragment
 from mekler.subgroup import EdgeFunctional
 
 
@@ -226,6 +228,26 @@ def test_support_local_engine_matches_full_columns(r_edges):
         for ygen in small:
             basis = commuting_kernel_basis(ctx, [xgen, ygen], ell)
             assert basis == kernel_basis(full_columns([xgen, ygen], ell))
+
+
+@pytest.mark.parametrize("r_edges", [[(0, 1)], [(0, 1), (1, 2), (2, 3)]], ids=["R-01", "R-path"])
+def test_center_check_system_is_linear_in_vertices(r_edges):
+    """Structure, not timing: every member of the centre check's witness
+    family holds the pivot vertex, so without the forced-column rule each
+    non-neighbour of the pivot would get its single-entry row once per
+    witness, quadratically many in |V|.  With it, the 181-vertex system has
+    at most one single-entry row per column and under 2 |V| rows in all."""
+    ctx = GroupContext(build_down_fragment([0, 1, 2, 3]), 3)
+    assert ctx.n == 181
+    ell = EdgeFunctional.from_edges(r_edges)
+    witnesses = commuting_kernel_basis(ctx, [], ell)
+    assert len(witnesses) == ctx.n - 1
+    cols, rows = _local_system(ctx, witnesses, ell)
+    rows = list(rows)
+    singles = [next(iter(r)) for r in rows if len(r) == 1]
+    assert len(singles) == len(set(singles)) <= ctx.n
+    assert len(rows) < 2 * ctx.n
+    assert len(cols) - len(rref_indexed(rows, ctx.p)) == 0  # the centre check passes
 
 
 def test_vertex_like_predicates():

@@ -1,5 +1,6 @@
-"""Property tests for the text boundary: element text, fragment JSON, and
-fuzzed input, which must be rejected with ConfigError and nothing else."""
+"""Property tests for the text boundary: element text, fragment JSON,
+Cayley tables and permutation generators, and fuzzed input, which must be
+rejected with ConfigError and nothing else."""
 
 import functools
 import json
@@ -7,6 +8,15 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mekler.cayley import (
+    FiniteGroup,
+    cyclic_group,
+    dihedral_group,
+    format_cayley_text,
+    parse_cayley_text,
+    parse_permutation_text,
+    symmetric_group,
+)
 from mekler.fplinear import FpVector
 from mekler.graphs import ConfigError, FragmentSpec, Gadget, all_pairs, build_fragment, encode_vertex
 from mekler.group import GroupContext, GroupElement, format_element, parse_element
@@ -117,5 +127,81 @@ FRAGMENT_DOCS = st.fixed_dictionaries(
 def test_fuzzed_fragment_text_is_config_error(text):
     try:
         FragmentSpec.from_json(text).build()
+    except ConfigError:
+        pass
+
+
+@st.composite
+def small_groups(draw):
+    """A cyclic, dihedral or symmetric group with its elements renamed by a
+    drawn permutation, so the identity need not be element 0."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "symmetric"]))
+    if kind == "cyclic":
+        g = cyclic_group(draw(st.integers(1, 12)))
+    elif kind == "dihedral":
+        g = dihedral_group(draw(st.integers(3, 8)))
+    else:
+        g = symmetric_group(draw(st.integers(1, 4)))
+    order = len(g)
+    rename = draw(st.permutations(range(order)))
+    table = [[0] * order for _ in range(order)]
+    for a in range(order):
+        for b in range(order):
+            table[rename[a]][rename[b]] = rename[int(g.table[a, b])]
+    return FiniteGroup(table)
+
+
+@SETTINGS
+@given(small_groups())
+def test_cayley_text_round_trip(g):
+    again = parse_cayley_text(format_cayley_text(g))
+    assert again.table.tolist() == g.table.tolist()
+    assert again.identity == g.identity
+
+
+# table and permutation text, well formed or not; points stay at most 5
+# (or past the point cap), so a drawn group is at most S5 and cheap to
+# tabulate, and "9" * 4500 has more digits than int() converts
+NUMBER_TEXT = st.one_of(
+    st.integers(-1, 5).map(str),
+    st.sampled_from(["2049", "9" * 20, "9" * 4500, "x", "1.5", ""]),
+)
+CAYLEY_TEXT = st.builds(
+    "{}\n{}".format,
+    NUMBER_TEXT,
+    st.lists(st.lists(NUMBER_TEXT, max_size=5).map(" ".join), max_size=5).map("\n".join),
+)
+CYCLE_LINE = st.lists(
+    st.lists(NUMBER_TEXT, max_size=4).map(" ".join).map("({})".format),
+    min_size=1,
+    max_size=3,
+).map("".join)
+PERMUTATION_LINE = st.one_of(
+    CYCLE_LINE,
+    st.permutations(range(1, 6)).map(lambda img: " ".join(map(str, img))),
+    st.lists(NUMBER_TEXT, max_size=5).map(" ".join),
+    st.sampled_from(["# comment", "(1 2) junk", "(1 2", "1, 2"]),
+)
+PERMUTATION_TEXT = st.lists(PERMUTATION_LINE, min_size=1, max_size=3).map("\n".join)
+
+
+@FUZZ
+@given(st.one_of(CAYLEY_TEXT, st.text(max_size=40)))
+@example("1\n" + "9" * 20)
+@example("2\n0 1\n1 -" + "9" * 20)
+def test_fuzzed_cayley_text_is_config_error(text):
+    try:
+        parse_cayley_text(text)
+    except ConfigError:
+        pass
+
+
+@FUZZ
+@given(st.one_of(PERMUTATION_TEXT, st.text(max_size=40)), st.one_of(st.none(), st.integers(-1, 6)))
+@example("(1 " + "9" * 20 + ")", None)
+@example("(1 5)", 4)
+def test_fuzzed_permutation_text_is_config_error(text, n_points):
+    try:
+        parse_permutation_text(text, n_points)
     except ConfigError:
         pass

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mekler import subgroup
 from mekler.fplinear import FpMatrix, FpVector, kernel_basis
 from mekler.graphs import Gadget, Natural, all_pairs, build_fragment
 from mekler.group import (
@@ -91,8 +92,7 @@ def test_verify_index_p_report():
     report = verify_index_p(ctx, EdgeFunctional.from_edges([]))
     assert report
     assert report.is_index_p and report.surjective and not report.degenerate
-    assert report.additive_on_pairs and report.kills_commutators
-    assert report.pairs_checked == 21  # C(7, 2)
+    assert report.additive
     assert report.samples_checked == 200
     assert "index p" in report.message
 
@@ -103,8 +103,46 @@ def test_verify_index_p_degenerate_fragment():
     report = verify_index_p(ctx, EdgeFunctional.from_edges([]))
     assert not report
     assert report.degenerate and not report.surjective and not report.is_index_p
-    assert report.additive_on_pairs and report.kills_commutators
+    assert report.additive
     assert "index 1" in report.message
+
+
+def test_verify_index_p_multiplies_only_the_samples(monkeypatch):
+    # the homomorphism property comes from von Dyck's theorem, so no
+    # generator pair is multiplied: one mul per sampled pair
+    ctx = GroupContext(build_down_fragment([0, 1, 2]), 3)
+    calls = []
+
+    def counting_mul(ctx, a, b):
+        calls.append((a, b))
+        return mul(ctx, a, b)
+
+    monkeypatch.setattr(subgroup, "mul", counting_mul)
+    report = verify_index_p(ctx, EdgeFunctional.from_edges([(0, 1)]))
+    assert report and len(calls) == report.samples_checked == 200
+
+
+def test_verify_index_p_catches_a_mul_that_drops_a_generator(monkeypatch):
+    # with the generator-pair loop gone, the sampled composite products are
+    # what exercise mul: one that loses a generator coordinate of a product
+    # of two elements of support >= 2 must fail the certification
+    ctx = GroupContext(build_down_fragment([0, 1, 2]), 3)
+    ell = EdgeFunctional.from_edges([(0, 1)])
+    assert verify_index_p(ctx, ell)
+
+    def dropping_mul(ctx, a, b):
+        prod = mul(ctx, a, b)
+        if len(a.gen) < 2 or len(b.gen) < 2 or prod.gen.is_zero():
+            return prod
+        gen = dict(prod.gen.items())
+        del gen[max(gen)]
+        return GroupElement(FpVector(ctx.p, gen), prod.cen)
+
+    monkeypatch.setattr(subgroup, "mul", dropping_mul)
+    report = verify_index_p(ctx, ell)
+    assert not report.is_index_p and not report.additive
+    assert report.surjective
+    assert report.message == "homomorphism certification failed"
 
 
 def test_center_check_passes_on_gadgeted_fragments():
