@@ -20,7 +20,8 @@ from .fplinear import FpVector
 from .graphs import ConfigError
 from .group import GroupContext, from_vectors, format_element, mul as ctx_mul
 
-DEFAULT_MAX_ORDER = 2048
+DEFAULT_MAX_ORDER = 2048  # largest group tabulated
+EXACT_CAP = 2000  # largest group whose covering number is searched exactly
 
 
 class FiniteGroup:
@@ -186,13 +187,11 @@ def _translate_masks(g: FiniteGroup, subset: np.ndarray) -> list[int]:
     return [int.from_bytes(packed[i].tobytes(), "little") for i in range(size)]
 
 
-def covering_number(
-    g: FiniteGroup, subset: Iterable[int], exact_cap: int = 2000
-) -> tuple[int, CoverCertificate]:
+def covering_number(g: FiniteGroup, subset: Iterable[int]) -> tuple[int, CoverCertificate]:
     """Fewest left translates of the subset that cover the group.
 
     Greedy gives the upper bound; branch and bound on bitmasks settles
-    optimality exactly whenever the group order is within exact_cap.
+    optimality exactly whenever the group order is within EXACT_CAP.
     """
     sub = np.array(sorted(set(int(s) for s in subset)), dtype=np.int64)
     if sub.size == 0:
@@ -216,7 +215,7 @@ def covering_number(
     ub = len(greedy)
     best_reps = list(greedy)
 
-    exact = size <= exact_cap
+    exact = size <= EXACT_CAP
     if exact and ub > 1:
         per_mask = sub.size  # every translate has exactly |S| elements
         mask_by_rep = dict((x, m) for m, x in distinct)
@@ -275,9 +274,9 @@ class CoverReport:
         )
 
 
-def covering_report(g: FiniteGroup, n: int = 2, exact_cap: int = 2000) -> CoverReport:
+def covering_report(g: FiniteGroup, n: int = 2) -> CoverReport:
     image = power_image(g, n)
-    k, cert = covering_number(g, image, exact_cap=exact_cap)
+    k, cert = covering_number(g, image)
     return CoverReport(
         group_order=len(g),
         exponent=n,
@@ -303,10 +302,13 @@ def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g[f[x]] for x in range(len(f)))
 
 
-def from_permutation_generators(
-    perms: Sequence[tuple[int, ...]], max_order: int = DEFAULT_MAX_ORDER
-) -> FiniteGroup:
-    """Close a set of permutations under composition and tabulate."""
+def from_permutation_generators(perms: Sequence[tuple[int, ...]]) -> FiniteGroup:
+    """Close a set of permutations under composition and tabulate.
+
+    The breadth-first walk from the identity records right[k][i], element
+    i followed by generator k, and each new element's (parent, generator);
+    column j of the table is then right[k] applied to its parent's column,
+    so only |G| * |gens| compositions are made."""
     if not perms:
         raise ConfigError("need at least one generator")
     npts = len(perms[0])
@@ -316,26 +318,27 @@ def from_permutation_generators(
     ident = tuple(range(npts))
     elems = {ident: 0}
     order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for pm in perms:
-                prod = _compose(el, pm)
-                if prod not in elems:
-                    if len(order) >= max_order:
-                        raise ConfigError(f"group order exceeds the cap of {max_order}")
-                    elems[prod] = len(order)
-                    order.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    right: list[list[int]] = [[] for _ in perms]
+    parent = [(0, 0)]
+    for i, el in enumerate(order):  # order grows while it is walked
+        for k, pm in enumerate(perms):
+            prod = _compose(el, pm)
+            j = elems.get(prod)
+            if j is None:
+                if len(order) >= DEFAULT_MAX_ORDER:
+                    raise ConfigError(f"group order exceeds the cap of {DEFAULT_MAX_ORDER}")
+                j = elems[prod] = len(order)
+                order.append(prod)
+                parent.append((i, k))
+            right[k].append(j)
     size = len(order)
+    right_np = np.array(right, dtype=np.int64)
     table = np.empty((size, size), dtype=np.int64)
-    for i, a in enumerate(order):
-        for j, b in enumerate(order):
-            table[i, j] = elems[_compose(a, b)]
-    names = tuple(_cycle_notation(pm) for pm in order)
-    return FiniteGroup(table, names=names)
+    table[:, 0] = np.arange(size)
+    for j in range(1, size):
+        par, k = parent[j]
+        table[:, j] = right_np[k][table[:, par]]
+    return FiniteGroup(table, names=tuple(_cycle_notation(pm) for pm in order))
 
 
 def _cycle_notation(pm: tuple[int, ...]) -> str:
@@ -393,13 +396,13 @@ def sl2_permutation_group(q: int) -> FiniteGroup:
     return from_permutation_generators([shear, rot])
 
 
-def cayley_from_context(ctx: GroupContext, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def cayley_from_context(ctx: GroupContext) -> FiniteGroup:
     """Tabulate the fragment's whole group, names in element text form."""
     p = ctx.p
     nv, nc = ctx.n, ctx.ncentral
     order = p ** (nv + nc)
-    if order > max_order:
-        raise ConfigError(f"group order {order} exceeds the cap of {max_order}")
+    if order > DEFAULT_MAX_ORDER:
+        raise ConfigError(f"group order {order} exceeds the cap of {DEFAULT_MAX_ORDER}")
     keys = [ctx.central_key_at(k) for k in range(nc)]
     elems = []
     index = {}
@@ -458,15 +461,16 @@ def parse_cayley_text(text: str) -> FiniteGroup:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_permutation_text(text: str, n_points: int | None = None) -> FiniteGroup:
+def parse_permutation_text(text: str) -> FiniteGroup:
     """One generator per line, 1-based: cycles like (1 2 3)(4 5), or the
-    one-line image form like 2 3 1."""
+    one-line image form like 2 3 1.  The point set is 1..m, m the largest
+    point a cycle names or the longest image line; every image line must
+    have length m."""
     raw = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
     if not raw:
         raise ConfigError("no generators")
-    cycles_per_line: list[list[list[int]]] = []
-    images_per_line: list[list[int]] = []
-    peak = 0
+    lines: list[tuple[list[list[int]], list[int]]] = []  # (cycles, image) per generator
+    npts = 0
     for ln in raw:
         if ln.startswith("("):
             rest = _CYCLE_RE.sub("", ln).strip()
@@ -477,18 +481,15 @@ def parse_permutation_text(text: str, n_points: int | None = None) -> FiniteGrou
                 pts = _ints(body.replace(",", " ").split())
                 if len(pts) != len(set(pts)) or any(x < 1 for x in pts):
                     raise ConfigError(f"bad cycle {body!r}")
-                peak = max(peak, max(pts, default=0))
+                npts = max(npts, max(pts, default=0))
                 cycs.append(pts)
-            cycles_per_line.append(cycs)
-            images_per_line.append([])
+            lines.append((cycs, []))
         else:
             img = _ints(ln.replace(",", " ").split())
             if sorted(img) != list(range(1, len(img) + 1)):
                 raise ConfigError(f"not a permutation of 1..{len(img)}: {ln!r}")
-            peak = max(peak, len(img))
-            images_per_line.append(img)
-            cycles_per_line.append([])
-    npts = n_points if n_points is not None else peak
+            npts = max(npts, len(img))
+            lines.append(([], img))
     if npts < 1:
         raise ConfigError("empty point set")
     # every group under the order cap acts faithfully on at most that many
@@ -496,7 +497,7 @@ def parse_permutation_text(text: str, n_points: int | None = None) -> FiniteGrou
     if npts > DEFAULT_MAX_ORDER:
         raise ConfigError(f"{npts} points exceed the cap of {DEFAULT_MAX_ORDER}")
     perms = []
-    for cycs, img in zip(cycles_per_line, images_per_line):
+    for cycs, img in lines:
         if img:
             if len(img) != npts:
                 raise ConfigError("image line length differs from the point count")
@@ -504,8 +505,6 @@ def parse_permutation_text(text: str, n_points: int | None = None) -> FiniteGrou
         else:
             images = list(range(npts))
             for pts in cycs:
-                if max(pts, default=0) > npts:
-                    raise ConfigError(f"cycle point {max(pts)} is beyond the {npts} points")
                 for a, b in zip(pts, pts[1:] + pts[:1]):
                     images[a - 1] = b - 1
             perms.append(tuple(images))

@@ -1,15 +1,16 @@
 """Exact sparse linear algebra over prime fields F_p.
 
-Vectors are sparse maps from hashable keys to nonzero residues; matrices
-are row lists over an explicit, fixed column order.  Everything is exact
-integer arithmetic mod p; the modulus rides along on every object and is
-checked whenever two of them meet.  The one eliminator, rref_indexed,
-works on index-keyed rows, from a matrix or straight from a caller.
+Vectors are sparse maps from hashable keys to nonzero residues, and the
+modulus rides along on every vector and is checked whenever two meet.  A
+linear system is a list of index-keyed rows, dicts from column index to
+nonzero residue over columns 0..ncols-1; the one eliminator, rref_indexed,
+works on those rows, and kernel_basis and kernel_dim read its pivots.
+Everything is exact integer arithmetic mod p.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, ItemsView, Mapping, Sequence
+from typing import Hashable, Iterable, ItemsView, Mapping
 
 
 def is_odd_prime(p: int) -> bool:
@@ -119,38 +120,6 @@ class FpVector:
         return f"FpVector(p={self.p}, {{{inner}}})"
 
 
-class FpMatrix:
-    """Row-sparse matrix over F_p with a fixed column order.
-
-    The column order is part of the object: echelon forms, pivots and
-    kernel bases are all deterministic relative to it.
-    """
-
-    __slots__ = ("p", "columns", "rows", "_colindex")
-
-    def __init__(self, p: int, columns: Sequence[Hashable], rows: Iterable[FpVector] = ()):
-        self.p = p
-        self.columns = tuple(columns)
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("duplicate column keys")
-        self._colindex = {c: i for i, c in enumerate(self.columns)}
-        self.rows: list[FpVector] = []
-        for r in rows:
-            self.append_row(r)
-
-    def append_row(self, row: FpVector) -> None:
-        if row.p != self.p:
-            raise ValueError(f"modulus mismatch: {row.p} vs {self.p}")
-        for k in row.support():
-            if k not in self._colindex:
-                raise ValueError(f"row key {k!r} is not a column of this matrix")
-        self.rows.append(row)
-
-    def _indexed_rows(self) -> list[dict[int, int]]:
-        ci = self._colindex
-        return [{ci[k]: v for k, v in r.items()} for r in self.rows]
-
-
 def rref_indexed(rows: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
     """Incremental reduced row echelon form on index-keyed sparse rows.
 
@@ -192,13 +161,10 @@ def rref_indexed(rows: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, 
     return pivots
 
 
-def rank(m: FpMatrix) -> int:
-    return len(rref_indexed(m._indexed_rows(), m.p))
-
-
-def kernel_basis_indexed(rows: Iterable[dict[int, int]], ncols: int, p: int) -> list[dict[int, int]]:
+def kernel_basis(rows: Iterable[dict[int, int]], ncols: int, p: int) -> list[dict[int, int]]:
     """Kernel of index-keyed rows over columns 0..ncols-1 as its reduced
-    echelon basis, by pivot column; that basis is unique to the subspace."""
+    echelon basis, by pivot column; that basis is unique to the subspace,
+    and an empty row list yields the full standard basis."""
     pivots = rref_indexed(rows, p)
     raw: list[dict[int, int]] = []
     for f in range(ncols):
@@ -215,18 +181,7 @@ def kernel_basis_indexed(rows: Iterable[dict[int, int]], ncols: int, p: int) -> 
     return [reduced[c] for c in sorted(reduced)]
 
 
-def kernel_basis(m: FpMatrix) -> list[FpVector]:
-    """Basis of {x : m @ x = 0}, in reduced echelon form over m.columns.
-
-    Dimension is len(m.columns) - rank(m); an all-zero matrix yields the
-    full standard basis.  The library does not call it: it is the tests'
-    full-column oracle for the commuting-kernel engine.
-    """
-    return [
-        FpVector(m.p, {m.columns[i]: v for i, v in vec.items()})
-        for vec in kernel_basis_indexed(m._indexed_rows(), len(m.columns), m.p)
-    ]
-
-
-def kernel_dim(m: FpMatrix) -> int:
-    return len(m.columns) - rank(m)
+def kernel_dim(rows: Iterable[dict[int, int]], ncols: int, p: int) -> int:
+    """Dimension of that kernel.  The library calls it only in the
+    cross-checks of verify, as the full-column oracle."""
+    return ncols - len(rref_indexed(rows, p))

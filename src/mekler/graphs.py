@@ -252,18 +252,13 @@ def check_nice(g: Graph) -> NicenessReport:
         ws = np.flatnonzero(a[i] & a[j])[:2]
         squares.append((g.vertices[i], g.vertices[int(ws[0])], g.vertices[j], g.vertices[int(ws[1])]))
 
-    separation_failures: list[tuple[Vertex, Vertex]] = []
-    if has_two:
-        for ui in range(n):
-            allowed = ~a[ui]
-            allowed[ui] = False
-            # witnessed[v] = some w outside {u, v} joined to v, not to u
-            witnessed = (a & allowed[None, :]).any(axis=1)
-            for vi in np.flatnonzero(~witnessed):
-                if vi != ui:
-                    separation_failures.append((g.vertices[ui], g.vertices[int(vi)]))
+    # witnesses of (u, v): the neighbours of v, less those of u (the common
+    # ones) and less u itself when u ~ v; v is not its own neighbour
+    witnessed = a.sum(axis=1)[None, :] - common - a > 0
+    np.fill_diagonal(witnessed, True)
+    separation_failures = [(g.vertices[u], g.vertices[v]) for u, v in np.argwhere(~witnessed)]
 
-    report = NicenessReport(
+    return NicenessReport(
         is_nice=has_two and not triangles and not squares and not separation_failures,
         has_two_vertices=has_two,
         triangle_free=not triangles,
@@ -273,7 +268,6 @@ def check_nice(g: Graph) -> NicenessReport:
         squares=squares,
         separation_failures=separation_failures,
     )
-    return report
 
 
 def is_graph_automorphism(g: Graph, perm: dict[Vertex, Vertex]) -> bool:
@@ -304,7 +298,7 @@ def pair_swap_automorphism(g: Graph, r_edges: Iterable[tuple[int, int]]) -> dict
             perm[v] = v
     # construction-level invariant, validated rather than trusted
     if not is_graph_automorphism(g, perm):
-        raise AssertionError("pentagon swap failed to preserve the edge set")
+        raise RuntimeError("pentagon swap failed to preserve the edge set")
     return perm
 
 

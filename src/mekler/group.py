@@ -21,7 +21,7 @@ Centralizer dimensions, common kernels, their witness bases and the
 kernel subgroup's center all come from one support-local engine
 (commuting_kernel_dim, commuting_kernel_basis), whose rows commuting_rows
 builds per coset from that coset's own support; commutation_matrix builds
-the same system over all columns as its oracle.
+the same system's index-keyed rows over all columns as its oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fplinear import FpMatrix, FpVector, is_odd_prime, kernel_basis_indexed, rref_indexed
+from .fplinear import FpVector, is_odd_prime, kernel_basis, rref_indexed
 from .graphs import (
     ConfigError,
     Graph,
@@ -302,29 +302,29 @@ def commuting_kernel_dim(ctx: GroupContext, family: Sequence[Coset], functional=
 def commuting_kernel_basis(ctx: GroupContext, family: Sequence[Coset], functional=None) -> list[Coset]:
     """That kernel's reduced echelon basis over the vertex order, by pivot."""
     cols, rows = _local_system(ctx, family, functional)
-    return [FpVector(ctx.p, {cols[i]: c for i, c in v.items()}) for v in kernel_basis_indexed(rows, len(cols), ctx.p)]
+    return [FpVector(ctx.p, {cols[i]: c for i, c in v.items()}) for v in kernel_basis(rows, len(cols), ctx.p)]
 
 
-def commutation_matrix(ctx: GroupContext, agen: FpVector) -> FpMatrix:
-    """Matrix of b |-> lambda(a, b) over all vertex columns, the oracle for
-    the support-local engine.
+def commutation_matrix(ctx: GroupContext, agen: FpVector) -> list[dict[int, int]]:
+    """Index-keyed rows of b |-> lambda(a, b) over columns 0..n-1, the
+    full-column oracle for the support-local engine.
 
     Only central coordinates touching supp(a) can be nonzero, so rows are
     built for those pairs alone (each row has at most two entries); absent
     rows are zero and cannot change the kernel.
     """
     p = ctx.p
-    rows: list[FpVector] = []
+    rows: list[dict[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for s in agen.support():
         for t in range(ctx.n):
             u, w = min(s, t), max(s, t)
             if ctx.nonadjacent(s, t) and (u, w) not in seen:
                 seen.add((u, w))
-                row = FpVector(p, {u: agen.get(w), w: -agen.get(u)})
-                if not row.is_zero():
+                row = {k: c for k, c in ((u, agen.get(w)), (w, -agen.get(u) % p)) if c}
+                if row:
                     rows.append(row)
-    return FpMatrix(p, range(ctx.n), rows)
+    return rows
 
 
 def centralizer_dim_mod_center(ctx: GroupContext, a: GroupElement) -> int:

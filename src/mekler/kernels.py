@@ -206,7 +206,7 @@ def _signatures(sup, t, tl, adj, ellbit, nat, prov, size: int) -> np.ndarray:
     return code * 4
 
 
-def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support, low, high):
+def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support):
     """Scan every support up to max_support; returns (elements, members,
     records) with records (kind, support indices, exps, dim_group,
     dim_subgroup) in ScanResult order."""
@@ -235,14 +235,14 @@ def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support, low, high):
         kind = np.full(dim_g.shape, -1)
         if mode == MODE_GROUP:
             dim_s = np.full(dim_g.shape, -1)
-            kind[~lone_nat[:, None] & (dim_g > high)] = KIND_GROUP_BOUND
+            kind[~lone_nat[:, None] & (dim_g > DIM_THRESHOLD - 1)] = KIND_GROUP_BOUND
         else:
             member = memb[:, lp].T
             members += int((counts[:, None] * member).sum())
             vanish = (tl_pos[:, None] == 0) & (rank_bl[na, :, lp] == rb)
             dim_s = dim_g - 1 + vanish
-            kind[member & ~lone_nat[:, None] & (dim_s >= low)] = KIND_SUBGROUP_HIGH
-            kind[member & (lone_nat & provisioned)[:, None] & (dim_s < low)] = KIND_SUBGROUP_LOW
+            kind[member & ~lone_nat[:, None] & (dim_s >= DIM_THRESHOLD)] = KIND_SUBGROUP_HIGH
+            kind[member & (lone_nat & provisioned)[:, None] & (dim_s < DIM_THRESHOLD)] = KIND_SUBGROUP_LOW
         bad_codes = codes[(kind >= 0).any(axis=1)]
         if not len(bad_codes):
             continue
@@ -257,11 +257,11 @@ def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support, low, high):
     return checked, members, records
 
 
-def _run_scan(ctx, ell, mode, max_support, low, high):
+def _run_scan(ctx, ell, mode, max_support):
     if max_support < 1 or max_support > 3:
         raise ConfigError("support budgets beyond 3 are not covered by the dichotomy statements")
     adj, ellbit, nat, prov = _context_arrays(ctx, ell)
-    checked, members, records = _scan_arrays(adj, ellbit, nat, prov, ctx.p, mode, max_support, low, high)
+    checked, members, records = _scan_arrays(adj, ellbit, nat, prov, ctx.p, mode, max_support)
     verts = ctx.vertex_order
     return ScanResult(
         mode=mode,
@@ -275,14 +275,14 @@ def _run_scan(ctx, ell, mode, max_support, low, high):
     )
 
 
-def scan_group_bound(ctx: GroupContext, max_support: int = 3, bound: int = 5) -> ScanResult:
-    """Exhaustively confirm dim_group <= bound for every support of size up
-    to max_support that is not a lone natural."""
-    return _run_scan(ctx, None, MODE_GROUP, max_support, low=DIM_THRESHOLD, high=bound)
+def scan_group_bound(ctx: GroupContext, max_support: int = 3) -> ScanResult:
+    """Exhaustively confirm dim_group <= DIM_THRESHOLD - 1 (that is, 5) for
+    every support of size up to max_support that is not a lone natural."""
+    return _run_scan(ctx, None, MODE_GROUP, max_support)
 
 
 def scan_subgroup_dichotomy(ctx: GroupContext, ell: EdgeFunctional, max_support: int = 3) -> ScanResult:
     """Exhaustively confirm the subgroup dichotomy on small supports:
     provisioned lone naturals at or above the threshold, everything else
     strictly below it."""
-    return _run_scan(ctx, ell, MODE_SUBGROUP, max_support, low=DIM_THRESHOLD, high=DIM_THRESHOLD - 1)
+    return _run_scan(ctx, ell, MODE_SUBGROUP, max_support)

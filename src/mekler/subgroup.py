@@ -69,8 +69,9 @@ class EdgeFunctional:
         """Vertex values by vertex index."""
         return [self.value(v) for v in ctx.vertex_order]
 
-    def vector(self, ctx: GroupContext) -> FpVector:
-        return FpVector(ctx.p, dict(enumerate(self.values(ctx))))
+    def row(self, ctx: GroupContext) -> dict[int, int]:
+        """The functional as an index-keyed row of its nonzero values."""
+        return {i: c for i, c in enumerate(self.values(ctx)) if c}
 
     def value_on(self, ctx: GroupContext, a: GroupElement) -> int:
         """The functional extended to group elements, in 0..p-1: sum of

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .extension import ExtElement, ext_conjugate, ext_identity, ext_inv, ext_mul, ext_pow, in_base_by_power_formula
 from .formulas import BudgetError, down_edge_formula, full_coset_oracle, up_edge_formula
 from .fplinear import kernel_dim
-from .graphs import ConfigError, Natural, build_fragment, check_nice, pair_swap_automorphism
+from .graphs import ConfigError, Natural, build_fragment, pair_swap_automorphism
 from .group import (
     GroupContext,
     InducedAutomorphism,
@@ -195,7 +195,7 @@ def _centralizer_bound_checks(res, ctx, rng, support_budget):
         for v, k in zip(support, exps):
             a = mul(ctx, a, generator(ctx, v, k))
         dim_fast, _, _ = element_dims(ctx, None, support, exps)
-        dim_generic = kernel_dim(commutation_matrix(ctx, a.gen))  # over all |V| columns
+        dim_generic = kernel_dim(commutation_matrix(ctx, a.gen), ctx.n, ctx.p)  # over all |V| columns
         if dim_fast != dim_generic:
             agree = False
     _check(res, "fast dimension formula matches the generic eliminator", agree, "20 random supports")
@@ -289,9 +289,8 @@ def _dichotomy_checks(res, ctx, ell, support_budget):
     for n in ctx.graph.naturals()[:2]:
         x = generator(ctx, Natural(n))
         d = centralizer_dim_in_subgroup(ctx, ell, x)
-        full = commutation_matrix(ctx, x.gen)  # over all |V| columns
-        full.append_row(ell.vector(ctx))
-        agree = agree and d == kernel_dim(full)
+        full = commutation_matrix(ctx, x.gen) + [ell.row(ctx)]  # over all |V| columns
+        agree = agree and d == kernel_dim(full, ctx.n, ctx.p)
         sample_dims.append(f"x[n:{n}]:{d}")
     _check(res, "generic eliminator reproduces natural dimensions", agree, ", ".join(sample_dims))
 
@@ -340,7 +339,7 @@ def verify_lemmas(cfg: VerifyConfig) -> SuiteResult:
 
     up_frag = build_up_fragment(list(cfg.naturals))
     ctx_up = GroupContext(up_frag, cfg.p)
-    nice = check_nice(up_frag)
+    nice = ctx_up.nice_report
     _check(res, "gadgeted fragment is a nice graph", nice.is_nice, nice.summary())
 
     _group_axiom_checks(res, ctx_up, rng, cfg.samples)

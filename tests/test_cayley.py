@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from mekler import cayley
 from mekler.cayley import (
     CoverCertificate,
     FiniteGroup,
+    _compose,
     bounded_root_set,
     cayley_from_context,
     covering_number,
@@ -239,10 +241,62 @@ def test_permutation_generator_errors():
         from_permutation_generators([(1, 0), (0, 1, 2)])
     with pytest.raises(ValueError, match="permutations"):
         from_permutation_generators([(0, 0, 1)])
-    swap = (1, 0, 2, 3)
-    cycle = (1, 2, 3, 0)
-    with pytest.raises(ValueError, match="exceeds the cap of 10"):
-        from_permutation_generators([swap, cycle], max_order=10)
+    swap = (1, 0, 2, 3, 4, 5, 6)
+    cycle = (1, 2, 3, 4, 5, 6, 0)
+    with pytest.raises(ValueError, match="exceeds the cap of 2048"):
+        from_permutation_generators([swap, cycle])  # S7 has order 5040
+
+
+def _pairwise_table(perms_of):
+    """The table rebuilt by composing every pair of listed elements, a
+    first and then b, as point arrays."""
+    arr = np.array(perms_of)
+    index = {row.tobytes(): i for i, row in enumerate(arr)}
+    return np.array([[index[row.tobytes()] for row in arr[:, a]] for a in arr])
+
+
+def _elements_of(g, npts):
+    """Each element's permutation, read back from its cycle-notation name."""
+    out = []
+    for name in g.names:
+        images = list(range(npts))
+        for body in name.strip("()").split(")("):
+            pts = [int(x) - 1 for x in body.split()]
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                images[a] = b
+        out.append(tuple(images))
+    return out
+
+
+@pytest.mark.parametrize(
+    "build, npts",
+    [
+        (lambda: symmetric_group(4), 4),
+        (lambda: dihedral_group(7), 7),
+        (lambda: sl2_permutation_group(3), 8),
+        (lambda: parse_permutation_text("(1 2 3 4 5)\n(1 2)\n(2000)"), 2000),
+    ],
+    ids=["sym4", "dihedral7", "sl2-3", "s5-on-2000-points"],
+)
+def test_permutation_table_equals_pairwise_composition(build, npts):
+    g = build()
+    perms_of = _elements_of(g, npts)
+    assert len(set(perms_of)) == len(g)
+    assert perms_of[0] == tuple(range(npts))
+    assert np.array_equal(g.table, _pairwise_table(perms_of))
+
+
+def test_permutation_table_composes_once_per_element_and_generator(monkeypatch):
+    calls = []
+
+    def counting(f, h):
+        calls.append(1)
+        return _compose(f, h)
+
+    monkeypatch.setattr(cayley, "_compose", counting)
+    g = sl2_permutation_group(7)  # two generators
+    assert len(g) == 336
+    assert len(calls) <= len(g) * 2
 
 
 def test_sl2_orders():
@@ -344,8 +398,6 @@ def test_permutation_text_forms():
     assert np.array_equal(cyc.table, img.table)
     mixed = parse_permutation_text("(1 2)\n2 3 1\n")
     assert len(mixed) == 6
-    padded = parse_permutation_text("(1 2)", n_points=4)
-    assert len(padded) == 2
     single = parse_permutation_text("2 3 1")
     assert len(single) == 3
 
@@ -360,7 +412,7 @@ def test_permutation_text_errors():
     with pytest.raises(ValueError, match="not a permutation"):
         parse_permutation_text("2 2 1")
     with pytest.raises(ValueError, match="image line length"):
-        parse_permutation_text("2 1", n_points=4)
+        parse_permutation_text("2 1\n2 3 1")
     with pytest.raises(ValueError, match="empty point set"):
         parse_permutation_text("()")
 
@@ -391,10 +443,6 @@ def test_cayley_from_context_heisenberg():
 
 
 def test_cayley_from_context_cap():
-    graph = build_fragment(naturals=[0, 1], gadget_pairs=[])
-    ctx = GroupContext(graph, 3, warn_not_nice=False)
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        cayley_from_context(ctx, max_order=10)
     big = build_fragment(naturals=[0, 1], gadget_pairs=[(0, 1)])
     with pytest.raises(ValueError, match="exceeds the cap"):
         cayley_from_context(GroupContext(big, 3, warn_not_nice=False))

@@ -6,10 +6,12 @@ import random
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 
 import mekler
+from mekler.fplinear import FpVector
 from mekler.formulas import (
     BudgetError,
     FormulaTrace,
@@ -24,13 +26,15 @@ from mekler.group import (
     InducedAutomorphism,
     central_generator,
     commutator_vector,
+    from_vectors,
     generator,
     identity,
     mul,
     pow_,
     random_central,
+    random_element,
 )
-from mekler.interpret import build_down_fragment
+from mekler.interpret import build_down_fragment, build_up_fragment
 from mekler.subgroup import EdgeFunctional
 
 R_SUBSETS = [
@@ -87,6 +91,64 @@ def test_up_formula_trace_and_witnesses():
     tr2 = up_edge_formula(ctx, aut, x, pow_(ctx, x, 2))
     assert not tr2.verdict
     assert tr2.note == "power-related inputs"
+
+
+def all_exponent_up_formula(ctx, aut, x, y):
+    """The up formula with its witness exponents enumerated in full, over
+    every alpha for u = x_w^alpha and every beta for v = x_s^beta; the
+    evaluator fixes both at 1."""
+    if not power_separated(ctx, x, y):
+        return FormulaTrace(False, "VertexLikeEnumeration", note="power-related inputs")
+    p = ctx.p
+
+    def commutes(a, b):
+        return commutator_vector(ctx, a, b).is_zero()
+
+    for w in range(ctx.n):
+        for alpha in range(1, p):
+            u_gen = FpVector(p, {w: alpha})
+            if not (commutes(u_gen, x.gen) and commutes(u_gen, y.gen)):
+                continue
+            for s in range(ctx.n):
+                if aut.iperm[s] == s or not commutes(u_gen, FpVector(p, {s: 1})):
+                    continue
+                for beta in range(1, p):
+                    v_gen = FpVector(p, {s: beta})
+                    if aut.moves_coset(v_gen):
+                        witnesses = (from_vectors(ctx, u_gen), from_vectors(ctx, v_gen))
+                        return FormulaTrace(True, "VertexLikeEnumeration", witnesses=witnesses)
+    return FormulaTrace(False, "VertexLikeEnumeration")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("p", [3, 5])
+def test_up_formula_matches_all_exponent_enumeration(k, p):
+    """Verdict, witnesses and note agree with the full exponent loops on
+    every R over k naturals: x and y run over all powers of the naturals
+    (x's natural not after y's) and over seeded random elements."""
+    naturals = list(range(k))
+    g = build_up_fragment(naturals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the two-natural fragment is not nice
+        ctx = GroupContext(g, p)
+    rng = random.Random(k * p)
+    powers = {n: [generator(ctx, Natural(n), e) for e in range(1, p)] for n in naturals}
+    queries = [
+        (x, y)
+        for n, m in itertools.combinations_with_replacement(naturals, 2)
+        for x, y in itertools.product(powers[n], powers[m])
+    ]
+    queries += [(random_element(ctx, rng), rng.choice(powers[rng.choice(naturals)])) for _ in range(10)]
+    queries += [(random_element(ctx, rng), random_element(ctx, rng)) for _ in range(10)]
+    pairs = all_pairs(naturals)
+    checked = 0
+    for size in range(len(pairs) + 1):
+        for r_edges in itertools.combinations(pairs, size):
+            aut = InducedAutomorphism(ctx, pair_swap_automorphism(g, r_edges))
+            for x, y in queries:
+                assert up_edge_formula(ctx, aut, x, y) == all_exponent_up_formula(ctx, aut, x, y)
+                checked += 1
+    assert checked == 2 ** len(pairs) * len(queries)
 
 
 def test_down_formula_truth_table():

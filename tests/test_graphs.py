@@ -5,9 +5,11 @@ itertools loops over vertex triples and ordered pairs, no numpy.
 """
 
 import itertools
+import random
 
 import pytest
 
+from mekler import graphs
 from mekler.graphs import (
     ConfigError,
     FragmentSpec,
@@ -126,6 +128,42 @@ def test_niceness_matches_oracle_on_fragments():
     assert_matches_oracle(build_fragment(range(4), all_pairs(range(4))))
 
 
+def brute_separation_failures(g):
+    """Ordered pairs (u, v) with no w outside {u, v} joined to v and not
+    to u, by a triple loop in vertex order."""
+    vs = g.vertices
+    return [
+        (u, v)
+        for u in vs
+        for v in vs
+        if u != v and not any(w not in (u, v) and g.has_edge(w, v) and not g.has_edge(w, u) for w in vs)
+    ]
+
+
+def random_graph(rng):
+    vs = [Natural(i) for i in range(rng.randrange(1, 10))]
+    density = rng.random()
+    return Graph(vs, [(u, v) for u, v in itertools.combinations(vs, 2) if rng.random() < density])
+
+
+def test_separation_failures_match_triple_loop():
+    rng = random.Random(7)
+    graphs = [random_graph(rng) for _ in range(300)]
+    graphs += [path_graph(4), cycle_graph(4), cycle_graph(5), Graph([Natural(0)], [])]
+    graphs += [
+        build_fragment([0, 1]),
+        build_fragment([0, 1], [(0, 1)]),
+        build_fragment([0, 1, 2], all_pairs([0, 1, 2])),
+        build_fragment([0, 1], [(0, 1)], extra_edges=[(Natural(0), Gadget(0, 1, "1.25"))]),
+    ]
+    failing = 0
+    for g in graphs:
+        expected = brute_separation_failures(g) if len(g.vertices) >= 2 else []
+        assert check_nice(g).separation_failures == expected
+        failing += bool(expected)
+    assert 0 < failing < len(graphs)
+
+
 def test_three_natural_fragment_is_nice():
     g = build_fragment([0, 1, 2], all_pairs([0, 1, 2]))
     assert check_nice(g).is_nice
@@ -218,6 +256,13 @@ def test_pair_swap_requires_the_gadget():
     # empty selection is the identity
     perm = pair_swap_automorphism(g, [])
     assert all(perm[v] == v for v in g.vertices)
+
+
+def test_pair_swap_that_breaks_an_edge_is_an_internal_fault(monkeypatch):
+    g = build_fragment([0, 1], [(0, 1)])
+    monkeypatch.setattr(graphs, "is_graph_automorphism", lambda g, perm: False)
+    with pytest.raises(RuntimeError, match="pentagon swap"):
+        pair_swap_automorphism(g, [(0, 1)])
 
 
 def test_is_graph_automorphism_rejects_bad_maps():

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from mekler.fplinear import FpMatrix, FpVector, kernel_basis, kernel_dim, rref_indexed
+from mekler.fplinear import FpVector, kernel_basis, kernel_dim, rref_indexed
 from mekler.graphs import Gadget, Natural, all_pairs, build_fragment, pair_swap_automorphism
 from mekler.group import (
     GroupContext,
@@ -213,21 +213,22 @@ def test_support_local_engine_matches_full_columns(r_edges):
         for pattern in itertools.product(range(ctx.p), repeat=len(verts))
     ]
     assert len(cosets) == 3**7
-    rows = {agen: commutation_matrix(ctx, agen).rows for agen in cosets}
+    rows = {agen: commutation_matrix(ctx, agen) for agen in cosets}
+    n, p = len(verts), ctx.p
 
     def full_columns(family, functional=None):
-        extra = [functional.vector(ctx)] if functional else []
-        return FpMatrix(ctx.p, range(len(verts)), [r for agen in family for r in rows[agen]] + extra)
+        extra = [functional.row(ctx)] if functional else []
+        return [r for agen in family for r in rows[agen]] + extra
 
     for agen in cosets:
-        assert commuting_kernel_dim(ctx, [agen]) == kernel_dim(full_columns([agen]))
-        assert commuting_kernel_dim(ctx, [agen], ell) == kernel_dim(full_columns([agen], ell))
+        assert commuting_kernel_dim(ctx, [agen]) == kernel_dim(full_columns([agen]), n, p)
+        assert commuting_kernel_dim(ctx, [agen], ell) == kernel_dim(full_columns([agen], ell), n, p)
     small = [agen for agen in cosets if len(agen) <= 2]
     assert len(small) == 1 + 7 * 2 + 21 * 4
     for xgen in small:
         for ygen in small:
             basis = commuting_kernel_basis(ctx, [xgen, ygen], ell)
-            assert basis == kernel_basis(full_columns([xgen, ygen], ell))
+            assert basis == [FpVector(p, v) for v in kernel_basis(full_columns([xgen, ygen], ell), n, p)]
 
 
 @pytest.mark.parametrize("r_edges", [[(0, 1)], [(0, 1), (1, 2), (2, 3)]], ids=["R-01", "R-path"])

@@ -106,9 +106,8 @@ def test_element_dims_against_generic_eliminator():
                 a = from_vectors(ctx, FpVector(3, dict(zip((ctx.vindex[v] for v in sup), exps))))
                 full = commutation_matrix(ctx, a.gen)
                 dim_g, dim_s, member = element_dims(ctx, ell, sup, exps)
-                assert dim_g == centralizer_dim_mod_center(ctx, a) == kernel_dim(full)
-                full.append_row(ell.vector(ctx))
-                assert dim_s == kernel_dim(full)
+                assert dim_g == centralizer_dim_mod_center(ctx, a) == kernel_dim(full, ctx.n, 3)
+                assert dim_s == kernel_dim(full + [ell.row(ctx)], ctx.n, 3)
                 if member:
                     assert dim_s == centralizer_dim_in_subgroup(ctx, ell, a)
 
@@ -230,9 +229,7 @@ def test_low_side_violation_detected_with_doctored_provisioning():
     ell = EdgeFunctional.from_edges([])
     adj, ellbit, nat, prov = _context_arrays(ctx, ell)
     assert prov.sum() == 0  # two partners each: genuinely unprovisioned
-    checked, members, records = _scan_arrays(
-        adj, ellbit, nat, nat.copy(), ctx.p, MODE_SUBGROUP, 1, DIM_THRESHOLD, DIM_THRESHOLD - 1
-    )
+    checked, members, records = _scan_arrays(adj, ellbit, nat, nat.copy(), ctx.p, MODE_SUBGROUP, 1)
     assert checked == 7 * 2
     low = [r for r in records if r[0] == KIND_SUBGROUP_LOW]
     assert len(low) == 4  # both naturals, both exponents
