@@ -397,7 +397,13 @@ def sl2_permutation_group(q: int) -> FiniteGroup:
 
 
 def cayley_from_context(ctx: GroupContext) -> FiniteGroup:
-    """Tabulate the fragment's whole group, names in element text form."""
+    """Tabulate the fragment's whole group, names in element text form.
+
+    Elements are listed by their generator and central coordinates.  As in
+    from_permutation_generators, right[v][i] is element i followed by x_v,
+    and a breadth-first walk from the identity reaches each element j from
+    a parent by one x_v; column j of the table is then right[v] applied to
+    its parent's column, so only |G| * |V| products are made."""
     p = ctx.p
     nv, nc = ctx.n, ctx.ncentral
     order = p ** (nv + nc)
@@ -413,10 +419,23 @@ def cayley_from_context(ctx: GroupContext) -> FiniteGroup:
         index[el] = len(elems)
         elems.append(el)
     size = len(elems)
+    right = [
+        np.array([index[ctx_mul(ctx, a, x)] for a in elems], dtype=np.int64)
+        for x in (from_vectors(ctx, FpVector(p, {v: 1})) for v in range(nv))
+    ]
     table = np.empty((size, size), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = index[ctx_mul(ctx, a, b)]
+    table[:, 0] = np.arange(size)  # elems[0] is the identity
+    reached = [0]
+    seen = {0}
+    for par in reached:  # reached grows while it is walked
+        for step in right:
+            j = int(step[par])
+            if j not in seen:
+                seen.add(j)
+                reached.append(j)
+                table[:, j] = step[table[:, par]]
+    if len(reached) != size:
+        raise RuntimeError("the vertex generators do not reach every element")
     return FiniteGroup(table, names=tuple(format_element(ctx, e) for e in elems))
 
 

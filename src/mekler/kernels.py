@@ -22,10 +22,27 @@ whether it is a natural and whether it is provisioned.  A scan counts the
 supports of each signature, checks each signature once against every
 exponent pattern through rank tables, built once per (p, size) from the
 rows of group.commuting_rows, and lists actual supports only for the
-signatures that violate.  Size-3 supports are counted one anchor (smallest
-vertex) at a time, so memory stays at one row of pairs.  t is nonzero only
-on pairs and triples inside some neighbourhood N(v), so it is counted from
-those.
+signatures that violate.
+
+Sizes 2 and 3 are counted from the graph's sparse structure, never by
+walking every support.  The supports fall into three classes:
+
+    (A) supports that contain an edge: each edge times each other vertex,
+        kept once under the support's smallest edge, in chunks of edges;
+    (B) edge-free supports with t > 0: these lie inside some N(v), so they
+        are among the size-subsets of the neighbourhoods;
+    (C) every other support: edge-free with t = 0, so its signature is
+        fixed by its functional bits alone.  C is never enumerated: prefix
+        counts over vertex order give the supports of each functional-bit
+        pattern, and A and B are subtracted.
+
+For A and B, t and the functional's count on the common neighbours are
+looked up in the sorted multiset of neighbourhood subsets, built once per
+scan.  A scan costs O(|E| n + sum_v C(deg v, 3)) time, not O(n^3), and its
+memory stays at the adjacency matrix, the neighbourhood subsets and one
+chunk of edges.  Walking every support one anchor (smallest vertex) at a
+time survives only to list the supports of violating signatures.
+
 Nothing assumes the graph is nice.  Agreement with element_dims, the
 generic eliminator and brute-force coset counting is asserted in the test
 suite.
@@ -163,7 +180,8 @@ def _support_batches(adj: np.ndarray, ellbit: np.ndarray, size: int) -> Iterator
     (supports, t, tl): an (m, size) index array, the common-neighbour count
     of each support and how many of those the functional is nonzero on.
     Size 3 comes one anchor i at a time: t of {i, j, k} counts the v in
-    N(i) whose neighbourhood holds the pair (j, k)."""
+    N(i) whose neighbourhood holds the pair (j, k).  O(n^3) for size 3, so
+    it serves only the listing of violating supports."""
     n = adj.shape[0]
     if size == 1:
         yield np.arange(n)[:, None], adj.sum(axis=1), adj.astype(np.int64) @ ellbit
@@ -193,6 +211,118 @@ def _support_batches(adj: np.ndarray, ellbit: np.ndarray, size: int) -> Iterator
         yield np.column_stack([np.full(m, i), jj[start:], kk[start:]]), t, tl
 
 
+EDGE_CHUNK_SLOTS = 1 << 13  # (edge, third vertex) slots per class-A chunk
+
+
+def _support_keys(sup: np.ndarray, n: int) -> np.ndarray:
+    """One integer per support row, its vertices as base-n digits."""
+    key = np.zeros(len(sup), dtype=np.int64)
+    for u in range(sup.shape[1]):
+        key = key * n + sup[:, u]
+    return key
+
+
+def _neighbourhood_subsets(adj: np.ndarray, ellbit: np.ndarray, max_support: int) -> dict:
+    """For each size from 2 to max_support, the distinct size-subsets of the
+    neighbourhoods N(v) as sorted keys, with t (how many N(v) hold the
+    subset) and tl (how many of those v the functional is nonzero on).
+    Vertices of one degree are taken together."""
+    n = len(adj)
+    deg = adj.sum(axis=1)
+    degrees = np.flatnonzero(np.bincount(deg))
+    tables = {}
+    for size in range(2, max_support + 1):
+        keys, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for d in degrees[degrees >= size]:
+            centres = np.flatnonzero(deg == d)
+            nbrs = np.nonzero(adj[centres])[1].reshape(len(centres), d)  # ascending in each row
+            combos = np.array(list(itertools.combinations(range(d), size)))
+            keys.append(_support_keys(nbrs[:, combos].reshape(-1, size), n))
+            weights.append(np.repeat(ellbit[centres], len(combos)))
+        uniq, inverse, t = np.unique(np.concatenate(keys), return_inverse=True, return_counts=True)
+        tl = np.bincount(inverse.ravel(), weights=np.concatenate(weights), minlength=len(uniq))
+        tables[size] = uniq, t, tl.astype(np.int64)
+    return tables
+
+
+def _edge_supports(adj: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """Class A: every support that contains an edge, once, as sorted rows.
+    A triple {a, b, c} is kept under its lexicographically smallest edge
+    (a, b), a < b: it is dropped when (a, c) with c < b or (b, c) with
+    c < a is an edge.  Edges come EDGE_CHUNK_SLOTS // n at a time."""
+    n = len(adj)
+    edges = np.argwhere(np.triu(adj, 1))
+    if size == 2:
+        yield edges
+        return
+    third = np.arange(n)
+    step = max(1, EDGE_CHUNK_SLOTS // n)
+    for lo in range(0, len(edges), step):
+        a, b = edges[lo : lo + step, 0], edges[lo : lo + step, 1]
+        ac, bc = a[:, None], b[:, None]
+        keep = (third != ac) & (third != bc) & ~(adj[a] & (third < bc)) & ~(adj[b] & (third < ac))
+        row, c = np.nonzero(keep)
+        a, b = a[row], b[row]
+        low, high = np.minimum(a, c), np.maximum(b, c)
+        yield np.column_stack([low, a + b + c - low - high, high])
+
+
+def _counted_batches(adj: np.ndarray, table, size: int) -> Iterator[tuple]:
+    """Batches (supports, t, tl) of classes A and B for size 2 or 3."""
+    n = len(adj)
+    keys, t, tl = table
+    for sup in _edge_supports(adj, size):
+        if not len(keys):
+            yield sup, np.zeros(len(sup), dtype=np.int64), np.zeros(len(sup), dtype=np.int64)
+            continue
+        key = _support_keys(sup, n)
+        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        hit = keys[pos] == key
+        yield sup, np.where(hit, t[pos], 0), np.where(hit, tl[pos], 0)
+    sup = np.column_stack([keys // n ** (size - 1 - u) % n for u in range(size)])
+    free = ~np.any([adj[sup[:, u], sup[:, w]] for u, w in itertools.combinations(range(size), 2)], axis=0)
+    yield sup[free], t[free], tl[free]
+
+
+def _pattern_totals(ellbit: np.ndarray, size: int) -> np.ndarray:
+    """Supports of each positional functional-bit pattern (first vertex's
+    bit highest), from prefix counts over vertex order: ends[pat][j] counts
+    the increasing tuples with pattern pat whose last vertex is j."""
+    onehot = (1 - ellbit, ellbit)
+    ends = {(): None}
+    for _ in range(size):
+        ends = {
+            pat + (bit,): onehot[bit] * (1 if prev is None else np.cumsum(prev) - prev)
+            for pat, prev in ends.items()
+            for bit in (0, 1)
+        }
+    return np.array([ends[pat].sum() for pat in itertools.product((0, 1), repeat=size)], dtype=np.int64)
+
+
+def _signature_histogram(adj, ellbit, nat, prov, size: int, tables: dict) -> np.ndarray:
+    """Supports of the given size per signature code, as from
+    _support_batches, but with class C counted per functional-bit pattern."""
+    n = len(adj)
+    if size == 1:
+        batches = [(np.arange(n)[:, None], adj.sum(axis=1), adj[:, ellbit == 1].sum(axis=1))]
+    else:
+        batches = _counted_batches(adj, tables[size], size)
+    hist = np.zeros(0, dtype=np.int64)
+    for sup, t, tl in batches:
+        counts = np.bincount(_signatures(sup, t, tl, adj, ellbit, nat, prov, size))
+        hist = np.pad(hist, (0, max(0, len(counts) - len(hist))))
+        hist[: len(counts)] += counts
+    if size == 1:
+        return hist
+    seen = np.zeros(1 << size, dtype=np.int64)
+    np.add.at(seen, (np.arange(len(hist)) >> 2) & ((1 << size) - 1), hist)
+    nbits = size * (size - 1) // 2
+    codes = ((((1 << nbits) - 1) << size) + np.arange(1 << size)) << 2  # t = 0, no pair adjacent
+    hist = np.pad(hist, (0, max(0, codes[-1] + 1 - len(hist))))
+    hist[codes] += _pattern_totals(ellbit, size) - seen
+    return hist
+
+
 def _signatures(sup, t, tl, adj, ellbit, nat, prov, size: int) -> np.ndarray:
     """One integer per support, packing (t, tl > 0, non-adjacency bits,
     ell bits, natural and provisioned bits) from high to low."""
@@ -213,13 +343,10 @@ def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support):
     checked = 0
     members = 0
     records = []
+    tables = _neighbourhood_subsets(adj, ellbit, max_support)
     for size in range(1, max_support + 1):
         rank_b, rank_bl, memb, pats = _rank_tables(p, size)
-        hist = np.zeros(0, dtype=np.int64)
-        for sup, t, tl in _support_batches(adj, ellbit, size):
-            counts = np.bincount(_signatures(sup, t, tl, adj, ellbit, nat, prov, size))
-            hist = np.pad(hist, (0, max(0, len(counts) - len(hist))))
-            hist[: len(counts)] += counts
+        hist = _signature_histogram(adj, ellbit, nat, prov, size, tables)
         codes = np.flatnonzero(hist)
         counts = hist[codes]
         nbits = size * (size - 1) // 2

@@ -442,6 +442,30 @@ def test_cayley_from_context_heisenberg():
     assert k == 27
 
 
+@pytest.mark.parametrize(
+    "naturals, extra, p",
+    [([0, 1], [], 3), ([0, 1], [], 5), ([0, 1], [(Natural(0), Natural(1))], 3), ([0], [], 7)],
+)
+def test_cayley_from_context_equals_pairwise_products(naturals, extra, p):
+    ctx = GroupContext(build_fragment(naturals, [], extra_edges=extra), p, warn_not_nice=False)
+    g = cayley_from_context(ctx)
+    elems = [parse_element(ctx, name) for name in g.names]
+    index = {el: i for i, el in enumerate(elems)}
+    pairwise = np.array([[index[mul(ctx, a, b)] for b in elems] for a in elems])
+    assert np.array_equal(g.table, pairwise)
+    # element order: coordinates in lexicographic order, generators first
+    assert g.name(0) == "e" and len(index) == len(g) == p ** (ctx.n + ctx.ncentral)
+
+
+def test_cayley_from_context_multiplies_once_per_element_and_vertex(monkeypatch):
+    ctx = GroupContext(build_fragment([0, 1, 2], []), 3, warn_not_nice=False)
+    calls = []
+    monkeypatch.setattr(cayley, "ctx_mul", lambda *args: calls.append(1) or mul(*args))
+    g = cayley_from_context(ctx)
+    assert len(g) == 729
+    assert len(calls) == len(g) * ctx.n
+
+
 def test_cayley_from_context_cap():
     big = build_fragment(naturals=[0, 1], gadget_pairs=[(0, 1)])
     with pytest.raises(ValueError, match="exceeds the cap"):

@@ -1,9 +1,15 @@
 """Scan kernels against brute force, the generic eliminator and element_dims."""
 
 import itertools
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mekler import kernels
 from mekler.fplinear import FpVector, kernel_dim
 from mekler.graphs import Gadget, Natural, all_pairs, build_fragment
 from mekler.group import (
@@ -19,10 +25,15 @@ from mekler.kernels import (
     KIND_GROUP_BOUND,
     KIND_SUBGROUP_HIGH,
     KIND_SUBGROUP_LOW,
+    MODE_GROUP,
     MODE_SUBGROUP,
     ScanResult,
     _context_arrays,
+    _neighbourhood_subsets,
     _scan_arrays,
+    _signature_histogram,
+    _signatures,
+    _support_batches,
     element_dims,
     scan_group_bound,
     scan_subgroup_dichotomy,
@@ -151,9 +162,10 @@ def test_counts_are_frozen_on_18_vertices():
     assert res.ok
 
 
-def oracle_scan(ctx, ell):
+def oracle_scan(ctx, ell, threshold=DIM_THRESHOLD):
     """(elements, members, violations) of a scan, from element_dims on
-    every support of size <= 3 and every exponent pattern."""
+    every support of size <= 3 and every exponent pattern; the violations
+    come in ScanResult order."""
     elements = members = 0
     found = []
     for size in (1, 2, 3):
@@ -165,13 +177,13 @@ def oracle_scan(ctx, ell):
                 elements += 1
                 members += member
                 if ell is None:
-                    if not lone_nat and dim_g > DIM_THRESHOLD - 1:
+                    if not lone_nat and dim_g > threshold - 1:
                         found.append((KIND_GROUP_BOUND, sup, exps, dim_g, -1))
-                elif member and not lone_nat and dim_s >= DIM_THRESHOLD:
+                elif member and not lone_nat and dim_s >= threshold:
                     found.append((KIND_SUBGROUP_HIGH, sup, exps, dim_g, dim_s))
-                elif member and provisioned and dim_s < DIM_THRESHOLD:
+                elif member and provisioned and dim_s < threshold:
                     found.append((KIND_SUBGROUP_LOW, sup, exps, dim_g, dim_s))
-    return elements, members, sorted((k, tuple(str(s) for s in sup), e, dg, ds) for k, sup, e, dg, ds in found)
+    return elements, members, found
 
 
 @pytest.mark.parametrize(
@@ -194,7 +206,8 @@ def test_scan_matches_element_dims_on_every_support(make, p, mode, violations):
     else:
         ell = EdgeFunctional.from_edges([(0, 1)])
         res = scan_subgroup_dichotomy(ctx, ell)
-    elements, members, expected = oracle_scan(ctx, ell)
+    elements, members, found = oracle_scan(ctx, ell)
+    expected = sorted((k, tuple(str(s) for s in sup), e, dg, ds) for k, sup, e, dg, ds in found)
     assert res.elements_checked == elements
     assert res.members_checked == members
     assert normalized(res.violations) == expected
@@ -253,3 +266,104 @@ def test_small_supports_only_paths():
     assert res1.elements_checked == 14
     assert isinstance(res1, ScanResult)
 
+
+
+def anchor_histogram(adj, ellbit, nat, prov, size):
+    """Signature histogram from the per-anchor walk over every support."""
+    hist = np.zeros(0, dtype=np.int64)
+    for sup, t, tl in _support_batches(adj, ellbit, size):
+        counts = np.bincount(_signatures(sup, t, tl, adj, ellbit, nat, prov, size))
+        hist = np.pad(hist, (0, max(0, len(counts) - len(hist))))
+        hist[: len(counts)] += counts
+    return hist
+
+
+def trimmed(hist):
+    return hist[: np.flatnonzero(hist)[-1] + 1] if hist.any() else hist[:0]
+
+
+def closed_form_counts(ellbit, p, max_support):
+    """Elements and subgroup members of a scan by combinatorics alone: a
+    member's exponents on its value-1 vertices sum to 0 mod p."""
+    ones = int(ellbit.sum())
+    zeros = len(ellbit) - ones
+    elements = members = 0
+    for s in range(1, max_support + 1):
+        elements += math.comb(len(ellbit), s) * (p - 1) ** s
+        for k in range(s + 1):
+            vanishing = sum(1 for exps in itertools.product(range(1, p), repeat=k) if sum(exps) % p == 0)
+            members += math.comb(zeros, s - k) * math.comb(ones, k) * (p - 1) ** (s - k) * vanishing
+    return elements, members
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 40),
+    density=st.sampled_from([0.0, 0.05, 0.15, 0.4, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([3, 5]),
+)
+@example(n=40, density=0.0, seed=0, p=3)  # empty graph: every support in class C
+@example(n=40, density=1.0, seed=1, p=3)  # complete graph: every pair and triple in class A
+@example(n=2, density=1.0, seed=2, p=5)
+def test_counted_histograms_equal_the_anchor_walk(n, density, seed, p):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    adj = upper | upper.T
+    ellbit = rng.integers(0, 2, n)
+    nat = rng.integers(0, 2, n)
+    prov = nat & rng.integers(0, 2, n)
+    tables = _neighbourhood_subsets(adj, ellbit, 3)
+    for size in (1, 2, 3):
+        counted = _signature_histogram(adj, ellbit, nat, prov, size, tables)
+        assert counted.min() >= 0
+        assert np.array_equal(trimmed(counted), trimmed(anchor_histogram(adj, ellbit, nat, prov, size)))
+    elements, members = closed_form_counts(ellbit, p, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        # the counts do not depend on the threshold; a high one keeps random
+        # graphs from listing most of their supports as violations
+        mp.setattr(kernels, "DIM_THRESHOLD", 10**6)
+        checked, counted_members, _ = _scan_arrays(adj, ellbit, nat, prov, p, MODE_SUBGROUP, 3)
+        assert (checked, counted_members) == (elements, members)
+        checked, _, records = _scan_arrays(adj, np.zeros(n, dtype=np.int64), nat, prov, p, MODE_GROUP, 3)
+        assert checked == elements and records == []
+
+
+def test_listed_violations_in_the_counted_class(monkeypatch):
+    """At threshold 1 every member support that is edge-free with no common
+    neighbour (the class never enumerated by the count) violates, so the
+    listing must find those supports from their counted signature alone."""
+    monkeypatch.setattr(kernels, "DIM_THRESHOLD", 1)
+    ctx = GroupContext(fragment18(), 3)
+    ell = EdgeFunctional.from_edges([(0, 1)])
+    res = scan_subgroup_dichotomy(ctx, ell)
+    elements, members, found = oracle_scan(ctx, ell, threshold=1)
+    assert (res.elements_checked, res.members_checked) == (elements, members)
+    listed = [(v.kind, v.support, v.exps, v.dim_group, v.dim_subgroup) for v in res.violations]
+    assert listed == found
+    adj = ctx.graph.adjacency_matrix().astype(bool)
+    in_class_c = [
+        sup for _, sup, _, _, _ in found
+        if len(sup) == 3
+        and not any(adj[ctx.vindex[u], ctx.vindex[w]] for u, w in itertools.combinations(sup, 2))
+        and not np.all(adj[[ctx.vindex[v] for v in sup]], axis=0).any()
+    ]
+    assert len(in_class_c) > 100
+
+
+def test_size3_scan_memory_stays_small():
+    """Peak traced allocation of a bound scan on the 286-vertex fragment,
+    with the rank tables already cached: the count holds the adjacency
+    matrix, the neighbourhood subsets and one chunk of edges, not a row of
+    all pairs per anchor."""
+    ctx = GroupContext(build_fragment(range(11), all_pairs(range(11))), 3)
+    assert len(ctx) == 286
+    scan_group_bound(ctx)
+    tracemalloc.start()
+    try:
+        res = scan_group_bound(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok and res.elements_checked == 31_028_712
+    assert peak <= 2_000_000

@@ -49,3 +49,31 @@ def test_the_rule_sees_imports_and_calls():
     tree = ast.parse("from .fplinear import kernel_dim\nfrom . import formulas\nformulas.full_coset_oracle(1)\n")
     assert oracle_uses(tree) == [(1, "kernel_dim"), (3, "full_coset_oracle")]
     assert oracle_uses(ast.parse("def commutation_matrix():\n    pass\n")) == []
+
+
+def references(tree, name):
+    """(enclosing top-level function, line) of every use of name."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name):
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_the_anchor_walk_only_lists_violations():
+    """The per-anchor support walk is O(n^3) for triples; the scans count
+    signatures without it and call it only to list violating supports."""
+    package = Path(mekler.__file__).parent
+    calls = {
+        path.name: refs
+        for path in sorted(package.glob("*.py"))
+        if (refs := references(ast.parse(path.read_text(), filename=str(path)), "_support_batches"))
+    }
+    assert list(calls) == ["kernels.py"]
+    assert [fn for fn, _ in calls["kernels.py"]] == ["_scan_arrays"]
+
+
+def test_the_reference_rule_sees_calls_and_attributes():
+    tree = ast.parse("def f():\n    g(1)\n\ndef h():\n    return m.g\n\nx = g\n")
+    assert references(tree, "g") == [("f", 2), ("h", 5), (None, 7)]
