@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .group import GroupContext, from_vectors, format_element, mul as ctx_mul
 
 DEFAULT_MAX_ORDER = 2048  # largest group tabulated
 EXACT_CAP = 2000  # largest group whose covering number is searched exactly
+COVER_NODE_BUDGET = 2_000_000  # search nodes an exact cover search may visit
 
 
 class FiniteGroup:
@@ -69,9 +70,17 @@ class FiniteGroup:
             if len(names) != n:
                 raise ConfigError("names must match the element count")
         self.table = t
-        self.names = names
+        self._names = names
+        self._namer: Callable[[], tuple[str, ...]] | None = None
         self.identity = e
         self.inverses = inv
+
+    @property
+    def names(self) -> tuple[str, ...] | None:
+        """Element names; a builder may leave them to be made on first read."""
+        if self._namer is not None:
+            self._names, self._namer = self._namer(), None
+        return self._names
 
     def __len__(self) -> int:
         return self.table.shape[0]
@@ -103,7 +112,15 @@ class FiniteGroup:
         return k
 
     def name(self, a: int) -> str:
-        return self.names[a] if self.names else str(a)
+        names = self.names
+        return names[a] if names else str(a)
+
+
+def _named_later(table: np.ndarray, namer: Callable[[], tuple[str, ...]]) -> FiniteGroup:
+    """The validated group whose names namer makes when they are first read."""
+    g = FiniteGroup(table)
+    g._namer = namer
+    return g
 
 
 def _generating_set(t: np.ndarray, e: int) -> list[int]:
@@ -116,8 +133,9 @@ def _generating_set(t: np.ndarray, e: int) -> list[int]:
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            step = np.unique(t[np.ix_(frontier, gens)])
-            frontier = step[~reached[step]]
+            step = np.zeros(len(t), dtype=bool)
+            step[t[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(step & ~reached)
             reached[frontier] = True
     return gens
 
@@ -145,7 +163,7 @@ def nth_roots_count(g: FiniteGroup, x: int, n: int) -> int:
 
 
 def power_image(g: FiniteGroup, n: int) -> tuple[int, ...]:
-    return tuple(int(v) for v in np.unique(pow_all(g, n)))
+    return tuple(int(v) for v in np.flatnonzero(np.bincount(pow_all(g, n), minlength=len(g))))
 
 
 def bounded_root_set(g: FiniteGroup, n: int, m: int) -> tuple[int, ...]:
@@ -169,6 +187,8 @@ class CoverCertificate:
     size: int
     exact: bool
     universe: int
+    nodes: int = 0  # branch-and-bound nodes visited
+    budget_hit: bool = False  # the search stopped at COVER_NODE_BUDGET
 
     def verify(self, g: FiniteGroup, subset: Sequence[int]) -> bool:
         covered = set()
@@ -176,6 +196,10 @@ class CoverCertificate:
             for s in subset:
                 covered.add(g.mul(x, s))
         return len(covered) == len(g)
+
+
+class _NodeBudgetHit(Exception):
+    pass
 
 
 def _translate_masks(g: FiniteGroup, subset: np.ndarray) -> list[int]:
@@ -191,7 +215,16 @@ def covering_number(g: FiniteGroup, subset: Iterable[int]) -> tuple[int, CoverCe
     """Fewest left translates of the subset that cover the group.
 
     Greedy gives the upper bound; branch and bound on bitmasks settles
-    optimality exactly whenever the group order is within EXACT_CAP.
+    optimality exactly whenever the group order is within EXACT_CAP and the
+    search stays within COVER_NODE_BUDGET nodes.  Past the budget the best
+    cover found so far is kept, with exact=False and budget_hit=True.
+
+    Left multiplication permutes the translates transitively and maps
+    covers to covers, so if a k-cover exists, one exists through any fixed
+    translate (F. Margot, Symmetry in integer linear programming, 2010).
+    Each round therefore fixes the first translate through element 0, the
+    one an unseeded search would try first, and looks for the rest: the
+    cover found is the same, and only the proof that none is smaller shrinks.
     """
     sub = np.array(sorted(set(int(s) for s in subset)), dtype=np.int64)
     if sub.size == 0:
@@ -216,11 +249,16 @@ def covering_number(g: FiniteGroup, subset: Iterable[int]) -> tuple[int, CoverCe
     best_reps = list(greedy)
 
     exact = size <= EXACT_CAP
+    nodes = 0
+    budget_hit = False
     if exact and ub > 1:
         per_mask = sub.size  # every translate has exactly |S| elements
-        mask_by_rep = dict((x, m) for m, x in distinct)
 
         def find_cover(uncov: int, budget: int, chosen: list[int]) -> list[int] | None:
+            nonlocal nodes
+            nodes += 1
+            if nodes > COVER_NODE_BUDGET:
+                raise _NodeBudgetHit
             if uncov == 0:
                 return list(chosen)
             if budget == 0:
@@ -239,14 +277,21 @@ def covering_number(g: FiniteGroup, subset: Iterable[int]) -> tuple[int, CoverCe
                     return got
             return None
 
-        while ub > 1:
-            better = find_cover(full, ub - 1, [])
-            if better is None:
-                break
-            best_reps = better
-            ub = len(better)
+        m0, x0 = next((m, x) for m, x in distinct if m & 1)
+        try:
+            while ub > 1:
+                better = find_cover(full & ~m0, ub - 2, [x0])
+                if better is None:
+                    break
+                best_reps = better
+                ub = len(better)
+        except _NodeBudgetHit:
+            exact = False
+            budget_hit = True
 
-    cert = CoverCertificate(reps=tuple(best_reps), size=ub, exact=exact, universe=size)
+    cert = CoverCertificate(
+        reps=tuple(best_reps), size=ub, exact=exact, universe=size, nodes=nodes, budget_hit=budget_hit
+    )
     if not cert.verify(g, [int(s) for s in sub]):
         raise RuntimeError(f"cover certificate with representatives {cert.reps} does not cover the group")
     return ub, cert
@@ -260,9 +305,15 @@ class CoverReport:
     covering_size: int
     reps: tuple[int, ...]
     exact: bool
+    budget_hit: bool
 
     def summary(self) -> str:
-        kind = "exact" if self.exact else "greedy upper bound"
+        if self.exact:
+            kind = "exact"
+        elif self.budget_hit:
+            kind = "upper bound: the search hit its node budget"
+        else:
+            kind = "greedy upper bound"
         return "\n".join(
             [
                 f"group order {self.group_order}, power exponent {self.exponent}",
@@ -284,6 +335,7 @@ def covering_report(g: FiniteGroup, n: int = 2) -> CoverReport:
         covering_size=k,
         reps=cert.reps,
         exact=cert.exact,
+        budget_hit=cert.budget_hit,
     )
 
 
@@ -338,7 +390,7 @@ def from_permutation_generators(perms: Sequence[tuple[int, ...]]) -> FiniteGroup
     for j in range(1, size):
         par, k = parent[j]
         table[:, j] = right_np[k][table[:, par]]
-    return FiniteGroup(table, names=tuple(_cycle_notation(pm) for pm in order))
+    return _named_later(table, lambda: tuple(_cycle_notation(pm) for pm in order))
 
 
 def _cycle_notation(pm: tuple[int, ...]) -> str:
@@ -436,7 +488,7 @@ def cayley_from_context(ctx: GroupContext) -> FiniteGroup:
                 table[:, j] = step[table[:, par]]
     if len(reached) != size:
         raise RuntimeError("the vertex generators do not reach every element")
-    return FiniteGroup(table, names=tuple(format_element(ctx, e) for e in elems))
+    return _named_later(table, lambda: tuple(format_element(ctx, e) for e in elems))
 
 
 # --- file formats -------------------------------------------------------------

@@ -270,6 +270,8 @@ def cmd_qprobe(args) -> int:
             "cover_reps": list(rep.reps),
             "cover_exact": rep.exact,
         }
+        if rep.budget_hit:
+            payload["cover_node_budget_hit"] = True
         if args.m is not None:
             payload["bounded_root_set_size"] = len(bounded_root_set(g, n, args.m))
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -15,6 +15,7 @@ vertex is joined to v but not to u.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -149,6 +150,11 @@ class Graph:
     def gadget_pairs(self) -> tuple[tuple[int, int], ...]:
         pairs = sorted({v.pair for v in self.vertices if isinstance(v, Gadget)})
         return tuple(pairs)
+
+    def partner_counts(self) -> Counter[int]:
+        """Each natural's number of gadgeted partners, from one pass over
+        the pairs; a natural without partners reads 0."""
+        return Counter(n for pair in self.gadget_pairs() for n in pair)
 
     def gadget_partners(self, n: int) -> tuple[int, ...]:
         """Naturals m such that the {n, m} hub is present."""

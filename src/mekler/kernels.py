@@ -137,9 +137,9 @@ def _context_arrays(ctx: GroupContext, ell: EdgeFunctional | None):
     else:
         ellbit = (np.array(ell.values(ctx)) % ctx.p != 0).astype(np.int64)
     nat = np.array([isinstance(v, Natural) for v in ctx.vertex_order], dtype=np.int64)
-    g = ctx.graph
+    partners = ctx.graph.partner_counts()
     prov = np.array(
-        [isinstance(v, Natural) and len(g.gadget_partners(v.n)) >= PROVISION_PARTNERS for v in ctx.vertex_order],
+        [isinstance(v, Natural) and partners[v.n] >= PROVISION_PARTNERS for v in ctx.vertex_order],
         dtype=np.int64,
     )
     return adj, ellbit, nat, prov

@@ -217,10 +217,11 @@ def assess_adequacy(ctx: GroupContext, ell: EdgeFunctional) -> FragmentAdequacy:
     naturals apart from bystanders and we refuse.
     """
     g = ctx.graph
+    partners = g.partner_counts()
     provisioned: list[int] = []
     unprovisioned: list[int] = []
     for n in g.naturals():
-        if len(g.gadget_partners(n)) >= PROVISION_PARTNERS:
+        if partners[n] >= PROVISION_PARTNERS:
             provisioned.append(n)
         else:
             unprovisioned.append(n)

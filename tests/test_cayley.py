@@ -1,6 +1,8 @@
 """Finite Cayley-table machinery: validation, roots, covers, file formats."""
 
 import itertools
+import json
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from mekler.cayley import (
     CoverCertificate,
     FiniteGroup,
     _compose,
+    _cycle_notation,
     bounded_root_set,
     cayley_from_context,
     covering_number,
@@ -27,6 +30,8 @@ from mekler.cayley import (
     sl2_permutation_group,
     symmetric_group,
 )
+from mekler.cli import _load_probe_group
+from mekler.cli import main as cli_main
 from mekler.graphs import Natural, build_fragment
 from mekler.group import GroupContext, format_element, mul, parse_element
 
@@ -299,6 +304,50 @@ def test_permutation_table_composes_once_per_element_and_generator(monkeypatch):
     assert len(calls) <= len(g) * 2
 
 
+def _breadth_first_elements(gens):
+    """Every element as a point tuple, in the builder's breadth-first order:
+    each listed element followed by each generator in turn."""
+    order = [tuple(range(len(gens[0])))]
+    seen = set(order)
+    for el in order:
+        for pm in gens:
+            prod = tuple(pm[el[x]] for x in range(len(el)))
+            if prod not in seen:
+                seen.add(prod)
+                order.append(prod)
+    return order
+
+
+@pytest.mark.parametrize(
+    "build, gens",
+    [
+        (lambda tmp: symmetric_group(4), [(1, 0, 2, 3), (1, 2, 3, 0)]),
+        (lambda tmp: dihedral_group(7), [tuple((i + 1) % 7 for i in range(7)), tuple((-i) % 7 for i in range(7))]),
+        (lambda tmp: _load_probe_group(f"perm:{tmp}"), [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+    ],
+    ids=["sym4", "dihedral7", "perm-file"],
+)
+def test_lazy_names_equal_eager_cycle_notation(build, gens, tmp_path, monkeypatch):
+    path = tmp_path / "s5.perms"
+    path.write_text("(1 2 3 4 5)\n(1 2)\n")
+    calls = []
+    monkeypatch.setattr(cayley, "_cycle_notation", lambda pm: calls.append(1) or _cycle_notation(pm))
+    g = build(path)
+    assert calls == []  # nothing named at construction
+    want = tuple(_cycle_notation(pm) for pm in _breadth_first_elements(gens))
+    assert g.names == want
+    assert g.name(len(g) - 1) == want[-1] and g.name(g.identity) == "()"
+    assert len(calls) == len(g)  # named once, on first read
+
+
+def test_structured_qprobe_names_no_element(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cayley, "_cycle_notation", lambda pm: calls.append(1) or _cycle_notation(pm))
+    assert cli_main(["qprobe", "--group", "sl2:7", "--n", "3", "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 336
+    assert calls == []
+
+
 def test_sl2_orders():
     assert len(sl2_permutation_group(2)) == 6
     assert len(sl2_permutation_group(3)) == 24
@@ -364,6 +413,117 @@ def test_sl2_square_covers_are_brute_minimal():
         for s in img5:
             reps_mask |= 1 << g5.mul(x, s)
     assert reps_mask == full
+
+
+def _unseeded_cover(g, subset):
+    """The cover search without translate seeding: greedy, then rounds of
+    branch and bound over every translate through the lowest uncovered
+    element.  Returns (size, reps, nodes)."""
+    sub = sorted(set(subset))
+    size = len(g)
+    full = (1 << size) - 1
+    rep_of = {}
+    for x in range(size):
+        rep_of.setdefault(sum(1 << g.mul(x, s) for s in sub), x)
+    distinct = list(rep_of.items())
+    uncovered, reps = full, []
+    while uncovered:
+        best_m, best_x = max(distinct, key=lambda mx: (mx[0] & uncovered).bit_count())
+        reps.append(best_x)
+        uncovered &= ~best_m
+    nodes = 0
+
+    def find_cover(uncov, budget, chosen):
+        nonlocal nodes
+        nodes += 1
+        if uncov == 0:
+            return list(chosen)
+        if budget == 0 or -(-uncov.bit_count() // len(sub)) > budget:
+            return None
+        pivot = uncov & -uncov
+        cands = [(m, x) for m, x in distinct if m & pivot]
+        cands.sort(key=lambda mx: -(mx[0] & uncov).bit_count())
+        for m, x in cands:
+            chosen.append(x)
+            got = find_cover(uncov & ~m, budget - 1, chosen)
+            chosen.pop()
+            if got is not None:
+                return got
+        return None
+
+    while len(reps) > 1:
+        better = find_cover(full, len(reps) - 1, [])
+        if better is None:
+            break
+        reps = better
+    return len(reps), tuple(reps), nodes
+
+
+def _renamed_product(a, b, seed):
+    """Z_a x Z_b as a Cayley table with its elements renamed by a seeded
+    permutation, so element 0 is seldom the identity."""
+    i, j = np.divmod(np.arange(a * b), b)
+    table = ((i[:, None] + i[None, :]) % a) * b + (j[:, None] + j[None, :]) % b
+    rename = np.array(random.Random(seed).sample(range(a * b), a * b))
+    out = np.empty_like(table)
+    out[rename[:, None], rename[None, :]] = rename[table]
+    return FiniteGroup(out)
+
+
+def _mekler27():
+    return cayley_from_context(GroupContext(build_fragment([0, 1], []), 3, warn_not_nice=False))
+
+
+COVER_CASES = [
+    ("sl2:3", lambda: sl2_permutation_group(3), (2, 3)),
+    ("sl2:5", lambda: sl2_permutation_group(5), (2, 3)),
+    ("sl2:7", lambda: sl2_permutation_group(7), (3,)),
+    ("sym:4", lambda: symmetric_group(4), (2, 3)),
+    ("sym:5", lambda: symmetric_group(5), (2, 3)),
+    ("dihedral:53", lambda: dihedral_group(53), (2, 3)),
+    ("cyclic:108", lambda: cyclic_group(108), (2, 3)),
+    ("mekler:3", _mekler27, (2, 3)),
+    ("Z8xZ12", lambda: _renamed_product(8, 12, 1), (2, 3)),
+    ("Z9xZ14", lambda: _renamed_product(9, 14, 2), (2, 3)),
+    ("Z6xZ6", lambda: _renamed_product(6, 6, 3), (2, 3)),
+]
+
+
+@pytest.mark.parametrize("build, exponents", [c[1:] for c in COVER_CASES], ids=[c[0] for c in COVER_CASES])
+def test_seeded_cover_search_matches_unseeded_oracle(build, exponents):
+    g = build()
+    for n in exponents:
+        img = power_image(g, n)
+        k, cert = covering_number(g, img)
+        want_k, want_reps, oracle_nodes = _unseeded_cover(g, img)
+        assert (k, cert.reps) == (want_k, want_reps)
+        assert cert.exact and not cert.budget_hit
+        assert cert.nodes <= oracle_nodes
+
+
+def test_seeded_cover_search_node_count():
+    """Seeding proves SL2(F5)'s square cover optimal in a few thousand nodes;
+    the unseeded search needs many times more."""
+    g = sl2_permutation_group(5)
+    img = power_image(g, 2)
+    k, cert = covering_number(g, img)
+    assert k == 4 and cert.exact
+    assert 0 < cert.nodes < 5_000
+    assert _unseeded_cover(g, img)[2] > 10 * cert.nodes
+
+
+def test_cover_node_budget_keeps_the_best_verified_cover(monkeypatch):
+    g = sl2_permutation_group(5)
+    img = power_image(g, 2)
+    monkeypatch.setattr(cayley, "COVER_NODE_BUDGET", 50)
+    k, cert = covering_number(g, img)
+    assert cert.exact is False and cert.budget_hit
+    assert cert.nodes == 51  # the node that crossed the budget stopped the search
+    assert k == cert.size == len(cert.reps) >= 4
+    assert cert.verify(g, img)
+    text = covering_report(g, 2).summary()
+    assert f"translate cover size {k} (upper bound: the search hit its node budget)" in text
+    assert "greedy" not in text
 
 
 def test_covering_report_summary():

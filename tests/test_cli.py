@@ -11,7 +11,7 @@ import pytest
 import mekler
 from mekler.cayley import format_cayley_text, symmetric_group
 from mekler.cli import main
-from mekler import group, kernels, subgroup, verify
+from mekler import cayley, group, kernels, subgroup, verify
 from mekler.graphs import ConfigError, FragmentSpec
 from mekler.group import GroupContext
 from mekler.interpret import build_down_fragment
@@ -317,6 +317,32 @@ def test_qprobe_perm_file(capsys, tmp_path):
     assert "order 6" in out
     assert "image size 3" in out
     assert "finite groups have no generic elements" in out
+
+
+def test_qprobe_reports_a_hit_node_budget(capsys, monkeypatch):
+    monkeypatch.setattr(cayley, "COVER_NODE_BUDGET", 50)
+    code, out, _ = run(capsys, "qprobe", "--group", "sl2:5", "--format", "structured")
+    payload = json.loads(out)
+    assert code == 0 and payload["cover_exact"] is False
+    assert payload["cover_node_budget_hit"] is True and payload["cover_size"] >= 4
+    code, out, _ = run(capsys, "qprobe", "--group", "sl2:5")
+    assert code == 0 and "(upper bound: the search hit its node budget)" in out
+
+
+def test_qprobe_never_imports_numpy_ma():
+    """Power images and generating sets are taken with masks and bincount;
+    a plain np.unique would load numpy.ma into every qprobe process."""
+    src = os.path.dirname(os.path.dirname(mekler.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys\n"
+        "from mekler.cli import main\n"
+        "codes = [main(['qprobe', '--group', g]) for g in ('sl2:5', 'cyclic:108', 'mekler:3')]\n"
+        "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_qprobe_bad_specs(capsys, tmp_path):

@@ -367,3 +367,27 @@ def test_size3_scan_memory_stays_small():
         tracemalloc.stop()
     assert res.ok and res.elements_checked == 31_028_712
     assert peak <= 2_000_000
+
+
+@pytest.mark.parametrize(
+    "frag",
+    [
+        lambda: build_fragment(range(11), all_pairs(range(11))),
+        lambda: build_fragment(range(8), all_pairs(range(8))),
+        lambda: build_down_fragment([0, 1]),
+        lambda: build_down_fragment([0, 1, 2]),
+        lambda: build_down_fragment(range(5)),
+    ],
+    ids=["286-vertex", "148-vertex", "down-2", "down-3", "down-5"],
+)
+def test_provisioned_mask_matches_per_natural_partners(frag):
+    """The provisioned mask, counted in one pass over the gadget pairs,
+    equals the per-natural gadget_partners oracle."""
+    ctx = GroupContext(frag(), 3, warn_not_nice=False)
+    prov = _context_arrays(ctx, None)[3]
+    want = [
+        int(isinstance(v, Natural) and len(ctx.graph.gadget_partners(v.n)) >= PROVISION_PARTNERS)
+        for v in ctx.vertex_order
+    ]
+    assert prov.tolist() == want
+    assert sum(want) > 0
