@@ -342,9 +342,41 @@ def covering_report(g: FiniteGroup, n: int = 2) -> CoverReport:
 # --- constructions ------------------------------------------------------------
 
 
+def check_order(order: int) -> None:
+    """Refuse a group whose known order is past DEFAULT_MAX_ORDER, before
+    anything of it is built."""
+    if order > DEFAULT_MAX_ORDER:
+        raise ConfigError(f"group order {order} exceeds the cap of {DEFAULT_MAX_ORDER}")
+
+
+def _tabulate(right: np.ndarray) -> np.ndarray:
+    """Multiplication table from right actions: right[k][i] is element i
+    followed by generator k, and element 0 is the identity.
+
+    A breadth-first walk from the identity reaches each element j from a
+    parent by one generator k; column j of the table is then right[k]
+    applied to its parent's column."""
+    size = right.shape[1]
+    table = np.empty((size, size), dtype=np.int64)
+    table[:, 0] = np.arange(size)
+    reached = [0]
+    seen = {0}
+    for par in reached:  # reached grows while it is walked
+        for step in right:
+            j = int(step[par])
+            if j not in seen:
+                seen.add(j)
+                reached.append(j)
+                table[:, j] = step[table[:, par]]
+    if len(reached) != size:
+        raise RuntimeError("the generators do not reach every element")
+    return table
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ConfigError("order must be positive")
+    check_order(n)
     ar = np.arange(n)
     return FiniteGroup((ar[:, None] + ar[None, :]) % n, names=tuple(str(i) for i in range(n)))
 
@@ -357,10 +389,9 @@ def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
 def from_permutation_generators(perms: Sequence[tuple[int, ...]]) -> FiniteGroup:
     """Close a set of permutations under composition and tabulate.
 
-    The breadth-first walk from the identity records right[k][i], element
-    i followed by generator k, and each new element's (parent, generator);
-    column j of the table is then right[k] applied to its parent's column,
-    so only |G| * |gens| compositions are made."""
+    The breadth-first closure from the identity records right[k][i],
+    element i followed by generator k, so only |G| * |gens| compositions
+    are made; _tabulate fills the table from these right actions."""
     if not perms:
         raise ConfigError("need at least one generator")
     npts = len(perms[0])
@@ -371,8 +402,7 @@ def from_permutation_generators(perms: Sequence[tuple[int, ...]]) -> FiniteGroup
     elems = {ident: 0}
     order = [ident]
     right: list[list[int]] = [[] for _ in perms]
-    parent = [(0, 0)]
-    for i, el in enumerate(order):  # order grows while it is walked
+    for el in order:  # order grows while it is walked
         for k, pm in enumerate(perms):
             prod = _compose(el, pm)
             j = elems.get(prod)
@@ -381,15 +411,8 @@ def from_permutation_generators(perms: Sequence[tuple[int, ...]]) -> FiniteGroup
                     raise ConfigError(f"group order exceeds the cap of {DEFAULT_MAX_ORDER}")
                 j = elems[prod] = len(order)
                 order.append(prod)
-                parent.append((i, k))
             right[k].append(j)
-    size = len(order)
-    right_np = np.array(right, dtype=np.int64)
-    table = np.empty((size, size), dtype=np.int64)
-    table[:, 0] = np.arange(size)
-    for j in range(1, size):
-        par, k = parent[j]
-        table[:, j] = right_np[k][table[:, par]]
+    table = _tabulate(np.array(right, dtype=np.int64))
     return _named_later(table, lambda: tuple(_cycle_notation(pm) for pm in order))
 
 
@@ -425,6 +448,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the n-gon as permutations of its corners."""
     if n < 3:
         raise ConfigError("need at least a triangle")
+    check_order(2 * n)
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((-i) % n for i in range(n))
     return from_permutation_generators([rot, ref])
@@ -432,6 +456,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def sl2_permutation_group(q: int) -> FiniteGroup:
     """SL2 over the prime field of size q acting on the nonzero plane vectors."""
+    check_order(q * (q * q - 1))
     if q < 2 or any(q % d == 0 for d in range(2, q)):
         raise ConfigError("q must be prime")
     points = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
@@ -451,16 +476,12 @@ def sl2_permutation_group(q: int) -> FiniteGroup:
 def cayley_from_context(ctx: GroupContext) -> FiniteGroup:
     """Tabulate the fragment's whole group, names in element text form.
 
-    Elements are listed by their generator and central coordinates.  As in
-    from_permutation_generators, right[v][i] is element i followed by x_v,
-    and a breadth-first walk from the identity reaches each element j from
-    a parent by one x_v; column j of the table is then right[v] applied to
-    its parent's column, so only |G| * |V| products are made."""
+    Elements are listed by their generator and central coordinates, and
+    right[v][i] is element i followed by x_v, so only |G| * |V| products
+    are made; _tabulate fills the table from these right actions."""
     p = ctx.p
     nv, nc = ctx.n, ctx.ncentral
-    order = p ** (nv + nc)
-    if order > DEFAULT_MAX_ORDER:
-        raise ConfigError(f"group order {order} exceeds the cap of {DEFAULT_MAX_ORDER}")
+    check_order(p ** (nv + nc))
     keys = [ctx.central_key_at(k) for k in range(nc)]
     elems = []
     index = {}
@@ -470,24 +491,9 @@ def cayley_from_context(ctx: GroupContext) -> FiniteGroup:
         el = from_vectors(ctx, gen, cen)
         index[el] = len(elems)
         elems.append(el)
-    size = len(elems)
-    right = [
-        np.array([index[ctx_mul(ctx, a, x)] for a in elems], dtype=np.int64)
-        for x in (from_vectors(ctx, FpVector(p, {v: 1})) for v in range(nv))
-    ]
-    table = np.empty((size, size), dtype=np.int64)
-    table[:, 0] = np.arange(size)  # elems[0] is the identity
-    reached = [0]
-    seen = {0}
-    for par in reached:  # reached grows while it is walked
-        for step in right:
-            j = int(step[par])
-            if j not in seen:
-                seen.add(j)
-                reached.append(j)
-                table[:, j] = step[table[:, par]]
-    if len(reached) != size:
-        raise RuntimeError("the vertex generators do not reach every element")
+    gens = [from_vectors(ctx, FpVector(p, {v: 1})) for v in range(nv)]
+    right = np.array([[index[ctx_mul(ctx, a, x)] for a in elems] for x in gens], dtype=np.int64)
+    table = _tabulate(right)  # elems[0] is the identity
     return _named_later(table, lambda: tuple(format_element(ctx, e) for e in elems))
 
 
@@ -516,14 +522,13 @@ def parse_cayley_text(text: str) -> FiniteGroup:
     n = _ints([lines[0]])[0]
     if len(lines) != n + 1:
         raise ConfigError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = _ints(ln.split())
-        if len(row) != n:
-            raise ConfigError("row length differs from the declared order")
-        rows.append(row)
-    try:
+    rows = [ln.split() for ln in lines[1:]]
+    if any(len(row) != n for row in rows):
+        raise ConfigError("row length differs from the declared order")
+    try:  # numpy reads each token with int(), so it takes the same tokens
         table = np.array(rows, dtype=np.int64)
+    except ValueError as err:
+        raise ConfigError(f"expected integers: {err}") from err
     except OverflowError as err:  # an entry past int64 cannot index an element
         raise ConfigError("table entries must index elements") from err
     return FiniteGroup(table)

@@ -17,12 +17,15 @@ propagates.  A check skipped for its budget prints SKIP and does not fail.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import random
 import sys
 import warnings
 
 from .cayley import (
     FiniteGroup,
+    check_order,
     cayley_from_context,
     covering_report,
     cyclic_group,
@@ -41,7 +44,7 @@ from .graphs import ConfigError, FragmentSpec, all_pairs, build_fragment, check_
 from .group import GroupContext, InducedAutomorphism
 from .interpret import natural_graph, roundtrip
 from .subgroup import AdequacyError
-from .verify import SuiteResult, VerifyConfig, verify_lemmas
+from .verify import SuiteResult, VerifyConfig, _extension_checks, verify_lemmas
 
 
 def _int(text: str) -> int:
@@ -93,22 +96,24 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _load_graph(args):
-    if getattr(args, "json", None):
-        return FragmentSpec.from_json(_read(args.json)).build()
+def _naturals_and_pairs(args) -> tuple[list[int], list[tuple[int, int]]]:
     naturals = _parse_naturals(args.naturals)
     if args.pairs == "all":
-        pairs = list(all_pairs(naturals))
-    elif args.pairs == "none":
-        pairs = []
-    else:
-        pairs = _parse_edges(args.pairs)
-    return build_fragment(naturals, pairs)
+        return naturals, list(all_pairs(naturals))
+    if args.pairs == "none":
+        return naturals, []
+    return naturals, _parse_edges(args.pairs)
+
+
+def _load_graph(args):
+    if args.json:
+        return FragmentSpec.from_json(_read(args.json)).build()
+    return build_fragment(*_naturals_and_pairs(args))
 
 
 def _emit(args, text: str) -> None:
     sys.stdout.write(text)
-    if getattr(args, "out", None):
+    if args.out:
         _write(args.out, text)
 
 
@@ -132,13 +137,7 @@ def cmd_nice(args) -> int:
 
 
 def cmd_fragment(args) -> int:
-    naturals = _parse_naturals(args.naturals)
-    if args.pairs == "all":
-        pairs = list(all_pairs(naturals))
-    elif args.pairs == "none":
-        pairs = []
-    else:
-        pairs = _parse_edges(args.pairs)
+    naturals, pairs = _naturals_and_pairs(args)
     g = build_fragment(naturals, pairs)
     rep = check_nice(g)
     spec = FragmentSpec(
@@ -211,10 +210,6 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_ext_check(args) -> int:
-    import random
-
-    from .verify import _extension_checks
-
     naturals = _parse_naturals(args.naturals)
     edges = _parse_edges(args.r_edges)
     cfg = VerifyConfig(p=args.p, seed=args.seed, naturals=tuple(naturals), r_edges=tuple(edges), samples=args.samples)
@@ -240,6 +235,7 @@ def _load_probe_group(spec: str) -> FiniteGroup:
         return dihedral_group(_int(arg))
     if kind == "mekler":
         p = _int(arg)
+        check_order(p**3)  # two generators and their commutator, before p is tested for primality
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ctx = GroupContext(build_fragment([0, 1]), p)
@@ -289,72 +285,86 @@ def cmd_qprobe(args) -> int:
     return 0
 
 
-def _add_fragment_flags(sp, with_json=False):
-    sp.add_argument("--naturals", default="0,1,2", help="comma list of naturals, or a bare count")
+def _add_naturals_flag(sp, default):
+    sp.add_argument("--naturals", default=default, help="comma list of naturals, or a bare count")
+
+
+def _add_fragment_flags(sp):
+    _add_naturals_flag(sp, "0,1,2")
     sp.add_argument("--pairs", default="all", help="'all', 'none', or a comma list like 0-1,1-2")
-    if with_json:
-        sp.add_argument("--json", default=None, help="fragment JSON file (overrides --naturals/--pairs)")
 
 
-def _add_common_flags(sp):
-    sp.add_argument("--p", type=int, default=3, help="odd prime exponent (default 3)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("text", "structured"), default="text")
+def _add_group_flags(sp, seed=True):
+    sp.add_argument("--p", type=int, default=VerifyConfig.p, help="odd prime exponent (default %(default)s)")
+    if seed:
+        sp.add_argument("--seed", type=int, default=VerifyConfig.seed)
+
+
+def _add_report_flags(sp, structured=True):
+    if structured:
+        sp.add_argument("--format", choices=("text", "structured"), default="text")
     sp.add_argument("--out", default=None, help="also write the report to this file")
 
 
+@functools.cache  # built once per process
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares exactly the flags its command reads; the
+    numeric defaults are VerifyConfig's."""
     ap = argparse.ArgumentParser(prog="mekler", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("nice", help="check the niceness conditions")
-    _add_fragment_flags(sp, with_json=True)
-    _add_common_flags(sp)
-    sp.set_defaults(func=cmd_nice)
+    def command(name, func, help):
+        # no prefix matching: nice --p would otherwise be read as nice --pairs
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("fragment", help="build and describe a host fragment")
+    sp = command("nice", cmd_nice, "check the niceness conditions")
     _add_fragment_flags(sp)
-    _add_common_flags(sp)
-    sp.set_defaults(func=cmd_fragment)
+    sp.add_argument("--json", default=None, help="fragment JSON file (overrides --naturals/--pairs)")
+    _add_report_flags(sp)
 
-    sp = sub.add_parser("verify-lemmas", help="run the verification suites")
-    sp.add_argument("--naturals", default="0,1,2", help="comma list of naturals, or a bare count")
+    sp = command("fragment", cmd_fragment, "build and describe a host fragment")
+    _add_fragment_flags(sp)
+    _add_group_flags(sp, seed=False)
+    _add_report_flags(sp)
+
+    sp = command("verify-lemmas", cmd_verify, "run the verification suites")
+    _add_naturals_flag(sp, "0,1,2")
     sp.add_argument("--r-edges", default="0-1", help="encoded edge set, comma list like 0-1,1-2")
-    sp.add_argument("--budget-samples", type=int, default=200)
-    sp.add_argument("--budget-support", type=int, default=3)
-    sp.add_argument("--budget-oracle", type=int, default=3**12)
-    sp.add_argument("--translates", type=int, default=2)
-    _add_common_flags(sp)
-    sp.set_defaults(func=cmd_verify)
+    sp.add_argument("--budget-samples", type=int, default=VerifyConfig.samples)
+    sp.add_argument("--budget-support", type=int, default=VerifyConfig.support_budget)
+    sp.add_argument("--budget-oracle", type=int, default=VerifyConfig.oracle_budget)
+    sp.add_argument("--translates", type=int, default=VerifyConfig.translates)
+    _add_group_flags(sp)
+    _add_report_flags(sp)
 
-    sp = sub.add_parser("roundtrip", help="encode a graph and recover it from the group")
-    sp.add_argument("--naturals", default="0,1,2,3", help="comma list of naturals, or a bare count")
+    sp = command("roundtrip", cmd_roundtrip, "encode a graph and recover it from the group")
+    _add_naturals_flag(sp, "0,1,2,3")
     sp.add_argument("--r-edges", default="", help="graph edges, comma list like 0-1,1-2")
     sp.add_argument("--pipeline", choices=("up", "down", "both"), default="both")
-    sp.add_argument("--translates", type=int, default=2)
-    _add_common_flags(sp)
-    sp.set_defaults(func=cmd_roundtrip)
+    sp.add_argument("--translates", type=int, default=VerifyConfig.translates)
+    _add_group_flags(sp)
+    _add_report_flags(sp)
 
-    sp = sub.add_parser("ext-check", help="index-2 extension axioms and membership formula")
-    sp.add_argument("--naturals", default="0,1", help="comma list of naturals, or a bare count")
+    sp = command("ext-check", cmd_ext_check, "index-2 extension axioms and membership formula")
+    _add_naturals_flag(sp, "0,1")
     sp.add_argument("--r-edges", default="0-1")
-    sp.add_argument("--samples", type=int, default=200)
-    _add_common_flags(sp)
-    sp.set_defaults(func=cmd_ext_check)
+    sp.add_argument("--samples", type=int, default=VerifyConfig.samples)
+    _add_group_flags(sp)
+    _add_report_flags(sp, structured=False)  # the check lines are the only report
 
-    sp = sub.add_parser("qprobe", help="finite root-counting and cover probes")
+    sp = command("qprobe", cmd_qprobe, "finite root-counting and cover probes")
     sp.add_argument("--group", required=True, help="sl2:Q | cyclic:N | sym:N | dihedral:N | mekler:P | cayley:PATH | perm:PATH")
     sp.add_argument("--n", type=int, default=2, help="power exponent")
     sp.add_argument("--m", type=int, default=None, help="root-count bound for the bounded root set")
-    _add_common_flags(sp)
-    sp.set_defaults(func=cmd_qprobe)
+    _add_report_flags(sp)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, AdequacyError, BudgetError) as err:

@@ -46,6 +46,11 @@ from .subgroup import (
 # partners, which must stay under the threshold of 6
 MAX_TESTED_DOWN = 5
 
+# round-trip defaults, shared with VerifyConfig and the command line
+DEFAULT_P = 3
+DEFAULT_SEED = 0
+DEFAULT_TRANSLATES = 2  # random translates sampled per class and per label pair
+
 
 class InternalFault(RuntimeError):
     """A recovery pipeline contradicted itself: a fault in this library,
@@ -142,7 +147,7 @@ def recover_graph_up(
     ctx: GroupContext,
     aut: InducedAutomorphism,
     rng: random.Random | None = None,
-    translates: int = 2,
+    translates: int = DEFAULT_TRANSLATES,
 ) -> RecoveredGraph:
     """Read the graph back from the twisted group.
 
@@ -171,7 +176,7 @@ def recover_graph_down(
     ctx: GroupContext,
     ell: EdgeFunctional,
     rng: random.Random | None = None,
-    translates: int = 2,
+    translates: int = DEFAULT_TRANSLATES,
 ) -> RecoveredGraph:
     """Read the graph back from inside the kernel subgroup.
 
@@ -250,10 +255,10 @@ def _graph_edge_labels(gamma: Graph) -> frozenset[tuple[int, int]]:
 
 def roundtrip(
     gamma: Graph,
-    p: int = 3,
+    p: int = DEFAULT_P,
     pipeline: str = "both",
-    seed: int = 0,
-    translates: int = 2,
+    seed: int = DEFAULT_SEED,
+    translates: int = DEFAULT_TRANSLATES,
 ) -> RoundTripResult:
     """Encode gamma, then recover it through the requested pipeline(s) and
     compare labels and edges exactly."""

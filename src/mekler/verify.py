@@ -16,7 +16,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 from .extension import ExtElement, ext_conjugate, ext_identity, ext_inv, ext_mul, ext_pow, in_base_by_power_formula
-from .formulas import BudgetError, down_edge_formula, full_coset_oracle, up_edge_formula
+from .formulas import DEFAULT_ORACLE_BUDGET, BudgetError, down_edge_formula, full_coset_oracle, up_edge_formula
 from .fplinear import kernel_dim
 from .graphs import ConfigError, Natural, build_fragment, pair_swap_automorphism
 from .group import (
@@ -33,7 +33,9 @@ from .group import (
     random_central,
     random_element,
 )
-from .interpret import build_down_fragment, build_up_fragment, natural_graph, roundtrip
+from .interpret import (
+    DEFAULT_P, DEFAULT_SEED, DEFAULT_TRANSLATES, build_down_fragment, build_up_fragment, natural_graph, roundtrip
+)
 from .kernels import element_dims, scan_group_bound, scan_subgroup_dichotomy
 from .subgroup import (
     EdgeFunctional,
@@ -58,14 +60,14 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    p: int = 3
-    seed: int = 0
+    p: int = DEFAULT_P
+    seed: int = DEFAULT_SEED
     naturals: tuple[int, ...] = (0, 1, 2)
     r_edges: tuple[tuple[int, int], ...] = ((0, 1),)
     samples: int = 200
     support_budget: int = 3
-    oracle_budget: int = 3**12
-    translates: int = 2
+    oracle_budget: int = DEFAULT_ORACLE_BUDGET
+    translates: int = DEFAULT_TRANSLATES
 
     def normalized(self) -> "VerifyConfig":
         nats = tuple(sorted(set(self.naturals)))

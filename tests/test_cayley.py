@@ -32,7 +32,7 @@ from mekler.cayley import (
 )
 from mekler.cli import _load_probe_group
 from mekler.cli import main as cli_main
-from mekler.graphs import Natural, build_fragment
+from mekler.graphs import ConfigError, Natural, build_fragment
 from mekler.group import GroupContext, format_element, mul, parse_element
 
 
@@ -630,3 +630,45 @@ def test_cayley_from_context_cap():
     big = build_fragment(naturals=[0, 1], gadget_pairs=[(0, 1)])
     with pytest.raises(ValueError, match="exceeds the cap"):
         cayley_from_context(GroupContext(big, 3, warn_not_nice=False))
+
+
+@pytest.mark.parametrize(
+    "tok", ["1", "+1", "-0", "007", "1_0", "١", "1.0", "0x1", "1e3", "x", "1" * 30, "-" + "1" * 30]
+)
+def test_cayley_text_reads_each_token_as_int_does(tok):
+    """The whole table is converted by numpy at once; it must accept and
+    reject the same tokens as a per-token int() parse."""
+    text = f"2\n0 {tok}\n{tok} 0\n"
+    try:
+        value = int(tok)
+    except ValueError:
+        with pytest.raises(ConfigError, match="expected integers"):
+            parse_cayley_text(text)
+        return
+    if not -(2**63) <= value < 2**63:
+        with pytest.raises(ConfigError, match="table entries must index elements"):
+            parse_cayley_text(text)
+        return
+    try:
+        want = FiniteGroup([[0, value], [value, 0]]).table
+    except ConfigError as err:
+        with pytest.raises(ConfigError, match=str(err)):
+            parse_cayley_text(text)
+    else:
+        assert np.array_equal(parse_cayley_text(text).table, want)
+
+
+def test_known_orders_are_capped_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a group past the cap was built")
+
+    monkeypatch.setattr(cayley, "from_permutation_generators", unreachable)
+    for build, arg in ((cyclic_group, 2049), (dihedral_group, 1025), (sl2_permutation_group, 13)):
+        with pytest.raises(ConfigError, match="exceeds the cap of 2048"):
+            build(arg)
+    cayley.check_order(2048)
+
+
+def test_tabulate_refuses_generators_that_do_not_reach_every_element():
+    with pytest.raises(RuntimeError, match="do not reach every element"):
+        cayley._tabulate(np.array([[0, 2, 1]]))

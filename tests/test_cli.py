@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output formats, file round trips."""
 
+import argparse
 import json
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 import mekler
 from mekler.cayley import format_cayley_text, symmetric_group
 from mekler.cli import main
-from mekler import cayley, group, kernels, subgroup, verify
+from mekler import cayley, cli, group, kernels, subgroup, verify
 from mekler.graphs import ConfigError, FragmentSpec
 from mekler.group import GroupContext
 from mekler.interpret import build_down_fragment
@@ -415,3 +416,91 @@ def test_unreadable_and_unwritable_paths_exit_2(capsys, tmp_path):
     assert code == 2 and "configuration rejected" in err
     code, _, err = run(capsys, "nice", "--out", str(tmp_path / "missing" / "report.txt"))
     assert code == 2 and "cannot write" in err
+
+
+# --- the option surface -------------------------------------------------------
+
+# one short valid invocation per subcommand, every flag left at its default
+MINIMAL_ARGV = {
+    "nice": ["nice"],
+    "fragment": ["fragment"],
+    "verify-lemmas": ["verify-lemmas", "--naturals", "0,1", "--budget-samples", "5", "--budget-support", "1"],
+    "roundtrip": ["roundtrip", "--naturals", "0,1,2", "--r-edges", "0-1"],
+    "ext-check": ["ext-check", "--samples", "5"],
+    "qprobe": ["qprobe", "--group", "sym:3"],
+}
+
+
+def test_minimal_argv_covers_every_subcommand():
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(MINIMAL_ARGV)
+
+
+@pytest.mark.filterwarnings("ignore:graph is not nice")
+@pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+def test_every_declared_flag_is_read(capsys, command):
+    """A flag that the command never reads is a flag that does nothing."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            if not name.startswith("__"):
+                reads.add(name)
+            return object.__getattribute__(self, name)
+
+    args = cli.build_parser().parse_args(MINIMAL_ARGV[command], namespace=Recording())
+    declared = set(vars(args)) - {"command", "func"}
+    reads.clear()
+    assert args.func(args) in (0, 1)
+    capsys.readouterr()
+    assert declared - reads == set()
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["qprobe", "--group", "sym:3"]) == 0
+    assert main(["nice"]) == 0
+    capsys.readouterr()
+    assert builds.count("mekler") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qprobe", "--group", "sym:3", "--p", "5"),
+        ("qprobe", "--group", "sym:3", "--seed", "1"),
+        ("nice", "--p", "5"),
+        ("nice", "--seed", "1"),
+        ("fragment", "--seed", "1"),
+        ("ext-check", "--format", "structured"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["cyclic:2049", "dihedral:20000", "sl2:13", "mekler:13"])
+def test_over_cap_group_specs_are_refused_before_building(capsys, monkeypatch, spec):
+    """The known orders N, 2N, Q(Q^2-1) and P^3 are checked against the cap
+    before any permutation, context or table is made."""
+
+    def unreachable(*args):
+        raise AssertionError("a group past the cap was built")
+
+    monkeypatch.setattr(cayley, "from_permutation_generators", unreachable)
+    monkeypatch.setattr(cli, "GroupContext", unreachable)
+    code, out, err = run(capsys, "qprobe", "--group", spec)
+    assert code == 2 and out == ""
+    assert "configuration rejected" in err and "exceeds the cap of 2048" in err
