@@ -97,12 +97,14 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 
 
 def _naturals_and_pairs(args) -> tuple[list[int], list[tuple[int, int]]]:
+    """The naturals and the gadget pairs, each pair as (min, max) and
+    listed once, in order of first mention."""
     naturals = _parse_naturals(args.naturals)
     if args.pairs == "all":
         return naturals, list(all_pairs(naturals))
     if args.pairs == "none":
         return naturals, []
-    return naturals, _parse_edges(args.pairs)
+    return naturals, list(dict.fromkeys((min(a, b), max(a, b)) for a, b in _parse_edges(args.pairs)))
 
 
 def _load_graph(args):

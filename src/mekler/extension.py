@@ -10,18 +10,40 @@ base and keeps its flip, so its p-th power (p odd) still flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .group import GroupContext, GroupElement, InducedAutomorphism, identity, inv, mul
 
 
-@dataclass(frozen=True)
 class ExtElement:
-    h: GroupElement
-    eps: int
+    """(h, eps) with eps reduced mod 2.  An immutable value: equal pairs
+    give equal elements with equal hashes."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps", self.eps % 2)
+    __slots__ = ("h", "eps")
+
+    def __init__(self, h: GroupElement, eps: int):
+        _set_h(self, h)
+        _set_eps(self, eps % 2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExtElement is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ExtElement is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ExtElement:
+            return NotImplemented
+        return self.eps == other.eps and self.h == other.h
+
+    def __hash__(self) -> int:
+        return hash((self.h, self.eps))
+
+    def __repr__(self) -> str:
+        return f"ExtElement(h={self.h!r}, eps={self.eps!r})"
+
+
+# the slot setters, which bypass the refusing __setattr__
+_set_h = ExtElement.h.__set__
+_set_eps = ExtElement.eps.__set__
 
 
 def _require_involution(aut: InducedAutomorphism) -> None:
@@ -34,9 +56,10 @@ def ext_identity(ctx: GroupContext) -> ExtElement:
 
 
 def ext_mul(ctx: GroupContext, aut: InducedAutomorphism, a: ExtElement, b: ExtElement) -> ExtElement:
-    _require_involution(aut)
+    if not aut.is_involution:
+        _require_involution(aut)
     k = aut.apply(b.h) if a.eps else b.h
-    return ExtElement(mul(ctx, a.h, k), (a.eps + b.eps) % 2)
+    return ExtElement(mul(ctx, a.h, k), a.eps + b.eps)
 
 
 def ext_inv(ctx: GroupContext, aut: InducedAutomorphism, a: ExtElement) -> ExtElement:

@@ -9,12 +9,16 @@ formula lives in the kernel subgroup: some non-central subgroup element
 commutes with both x and y.  Every atomic condition depends on generator
 cosets only, so evaluation is exact linear algebra; a full-coset
 enumeration oracle certifies the restricted evaluators on tiny fragments.
+The oracle enumerates F_p^V in numpy blocks and reads commutation off the
+alternating form directly, so it stays independent of the commutator and
+the commuting-kernel engine that the evaluators use.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fplinear import FpVector
 from .group import (
@@ -136,6 +140,41 @@ def down_edge_formula(ctx: GroupContext, ell: EdgeFunctional, x: GroupElement, y
     return FormulaTrace(True, "KernelIntersection", witnesses=(wit,), note=f"kernel dim {len(basis)}")
 
 
+_BLOCK_ROWS = 1 << 14
+
+
+def _coset_blocks(p: int, n: int):
+    """Every vector of F_p^n, in itertools.product(range(p), repeat=n)
+    order, as int64 arrays of at most _BLOCK_ROWS rows each: row r of
+    the whole sequence holds the base-p digits of r, most significant
+    first."""
+    total = p**n
+    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, _BLOCK_ROWS):
+        index = np.arange(start, min(start + _BLOCK_ROWS, total), dtype=np.int64)
+        yield index[:, None] // place % p
+
+
+def _nonadjacent_pairs(ctx: GroupContext) -> tuple[np.ndarray, np.ndarray]:
+    """The non-adjacent vertex pairs (u, w), u < w, as two index arrays."""
+    pairs = [(u, w) for u in range(ctx.n) for w in range(u + 1, ctx.n) if not (ctx.adj[u] >> w) & 1]
+    return np.array([u for u, _ in pairs], dtype=np.int64), np.array([w for _, w in pairs], dtype=np.int64)
+
+
+def _commuting_mask(block: np.ndarray, a: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], p: int) -> np.ndarray:
+    """Row mask of the block's rows b with lambda(a, b) = 0, from the
+    alternating form lambda(a, b)_(u,w) = a_w b_u - a_u b_w."""
+    us, ws = pairs
+    return ~((block[:, us] * a[ws] - block[:, ws] * a[us]) % p).any(axis=1)
+
+
+def _dense(ctx: GroupContext, gen: Coset) -> np.ndarray:
+    out = np.zeros(ctx.n, dtype=np.int64)
+    for i, c in gen.items():
+        out[i] = c
+    return out
+
+
 def full_coset_oracle(
     ctx: GroupContext,
     formula: str,
@@ -148,9 +187,12 @@ def full_coset_oracle(
     """Evaluate an edge formula with unrestricted coset quantifiers.
 
     Enumerates every generator coset in F_p^V (the atoms only see cosets),
-    applying the formula's own vertex-like conjuncts as predicates instead
-    of as enumeration shortcuts.  Certifies the restricted evaluators.
-    Refuses outright when p^|V| exceeds the budget.
+    block by block, applying the formula's own vertex-like, moved-coset and
+    functional-kernel conjuncts as row masks instead of as enumeration
+    shortcuts.  Commutation is read straight off the alternating form
+    lambda(a, b)_(u,w) = a_w b_u - a_u b_w over the non-adjacent pairs, so
+    the oracle shares no code with the commutator or the kernel engine it
+    certifies.  Refuses outright when p^|V| exceeds the budget.
     """
     n = len(ctx.vertex_order)
     space = ctx.p**n
@@ -159,24 +201,32 @@ def full_coset_oracle(
     if not power_separated(ctx, x, y):
         return False
     p = ctx.p
+    pairs = _nonadjacent_pairs(ctx)
 
-    def cosets():
-        for pattern in itertools.product(range(p), repeat=n):
-            yield FpVector.from_reduced(p, {i: c for i, c in enumerate(pattern) if c})
+    def commutes(block: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return _commuting_mask(block, a, pairs, p)
 
+    xd, yd = _dense(ctx, x.gen), _dense(ctx, y.gen)
     if formula == "up":
         if aut is None:
             raise ValueError("up formula needs the automorphism")
+        target = np.array(aut.iperm, dtype=np.int64)
         # one full pass evaluates the inner quantifier's own conjuncts
         # (vertex-like, moved by the automorphism) as coset predicates
-        v_candidates = [v_gen for v_gen in cosets() if len(v_gen) == 1 and aut.moves_coset(v_gen)]
-        for u_gen in cosets():
-            if len(u_gen) != 1:  # the formula's vertex-like conjunct on u
+        v_candidates = []
+        for block in _coset_blocks(p, n):
+            image = np.empty_like(block)
+            image[:, target] = block
+            moved = (image != block).any(axis=1)
+            v_candidates.extend(block[((block != 0).sum(axis=1) == 1) & moved])
+        for block in _coset_blocks(p, n):
+            # the formula's vertex-like conjunct on u, then [u, x] = [u, y] = e
+            u_ok = ((block != 0).sum(axis=1) == 1) & commutes(block, xd) & commutes(block, yd)
+            if not u_ok.any():
                 continue
-            if not (_commutes(ctx, u_gen, x.gen) and _commutes(ctx, u_gen, y.gen)):
-                continue
-            for v_gen in v_candidates:
-                if _commutes(ctx, u_gen, v_gen):
+            u_rows = block[u_ok]
+            for v in v_candidates:
+                if commutes(u_rows, v).any():
                     return True
         return False
     if formula == "down":
@@ -185,13 +235,10 @@ def full_coset_oracle(
         for name, el in (("x", x), ("y", y)):
             if not in_kernel_subgroup(ctx, ell, el):
                 raise ValueError(f"{name} is not in the kernel subgroup")
-        ell_row = ell.row(ctx)
-        for v_gen in cosets():
-            if v_gen.is_zero():
-                continue
-            if sum(ell_row.get(k, 0) * c for k, c in v_gen.items()) % p != 0:
-                continue
-            if _commutes(ctx, v_gen, x.gen) and _commutes(ctx, v_gen, y.gen):
+        ell_dense = np.array(ell.values(ctx), dtype=np.int64) % p
+        for block in _coset_blocks(p, n):
+            ok = block.any(axis=1) & (block @ ell_dense % p == 0) & commutes(block, xd) & commutes(block, yd)
+            if ok.any():
                 return True
         return False
     raise ValueError(f"unknown formula {formula!r}")

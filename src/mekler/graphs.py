@@ -239,11 +239,17 @@ def check_nice(g: Graph) -> NicenessReport:
     distinct vertices with two or more common neighbors (any plain 4-cycle
     yields such a pair, chorded or not).  Separation: for each ordered pair
     (u, v) of distinct vertices some w outside {u, v} with w ~ v, w !~ u.
+
+    Common neighbours are counted by a float32 matrix product, which goes
+    through BLAS where an integer product would not.  It is exact: every
+    count is an integer of at most |V| < 2^24, and float32 represents those
+    and their sums exactly.
     """
     n = len(g.vertices)
     has_two = n >= 2
     a = g.adjacency_matrix().astype(bool)
-    common = a.astype(np.int32) @ a.astype(np.int32)
+    af = a.astype(np.float32)
+    common = af @ af
 
     triangles: list[tuple[Vertex, Vertex, Vertex]] = []
     tri_pairs = np.argwhere(np.triu(common, 1).astype(bool) & a)
@@ -260,7 +266,7 @@ def check_nice(g: Graph) -> NicenessReport:
 
     # witnesses of (u, v): the neighbours of v, less those of u (the common
     # ones) and less u itself when u ~ v; v is not its own neighbour
-    witnessed = a.sum(axis=1)[None, :] - common - a > 0
+    witnessed = af.sum(axis=1)[None, :] - common - af > 0
     np.fill_diagonal(witnessed, True)
     separation_failures = [(g.vertices[u], g.vertices[v]) for u, v in np.argwhere(~witnessed)]
 

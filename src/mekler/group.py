@@ -17,6 +17,11 @@ central basis in its (u, w) order; adjacency is one int bitmask per vertex.
 Natural/Gadget vertices appear only at the boundary: generator and
 central_generator arguments and the element text form.
 
+Elements are immutable slot values.  mul, inv and InducedAutomorphism.apply
+each build the result's generator and central dicts in one local pass,
+adding the cocycle as they go and reducing every sum mod p on the spot, and
+wrap them without a second normalization; no intermediate vector is made.
+
 Centralizer dimensions, common kernels, their witness bases and the
 kernel subgroup's center all come from one support-local engine
 (commuting_kernel_dim, commuting_kernel_basis), whose rows commuting_rows
@@ -30,7 +35,6 @@ import bisect
 import itertools
 import re
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .fplinear import FpVector, is_odd_prime, kernel_basis, rref_indexed
@@ -103,14 +107,40 @@ class GroupContext:
         return f"GroupContext(|V|={self.n}, p={self.p}, central={self.ncentral})"
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    gen: FpVector  # keyed by vertex index
-    cen: FpVector  # keyed by central key
+    """An element in normal form: generator part gen (keyed by vertex
+    index) and central part cen (keyed by central key).  An immutable value:
+    equal parts give equal elements with equal hashes."""
 
-    def __post_init__(self):
-        if self.gen.p != self.cen.p:
+    __slots__ = ("gen", "cen")
+
+    def __init__(self, gen: FpVector, cen: FpVector):
+        if gen.p != cen.p:
             raise ValueError("generator and central parts disagree on modulus")
+        _set_gen(self, gen)
+        _set_cen(self, cen)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupElement is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GroupElement is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self.gen == other.gen and self.cen == other.cen
+
+    def __hash__(self) -> int:
+        return hash((self.gen, self.cen))
+
+    def __repr__(self) -> str:
+        return f"GroupElement(gen={self.gen!r}, cen={self.cen!r})"
+
+
+# the slot setters, which bypass the refusing __setattr__
+_set_gen = GroupElement.gen.__set__
+_set_cen = GroupElement.cen.__set__
 
 
 def identity(ctx: GroupContext) -> GroupElement:
@@ -131,50 +161,77 @@ def from_vectors(ctx: GroupContext, gen: FpVector, cen: FpVector | None = None) 
     return GroupElement(gen, cen if cen is not None else FpVector.zero(ctx.p))
 
 
-def _accumulate(out: dict[int, int], key: int, c: int, p: int) -> None:
-    s = (out.get(key, 0) + c) % p
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
-def _add_cocycle(ctx: GroupContext, cen: dict[int, int], agen: FpVector, bgen: FpVector) -> FpVector:
-    """cen plus beta(a, b), the central correction from collecting b's
-    generators past a's: coordinate (u, w), u < w non-adjacent, gets a_w * b_u."""
+def mul(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
+    """a * b in one pass: the generator and central parts add, and the
+    central part picks up the cocycle beta(a, b) from collecting b's
+    generators past a's: coordinate (u, w), u < w non-adjacent, gets
+    a_w * b_u.  Every sum is reduced as it is made."""
     p, n, adj = ctx.p, ctx.n, ctx.adj
+    agen, bgen = a.gen, b.gen
+    if agen.p != p or bgen.p != p:
+        raise ValueError(f"modulus mismatch: {agen.p} and {bgen.p} vs {p}")
     bitems = bgen.items()
+    gen = dict(agen.items())
+    for k, c in bitems:
+        s = (gen.get(k, 0) + c) % p
+        if s:
+            gen[k] = s
+        else:
+            del gen[k]
+    cen = dict(a.cen.items())
+    for k, c in b.cen.items():
+        s = (cen.get(k, 0) + c) % p
+        if s:
+            cen[k] = s
+        else:
+            del cen[k]
     for w, ca in agen.items():
         adj_w = adj[w]
         for u, cb in bitems:
             if u < w and not (adj_w >> u) & 1:  # only swaps where a's vertex comes later
-                _accumulate(cen, u * n + w, ca * cb, p)
-    return FpVector.from_reduced(p, cen)
-
-
-def mul(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
-    cen = dict(a.cen.items())
-    for k, c in b.cen.items():
-        _accumulate(cen, k, c, ctx.p)
-    return GroupElement(a.gen + b.gen, _add_cocycle(ctx, cen, a.gen, b.gen))
+                key = u * n + w
+                s = (cen.get(key, 0) + ca * cb) % p
+                if s:
+                    cen[key] = s
+                else:
+                    del cen[key]
+    return GroupElement(FpVector.from_reduced(p, gen), FpVector.from_reduced(p, cen))
 
 
 def inv(ctx: GroupContext, a: GroupElement) -> GroupElement:
-    # a * a^-1 = e forces cen(a^-1) = -cen(a) + beta(a, a)
-    return GroupElement(-a.gen, _add_cocycle(ctx, dict((-a.cen).items()), a.gen, a.gen))
+    """a^-1 in one pass: a * a^-1 = e forces gen(a^-1) = -gen(a) and
+    cen(a^-1) = -cen(a) + beta(a, a)."""
+    p, n, adj = ctx.p, ctx.n, ctx.adj
+    agen = a.gen
+    if agen.p != p:
+        raise ValueError(f"modulus mismatch: {agen.p} vs {p}")
+    items = agen.items()
+    cen = {k: p - c for k, c in a.cen.items()}
+    for w, ca in items:
+        adj_w = adj[w]
+        for u, cb in items:
+            if u < w and not (adj_w >> u) & 1:
+                key = u * n + w
+                s = (cen.get(key, 0) + ca * cb) % p
+                if s:
+                    cen[key] = s
+                else:
+                    del cen[key]
+    return GroupElement(FpVector.from_reduced(p, {k: p - c for k, c in items}), FpVector.from_reduced(p, cen))
 
 
 def pow_(ctx: GroupContext, a: GroupElement, k: int) -> GroupElement:
     if k < 0:
         return pow_(ctx, inv(ctx, a), -k)
-    acc = identity(ctx)
+    acc = None
     base = a
     while k:
         if k & 1:
-            acc = mul(ctx, acc, base)
-        base = mul(ctx, base, base)
+            acc = base if acc is None else mul(ctx, acc, base)
         k >>= 1
-    return acc
+        if k:  # the square after the top bit would go unused
+            base = mul(ctx, base, base)
+    return identity(ctx) if acc is None else acc
 
 
 def commutator_vector(ctx: GroupContext, agen: FpVector, bgen: FpVector) -> FpVector:
@@ -275,16 +332,30 @@ def _local_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tup
     Any other column t is non-adjacent to some s in S, where a member with
     a_s != 0 gives the single-entry row a_s b_t, so b_t = 0.  Common
     neighbours are adjacent to all of S, so only columns of S start or meet
-    a row."""
+    a row: each s in S gets the bitmask of S less its neighbours and
+    itself, and the rows are remapped to local columns as they come."""
     p, adj = ctx.p, ctx.adj
-    sup = sorted(set().union(*(a.support() for a in family)))
+    supmask = 0
+    for a in family:
+        for s in a.support():
+            supmask |= 1 << s
     common = (1 << ctx.n) - 1
-    for s in sup:
+    nonadj: dict[int, int] = {}
+    bits = supmask
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        s = low.bit_length() - 1
         common &= adj[s]
-    cols = sorted({*sup, *(t for t in range(ctx.n) if (common >> t) & 1)})
+        nonadj[s] = supmask & ~adj[s] & ~low
+    cols = []
+    bits = supmask | common
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        cols.append(low.bit_length() - 1)
     local = {v: i for i, v in enumerate(cols)}
-    nonadj = {local[s]: sum(1 << local[t] for t in sup if t != s and not (adj[s] >> t) & 1) for s in sup}
-    rows = commuting_rows([{local[v]: c for v, c in a.items()} for a in family], nonadj, p)
+    rows = ({local[t]: c for t, c in row.items()} for row in commuting_rows([dict(a.items()) for a in family], nonadj, p))
     if functional is not None:
         verts = ctx.vertex_order
         rows = itertools.chain(rows, [{i: c for i, v in enumerate(cols) if (c := functional.value(verts[v]) % p)}])
@@ -352,22 +423,30 @@ class InducedAutomorphism:
     def apply(self, a: GroupElement) -> GroupElement:
         ctx, iperm = self.ctx, self.iperm
         p, n, adj = ctx.p, ctx.n, ctx.adj
+        # a permutation sends distinct pairs to distinct pairs, so the
+        # images of the central coordinates never collide
         cen: dict[int, int] = {}
         for key, c in a.cen.items():
             iu, iw = iperm[key // n], iperm[key % n]
             if iu < iw:
-                _accumulate(cen, iu * n + iw, c, p)
+                cen[iu * n + iw] = c
             else:
-                _accumulate(cen, iw * n + iu, -c, p)
+                cen[iw * n + iu] = p - c
         # The generator word maps factor by factor; collecting the images
         # back into vertex order picks up a_w a_u at (u, w) wherever the
         # permutation inverts a non-commuting pair.  Permuting coordinates
         # alone would not be a homomorphism.
         word = [(iperm[v], c) for v, c in sorted(a.gen.items())]
         for k, (w, cw) in enumerate(word):
+            adj_w = adj[w]
             for u, cu in word[k + 1 :]:
-                if u < w and not (adj[w] >> u) & 1:
-                    _accumulate(cen, u * n + w, cw * cu, p)
+                if u < w and not (adj_w >> u) & 1:
+                    key = u * n + w
+                    s = (cen.get(key, 0) + cw * cu) % p
+                    if s:
+                        cen[key] = s
+                    else:
+                        del cen[key]
         return GroupElement(FpVector.from_reduced(p, dict(word)), FpVector.from_reduced(p, cen))
 
     def apply_coset(self, gen: FpVector) -> FpVector:
@@ -437,12 +516,16 @@ def random_element(ctx: GroupContext, rng, max_support: int = 4) -> GroupElement
     central terms, for law suites."""
     k = rng.randint(0, min(max_support, ctx.n))
     gen = {i: rng.randint(1, ctx.p - 1) for i in rng.sample(range(ctx.n), k)}
-    return GroupElement(FpVector.from_reduced(ctx.p, gen), random_central(ctx, rng, 2).cen)
+    return GroupElement(FpVector.from_reduced(ctx.p, gen), _random_central_part(ctx, rng, 2))
 
 
 def random_central(ctx: GroupContext, rng, max_terms: int = 3) -> GroupElement:
+    return GroupElement(FpVector.zero(ctx.p), _random_central_part(ctx, rng, max_terms))
+
+
+def _random_central_part(ctx: GroupContext, rng, max_terms: int) -> FpVector:
     cen: dict[int, int] = {}
     for _ in range(rng.randint(0, max_terms) if ctx.ncentral else 0):
         key = ctx.central_key_at(rng.randrange(ctx.ncentral))  # draw the pair before its exponent
         cen[key] = rng.randint(1, ctx.p - 1)
-    return GroupElement(FpVector.zero(ctx.p), FpVector.from_reduced(ctx.p, cen))
+    return FpVector.from_reduced(ctx.p, cen)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .formulas import FormulaTrace, down_edge_formula, power_separated, up_edge_formula
 from .graphs import ConfigError, Graph, Natural, all_pairs, build_fragment, pair_swap_automorphism
@@ -253,15 +254,31 @@ def _graph_edge_labels(gamma: Graph) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
+def _pipeline_context(contexts, name: str, frag: Graph, p: int) -> GroupContext:
+    """The caller's context for this pipeline, or a new one; a given
+    context must be over this very fragment and prime."""
+    ctx = contexts.get(name)
+    if ctx is None:
+        return GroupContext(frag, p)
+    if ctx.p != p or ctx.graph.vertices != frag.vertices or ctx.graph.edges != frag.edges:
+        raise ConfigError(f"the {name} context is not over the {name} fragment of these naturals at p={p}")
+    return ctx
+
+
 def roundtrip(
     gamma: Graph,
     p: int = DEFAULT_P,
     pipeline: str = "both",
     seed: int = DEFAULT_SEED,
     translates: int = DEFAULT_TRANSLATES,
+    *,
+    contexts: Mapping[str, GroupContext] | None = None,
 ) -> RoundTripResult:
     """Encode gamma, then recover it through the requested pipeline(s) and
-    compare labels and edges exactly."""
+    compare labels and edges exactly.
+
+    contexts may hand over the group context of a pipeline ("up" or
+    "down") that the caller has already built, so it is not built again."""
     if pipeline not in ("up", "down", "both"):
         raise ConfigError(f"pipeline must be up, down or both, got {pipeline!r}")
     if translates < 1:
@@ -271,13 +288,18 @@ def roundtrip(
     naturals = sorted(gamma.naturals())
     if len(naturals) < 2:
         raise ConfigError("need at least two vertices to recover a graph")
+    runs = ("up", "down") if pipeline == "both" else (pipeline,)
+    contexts = contexts or {}
+    for name in contexts:
+        if name not in runs:
+            raise ConfigError(f"a {name!r} context was given but the pipelines run are {list(runs)}")
     edges = _graph_edge_labels(gamma)
     messages: list[str] = []
     up_rec = down_rec = None
     ok = True
-    if pipeline in ("up", "both"):
+    if "up" in runs:
         frag = build_up_fragment(naturals)
-        ctx = GroupContext(frag, p)
+        ctx = _pipeline_context(contexts, "up", frag, p)
         aut = InducedAutomorphism(ctx, pair_swap_automorphism(frag, sorted(edges)))
         up_rec = recover_graph_up(ctx, aut, rng=random.Random(f"{seed}-up"), translates=translates)
         ok_up = set(up_rec.labels) == set(naturals) and up_rec.edges == edges
@@ -286,9 +308,9 @@ def roundtrip(
             f"up: {len(up_rec.labels)} vertices, {len(up_rec.edges)} edges, "
             f"{'match' if ok_up else 'MISMATCH'}"
         )
-    if pipeline in ("down", "both"):
+    if "down" in runs:
         frag = build_down_fragment(naturals)
-        ctx = GroupContext(frag, p)
+        ctx = _pipeline_context(contexts, "down", frag, p)
         ell = EdgeFunctional.from_edges(sorted(edges))
         down_rec = recover_graph_down(ctx, ell, rng=random.Random(f"{seed}-down"), translates=translates)
         ok_down = set(down_rec.labels) == set(naturals) and down_rec.edges == edges

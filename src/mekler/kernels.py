@@ -385,7 +385,9 @@ def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support):
 
 
 def _run_scan(ctx, ell, mode, max_support):
-    if max_support < 1 or max_support > 3:
+    if max_support < 1:
+        raise ConfigError(f"support budget must be 1 to 3, got {max_support}")
+    if max_support > 3:
         raise ConfigError("support budgets beyond 3 are not covered by the dichotomy statements")
     adj, ellbit, nat, prov = _context_arrays(ctx, ell)
     checked, members, records = _scan_arrays(adj, ellbit, nat, prov, ctx.p, mode, max_support)

@@ -150,6 +150,7 @@ def _group_axiom_checks(res, ctx, rng, samples):
 
 
 def _defining_relation_checks(res, ctx):
+    e = identity(ctx)
     bad_adj = bad_non = 0
     n_adj = n_non = 0
     for i, u in enumerate(ctx.vertex_order):
@@ -157,7 +158,7 @@ def _defining_relation_checks(res, ctx):
             c = commutator(ctx, generator(ctx, u), generator(ctx, w))
             if ctx.graph.has_edge(u, w):
                 n_adj += 1
-                if c != identity(ctx):
+                if c != e:
                     bad_adj += 1
             else:
                 n_non += 1
@@ -167,7 +168,7 @@ def _defining_relation_checks(res, ctx):
                     and c.cen.get(ctx.central_pair(u, w)) in (1, ctx.p - 1)
                 )
                 rev = commutator(ctx, generator(ctx, w), generator(ctx, u))
-                if not ok or mul(ctx, c, rev) != identity(ctx):
+                if not ok or mul(ctx, c, rev) != e:
                     bad_non += 1
     _check(res, "adjacent generators commute", bad_adj == 0, f"{n_adj} adjacent pairs")
     _check(
@@ -328,9 +329,12 @@ def _oracle_checks(res, cfg):
         )
 
 
-def _roundtrip_check(res, cfg):
+def _roundtrip_check(res, cfg, ctx_up, ctx_down):
     gamma = natural_graph(list(cfg.naturals), list(cfg.r_edges))
-    result = roundtrip(gamma, p=cfg.p, pipeline="both", seed=cfg.seed, translates=cfg.translates)
+    result = roundtrip(
+        gamma, p=cfg.p, pipeline="both", seed=cfg.seed, translates=cfg.translates,
+        contexts={"up": ctx_up, "down": ctx_down},
+    )
     _check(res, "round trip recovers the encoded graph through both pipelines", result.ok, "; ".join(result.messages))
 
 
@@ -377,5 +381,5 @@ def verify_lemmas(cfg: VerifyConfig) -> SuiteResult:
     _dichotomy_checks(res, ctx_down, ell, cfg.support_budget)
 
     _oracle_checks(res, cfg)
-    _roundtrip_check(res, cfg)
+    _roundtrip_check(res, cfg, ctx_up, ctx_down)
     return res

@@ -1,11 +1,13 @@
 """Command line behavior: exit codes, output formats, file round trips."""
 
 import argparse
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -245,6 +247,61 @@ def test_verify_lemmas_report_is_the_same_under_python_O():
         assert r.returncode == 0, r.stderr.decode()
     assert runs[1].stdout == runs[0].stdout
     assert json.loads(runs[1].stdout)["ok"] is True
+
+
+# sha256 of the verify-lemmas reports, text and structured, recorded before
+# the element arithmetic, the coset oracle and the context handling were
+# sped up; speed changes must leave every byte as it was.  The last
+# configuration fails its niceness check and skips the oracle for budget.
+PINNED_REPORTS = [
+    ((), "59f3d0c40ae862497801d39ce9e31e7e7e3d987209a0332ed55852ab76611609",
+     "a7b6b68453eeaf77a2a25da13fabacc9d375d9c5c58879fc6569604221f141d4"),
+    (("--naturals", "0,1,2,3", "--r-edges", "0-2,1-2,1-3", "--seed", "777"),
+     "a5a0050bfe5a9aaa980b41c0bceccfea91aae4b3aba894833e73ae41c2d1b441",
+     "c8d42534997f9e0261259e6a5c1d41eeb2adc99e1d769949ed979c45a03ef27e"),
+    (("--naturals", "0,1", "--r-edges", "0-1", "--p", "7"),
+     "f009fe6b7cf4a976e21c3b99fa99eca1499bf6e31fdc3d1dbd7d2d9150417813",
+     "aef160793747d7f2f41309db820ed8bf651068d96512a846ff438e6361f44602"),
+]
+
+
+@pytest.mark.parametrize("flags, text_sha, structured_sha", PINNED_REPORTS, ids=["defaults", "four-naturals", "p7-skip"])
+def test_verify_lemmas_reports_are_pinned(capsys, flags, text_sha, structured_sha):
+    two_naturals = "0,1" in flags  # that up fragment is not nice: it warns and fails the check
+    for fmt, want in (("text", text_sha), ("structured", structured_sha)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(capsys, "verify-lemmas", *flags, "--format", fmt)
+        assert code == (1 if two_naturals else 0)
+        assert any("not nice" in str(w.message) for w in caught) == two_naturals
+        assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
+
+def test_fragment_deduplicates_repeated_pairs(capsys, tmp_path):
+    spec_path = tmp_path / "frag.json"
+    argv = ("fragment", "--naturals", "0,1", "--pairs", "1-0,0-1")
+    code, out, _ = run(capsys, *argv, "--out", str(spec_path))
+    assert code == 0
+    assert "fragment: 2 naturals, 1 gadgeted pairs" in out
+    assert FragmentSpec.from_json(spec_path.read_text()).gadget_pairs == ((0, 1),)
+    code, out, _ = run(capsys, *argv, "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["gadget_pairs"] == [[0, 1]]
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ("0", "support budget must be 1 to 3, got 0"),
+        ("-2", "support budget must be 1 to 3, got -2"),
+        ("4", "support budgets beyond 3 are not covered by the dichotomy statements"),
+    ],
+    ids=["zero", "negative", "over-three"],
+)
+def test_support_budget_out_of_range_is_named(capsys, budget, message):
+    code, out, err = run(capsys, "verify-lemmas", "--budget-support", budget, "--budget-samples", "5")
+    assert code == 2 and out == ""
+    assert f"configuration rejected: {message}" in err
 
 
 def test_fragment_structured(capsys):

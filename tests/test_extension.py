@@ -132,3 +132,17 @@ def test_extension_requires_an_involution():
         ext_mul(ctx, aut, a, a)
     with pytest.raises(ValueError):
         ext_inv(ctx, aut, a)
+
+
+def test_extension_elements_are_immutable_values():
+    ctx, aut = make_ctx()
+    rng = random.Random(7)
+    h = random_element(ctx, rng)
+    a, b = ExtElement(h, 3), ExtElement(mul(ctx, h, identity(ctx)), 1)
+    assert a == b and hash(a) == hash(b)
+    assert a != ExtElement(h, 0) and a != (h, 1)
+    with pytest.raises(AttributeError):
+        a.eps = 0
+    with pytest.raises(AttributeError):
+        del a.h
+    assert a.eps == 1 and a == b

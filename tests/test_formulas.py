@@ -8,13 +8,18 @@ import sys
 import textwrap
 import warnings
 
+import numpy as np
 import pytest
 
 import mekler
 from mekler.fplinear import FpVector
 from mekler.formulas import (
+    _BLOCK_ROWS,
     BudgetError,
     FormulaTrace,
+    _coset_blocks,
+    _commuting_mask,
+    _nonadjacent_pairs,
     down_edge_formula,
     full_coset_oracle,
     power_separated,
@@ -35,7 +40,7 @@ from mekler.group import (
     random_element,
 )
 from mekler.interpret import build_down_fragment, build_up_fragment
-from mekler.subgroup import EdgeFunctional
+from mekler.subgroup import EdgeFunctional, in_kernel_subgroup
 
 R_SUBSETS = [
     tuple(r)
@@ -204,6 +209,98 @@ def test_formulas_agree_with_full_coset_oracle():
         x = generator(ctx, Natural(0))
         assert not full_coset_oracle(ctx, "up", x, pow_(ctx, x, 2), aut=aut)
         assert not full_coset_oracle(ctx, "down", x, pow_(ctx, x, 2), ell=ell)
+
+
+def brute_force_oracle(ctx, formula, x, y, aut=None, ell=None):
+    """The full coset enumeration one coset at a time: itertools over
+    F_p^V, commutator_vector for every commutation."""
+    if not power_separated(ctx, x, y):
+        return False
+    p = ctx.p
+
+    def commutes(a, b):
+        return commutator_vector(ctx, a, b).is_zero()
+
+    def cosets():
+        for pattern in itertools.product(range(p), repeat=ctx.n):
+            yield FpVector.from_reduced(p, {i: c for i, c in enumerate(pattern) if c})
+
+    if formula == "up":
+        v_candidates = [v for v in cosets() if len(v) == 1 and aut.moves_coset(v)]
+        return any(
+            len(u) == 1 and commutes(u, x.gen) and commutes(u, y.gen) and any(commutes(u, v) for v in v_candidates)
+            for u in cosets()
+        )
+    for name, el in (("x", x), ("y", y)):
+        if not in_kernel_subgroup(ctx, ell, el):
+            raise ValueError(f"{name} is not in the kernel subgroup")
+    ell_row = ell.row(ctx)
+    return any(
+        not v.is_zero()
+        and sum(ell_row.get(k, 0) * c for k, c in v.items()) % p == 0
+        and commutes(v, x.gen)
+        and commutes(v, y.gen)
+        for v in cosets()
+    )
+
+
+def outcome(oracle, *args, **kwargs):
+    """The verdict, or which input a ValueError refused."""
+    try:
+        return oracle(*args, **kwargs)
+    except ValueError as err:
+        return str(err)[0]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_full_coset_oracle_matches_brute_force(p):
+    g = build_fragment([0, 1], [(0, 1)])
+    ctx = GroupContext(g, p, warn_not_nice=False)
+    rng = random.Random(10 + p)
+    n0, n1 = generator(ctx, Natural(0)), generator(ctx, Natural(1))
+    hub = generator(ctx, Gadget(0, 1, "0"))
+    seen = set()
+    for r_edges in ([], [(0, 1)]):
+        aut = InducedAutomorphism(ctx, pair_swap_automorphism(g, r_edges))
+        ell = EdgeFunctional.from_edges(r_edges)
+        pairs = [
+            (n0, mul(ctx, pow_(ctx, n1, 2), random_central(ctx, rng))),
+            (mul(ctx, n1, hub), n0),
+            (n0, pow_(ctx, n0, 2)),
+        ]
+        pairs += [(random_element(ctx, rng), random_element(ctx, rng)) for _ in range(4 if p == 3 else 2)]
+        for x, y in pairs:
+            for formula, kw in (("up", {"aut": aut}), ("down", {"ell": ell})):
+                got = outcome(full_coset_oracle, ctx, formula, x, y, **kw)
+                assert got == outcome(brute_force_oracle, ctx, formula, x, y, **kw)
+                seen.add((formula, got))
+    # both verdicts of both formulas, and the refusal of non-members, were compared
+    assert seen == {("up", True), ("up", False), ("down", True), ("down", False), ("down", "x"), ("down", "y")}
+
+
+@pytest.mark.parametrize("p, n", [(3, 0), (3, 1), (5, 3), (3, 7), (3, 10), (5, 7)])
+def test_coset_blocks_yield_every_vector_once_in_product_order(p, n):
+    blocks = list(_coset_blocks(p, n))
+    assert all(0 < len(b) <= _BLOCK_ROWS for b in blocks)
+    assert len(blocks) == -(-(p**n) // _BLOCK_ROWS)
+    rows = [tuple(int(c) for c in row) for block in blocks for row in block]
+    assert rows == list(itertools.product(range(p), repeat=n))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_commuting_mask_matches_the_commutator(p):
+    """The mask is the zero set of lambda(a, -) over every coset b, with
+    a's own multiples among the zeros."""
+    ctx = GroupContext(build_fragment([0, 1], [(0, 1)]), p, warn_not_nice=False)
+    rng = random.Random(p)
+    pairs = _nonadjacent_pairs(ctx)
+    block = np.array(list(itertools.product(range(p), repeat=ctx.n))[:: 1 if p == 3 else 13], dtype=np.int64)
+    for _ in range(6):
+        a = random_element(ctx, rng, max_support=7).gen
+        dense = np.array([a.get(i) for i in range(ctx.n)], dtype=np.int64)
+        want = [commutator_vector(ctx, a, FpVector(p, dict(enumerate(map(int, b))))).is_zero() for b in block]
+        assert _commuting_mask(block, dense, pairs, p).tolist() == want
+        assert _commuting_mask(np.array([dense, 2 * dense % p]), dense, pairs, p).all()
 
 
 def test_verdicts_are_translate_invariant():

@@ -251,6 +251,33 @@ def test_center_check_system_is_linear_in_vertices(r_edges):
     assert len(cols) - len(rref_indexed(rows, ctx.p)) == 0  # the centre check passes
 
 
+def test_elements_are_immutable_values():
+    ctx = ctx18()
+    a = mul(ctx, generator(ctx, Natural(0), 2), central_generator(ctx, Natural(0), Natural(1)))
+    b = GroupElement(FpVector(3, dict(a.gen.items())), FpVector(3, dict(a.cen.items())))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, identity(ctx)}) == 2
+    assert a != generator(ctx, Natural(0), 2) and a != (a.gen, a.cen)
+    with pytest.raises(AttributeError):
+        a.gen = FpVector.zero(3)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError):
+        del a.cen
+    assert a == b
+
+
+def test_modulus_mismatch_raises():
+    ctx = ctx18()
+    with pytest.raises(ValueError, match="disagree on modulus"):
+        GroupElement(FpVector(3, {0: 1}), FpVector.zero(5))
+    foreign = GroupElement(FpVector(5, {0: 1}), FpVector.zero(5))
+    x = generator(ctx, Natural(0))
+    for bad in (lambda: mul(ctx, x, foreign), lambda: mul(ctx, foreign, x), lambda: inv(ctx, foreign)):
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            bad()
+
+
 def test_vertex_like_predicates():
     ctx = ctx7()
     a = mul(ctx, generator(ctx, Natural(1), 2), central_generator(ctx, Natural(0), Natural(1)))

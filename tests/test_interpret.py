@@ -5,10 +5,10 @@ import warnings
 
 import pytest
 
-from mekler import interpret
+from mekler import interpret, verify
 from mekler.cli import main as cli_main
 from mekler.formulas import FormulaTrace, power_separated
-from mekler.graphs import Natural, build_fragment, pair_swap_automorphism
+from mekler.graphs import ConfigError, Natural, build_fragment, pair_swap_automorphism
 from mekler.group import (
     GroupContext,
     InducedAutomorphism,
@@ -186,6 +186,55 @@ def test_roundtrip_input_validation():
     frag = build_fragment([0, 1], [(0, 1)])
     with pytest.raises(ValueError):
         roundtrip(frag)  # gadget vertices are not a plain natural graph
+
+
+def test_roundtrip_uses_the_contexts_it_is_given(monkeypatch):
+    gamma = natural_graph([0, 1, 2], [(0, 2)])
+    ctx_up = GroupContext(build_up_fragment([0, 1, 2]), 5)
+    ctx_down = GroupContext(build_down_fragment([0, 1, 2]), 5)
+    built = []
+    monkeypatch.setattr(interpret, "GroupContext", lambda *a: built.append(a) or GroupContext(*a))
+    given = roundtrip(gamma, p=5, contexts={"up": ctx_up, "down": ctx_down})
+    assert built == []
+    half = roundtrip(gamma, p=5, contexts={"down": ctx_down})
+    assert len(built) == 1 and built[0][1] == 5
+    assert (given.ok, given.messages) == (half.ok, half.messages) == (True, roundtrip(gamma, p=5).messages)
+
+
+def test_roundtrip_refuses_contexts_of_other_fragments():
+    gamma = natural_graph([0, 1, 2], [(0, 1)])
+    up3 = GroupContext(build_up_fragment([0, 1, 2]), 3)
+    down3 = GroupContext(build_down_fragment([0, 1, 2]), 3)
+    refused = [
+        {"up": GroupContext(build_up_fragment([0, 1, 2, 3]), 3)},  # other naturals
+        {"up": GroupContext(build_up_fragment([0, 1, 2]), 5)},  # other prime
+        {"down": GroupContext(build_down_fragment([0, 1, 3]), 3)},
+        {"down": GroupContext(build_down_fragment([0, 1, 2]), 5)},
+        {"up": down3},  # the other pipeline's fragment
+        {"down": up3},
+    ]
+    for contexts in refused:
+        with pytest.raises(ConfigError, match="context is not over"):
+            roundtrip(gamma, p=3, contexts=contexts)
+    with pytest.raises(ConfigError, match="pipelines run"):
+        roundtrip(gamma, p=3, pipeline="up", contexts={"up": up3, "down": down3})
+    assert roundtrip(gamma, p=3, contexts={"up": up3, "down": down3}).ok
+
+
+def test_verify_lemmas_builds_three_contexts(monkeypatch):
+    """The up and down contexts serve the suites and the round trip; the
+    oracle's small fragment is the third."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(len(args[0]))
+        return GroupContext(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "GroupContext", counting)
+    monkeypatch.setattr(interpret, "GroupContext", counting)
+    res = verify.verify_lemmas(verify.VerifyConfig(naturals=(0, 1, 2, 3), r_edges=((0, 1), (2, 3)), samples=20))
+    assert res.ok
+    assert sorted(built) == sorted([len(build_up_fragment([0, 1, 2, 3])), len(build_down_fragment([0, 1, 2, 3])), 7])
 
 
 def test_representative_dependent_edge_verdict_is_an_internal_fault(monkeypatch):

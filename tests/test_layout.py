@@ -3,7 +3,10 @@
 The full-column commuting system (group.commutation_matrix with
 fplinear.kernel_dim) and the full-coset enumeration
 (formulas.full_coset_oracle) are oracles: they serve the cross-checks in
-verify and the tests, never a verdict of the library itself.
+verify and the tests, never a verdict of the library itself.  The coset
+enumeration is also independent of what it certifies: it reads
+commutation off the alternating form itself, not through the commutator
+or the commuting-kernel engine.
 """
 
 import ast
@@ -77,3 +80,38 @@ def test_the_anchor_walk_only_lists_violations():
 def test_the_reference_rule_sees_calls_and_attributes():
     tree = ast.parse("def f():\n    g(1)\n\ndef h():\n    return m.g\n\nx = g\n")
     assert references(tree, "g") == [("f", 2), ("h", 5), (None, 7)]
+
+
+ENGINE = {"commutator_vector", "commuting_rows", "commuting_kernel_dim", "commuting_kernel_basis", "rref_indexed"}
+
+
+def reachable_names(tree, root):
+    """Every name read by the top-level function root and by the module's
+    own top-level functions it reaches."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo, names = set(), [root], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(functions[fn]):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None:
+                names.add(name)
+                if name in functions:
+                    todo.append(name)
+    return names
+
+
+def test_the_coset_oracle_shares_no_code_with_the_engine():
+    path = Path(mekler.__file__).parent / "formulas.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = reachable_names(tree, "full_coset_oracle")
+    assert "_coset_blocks" in names
+    assert names & ENGINE == set()
+
+
+def test_the_reachability_rule_follows_helpers():
+    tree = ast.parse("def f():\n    return g()\n\ndef g():\n    return m.commutator_vector\n\ndef h():\n    rref_indexed()\n")
+    assert reachable_names(tree, "f") & ENGINE == {"commutator_vector"}
