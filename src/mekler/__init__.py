@@ -36,8 +36,6 @@ from .group import (
     identity,
     generator,
     central_generator,
-    support,
-    length,
     is_central,
     is_vertex_like,
     is_natural_vertex_like,

@@ -21,7 +21,6 @@ import functools
 import json
 import random
 import sys
-import warnings
 
 from .cayley import (
     FiniteGroup,
@@ -238,10 +237,7 @@ def _load_probe_group(spec: str) -> FiniteGroup:
     if kind == "mekler":
         p = _int(arg)
         check_order(p**3)  # two generators and their commutator, before p is tested for primality
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ctx = GroupContext(build_fragment([0, 1]), p)
-            return cayley_from_context(ctx)
+        return cayley_from_context(GroupContext(build_fragment([0, 1]), p, warn_not_nice=False))
     if kind == "cayley":
         return parse_cayley_text(_read(arg))
     if kind == "perm":

@@ -7,7 +7,8 @@ power-separated, some vertex-like u commutes with x, y and with a
 vertex-like v that the automorphism moves off its own coset.  The "down"
 formula lives in the kernel subgroup: some non-central subgroup element
 commutes with both x and y.  Every atomic condition depends on generator
-cosets only, so evaluation is exact linear algebra; a full-coset
+cosets only, so evaluation is exact: set algebra on the neighbour bitmasks
+for the up formula, linear algebra for the down one; a full-coset
 enumeration oracle certifies the restricted evaluators on tiny fragments.
 The oracle enumerates F_p^V in numpy blocks and reads commutation off the
 alternating form directly, so it stays independent of the commutator and
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fplinear import FpVector
+from .graphs import mask_bits
 from .group import (
     Coset,
     GroupContext,
@@ -77,28 +79,32 @@ def up_edge_formula(ctx: GroupContext, aut: InducedAutomorphism, x: GroupElement
     at 1: x_w^alpha commutes with an element exactly when x_w does, since
     the commutator form is bilinear, and x_s^beta is moved off its coset
     exactly when s is moved, since the automorphism permutes generators.
-    Witnesses found are re-verified before they are stored.
+
+    So the search is set algebra on the neighbour bitmasks, as x_w commutes
+    with a coset exactly when its support lies in N[w] = adj[w] | 1 << w:
+    u = x_w for the lowest w in U, the intersection of N[s] over supp(x)
+    and supp(y), whose N[w] meets the automorphism's moved mask M, and
+    v = x_s for the lowest s in N[w] & M.  Both are re-checked by the
+    commutator before they are stored.
     """
     if not power_separated(ctx, x, y):
         return FormulaTrace(False, "VertexLikeEnumeration", note="power-related inputs")
-    p = ctx.p
-    for w in range(ctx.n):
-        u_gen = FpVector.from_reduced(p, {w: 1})
-        if not (_commutes(ctx, u_gen, x.gen) and _commutes(ctx, u_gen, y.gen)):
+    p, adj = ctx.p, ctx.adj
+    common = (1 << ctx.n) - 1
+    for s in x.gen.support() | y.gen.support():
+        common &= adj[s] | 1 << s
+    for w in mask_bits(common):
+        hit = (adj[w] | 1 << w) & aut.moved
+        if not hit:
             continue
-        for s in range(ctx.n):
-            if aut.iperm[s] == s:
-                continue
-            v_gen = FpVector.from_reduced(p, {s: 1})
-            if not _commutes(ctx, u_gen, v_gen):
-                continue
-            u_el, v_el = from_vectors(ctx, u_gen), from_vectors(ctx, v_gen)
-            if not _recheck_up(ctx, aut, x, y, u_el, v_el):
-                raise RuntimeError(
-                    f"up-formula witness pair u={format_element(ctx, u_el)}, "
-                    f"v={format_element(ctx, v_el)} failed its re-check"
-                )
-            return FormulaTrace(True, "VertexLikeEnumeration", witnesses=(u_el, v_el))
+        u_el = from_vectors(ctx, FpVector.from_reduced(p, {w: 1}))
+        v_el = from_vectors(ctx, FpVector.from_reduced(p, {(hit & -hit).bit_length() - 1: 1}))
+        if not _recheck_up(ctx, aut, x, y, u_el, v_el):
+            raise RuntimeError(
+                f"up-formula witness pair u={format_element(ctx, u_el)}, "
+                f"v={format_element(ctx, v_el)} failed its re-check"
+            )
+        return FormulaTrace(True, "VertexLikeEnumeration", witnesses=(u_el, v_el))
     return FormulaTrace(False, "VertexLikeEnumeration")
 
 

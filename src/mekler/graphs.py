@@ -104,8 +104,20 @@ def _edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
     return (u, v) if vertex_key(u) < vertex_key(v) else (v, u)
 
 
+def mask_bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
 class Graph:
-    """Undirected simple graph over Vertex keys, immutable after creation."""
+    """Undirected simple graph over Vertex keys, immutable after creation.
+    The adjacency is masks: bit j of masks[i] is set when the i-th and j-th
+    vertices in vertex_key order are joined."""
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]):
         self.vertices: tuple[Vertex, ...] = tuple(sorted(set(vertices), key=vertex_key))
@@ -116,32 +128,31 @@ class Graph:
                 raise ConfigError(f"edge endpoint not a vertex: {encode_vertex(u)}-{encode_vertex(v)}")
             norm.add(_edge(u, v))
         self.edges: frozenset[tuple[Vertex, Vertex]] = frozenset(norm)
-        adj: dict[Vertex, set[Vertex]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adjacency: dict[Vertex, frozenset[Vertex]] = {v: frozenset(s) for v, s in adj.items()}
         self.index: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
+        masks = [0] * len(self.vertices)
+        for u, v in self.edges:
+            i, j = self.index[u], self.index[v]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self.masks: tuple[int, ...] = tuple(masks)
         self._adj_matrix: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return v in self.adjacency.get(u, frozenset())
+        i, j = self.index.get(u), self.index.get(v)
+        return i is not None and j is not None and bool(self.masks[i] >> j & 1)
 
     def degree(self, v: Vertex) -> int:
-        return len(self.adjacency[v])
+        return self.masks[self.index[v]].bit_count()
 
     def adjacency_matrix(self) -> np.ndarray:
+        """The masks unpacked into a 0/1 uint8 matrix, for the niceness check and the scans."""
         if self._adj_matrix is None:
-            n = len(self.vertices)
-            m = np.zeros((n, n), dtype=np.uint8)
-            for u, v in self.edges:
-                i, j = self.index[u], self.index[v]
-                m[i, j] = 1
-                m[j, i] = 1
-            self._adj_matrix = m
+            n, width = len(self.vertices), (len(self.vertices) + 7) // 8
+            rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in self.masks), dtype=np.uint8)
+            self._adj_matrix = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
         return self._adj_matrix
 
     def naturals(self) -> tuple[int, ...]:

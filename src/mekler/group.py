@@ -13,7 +13,8 @@ lambda(a, b)_(u,w) = a_w b_u - a_u b_w on generator cosets.
 
 Inside the library a vertex is its index in ctx.vertex_order and the
 central coordinate (u, w) is the int key u * n + w, so sorted keys are the
-central basis in its (u, w) order; adjacency is one int bitmask per vertex.
+central basis in its (u, w) order; the adjacency ctx.adj is the graph's
+own neighbour bitmasks, Graph.masks, one int per vertex index.
 Natural/Gadget vertices appear only at the boundary: generator and
 central_generator arguments and the element text form.
 
@@ -47,6 +48,7 @@ from .graphs import (
     encode_vertex,
     host_degree,
     is_graph_automorphism,
+    mask_bits,
 )
 
 Coset = FpVector  # generator-side cosets mod the center, keyed by vertex index
@@ -60,7 +62,7 @@ class GroupContext:
     perfectly good group; the model-theoretic guarantees are what need
     niceness).  No central coordinate is listed up front: keys are computed
     on demand and central_key_at unranks the k-th one through prefix sums
-    of each vertex's count of later non-neighbours.
+    of later non-neighbour counts and one vertex's later neighbours.
     """
 
     def __init__(self, graph: Graph, p: int, warn_not_nice: bool = True):
@@ -71,7 +73,7 @@ class GroupContext:
         self.vertex_order: tuple[Vertex, ...] = graph.vertices
         self.vindex = graph.index
         self.n = n = len(graph.vertices)
-        self.adj = tuple(sum(1 << graph.index[w] for w in graph.adjacency[v]) for v in graph.vertices)
+        self.adj = graph.masks
         self._later = [0]  # central coordinates (u, w) with u below each index
         for u, mask in enumerate(self.adj):
             self._later.append(self._later[-1] + n - 1 - u - (mask >> (u + 1)).bit_count())
@@ -95,10 +97,12 @@ class GroupContext:
         if not 0 <= k < self.ncentral:
             raise IndexError(f"central coordinate {k} out of range")
         u = bisect.bisect_right(self._later, k) - 1
-        free = ~self.adj[u] & ((1 << self.n) - 1) >> (u + 1) << (u + 1)  # non-neighbours above u
-        for _ in range(k - self._later[u]):
-            free &= free - 1  # drop the lowest
-        return u * self.n + (free & -free).bit_length() - 1
+        w = u + 1 + k - self._later[u]  # the answer if u had no later neighbours
+        for t in mask_bits(self.adj[u] >> (u + 1) << (u + 1)):
+            if t > w:
+                break
+            w += 1  # each neighbour at or below w pushes it one further
+        return u * self.n + w
 
     def __len__(self) -> int:
         return self.n
@@ -264,14 +268,6 @@ def commutator(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElem
     return GroupElement(FpVector.zero(ctx.p), commutator_vector(ctx, a.gen, b.gen))
 
 
-def support(a: GroupElement) -> frozenset[int]:
-    return a.gen.support()
-
-
-def length(a: GroupElement) -> int:
-    return len(a.gen)
-
-
 def is_central(a: GroupElement) -> bool:
     return a.gen.is_zero()
 
@@ -341,19 +337,10 @@ def _local_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tup
             supmask |= 1 << s
     common = (1 << ctx.n) - 1
     nonadj: dict[int, int] = {}
-    bits = supmask
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        s = low.bit_length() - 1
+    for s in mask_bits(supmask):
         common &= adj[s]
-        nonadj[s] = supmask & ~adj[s] & ~low
-    cols = []
-    bits = supmask | common
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        cols.append(low.bit_length() - 1)
+        nonadj[s] = supmask & ~adj[s] & ~(1 << s)
+    cols = mask_bits(supmask | common)
     local = {v: i for i, v in enumerate(cols)}
     rows = ({local[t]: c for t, c in row.items()} for row in commuting_rows([dict(a.items()) for a in family], nonadj, p))
     if functional is not None:
@@ -418,6 +405,7 @@ class InducedAutomorphism:
             raise ValueError("mapping is not an automorphism of the fragment")
         self.ctx = ctx
         self.iperm = tuple(ctx.vindex[perm[v]] for v in ctx.vertex_order)
+        self.moved = sum(1 << i for i, j in enumerate(self.iperm) if i != j)  # the unfixed generators
         self.is_involution = all(self.iperm[j] == i for i, j in enumerate(self.iperm))
 
     def apply(self, a: GroupElement) -> GroupElement:

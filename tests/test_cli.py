@@ -252,29 +252,41 @@ def test_verify_lemmas_report_is_the_same_under_python_O():
 # sha256 of the verify-lemmas reports, text and structured, recorded before
 # the element arithmetic, the coset oracle and the context handling were
 # sped up; speed changes must leave every byte as it was.  The last
-# configuration fails its niceness check and skips the oracle for budget.
+# configuration skips both oracle checks for budget: 7^7 cosets on their
+# fragment.
 PINNED_REPORTS = [
-    ((), "59f3d0c40ae862497801d39ce9e31e7e7e3d987209a0332ed55852ab76611609",
+    ((), 0, "59f3d0c40ae862497801d39ce9e31e7e7e3d987209a0332ed55852ab76611609",
      "a7b6b68453eeaf77a2a25da13fabacc9d375d9c5c58879fc6569604221f141d4"),
-    (("--naturals", "0,1,2,3", "--r-edges", "0-2,1-2,1-3", "--seed", "777"),
+    (("--naturals", "0,1,2,3", "--r-edges", "0-2,1-2,1-3", "--seed", "777"), 0,
      "a5a0050bfe5a9aaa980b41c0bceccfea91aae4b3aba894833e73ae41c2d1b441",
      "c8d42534997f9e0261259e6a5c1d41eeb2adc99e1d769949ed979c45a03ef27e"),
-    (("--naturals", "0,1", "--r-edges", "0-1", "--p", "7"),
-     "f009fe6b7cf4a976e21c3b99fa99eca1499bf6e31fdc3d1dbd7d2d9150417813",
-     "aef160793747d7f2f41309db820ed8bf651068d96512a846ff438e6361f44602"),
+    (("--naturals", "0,1,2", "--r-edges", "0-1", "--p", "7"), 2,
+     "79244503b2ace602102ea7b5d7d6499f2cfb3eaa44fc98d928251e3a36a1b274",
+     "1f0adccbb1f12123144b1ff638b43fa7a879899986ab976b9ddc6ff1cae30e37"),
 ]
 
 
-@pytest.mark.parametrize("flags, text_sha, structured_sha", PINNED_REPORTS, ids=["defaults", "four-naturals", "p7-skip"])
-def test_verify_lemmas_reports_are_pinned(capsys, flags, text_sha, structured_sha):
-    two_naturals = "0,1" in flags  # that up fragment is not nice: it warns and fails the check
+@pytest.mark.parametrize(
+    "flags, skips, text_sha, structured_sha", PINNED_REPORTS, ids=["defaults", "four-naturals", "p7-skip"]
+)
+def test_verify_lemmas_reports_are_pinned(capsys, flags, skips, text_sha, structured_sha):
     for fmt, want in (("text", text_sha), ("structured", structured_sha)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, _ = run(capsys, "verify-lemmas", *flags, "--format", fmt)
-        assert code == (1 if two_naturals else 0)
-        assert any("not nice" in str(w.message) for w in caught) == two_naturals
+        assert code == 0
+        assert not any("not nice" in str(w.message) for w in caught)
         assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+        if fmt == "text":
+            assert sum(line.startswith("SKIP") for line in out.splitlines()) == skips
+
+
+def test_verify_lemmas_on_two_naturals_is_config_error(capsys):
+    """The up fragment on two naturals is not nice, so the suite could
+    only fail; it is refused before any check runs."""
+    code, out, err = run(capsys, "verify-lemmas", "--naturals", "0,1", "--r-edges", "0-1")
+    assert code == 2 and out == ""
+    assert "needs at least three naturals" in err
 
 
 def test_fragment_deduplicates_repeated_pairs(capsys, tmp_path):
@@ -481,7 +493,7 @@ def test_unreadable_and_unwritable_paths_exit_2(capsys, tmp_path):
 MINIMAL_ARGV = {
     "nice": ["nice"],
     "fragment": ["fragment"],
-    "verify-lemmas": ["verify-lemmas", "--naturals", "0,1", "--budget-samples", "5", "--budget-support", "1"],
+    "verify-lemmas": ["verify-lemmas", "--naturals", "0,1,2", "--budget-samples", "5", "--budget-support", "1"],
     "roundtrip": ["roundtrip", "--naturals", "0,1,2", "--r-edges", "0-1"],
     "ext-check": ["ext-check", "--samples", "5"],
     "qprobe": ["qprobe", "--group", "sym:3"],

@@ -156,6 +156,28 @@ def test_up_formula_matches_all_exponent_enumeration(k, p):
     assert checked == 2 ** len(pairs) * len(queries)
 
 
+def test_up_formula_reaches_the_commutator_only_through_the_recheck(monkeypatch):
+    """The witness search is set algebra on the neighbour bitmasks: a false
+    verdict computes no commutator, and a true one only the re-check's."""
+    g = build_up_fragment([0, 1, 2, 3])
+    ctx = GroupContext(g, 3)
+    aut = InducedAutomorphism(ctx, pair_swap_automorphism(g, [(0, 1), (1, 2)]))
+    calls = []
+    real = mekler.formulas.commutator_vector
+    monkeypatch.setattr(mekler.formulas, "commutator_vector", lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(4)
+    verdicts = set()
+    for i, j in itertools.permutations(range(4), 2):
+        queries = [(generator(ctx, Natural(i)), generator(ctx, Natural(j)))]
+        queries += [(random_element(ctx, rng), random_element(ctx, rng)) for _ in range(5)]
+        for x, y in queries:
+            calls.clear()
+            verdict = up_edge_formula(ctx, aut, x, y).verdict
+            assert 0 < len(calls) <= 3 if verdict else calls == []
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_down_formula_truth_table():
     g = build_down_fragment([0, 1, 2])
     ctx = GroupContext(g, 3)

@@ -8,6 +8,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mekler import graphs
 from mekler.graphs import (
@@ -23,6 +25,7 @@ from mekler.graphs import (
     encode_vertex,
     host_degree,
     is_graph_automorphism,
+    mask_bits,
     pair_swap_automorphism,
     vertex_key,
 )
@@ -36,7 +39,7 @@ def brute_niceness(g):
         for a, b, c in itertools.combinations(vs, 3)
     )
     sq = any(
-        len(g.adjacency[u] & g.adjacency[v]) >= 2
+        sum(1 for w in vs if g.has_edge(u, w) and g.has_edge(v, w)) >= 2
         for u, v in itertools.combinations(vs, 2)
     )
     sep = all(
@@ -335,3 +338,34 @@ def test_all_pairs():
     assert all_pairs([2, 0, 1]) == ((0, 1), (0, 2), (1, 2))
     assert all_pairs([5]) == ()
     assert all_pairs([3, 3, 1]) == ((1, 3),)
+
+
+@st.composite
+def random_graphs(draw):
+    """Graphs on up to 12 naturals with arbitrary gaps in their indices and
+    edges given in either orientation."""
+    vertices = [Natural(n) for n in draw(st.sets(st.integers(0, 40), max_size=12))]
+    pairs = list(itertools.combinations(vertices, 2))
+    if not pairs:
+        return Graph(vertices, [])
+    chosen = draw(st.sets(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=len(pairs)))
+    return Graph(vertices, [(v, u) if flip else (u, v) for (u, v), flip in chosen])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(random_graphs())
+def test_masks_are_the_adjacency(g):
+    n = len(g)
+    assert len(g.masks) == n
+    for i, mask in enumerate(g.masks):
+        assert 0 <= mask < 1 << n and not mask >> i & 1  # in range, no self bit
+        assert mask_bits(mask) == [j for j in range(n) if mask >> j & 1]
+        assert all(g.masks[j] >> i & 1 for j in mask_bits(mask))  # symmetric
+    from_masks = {(g.vertices[i], g.vertices[j]) for i, mask in enumerate(g.masks) for j in mask_bits(mask) if i < j}
+    assert from_masks == set(g.edges)
+    for u, v in itertools.product(g.vertices, repeat=2):
+        assert g.has_edge(u, v) == ((u, v) in g.edges or (v, u) in g.edges)
+    for v in g.vertices:
+        assert g.degree(v) == sum(1 for e in g.edges if v in e)
+        assert not g.has_edge(v, Natural(99)) and not g.has_edge(Natural(99), v)
+    assert g.adjacency_matrix().tolist() == [[mask >> j & 1 for j in range(n)] for mask in g.masks]

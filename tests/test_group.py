@@ -39,7 +39,7 @@ from mekler.group import (
     random_element,
     vertex_like_parts,
 )
-from mekler.interpret import build_down_fragment
+from mekler.interpret import build_down_fragment, build_up_fragment
 from mekler.subgroup import EdgeFunctional
 
 
@@ -412,7 +412,7 @@ def old_pair_enumeration(ctx):
     """The central basis as it used to be listed up front: (u, w) for u < w
     in vertex order with w not adjacent to u."""
     verts = ctx.vertex_order
-    return [(u, w) for i, u in enumerate(verts) for w in verts[i + 1 :] if w not in ctx.graph.adjacency[u]]
+    return [(u, w) for i, u in enumerate(verts) for w in verts[i + 1 :] if not ctx.graph.has_edge(u, w)]
 
 
 def planted_edge_ctx():
@@ -423,8 +423,15 @@ def planted_edge_ctx():
 
 @pytest.mark.parametrize(
     "make",
-    [ctx7, lambda: ctx18(3), lambda: ctx18(5), planted_edge_ctx],
-    ids=["ctx7", "ctx18-p3", "ctx18-p5", "planted-edge"],
+    [
+        ctx7,
+        lambda: ctx18(3),
+        lambda: ctx18(5),
+        planted_edge_ctx,
+        lambda: GroupContext(build_down_fragment([0, 1, 2, 3]), 3),
+        lambda: GroupContext(build_up_fragment(list(range(16))), 3),
+    ],
+    ids=["ctx7", "ctx18-p3", "ctx18-p5", "planted-edge", "down-181", "up-616"],
 )
 def test_central_unranking_matches_the_old_pair_enumeration(make):
     ctx = make()

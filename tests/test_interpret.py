@@ -8,7 +8,7 @@ import pytest
 from mekler import interpret, verify
 from mekler.cli import main as cli_main
 from mekler.formulas import FormulaTrace, power_separated
-from mekler.graphs import ConfigError, Natural, build_fragment, pair_swap_automorphism
+from mekler.graphs import ConfigError, Natural, all_pairs, build_fragment, pair_swap_automorphism
 from mekler.group import (
     GroupContext,
     InducedAutomorphism,
@@ -148,6 +148,21 @@ def test_roundtrip_small_graphs_both_pipelines():
         assert res.up.edges == res.down.edges == frozenset(edges)
         assert res.input_labels == tuple(naturals)
         assert "ok" in res.summary()
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_up_roundtrip_at_scale(k):
+    """The up pipeline recovers a path and a seeded random R on k naturals,
+    616 fragment vertices at k = 16."""
+    naturals = list(range(k))
+    ctx = GroupContext(build_up_fragment(naturals), 3)
+    rng = random.Random(k)
+    path = [(i, i + 1) for i in range(k - 1)]
+    scattered = [pr for pr in all_pairs(naturals) if rng.random() < 0.3]
+    for edges in (path, scattered):
+        res = roundtrip(natural_graph(naturals, edges), pipeline="up", seed=k, contexts={"up": ctx})
+        assert res.ok
+        assert res.up.labels == tuple(naturals) and res.up.edges == frozenset(edges)
 
 
 def test_two_vertex_up_fragment_warns_but_recovers():

@@ -1,5 +1,9 @@
 """Source layout rules, checked on the syntax tree of each module.
 
+A graph's adjacency has one format, the neighbour bitmasks Graph.masks;
+the numpy adjacency matrix is derived from it for the niceness check and
+the scans alone.
+
 The full-column commuting system (group.commutation_matrix with
 fplinear.kernel_dim) and the full-coset enumeration
 (formulas.full_coset_oracle) are oracles: they serve the cross-checks in
@@ -115,3 +119,38 @@ def test_the_coset_oracle_shares_no_code_with_the_engine():
 def test_the_reachability_rule_follows_helpers():
     tree = ast.parse("def f():\n    return g()\n\ndef g():\n    return m.commutator_vector\n\ndef h():\n    rref_indexed()\n")
     assert reachable_names(tree, "f") & ENGINE == {"commutator_vector"}
+
+
+MAY_USE_ADJACENCY_MATRIX = {"graphs.py", "kernels.py"}
+
+
+def adjacency_uses(tree, may_use_matrix):
+    """(line, name) of every read of an adjacency attribute and, unless the
+    module may use it, every call of adjacency_matrix."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "adjacency":
+            found.append((node.lineno, "adjacency"))
+        elif isinstance(node, ast.Call) and not may_use_matrix:
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else fn.id if isinstance(fn, ast.Name) else None
+            if name == "adjacency_matrix":
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_the_neighbour_bitmasks_are_the_only_adjacency():
+    package = Path(mekler.__file__).parent
+    misuse = {}
+    for path in sorted(package.glob("*.py")):
+        uses = adjacency_uses(ast.parse(path.read_text(), filename=str(path)), path.name in MAY_USE_ADJACENCY_MATRIX)
+        if uses:
+            misuse[path.name] = uses
+    assert misuse == {}
+
+
+def test_the_adjacency_rule_sees_reads_and_calls():
+    tree = ast.parse("a = g.adjacency[v]\nm = g.adjacency_matrix()\nadjacency_matrix(g)\nadjacency = 1\n")
+    assert adjacency_uses(tree, False) == [(1, "adjacency"), (2, "adjacency_matrix"), (3, "adjacency_matrix")]
+    assert adjacency_uses(tree, True) == [(1, "adjacency")]
+    assert adjacency_uses(ast.parse("def adjacency_matrix(self):\n    return self.masks\n"), False) == []
