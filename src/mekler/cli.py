@@ -216,7 +216,7 @@ def cmd_ext_check(args) -> int:
     cfg = VerifyConfig(p=args.p, seed=args.seed, naturals=tuple(naturals), r_edges=tuple(edges), samples=args.samples)
     res = SuiteResult(config=cfg.normalized())
     frag = build_fragment(naturals, all_pairs(naturals))
-    ctx = GroupContext(frag, args.p)
+    ctx = GroupContext(frag, args.p, warn_not_nice=False)  # group arithmetic only: niceness is not needed
     aut = InducedAutomorphism(ctx, pair_swap_automorphism(frag, edges))
     _extension_checks(res, ctx, aut, random.Random(args.seed), args.samples)
     _emit(args, "\n".join(c.line() for c in res.checks) + "\n")

@@ -25,23 +25,29 @@ rows of group.commuting_rows, and lists actual supports only for the
 signatures that violate.
 
 Sizes 2 and 3 are counted from the graph's sparse structure, never by
-walking every support.  The supports fall into three classes:
+walking every support, in two steps:
 
-    (A) supports that contain an edge: each edge times each other vertex,
-        kept once under the support's smallest edge, in chunks of edges;
-    (B) edge-free supports with t > 0: these lie inside some N(v), so they
-        are among the size-subsets of the neighbourhoods;
-    (C) every other support: edge-free with t = 0, so its signature is
-        fixed by its functional bits alone.  C is never enumerated: prefix
-        counts over vertex order give the supports of each functional-bit
-        pattern, and A and B are subtracted.
+    (1) every support is first counted as if it had no common neighbour
+        (t = 0), per positional pattern of non-adjacency and functional
+        bits, in closed form.  A pair is an edge or not.  For a triple
+        with an edge a < b, the third vertex c lies below, between or
+        above the edge, which fixes how the three sort; per region and
+        functional bit of c, the triples with c ~ a, c ~ b, both or
+        neither follow from |N(a) ∩ region|, |N(b) ∩ region|, |region|
+        and the triangles on the edge.  A triple with k edges is counted
+        from each of them, so each pattern's count is divided by k.  The
+        edge-free supports are the prefix counts over vertex order of each
+        functional-bit pattern minus those with an edge;
+    (2) a support with t > 0 lies inside some N(v), so it is among the
+        size-subsets of the neighbourhoods, built once per scan (centres
+        of one degree together) with t and the functional's count on the
+        common neighbours.  Each is moved from its t = 0 code to its own.
 
-For A and B, t and the functional's count on the common neighbours are
-looked up in the sorted multiset of neighbourhood subsets, built once per
-scan.  A scan costs O(|E| n + sum_v C(deg v, 3)) time, not O(n^3), and its
-memory stays at the adjacency matrix, the neighbourhood subsets and one
-chunk of edges.  Walking every support one anchor (smallest vertex) at a
-time survives only to list the supports of violating signatures.
+A scan costs O(n^2 + |E| log |E| + sum_v C(deg v, 3)) time, not O(n^3):
+the n^2 is reading the dense adjacency matrix.  Its memory holds that
+matrix and the neighbourhood subsets.  Walking every support one anchor
+(smallest vertex) at a time survives only to list the supports of
+violating signatures.
 
 Nothing assumes the graph is nice.  Agreement with element_dims, the
 generic eliminator and brute-force coset counting is asserted in the test
@@ -53,7 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -211,9 +217,6 @@ def _support_batches(adj: np.ndarray, ellbit: np.ndarray, size: int) -> Iterator
         yield np.column_stack([np.full(m, i), jj[start:], kk[start:]]), t, tl
 
 
-EDGE_CHUNK_SLOTS = 1 << 13  # (edge, third vertex) slots per class-A chunk
-
-
 def _support_keys(sup: np.ndarray, n: int) -> np.ndarray:
     """One integer per support row, its vertices as base-n digits."""
     key = np.zeros(len(sup), dtype=np.int64)
@@ -222,66 +225,50 @@ def _support_keys(sup: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def _neighbourhood_subsets(adj: np.ndarray, ellbit: np.ndarray, max_support: int) -> dict:
-    """For each size from 2 to max_support, the distinct size-subsets of the
-    neighbourhoods N(v) as sorted keys, with t (how many N(v) hold the
-    subset) and tl (how many of those v the functional is nonzero on).
-    Vertices of one degree are taken together."""
-    n = len(adj)
-    deg = adj.sum(axis=1)
-    degrees = np.flatnonzero(np.bincount(deg))
-    tables = {}
-    for size in range(2, max_support + 1):
-        keys, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for d in degrees[degrees >= size]:
-            centres = np.flatnonzero(deg == d)
-            nbrs = np.nonzero(adj[centres])[1].reshape(len(centres), d)  # ascending in each row
-            combos = np.array(list(itertools.combinations(range(d), size)))
-            keys.append(_support_keys(nbrs[:, combos].reshape(-1, size), n))
-            weights.append(np.repeat(ellbit[centres], len(combos)))
-        uniq, inverse, t = np.unique(np.concatenate(keys), return_inverse=True, return_counts=True)
-        tl = np.bincount(inverse.ravel(), weights=np.concatenate(weights), minlength=len(uniq))
-        tables[size] = uniq, t, tl.astype(np.int64)
-    return tables
+class _GraphTables(NamedTuple):
+    """What the counted histograms read of the graph, built once per scan."""
+
+    src: np.ndarray  # np.nonzero(adj): every ordered edge (src, dst), by src then dst
+    dst: np.ndarray
+    subsets: dict  # size -> (sorted keys, t, tl) of the neighbourhood subsets
+    triangles: np.ndarray  # (m, 3) rows (c, a, b): a < b in N(c) and a ~ b
 
 
-def _edge_supports(adj: np.ndarray, size: int) -> Iterator[np.ndarray]:
-    """Class A: every support that contains an edge, once, as sorted rows.
-    A triple {a, b, c} is kept under its lexicographically smallest edge
-    (a, b), a < b: it is dropped when (a, c) with c < b or (b, c) with
-    c < a is an edge.  Edges come EDGE_CHUNK_SLOTS // n at a time."""
-    n = len(adj)
-    edges = np.argwhere(np.triu(adj, 1))
-    if size == 2:
-        yield edges
-        return
-    third = np.arange(n)
-    step = max(1, EDGE_CHUNK_SLOTS // n)
-    for lo in range(0, len(edges), step):
-        a, b = edges[lo : lo + step, 0], edges[lo : lo + step, 1]
-        ac, bc = a[:, None], b[:, None]
-        keep = (third != ac) & (third != bc) & ~(adj[a] & (third < bc)) & ~(adj[b] & (third < ac))
-        row, c = np.nonzero(keep)
-        a, b = a[row], b[row]
-        low, high = np.minimum(a, c), np.maximum(b, c)
-        yield np.column_stack([low, a + b + c - low - high, high])
-
-
-def _counted_batches(adj: np.ndarray, table, size: int) -> Iterator[tuple]:
-    """Batches (supports, t, tl) of classes A and B for size 2 or 3."""
-    n = len(adj)
-    keys, t, tl = table
-    for sup in _edge_supports(adj, size):
-        if not len(keys):
-            yield sup, np.zeros(len(sup), dtype=np.int64), np.zeros(len(sup), dtype=np.int64)
+def _wedges(src: np.ndarray, dst: np.ndarray, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every size-subset of every neighbourhood N(c), as the centres c and
+    ascending (m, size) rows.  Centres of one degree are taken together."""
+    deg = np.bincount(src, minlength=n)
+    start = np.cumsum(deg) - deg
+    centres, rows = [np.zeros(0, dtype=np.int64)], [np.zeros((0, size), dtype=np.int64)]
+    for d in np.flatnonzero(np.bincount(deg)):
+        if d < size:
             continue
-        key = _support_keys(sup, n)
-        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        hit = keys[pos] == key
-        yield sup, np.where(hit, t[pos], 0), np.where(hit, tl[pos], 0)
-    sup = np.column_stack([keys // n ** (size - 1 - u) % n for u in range(size)])
-    free = ~np.any([adj[sup[:, u], sup[:, w]] for u, w in itertools.combinations(range(size), 2)], axis=0)
-    yield sup[free], t[free], tl[free]
+        cs = np.flatnonzero(deg == d)
+        nbrs = dst[start[cs][:, None] + np.arange(d)]  # ascending in each row
+        combos = np.array(list(itertools.combinations(range(d), size)))
+        centres.append(np.repeat(cs, len(combos)))
+        rows.append(nbrs[:, combos].reshape(-1, size))
+    return np.concatenate(centres), np.concatenate(rows)
+
+
+def _neighbourhood_subsets(adj: np.ndarray, ellbit: np.ndarray, max_support: int) -> _GraphTables:
+    """The graph's edges and, for each size from 2 to max_support, the
+    distinct size-subsets of the neighbourhoods N(v) as sorted keys, with t
+    (how many N(v) hold the subset) and tl (how many of those v the
+    functional is nonzero on); also every triangle once per edge, from the
+    neighbourhood pairs that are edges."""
+    n = len(adj)
+    src, dst = np.nonzero(adj)
+    subsets, triangles = {}, np.zeros((0, 3), dtype=np.int64)
+    for size in range(2, max_support + 1):
+        centres, rows = _wedges(src, dst, n, size)
+        uniq, inverse, t = np.unique(_support_keys(rows, n), return_inverse=True, return_counts=True)
+        tl = np.bincount(inverse.ravel(), weights=ellbit[centres], minlength=len(uniq))
+        subsets[size] = uniq, t, tl.astype(np.int64)
+        if size == 2:
+            closed = adj[rows[:, 0], rows[:, 1]]
+            triangles = np.column_stack([centres[closed], rows[closed]])
+    return _GraphTables(src, dst, subsets, triangles)
 
 
 def _pattern_totals(ellbit: np.ndarray, size: int) -> np.ndarray:
@@ -299,28 +286,98 @@ def _pattern_totals(ellbit: np.ndarray, size: int) -> np.ndarray:
     return np.array([ends[pat].sum() for pat in itertools.product((0, 1), repeat=size)], dtype=np.int64)
 
 
-def _signature_histogram(adj, ellbit, nat, prov, size: int, tables: dict) -> np.ndarray:
+def _triple_patterns() -> np.ndarray:
+    """Pattern (non-adjacency bits, ell bits) of a triple {a, b, c} on an
+    edge a < b, indexed by (region, c ~ a, c ~ b, ell bits of a, b, c).
+    The region (c below, between or above the edge) fixes how a, b and c
+    sort, so it fixes which pattern bits each of them sets."""
+    region, ca, cb, la, lb, lc = np.indices((3, 2, 2, 2, 2, 2))
+    nonadj_shift = np.array([[2, 1], [2, 0], [1, 0]])[region]  # pairs (c, a) and (c, b)
+    ell_shift = np.array([[1, 0, 2], [2, 0, 1], [2, 1, 0]])[region]  # a, b, c
+    nonadj = (1 - ca) << nonadj_shift[..., 0] | (1 - cb) << nonadj_shift[..., 1]
+    return nonadj << 3 | la << ell_shift[..., 0] | lb << ell_shift[..., 1] | lc << ell_shift[..., 2]
+
+
+TRIPLE_PATTERN = _triple_patterns()
+
+
+def _edge_triples(tables: _GraphTables, ellbit: np.ndarray) -> np.ndarray:
+    """Triples that contain an edge, per pattern, each counted once from
+    every edge it contains.  For an edge a < b the third vertex c lies
+    below, between or above it, with ell bit 0 or 1; there the triples with
+    c ~ a and c ~ b are the triangles T, those with c ~ a only number
+    |N(a) ∩ region| - T, with c ~ b only |N(b) ∩ region| - T, and the rest
+    |region| - |N(a) ∩ region| - |N(b) ∩ region| + T."""
+    n = len(ellbit)
+    src, dst = tables.src, tables.dst
+    up = src < dst
+    a, b = src[up, None], dst[up, None]
+    lo = np.hstack([np.zeros_like(a), a + 1, b + 1])  # (edges, region)
+    hi = np.hstack([a, b, np.full_like(a, n)])
+
+    def by_ell(total, ones):  # (edges, region, ell bit of c)
+        return np.stack([total - ones, ones], axis=-1)
+
+    prefix = np.concatenate([[0], np.cumsum(ellbit)])
+    region = by_ell(hi - lo, prefix[hi] - prefix[lo])
+    keys = src * n + dst  # ascending
+    key_prefix = np.concatenate([[0], np.cumsum(ellbit[dst])])
+
+    def neighbours(v):
+        i, j = np.searchsorted(keys, v * n + lo), np.searchsorted(keys, v * n + hi)
+        return by_ell(j - i, key_prefix[j] - key_prefix[i])
+
+    near_a, near_b = neighbours(a), neighbours(b)
+    r, lc = np.arange(3)[:, None], np.arange(2)
+    la, lb = ellbit[a][:, :, None], ellbit[b][:, :, None]
+    c, x, y = tables.triangles.T
+    rt = (c > x).astype(np.int64) + (c > y)  # region of c against the edge x < y
+    # keyed (c ~ a, c ~ b): the counts without T, then each triangle's signs
+    by_edge = {(0, 0): region - near_a - near_b, (1, 0): near_a, (0, 1): near_b}
+    by_triangle = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1}
+    codes = [TRIPLE_PATTERN[r, ca, cb, la, lb, lc].ravel() for ca, cb in by_edge]
+    codes += [TRIPLE_PATTERN[rt, ca, cb, ellbit[x], ellbit[y], ellbit[c]] for ca, cb in by_triangle]
+    weights = [count.ravel() for count in by_edge.values()] + [np.full(len(c), sign) for sign in by_triangle.values()]
+    return np.bincount(np.concatenate(codes), weights=np.concatenate(weights), minlength=64)
+
+
+def _t0_patterns(tables: _GraphTables, ellbit: np.ndarray, size: int) -> np.ndarray:
+    """Supports of each (non-adjacency bits, ell bits) pattern, counted in
+    closed form: those that contain an edge from the edges, the edge-free
+    rest as the pattern totals minus those."""
+    nbits = size * (size - 1) // 2
+    if size == 2:
+        a, b = (v[tables.src < tables.dst] for v in (tables.src, tables.dst))
+        counts = np.bincount(ellbit[a] << 1 | ellbit[b], minlength=8)
+    else:
+        counts = _edge_triples(tables, ellbit)
+    counts = counts.astype(np.int64).reshape(1 << nbits, 1 << size)
+    edges = nbits - np.array([bin(na).count("1") for na in range(1 << nbits)])
+    counts[:-1] //= edges[:-1, None]  # a support is counted once from each of its edges
+    counts[-1] = _pattern_totals(ellbit, size) - counts[:-1].sum(axis=0)
+    return counts.ravel()
+
+
+def _signature_histogram(adj, ellbit, nat, prov, size: int, tables: _GraphTables) -> np.ndarray:
     """Supports of the given size per signature code, as from
-    _support_batches, but with class C counted per functional-bit pattern."""
+    _support_batches.  Pairs and triples are counted at t = 0 per pattern
+    in closed form, then each neighbourhood subset (t >= 1) is moved from
+    its t = 0 code to its own."""
     n = len(adj)
     if size == 1:
-        batches = [(np.arange(n)[:, None], adj.sum(axis=1), adj[:, ellbit == 1].sum(axis=1))]
-    else:
-        batches = _counted_batches(adj, tables[size], size)
-    hist = np.zeros(0, dtype=np.int64)
-    for sup, t, tl in batches:
-        counts = np.bincount(_signatures(sup, t, tl, adj, ellbit, nat, prov, size))
-        hist = np.pad(hist, (0, max(0, len(counts) - len(hist))))
-        hist[: len(counts)] += counts
-    if size == 1:
-        return hist
-    seen = np.zeros(1 << size, dtype=np.int64)
-    np.add.at(seen, (np.arange(len(hist)) >> 2) & ((1 << size) - 1), hist)
+        sup = np.arange(n)[:, None]
+        t, tl = adj.sum(axis=1), adj[:, ellbit == 1].sum(axis=1)
+        return np.bincount(_signatures(sup, t, tl, adj, ellbit, nat, prov, 1))
+    keys, t, tl = tables.subsets[size]
+    sup = np.column_stack([keys // n ** (size - 1 - u) % n for u in range(size)])
+    code = _signatures(sup, t, tl, adj, ellbit, nat, prov, size)
+    counts = _t0_patterns(tables, ellbit, size)
     nbits = size * (size - 1) // 2
-    codes = ((((1 << nbits) - 1) << size) + np.arange(1 << size)) << 2  # t = 0, no pair adjacent
-    hist = np.pad(hist, (0, max(0, codes[-1] + 1 - len(hist))))
-    hist[codes] += _pattern_totals(ellbit, size) - seen
-    return hist
+    at_t0 = code & ((1 << (2 + size + nbits)) - 1)  # t and tl > 0 are the top bits
+    codes = np.concatenate([np.arange(len(counts)) << 2, at_t0, code])
+    weights = np.concatenate([counts, np.full(len(code), -1), np.ones(len(code))])
+    # float sums of integer counts are exact below 2**53: n up to about 250,000
+    return np.bincount(codes, weights=weights).astype(np.int64)
 
 
 def _signatures(sup, t, tl, adj, ellbit, nat, prov, size: int) -> np.ndarray:

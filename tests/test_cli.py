@@ -197,12 +197,22 @@ def test_roundtrip_single_pipeline(capsys):
     assert list(payload["pipelines"]) == ["up"]
 
 
-@pytest.mark.filterwarnings("ignore:graph is not nice")
 def test_ext_check(capsys):
     code, out, _ = run(capsys, "ext-check", "--samples", "30")
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln]
     assert lines and all(ln.startswith("PASS") for ln in lines)
+
+
+def test_ext_check_at_its_defaults_writes_nothing_to_stderr():
+    """The default fragment on naturals 0 and 1 is not nice, which the
+    extension's group arithmetic does not need: no warning is printed."""
+    src = os.path.dirname(os.path.dirname(mekler.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "mekler.cli", "ext-check"]
+    r = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0
+    assert r.stdout.startswith("PASS") and r.stderr == ""
 
 
 def test_fragment_writes_loadable_json(capsys, tmp_path):

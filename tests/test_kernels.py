@@ -303,9 +303,11 @@ def closed_form_counts(ellbit, p, max_support):
     seed=st.integers(0, 2**32 - 1),
     p=st.sampled_from([3, 5]),
 )
-@example(n=40, density=0.0, seed=0, p=3)  # empty graph: every support in class C
-@example(n=40, density=1.0, seed=1, p=3)  # complete graph: every pair and triple in class A
+@example(n=40, density=0.0, seed=0, p=3)  # empty graph: every support edge-free with t = 0
+@example(n=40, density=1.0, seed=1, p=3)  # complete graph: every pair and triple all edges
 @example(n=2, density=1.0, seed=2, p=5)
+@example(n=7, density=0.3, seed=14721, p=3)  # a star centred on vertex 5: no triangle
+@example(n=16, density=0.9, seed=44619, p=5)  # 112 of 120 edges, the functional nonzero everywhere
 def test_counted_histograms_equal_the_anchor_walk(n, density, seed, p):
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, 1)
@@ -327,6 +329,63 @@ def test_counted_histograms_equal_the_anchor_walk(n, density, seed, p):
         assert (checked, counted_members) == (elements, members)
         checked, _, records = _scan_arrays(adj, np.zeros(n, dtype=np.int64), nat, prov, p, MODE_GROUP, 3)
         assert checked == elements and records == []
+
+
+def assert_counted_equals_anchor(adj, ellbit, nat, prov):
+    tables = _neighbourhood_subsets(adj, ellbit, 3)
+    for size in (1, 2, 3):
+        counted = _signature_histogram(adj, ellbit, nat, prov, size, tables)
+        assert counted.min() >= 0
+        assert np.array_equal(trimmed(counted), trimmed(anchor_histogram(adj, ellbit, nat, prov, size)))
+
+
+def graph_from_edges(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for u, w in edges:
+        adj[u, w] = adj[w, u] = True
+    return adj
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_counted_histograms_with_triangles_in_every_region(seed):
+    """K4 on {0, 5, 10, 15} of 20 vertices: each edge has triangles whose
+    third vertex lies below, between and above it, among vertices on no
+    edge at all."""
+    adj = graph_from_edges(20, itertools.combinations((0, 5, 10, 15), 2))
+    rng = np.random.default_rng(seed)
+    nat = rng.integers(0, 2, 20)
+    assert_counted_equals_anchor(adj, rng.integers(0, 2, 20), nat, nat & rng.integers(0, 2, 20))
+
+
+def test_counted_histograms_on_every_5_vertex_graph():
+    """All 1,024 graphs on 5 labelled vertices, each with seeded bits."""
+    rng = np.random.default_rng(5)
+    pairs = list(itertools.combinations(range(5), 2))
+    for mask in range(1 << len(pairs)):
+        adj = graph_from_edges(5, (pair for bit, pair in enumerate(pairs) if mask >> bit & 1))
+        ellbit, nat, prov = rng.integers(0, 2, (3, 5))
+        assert_counted_equals_anchor(adj, ellbit, nat, nat & prov)
+
+
+def test_count_encodes_only_vertices_and_neighbourhood_subsets(monkeypatch):
+    """The count computes signature codes for the single vertices and the
+    neighbourhood pairs and triples, never for every (edge, third vertex)
+    pair: at most n + 2 (sum_v C(deg v, 2) + sum_v C(deg v, 3)) rows."""
+    ctx = GroupContext(build_fragment(range(11), all_pairs(range(11))), 3)
+    rows = []
+    signatures = kernels._signatures
+
+    def counting(sup, *args):
+        rows.append(len(sup))
+        return signatures(sup, *args)
+
+    monkeypatch.setattr(kernels, "_signatures", counting)
+    res = scan_group_bound(ctx)
+    deg = ctx.graph.adjacency_matrix().sum(axis=1)
+    bound = len(ctx) + 2 * sum(math.comb(int(d), 2) + math.comb(int(d), 3) for d in deg)
+    assert bound == 5456
+    assert res.ok and res.elements_checked == 31_028_712
+    assert sum(rows) <= bound
 
 
 def test_listed_violations_in_the_counted_class(monkeypatch):
@@ -354,8 +413,8 @@ def test_listed_violations_in_the_counted_class(monkeypatch):
 def test_size3_scan_memory_stays_small():
     """Peak traced allocation of a bound scan on the 286-vertex fragment,
     with the rank tables already cached: the count holds the adjacency
-    matrix, the neighbourhood subsets and one chunk of edges, not a row of
-    all pairs per anchor."""
+    matrix, the edges and the neighbourhood subsets, not a row per (edge,
+    third vertex) or a row of all pairs per anchor."""
     ctx = GroupContext(build_fragment(range(11), all_pairs(range(11))), 3)
     assert len(ctx) == 286
     scan_group_bound(ctx)
@@ -366,7 +425,7 @@ def test_size3_scan_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert res.ok and res.elements_checked == 31_028_712
-    assert peak <= 2_000_000
+    assert peak <= 1_000_000
 
 
 @pytest.mark.parametrize(

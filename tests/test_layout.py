@@ -116,6 +116,13 @@ def test_the_coset_oracle_shares_no_code_with_the_engine():
     assert names & ENGINE == set()
 
 
+def test_the_count_never_falls_back_to_the_walk():
+    path = Path(mekler.__file__).parent / "kernels.py"
+    names = reachable_names(ast.parse(path.read_text(), filename=str(path)), "_signature_histogram")
+    assert {"_t0_patterns", "_edge_triples", "_signatures"} <= names
+    assert "_support_batches" not in names
+
+
 def test_the_reachability_rule_follows_helpers():
     tree = ast.parse("def f():\n    return g()\n\ndef g():\n    return m.commutator_vector\n\ndef h():\n    rref_indexed()\n")
     assert reachable_names(tree, "f") & ENGINE == {"commutator_vector"}
