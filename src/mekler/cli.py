@@ -196,10 +196,10 @@ def cmd_roundtrip(args) -> int:
         }
         for rec in (result.up, result.down):
             if rec is not None:
-                payload["pipelines"][rec.pipeline] = {
-                    "labels": list(rec.labels),
-                    "edges": sorted(list(e) for e in rec.edges),
-                }
+                entry = {"labels": list(rec.labels), "edges": sorted(list(e) for e in rec.edges)}
+                if rec.pipeline in result.not_nice:
+                    entry["nice"] = False
+                payload["pipelines"][rec.pipeline] = entry
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         lines = [result.summary()]
@@ -216,7 +216,7 @@ def cmd_ext_check(args) -> int:
     cfg = VerifyConfig(p=args.p, seed=args.seed, naturals=tuple(naturals), r_edges=tuple(edges), samples=args.samples)
     res = SuiteResult(config=cfg.normalized())
     frag = build_fragment(naturals, all_pairs(naturals))
-    ctx = GroupContext(frag, args.p, warn_not_nice=False)  # group arithmetic only: niceness is not needed
+    ctx = GroupContext(frag, args.p)
     aut = InducedAutomorphism(ctx, pair_swap_automorphism(frag, edges))
     _extension_checks(res, ctx, aut, random.Random(args.seed), args.samples)
     _emit(args, "\n".join(c.line() for c in res.checks) + "\n")
@@ -237,7 +237,7 @@ def _load_probe_group(spec: str) -> FiniteGroup:
     if kind == "mekler":
         p = _int(arg)
         check_order(p**3)  # two generators and their commutator, before p is tested for primality
-        return cayley_from_context(GroupContext(build_fragment([0, 1]), p, warn_not_nice=False))
+        return cayley_from_context(GroupContext(build_fragment([0, 1]), p))
     if kind == "cayley":
         return parse_cayley_text(_read(arg))
     if kind == "perm":

@@ -19,8 +19,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from .fplinear import is_odd_prime
 
 LEVELS = ("0", "1", "1.25", "1.5", "1.75")
@@ -135,7 +133,6 @@ class Graph:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         self.masks: tuple[int, ...] = tuple(masks)
-        self._adj_matrix: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -146,14 +143,6 @@ class Graph:
 
     def degree(self, v: Vertex) -> int:
         return self.masks[self.index[v]].bit_count()
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """The masks unpacked into a 0/1 uint8 matrix, for the niceness check and the scans."""
-        if self._adj_matrix is None:
-            n, width = len(self.vertices), (len(self.vertices) + 7) // 8
-            rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in self.masks), dtype=np.uint8)
-            self._adj_matrix = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
-        return self._adj_matrix
 
     def naturals(self) -> tuple[int, ...]:
         return tuple(v.n for v in self.vertices if isinstance(v, Natural))
@@ -219,6 +208,17 @@ def build_fragment(
 
 @dataclass
 class NicenessReport:
+    """The verdict of check_nice with its witnesses, all in vertex order.
+
+    triangles holds one entry (i, j, w) per edge i < j that lies on a
+    triangle, w its lowest common neighbour; squares one entry (i, w, j, w')
+    per vertex pair i < j with two or more common neighbours, w < w' the
+    lowest two.  A triangle is thus listed once per edge and a 4-cycle once
+    per diagonal pair, which keeps both lists O(|E|) and O(n^2) long where
+    listing every triangle or 4-cycle once would not be.
+    separation_failures holds every ordered pair (u, v) that no third
+    vertex separates."""
+
     is_nice: bool
     has_two_vertices: bool
     triangle_free: bool
@@ -235,51 +235,62 @@ class NicenessReport:
         if not self.has_two_vertices:
             bits.append("fewer than two vertices")
         if not self.triangle_free:
-            bits.append(f"{len(self.triangles)} triangle(s)")
+            bits.append(f"{len(self.triangles)} edge(s) in a triangle")
         if not self.square_free:
-            bits.append(f"{len(self.squares)} square(s)")
+            bits.append(f"{len(self.squares)} vertex pair(s) with two common neighbours")
         if not self.separation_ok:
             bits.append(f"{len(self.separation_failures)} separation failure(s)")
         return "not nice: " + "; ".join(bits)
 
 
+def _lowest(mask: int) -> int:
+    """The index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def check_nice(g: Graph) -> NicenessReport:
-    """Exhaustive niceness check via the adjacency matrix.
+    """Exhaustive niceness check by set algebra on the neighbour bitmasks.
 
-    Triangles: an edge whose endpoints share a neighbor.  Squares: two
-    distinct vertices with two or more common neighbors (any plain 4-cycle
-    yields such a pair, chorded or not).  Separation: for each ordered pair
-    (u, v) of distinct vertices some w outside {u, v} with w ~ v, w !~ u.
-
-    Common neighbours are counted by a float32 matrix product, which goes
-    through BLAS where an integer product would not.  It is exact: every
-    count is an integer of at most |V| < 2^24, and float32 represents those
-    and their sums exactly.
+    Triangles: an edge whose endpoints share a neighbour.  Squares: two
+    distinct vertices with two or more common neighbours (any plain 4-cycle
+    yields such a pair, chorded or not); folding once/twice masks over the
+    neighbours of i leaves in twice every vertex reached from i along two
+    or more paths of length two.  Separation: for each ordered pair (u, v)
+    of distinct vertices some w outside {u, v} with w ~ v, w !~ u, that is,
+    (u, v) fails exactly when N(v) less u lies inside N(u).  Then u is the
+    lowest neighbour w of v or one of w's neighbours, so only N[w] need be
+    tested; a v without neighbours fails against every u.
     """
-    n = len(g.vertices)
+    masks, vs = g.masks, g.vertices
+    n = len(masks)
     has_two = n >= 2
-    a = g.adjacency_matrix().astype(bool)
-    af = a.astype(np.float32)
-    common = af @ af
 
     triangles: list[tuple[Vertex, Vertex, Vertex]] = []
-    tri_pairs = np.argwhere(np.triu(common, 1).astype(bool) & a)
-    for i, j in tri_pairs:
-        w = int(np.flatnonzero(a[i] & a[j])[0])
-        triangles.append((g.vertices[i], g.vertices[j], g.vertices[w]))
-
     squares: list[tuple[Vertex, Vertex, Vertex, Vertex]] = []
-    np.fill_diagonal(common, 0)
-    sq_pairs = np.argwhere(np.triu(common, 1) >= 2)
-    for i, j in sq_pairs:
-        ws = np.flatnonzero(a[i] & a[j])[:2]
-        squares.append((g.vertices[i], g.vertices[int(ws[0])], g.vertices[j], g.vertices[int(ws[1])]))
+    for i, mi in enumerate(masks):
+        once = twice = 0
+        for j in mask_bits(mi):
+            mj = masks[j]
+            if j > i and mi & mj:
+                triangles.append((vs[i], vs[j], vs[_lowest(mi & mj)]))
+            twice |= once & mj
+            once |= mj
+        for j in mask_bits(twice >> (i + 1) << (i + 1)):
+            common = mi & masks[j]
+            w = _lowest(common)
+            squares.append((vs[i], vs[w], vs[j], vs[_lowest(common ^ 1 << w)]))
 
-    # witnesses of (u, v): the neighbours of v, less those of u (the common
-    # ones) and less u itself when u ~ v; v is not its own neighbour
-    witnessed = af.sum(axis=1)[None, :] - common - af > 0
-    np.fill_diagonal(witnessed, True)
-    separation_failures = [(g.vertices[u], g.vertices[v]) for u, v in np.argwhere(~witnessed)]
+    failing: list[tuple[int, int]] = []
+    for v, mv in enumerate(masks):
+        if not mv:
+            failing.extend((u, v) for u in range(n) if u != v)
+            continue
+        w = _lowest(mv)
+        for u in mask_bits((masks[w] | 1 << w) & ~(1 << v)):
+            if not mv & ~(1 << u) & ~masks[u]:
+                failing.append((u, v))
+    failing.sort()
+    separation_failures = [(vs[u], vs[v]) for u, v in failing]
 
     return NicenessReport(
         is_nice=has_two and not triangles and not squares and not separation_failures,

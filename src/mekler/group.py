@@ -1,6 +1,7 @@
 """Normal-form arithmetic in the free nilpotent class-2 exponent-p group on a
 graph's vertices, where two generators commute exactly when their vertices
-are adjacent.
+are adjacent.  The group exists for every graph: niceness is what the
+interpretation needs, not the group law, and nothing here checks it.
 
 Every element is written uniquely as an ordered product of generator powers
 (ascending vertex order) times a central word.  The center is an F_p space
@@ -35,7 +36,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import re
-import warnings
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .fplinear import FpVector, is_odd_prime, kernel_basis, rref_indexed
@@ -43,7 +43,6 @@ from .graphs import (
     ConfigError,
     Graph,
     Vertex,
-    check_nice,
     decode_vertex,
     encode_vertex,
     host_degree,
@@ -57,15 +56,15 @@ Coset = FpVector  # generator-side cosets mod the center, keyed by vertex index
 class GroupContext:
     """Graph + odd prime + the fixed orderings all arithmetic refers to.
 
-    Immutable after construction by convention.  Building a context on a
-    graph that is not nice issues a warning (the construction stays a
-    perfectly good group; the model-theoretic guarantees are what need
-    niceness).  No central coordinate is listed up front: keys are computed
-    on demand and central_key_at unranks the k-th one through prefix sums
-    of later non-neighbour counts and one vertex's later neighbours.
+    Immutable after construction by convention.  The group exists for
+    every graph, so a context checks no niceness; graphs.check_nice does,
+    where a verdict or a report depends on it.  No central coordinate is
+    listed up front: keys are computed on demand and central_key_at unranks
+    the k-th one through prefix sums of later non-neighbour counts and one
+    vertex's later neighbours.
     """
 
-    def __init__(self, graph: Graph, p: int, warn_not_nice: bool = True):
+    def __init__(self, graph: Graph, p: int):
         if not is_odd_prime(p):
             raise ConfigError(f"p must be an odd prime, got {p}")
         self.graph = graph
@@ -78,9 +77,6 @@ class GroupContext:
         for u, mask in enumerate(self.adj):
             self._later.append(self._later[-1] + n - 1 - u - (mask >> (u + 1)).bit_count())
         self.ncentral = self._later[-1]  # C(n, 2) - |E|
-        self.nice_report = check_nice(graph)
-        if warn_not_nice and not self.nice_report.is_nice:
-            warnings.warn(f"graph is not nice ({self.nice_report.summary()})", stacklevel=2)
 
     def nonadjacent(self, u: int, w: int) -> bool:
         return u != w and not (self.adj[u] >> w) & 1

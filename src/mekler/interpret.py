@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .formulas import FormulaTrace, down_edge_formula, power_separated, up_edge_formula
-from .graphs import ConfigError, Graph, Natural, all_pairs, build_fragment, pair_swap_automorphism
+from .graphs import ConfigError, Graph, Natural, all_pairs, build_fragment, check_nice, pair_swap_automorphism
 from .group import (
     GroupContext,
     GroupElement,
@@ -230,6 +230,9 @@ def build_down_fragment(tested: list[int]) -> Graph:
 
 @dataclass
 class RoundTripResult:
+    """not_nice names the pipelines whose fragment is not nice: their
+    recovery may still succeed, but nothing guarantees it."""
+
     pipeline: str
     input_labels: tuple[int, ...]
     input_edges: frozenset[tuple[int, int]]
@@ -237,6 +240,7 @@ class RoundTripResult:
     down: RecoveredGraph | None
     ok: bool
     messages: tuple[str, ...]
+    not_nice: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -252,6 +256,12 @@ def _graph_edge_labels(gamma: Graph) -> frozenset[tuple[int, int]]:
     for u, v in gamma.edges:
         out.add((min(u.n, v.n), max(u.n, v.n)))
     return frozenset(out)
+
+
+def _not_nice_note(name: str, frag: Graph) -> str | None:
+    """The round trip's note on a fragment that is not nice, or None."""
+    rep = check_nice(frag)
+    return None if rep.is_nice else f"{name}: fragment not nice ({rep.summary()}); recovery is not guaranteed"
 
 
 def _pipeline_context(contexts, name: str, frag: Graph, p: int) -> GroupContext:
@@ -295,10 +305,14 @@ def roundtrip(
             raise ConfigError(f"a {name!r} context was given but the pipelines run are {list(runs)}")
     edges = _graph_edge_labels(gamma)
     messages: list[str] = []
+    not_nice: list[str] = []
     up_rec = down_rec = None
     ok = True
     if "up" in runs:
         frag = build_up_fragment(naturals)
+        if note := _not_nice_note("up", frag):
+            messages.append(note)
+            not_nice.append("up")
         ctx = _pipeline_context(contexts, "up", frag, p)
         aut = InducedAutomorphism(ctx, pair_swap_automorphism(frag, sorted(edges)))
         up_rec = recover_graph_up(ctx, aut, rng=random.Random(f"{seed}-up"), translates=translates)
@@ -310,6 +324,9 @@ def roundtrip(
         )
     if "down" in runs:
         frag = build_down_fragment(naturals)
+        if note := _not_nice_note("down", frag):
+            messages.append(note)
+            not_nice.append("down")
         ctx = _pipeline_context(contexts, "down", frag, p)
         ell = EdgeFunctional.from_edges(sorted(edges))
         down_rec = recover_graph_down(ctx, ell, rng=random.Random(f"{seed}-down"), translates=translates)
@@ -327,4 +344,5 @@ def roundtrip(
         down=down_rec,
         ok=ok,
         messages=tuple(messages),
+        not_nice=tuple(not_nice),
     )

@@ -134,10 +134,18 @@ class ScanResult:
         return self.ok
 
 
+def _adjacency_matrix(masks: Sequence[int]) -> np.ndarray:
+    """The neighbour bitmasks unpacked into a dense bool matrix, for the
+    scans only; each scan unpacks its own."""
+    n, width = len(masks), (len(masks) + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+
+
 def _context_arrays(ctx: GroupContext, ell: EdgeFunctional | None):
     """Adjacency matrix, ell bits, natural mask and provisioned mask, in
     vertex order.  Functional values are 0 or 1, so the bits are the values."""
-    adj = ctx.graph.adjacency_matrix().astype(bool)
+    adj = _adjacency_matrix(ctx.adj)
     if ell is None:
         ellbit = np.zeros(len(ctx), dtype=np.int64)
     else:

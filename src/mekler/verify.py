@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .extension import ExtElement, ext_conjugate, ext_identity, ext_inv, ext_mul, ext_pow, in_base_by_power_formula
 from .formulas import DEFAULT_ORACLE_BUDGET, BudgetError, down_edge_formula, full_coset_oracle, up_edge_formula
 from .fplinear import kernel_dim
-from .graphs import ConfigError, Natural, build_fragment, pair_swap_automorphism
+from .graphs import ConfigError, Natural, build_fragment, check_nice, pair_swap_automorphism
 from .group import (
     GroupContext,
     InducedAutomorphism,
@@ -301,7 +301,7 @@ def _oracle_checks(res, cfg):
     n0, n1 = cfg.naturals[0], cfg.naturals[1]
     pair = (n0, n1)
     frag = build_fragment([n0, n1], [pair])
-    ctx = GroupContext(frag, cfg.p, warn_not_nice=False)  # not nice, which the oracle does not need
+    ctx = GroupContext(frag, cfg.p)
     x = generator(ctx, Natural(n0))
     y = generator(ctx, Natural(n1))
     for r_sub, tag in (((), "empty"), ((pair,), "full")):
@@ -344,7 +344,7 @@ def verify_lemmas(cfg: VerifyConfig) -> SuiteResult:
 
     up_frag = build_up_fragment(list(cfg.naturals))
     ctx_up = GroupContext(up_frag, cfg.p)
-    nice = ctx_up.nice_report
+    nice = check_nice(up_frag)
     _check(res, "gadgeted fragment is a nice graph", nice.is_nice, nice.summary())
 
     _group_axiom_checks(res, ctx_up, rng, cfg.samples)

@@ -225,7 +225,7 @@ def test_criterion_05_up_formula_grid(ctx18):
 
     bad, total = _edge_grid(ctx18, make, rng)
 
-    sub = GroupContext(build_fragment([0, 1], [(0, 1)]), 3, warn_not_nice=False)
+    sub = GroupContext(build_fragment([0, 1], [(0, 1)]), 3)
     x = generator(sub, Natural(0))
     y = generator(sub, Natural(1))
     oracle_ok = True
@@ -297,7 +297,7 @@ def test_criterion_07_edge_functional(ctx_down3):
         ok &= cres.ok
         details.append(f"R={list(r_edges)}: {cres.witnesses} witnesses")
     # a gadget-free fragment has no value-1 vertex; the report must say so
-    flat = GroupContext(build_fragment([0, 1, 2]), 3, warn_not_nice=False)
+    flat = GroupContext(build_fragment([0, 1, 2]), 3)
     degenerate = verify_index_p(flat, EdgeFunctional.from_edges(()))
     ok &= (not degenerate) and degenerate.degenerate
     _report(
@@ -317,7 +317,7 @@ def test_criterion_08_down_formula_grid(ctx_down3):
 
     bad, total = _edge_grid(ctx_down3, make, rng)
 
-    sub = GroupContext(build_fragment([0, 1], [(0, 1)]), 3, warn_not_nice=False)
+    sub = GroupContext(build_fragment([0, 1], [(0, 1)]), 3)
     x = generator(sub, Natural(0))
     y = generator(sub, Natural(1))
     oracle_ok = True
@@ -408,7 +408,7 @@ def test_criterion_11_finite_probes():
     cover_ok = k == 2 and cert.exact and cert.verify(s3, rotations) and no_single
 
     g27 = cayley_from_context(
-        GroupContext(build_fragment([0, 1]), 3, warn_not_nice=False)
+        GroupContext(build_fragment([0, 1]), 3)
     )
     unique_ok = (
         all(has_unique_roots(g27, n) for n in (2, 4, 5))

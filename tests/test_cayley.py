@@ -471,7 +471,7 @@ def _renamed_product(a, b, seed):
 
 
 def _mekler27():
-    return cayley_from_context(GroupContext(build_fragment([0, 1], []), 3, warn_not_nice=False))
+    return cayley_from_context(GroupContext(build_fragment([0, 1], []), 3))
 
 
 COVER_CASES = [
@@ -579,7 +579,7 @@ def test_permutation_text_errors():
 
 def test_cayley_from_context_heisenberg():
     graph = build_fragment(naturals=[0, 1], gadget_pairs=[])
-    ctx = GroupContext(graph, 3, warn_not_nice=False)
+    ctx = GroupContext(graph, 3)
     g = cayley_from_context(ctx)
     assert len(g) == 27
     assert g.name(g.identity) == "e"
@@ -607,7 +607,7 @@ def test_cayley_from_context_heisenberg():
     [([0, 1], [], 3), ([0, 1], [], 5), ([0, 1], [(Natural(0), Natural(1))], 3), ([0], [], 7)],
 )
 def test_cayley_from_context_equals_pairwise_products(naturals, extra, p):
-    ctx = GroupContext(build_fragment(naturals, [], extra_edges=extra), p, warn_not_nice=False)
+    ctx = GroupContext(build_fragment(naturals, [], extra_edges=extra), p)
     g = cayley_from_context(ctx)
     elems = [parse_element(ctx, name) for name in g.names]
     index = {el: i for i, el in enumerate(elems)}
@@ -618,7 +618,7 @@ def test_cayley_from_context_equals_pairwise_products(naturals, extra, p):
 
 
 def test_cayley_from_context_multiplies_once_per_element_and_vertex(monkeypatch):
-    ctx = GroupContext(build_fragment([0, 1, 2], []), 3, warn_not_nice=False)
+    ctx = GroupContext(build_fragment([0, 1, 2], []), 3)
     calls = []
     monkeypatch.setattr(cayley, "ctx_mul", lambda *args: calls.append(1) or mul(*args))
     g = cayley_from_context(ctx)
@@ -629,7 +629,7 @@ def test_cayley_from_context_multiplies_once_per_element_and_vertex(monkeypatch)
 def test_cayley_from_context_cap():
     big = build_fragment(naturals=[0, 1], gadget_pairs=[(0, 1)])
     with pytest.raises(ValueError, match="exceeds the cap"):
-        cayley_from_context(GroupContext(big, 3, warn_not_nice=False))
+        cayley_from_context(GroupContext(big, 3))
 
 
 @pytest.mark.parametrize(

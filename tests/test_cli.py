@@ -185,9 +185,9 @@ def test_roundtrip_cli(capsys):
     assert payload["input"]["edges"] == [[0, 1], [1, 2]]
     assert payload["pipelines"]["up"]["edges"] == [[0, 1], [1, 2]]
     assert payload["pipelines"]["down"]["edges"] == [[0, 1], [1, 2]]
+    assert "nice" not in payload["pipelines"]["up"] and "nice" not in payload["pipelines"]["down"]
 
 
-@pytest.mark.filterwarnings("ignore:graph is not nice")
 def test_roundtrip_single_pipeline(capsys):
     code, out, _ = run(
         capsys, "roundtrip", "--naturals", "0,1", "--pipeline", "up", "--format", "structured"
@@ -195,6 +195,7 @@ def test_roundtrip_single_pipeline(capsys):
     assert code == 0
     payload = json.loads(out)
     assert list(payload["pipelines"]) == ["up"]
+    assert payload["pipelines"]["up"]["nice"] is False  # two naturals: the up fragment is not nice
 
 
 def test_ext_check(capsys):
@@ -206,13 +207,18 @@ def test_ext_check(capsys):
 
 def test_ext_check_at_its_defaults_writes_nothing_to_stderr():
     """The default fragment on naturals 0 and 1 is not nice, which the
-    extension's group arithmetic does not need: no warning is printed."""
+    extension's group arithmetic does not need: no warning is printed.  The
+    round trip on the same two naturals notes it on stdout instead."""
     src = os.path.dirname(os.path.dirname(mekler.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "mekler.cli", "ext-check"]
-    r = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    prog = [sys.executable, "-m", "mekler.cli"]
+    r = subprocess.run([*prog, "ext-check"], env=env, capture_output=True, text=True, timeout=120)
     assert r.returncode == 0
     assert r.stdout.startswith("PASS") and r.stderr == ""
+    argv = [*prog, "roundtrip", "--naturals", "0,1", "--pipeline", "up"]
+    r = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0 and r.stderr == ""
+    assert "up: fragment not nice (not nice: 8 separation failure(s)); recovery is not guaranteed\n" in r.stdout
 
 
 def test_fragment_writes_loadable_json(capsys, tmp_path):
@@ -516,7 +522,6 @@ def test_minimal_argv_covers_every_subcommand():
     assert set(sub.choices) == set(MINIMAL_ARGV)
 
 
-@pytest.mark.filterwarnings("ignore:graph is not nice")
 @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
 def test_every_declared_flag_is_read(capsys, command):
     """A flag that the command never reads is a flag that does nothing."""

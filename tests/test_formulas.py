@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import textwrap
-import warnings
 
 import numpy as np
 import pytest
@@ -50,7 +49,7 @@ R_SUBSETS = [
 
 
 def test_power_separated():
-    ctx = GroupContext(build_fragment([0, 1], [(0, 1)]), 3, warn_not_nice=False)
+    ctx = GroupContext(build_fragment([0, 1], [(0, 1)]), 3)
     x0, x1 = generator(ctx, Natural(0)), generator(ctx, Natural(1))
     assert power_separated(ctx, x0, x1)
     assert not power_separated(ctx, x0, x0)
@@ -80,7 +79,7 @@ def test_up_formula_truth_table():
 
 def test_up_formula_trace_and_witnesses():
     g = build_fragment([0, 1], [(0, 1)])
-    ctx = GroupContext(g, 3, warn_not_nice=False)
+    ctx = GroupContext(g, 3)
     aut = InducedAutomorphism(ctx, pair_swap_automorphism(g, [(0, 1)]))
     x, y = generator(ctx, Natural(0)), generator(ctx, Natural(1))
     tr = up_edge_formula(ctx, aut, x, y)
@@ -133,9 +132,7 @@ def test_up_formula_matches_all_exponent_enumeration(k, p):
     (x's natural not after y's) and over seeded random elements."""
     naturals = list(range(k))
     g = build_up_fragment(naturals)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the two-natural fragment is not nice
-        ctx = GroupContext(g, p)
+    ctx = GroupContext(g, p)
     rng = random.Random(k * p)
     powers = {n: [generator(ctx, Natural(n), e) for e in range(1, p)] for n in naturals}
     queries = [
@@ -203,7 +200,7 @@ def test_down_formula_truth_table():
 
 def test_down_formula_requires_membership():
     g = build_fragment([0, 1], [(0, 1)])
-    ctx = GroupContext(g, 3, warn_not_nice=False)
+    ctx = GroupContext(g, 3)
     ell = EdgeFunctional.from_edges([])
     pent = generator(ctx, Gadget(0, 1, "1"))
     with pytest.raises(ValueError, match="x is not"):
@@ -214,7 +211,7 @@ def test_down_formula_requires_membership():
 
 def test_formulas_agree_with_full_coset_oracle():
     g = build_fragment([0, 1], [(0, 1)])
-    ctx = GroupContext(g, 3, warn_not_nice=False)
+    ctx = GroupContext(g, 3)
     rng = random.Random(2)
     for r_edges in ([], [(0, 1)]):
         aut = InducedAutomorphism(ctx, pair_swap_automorphism(g, r_edges))
@@ -277,7 +274,7 @@ def outcome(oracle, *args, **kwargs):
 @pytest.mark.parametrize("p", [3, 5])
 def test_full_coset_oracle_matches_brute_force(p):
     g = build_fragment([0, 1], [(0, 1)])
-    ctx = GroupContext(g, p, warn_not_nice=False)
+    ctx = GroupContext(g, p)
     rng = random.Random(10 + p)
     n0, n1 = generator(ctx, Natural(0)), generator(ctx, Natural(1))
     hub = generator(ctx, Gadget(0, 1, "0"))
@@ -313,7 +310,7 @@ def test_coset_blocks_yield_every_vector_once_in_product_order(p, n):
 def test_commuting_mask_matches_the_commutator(p):
     """The mask is the zero set of lambda(a, -) over every coset b, with
     a's own multiples among the zeros."""
-    ctx = GroupContext(build_fragment([0, 1], [(0, 1)]), p, warn_not_nice=False)
+    ctx = GroupContext(build_fragment([0, 1], [(0, 1)]), p)
     rng = random.Random(p)
     pairs = _nonadjacent_pairs(ctx)
     block = np.array(list(itertools.product(range(p), repeat=ctx.n))[:: 1 if p == 3 else 13], dtype=np.int64)
@@ -355,7 +352,7 @@ def test_oracle_budget_and_validation():
     with pytest.raises(BudgetError):
         # 3^18 cosets overrun the default budget of 3^12
         full_coset_oracle(ctx, "up", x, y, aut=aut)
-    small = GroupContext(build_fragment([0, 1], [(0, 1)]), 3, warn_not_nice=False)
+    small = GroupContext(build_fragment([0, 1], [(0, 1)]), 3)
     xs, ys = generator(small, Natural(0)), generator(small, Natural(1))
     with pytest.raises(ValueError):
         full_coset_oracle(small, "sideways", xs, ys)
@@ -370,7 +367,6 @@ def test_witness_rechecks_survive_python_O():
     when python -O strips asserts."""
     script = textwrap.dedent(
         """
-        import warnings
         import mekler.formulas as f
         from mekler.graphs import Natural, build_fragment, pair_swap_automorphism
         from mekler.group import GroupContext, InducedAutomorphism, generator
@@ -378,7 +374,6 @@ def test_witness_rechecks_survive_python_O():
         from mekler.subgroup import EdgeFunctional
 
         assert False, "asserts are live: not running under -O"
-        warnings.simplefilter("ignore")
         g = build_fragment([0, 1], [(0, 1)])
         ctx = GroupContext(g, 3)
         aut = InducedAutomorphism(ctx, pair_swap_automorphism(g, [(0, 1)]))

@@ -29,6 +29,7 @@ from mekler.graphs import (
     pair_swap_automorphism,
     vertex_key,
 )
+from mekler.kernels import _adjacency_matrix
 
 
 def brute_niceness(g):
@@ -143,6 +144,21 @@ def brute_separation_failures(g):
     ]
 
 
+def brute_common_neighbour_lists(g):
+    """The triangle and square lists of check_nice by a triple loop in
+    vertex order: each edge u < v with a common neighbour, witnessed by the
+    lowest one, and each pair u < v with two or more common neighbours,
+    witnessed by the lowest two."""
+    triangles, squares = [], []
+    for u, v in itertools.combinations(g.vertices, 2):
+        common = [w for w in g.vertices if g.has_edge(w, u) and g.has_edge(w, v)]
+        if common and g.has_edge(u, v):
+            triangles.append((u, v, common[0]))
+        if len(common) >= 2:
+            squares.append((u, common[0], v, common[1]))
+    return triangles, squares
+
+
 def random_graph(rng):
     vs = [Natural(i) for i in range(rng.randrange(1, 10))]
     density = rng.random()
@@ -159,12 +175,28 @@ def test_separation_failures_match_triple_loop():
         build_fragment([0, 1, 2], all_pairs([0, 1, 2])),
         build_fragment([0, 1], [(0, 1)], extra_edges=[(Natural(0), Gadget(0, 1, "1.25"))]),
     ]
-    failing = 0
+    failing = with_triangles = with_squares = 0
     for g in graphs:
+        report = check_nice(g)
         expected = brute_separation_failures(g) if len(g.vertices) >= 2 else []
-        assert check_nice(g).separation_failures == expected
+        assert report.separation_failures == expected
         failing += bool(expected)
+        triangles, squares = brute_common_neighbour_lists(g)
+        assert report.triangles == triangles
+        assert report.squares == squares
+        with_triangles += bool(triangles)
+        with_squares += bool(squares)
     assert 0 < failing < len(graphs)
+    assert 0 < with_triangles < len(graphs) and 0 < with_squares < len(graphs)
+
+
+def test_summary_counts_what_the_lists_hold():
+    """One triangle lies on three edges; one 4-cycle has two diagonal
+    pairs, each with two common neighbours."""
+    assert check_nice(cycle_graph(3)).summary() == "not nice: 3 edge(s) in a triangle; 6 separation failure(s)"
+    assert check_nice(cycle_graph(4)).summary() == (
+        "not nice: 2 vertex pair(s) with two common neighbours; 4 separation failure(s)"
+    )
 
 
 def test_three_natural_fragment_is_nice():
@@ -368,4 +400,6 @@ def test_masks_are_the_adjacency(g):
     for v in g.vertices:
         assert g.degree(v) == sum(1 for e in g.edges if v in e)
         assert not g.has_edge(v, Natural(99)) and not g.has_edge(Natural(99), v)
-    assert g.adjacency_matrix().tolist() == [[mask >> j & 1 for j in range(n)] for mask in g.masks]
+    adj = _adjacency_matrix(g.masks)
+    assert adj.dtype == bool
+    assert adj.tolist() == [[bool(mask >> j & 1) for j in range(n)] for mask in g.masks]

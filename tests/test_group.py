@@ -7,7 +7,6 @@ non-commuting swap.  It shares no code with the cocycle in mul.
 
 import itertools
 import random
-import warnings
 
 import pytest
 
@@ -44,7 +43,7 @@ from mekler.subgroup import EdgeFunctional
 
 
 def ctx7(p=3):
-    return GroupContext(build_fragment([0, 1], [(0, 1)]), p, warn_not_nice=False)
+    return GroupContext(build_fragment([0, 1], [(0, 1)]), p)
 
 
 def ctx18(p=3):
@@ -364,7 +363,7 @@ def test_induced_automorphism_maps_commutators():
 
 
 def test_induced_automorphism_rejects_non_automorphism():
-    ctx = GroupContext(build_fragment([0, 1, 2], [(0, 1)]), 3, warn_not_nice=False)
+    ctx = GroupContext(build_fragment([0, 1, 2], [(0, 1)]), 3)
     bad = {v: v for v in ctx.graph.vertices}
     bad[Natural(0)], bad[Natural(2)] = Natural(2), Natural(0)
     with pytest.raises(ValueError):
@@ -380,18 +379,13 @@ def test_apply_coset_and_moves_coset():
     assert not aut.moves_coset(FpVector(3, {ctx.vindex[Natural(0)]: 2}))
 
 
-def test_context_validation_and_niceness_warning():
+def test_context_validation():
     g7 = build_fragment([0, 1], [(0, 1)])
     with pytest.raises(ValueError):
         GroupContext(g7, 2)
     with pytest.raises(ValueError):
         GroupContext(g7, 9)
-    with pytest.warns(UserWarning):
-        GroupContext(g7, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        GroupContext(g7, 3, warn_not_nice=False)
-        ctx = ctx18(3)  # nice graph: no warning either
+    ctx = ctx18(3)
     assert ctx.ncentral == sum(
         1 for u, w in itertools.combinations(ctx.graph.vertices, 2) if ctx.nonadjacent(ctx.vindex[u], ctx.vindex[w])
     )
@@ -418,7 +412,7 @@ def old_pair_enumeration(ctx):
 def planted_edge_ctx():
     # a hub-pentagon chord: one central coordinate fewer than the clean fragment
     frag = build_fragment([0, 1], [(0, 1)], extra_edges=[(Gadget(0, 1, "0"), Gadget(0, 1, "1.25"))])
-    return GroupContext(frag, 3, warn_not_nice=False)
+    return GroupContext(frag, 3)
 
 
 @pytest.mark.parametrize(

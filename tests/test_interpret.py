@@ -34,7 +34,7 @@ from mekler.subgroup import PROVISION_PARTNERS, AdequacyError, EdgeFunctional
 
 def test_power_equivalent():
     # two elements name the same recovered vertex iff they are not power-separated
-    ctx = GroupContext(build_fragment([0, 1], [(0, 1)]), 3, warn_not_nice=False)
+    ctx = GroupContext(build_fragment([0, 1], [(0, 1)]), 3)
     x0, x1 = generator(ctx, Natural(0)), generator(ctx, Natural(1))
     z = central_generator(ctx, Natural(0), Natural(1))
 
@@ -106,7 +106,7 @@ def test_recover_graph_up_direct():
 
 def test_recover_graph_up_needs_every_gadget():
     frag = build_fragment([0, 1, 2], [(0, 1)])
-    ctx = GroupContext(frag, 3, warn_not_nice=False)
+    ctx = GroupContext(frag, 3)
     aut = InducedAutomorphism(ctx, pair_swap_automorphism(frag, [(0, 1)]))
     with pytest.raises(AdequacyError) as exc:
         recover_graph_up(ctx, aut, rng=random.Random(0))
@@ -125,7 +125,7 @@ def test_recover_graph_down_direct():
 
 def test_recover_graph_down_refuses_inadequate_fragments():
     frag = build_fragment([0, 1], [(0, 1)])
-    ctx = GroupContext(frag, 3, warn_not_nice=False)
+    ctx = GroupContext(frag, 3)
     with pytest.raises(AdequacyError):
         recover_graph_down(ctx, EdgeFunctional.from_edges([(0, 1)]), rng=random.Random(0))
 
@@ -139,13 +139,11 @@ def test_roundtrip_small_graphs_both_pipelines():
         ([0, 1, 2, 3], [(0, 3), (1, 2)]),
     ]
     for naturals, edges in cases:
-        with warnings.catch_warnings():
-            # the two-natural up fragment is honestly not nice; see below
-            warnings.filterwarnings("ignore", message="graph is not nice")
-            res = roundtrip(natural_graph(naturals, edges), p=3, pipeline="both", seed=4)
+        res = roundtrip(natural_graph(naturals, edges), p=3, pipeline="both", seed=4)
         assert res.ok and bool(res), res.summary()
         assert res.up is not None and res.down is not None
         assert res.up.edges == res.down.edges == frozenset(edges)
+        assert res.not_nice == (("up",) if len(naturals) == 2 else ())  # two naturals cannot be separated
         assert res.input_labels == tuple(naturals)
         assert "ok" in res.summary()
 
@@ -165,12 +163,19 @@ def test_up_roundtrip_at_scale(k):
         assert res.up.labels == tuple(naturals) and res.up.edges == frozenset(edges)
 
 
-def test_two_vertex_up_fragment_warns_but_recovers():
+def test_two_vertex_up_fragment_is_noted_but_recovers():
     # an all-pairs fragment on two naturals cannot satisfy separation, so
-    # building its context warns; recovery itself is unaffected
-    with pytest.warns(UserWarning, match="not nice"):
+    # the result notes it, without a warning; recovery itself is unaffected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         res = roundtrip(natural_graph([0, 1], [(0, 1)]), p=3, pipeline="up", seed=0)
+    assert caught == []
     assert res.ok
+    assert res.not_nice == ("up",)
+    assert res.messages == (
+        "up: fragment not nice (not nice: 8 separation failure(s)); recovery is not guaranteed",
+        "up: 2 vertices, 1 edges, match",
+    )
 
 
 def test_roundtrip_p5_and_single_pipelines():

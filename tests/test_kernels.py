@@ -42,7 +42,7 @@ from mekler.subgroup import DIM_THRESHOLD, PROVISION_PARTNERS, EdgeFunctional, c
 
 
 def ctx7():
-    return GroupContext(build_fragment([0, 1], [(0, 1)]), 3, warn_not_nice=False)
+    return GroupContext(build_fragment([0, 1], [(0, 1)]), 3)
 
 
 def fragment18():
@@ -200,7 +200,7 @@ def oracle_scan(ctx, ell, threshold=DIM_THRESHOLD):
     ],
 )
 def test_scan_matches_element_dims_on_every_support(make, p, mode, violations):
-    ctx = GroupContext(make(), p, warn_not_nice=False)
+    ctx = GroupContext(make(), p)
     if mode == "bound":
         ell, res = None, scan_group_bound(ctx)
     else:
@@ -215,7 +215,7 @@ def test_scan_matches_element_dims_on_every_support(make, p, mode, violations):
 
 
 def test_planted_group_bound_violation():
-    ctx = GroupContext(planted_bound_fragment(), 3, warn_not_nice=False)
+    ctx = GroupContext(planted_bound_fragment(), 3)
     res = scan_group_bound(ctx)
     assert not res.ok and not bool(res)
     assert all(v.kind == KIND_GROUP_BOUND for v in res.violations)
@@ -225,7 +225,7 @@ def test_planted_group_bound_violation():
 
 
 def test_planted_dichotomy_violation():
-    ctx = GroupContext(planted_dichotomy_fragment(), 3, warn_not_nice=False)
+    ctx = GroupContext(planted_dichotomy_fragment(), 3)
     ell = EdgeFunctional.from_edges([(0, 1)])
     res = scan_subgroup_dichotomy(ctx, ell)
     assert not res.ok
@@ -381,7 +381,7 @@ def test_count_encodes_only_vertices_and_neighbourhood_subsets(monkeypatch):
 
     monkeypatch.setattr(kernels, "_signatures", counting)
     res = scan_group_bound(ctx)
-    deg = ctx.graph.adjacency_matrix().sum(axis=1)
+    deg = kernels._adjacency_matrix(ctx.adj).sum(axis=1)
     bound = len(ctx) + 2 * sum(math.comb(int(d), 2) + math.comb(int(d), 3) for d in deg)
     assert bound == 5456
     assert res.ok and res.elements_checked == 31_028_712
@@ -400,7 +400,7 @@ def test_listed_violations_in_the_counted_class(monkeypatch):
     assert (res.elements_checked, res.members_checked) == (elements, members)
     listed = [(v.kind, v.support, v.exps, v.dim_group, v.dim_subgroup) for v in res.violations]
     assert listed == found
-    adj = ctx.graph.adjacency_matrix().astype(bool)
+    adj = kernels._adjacency_matrix(ctx.adj)
     in_class_c = [
         sup for _, sup, _, _, _ in found
         if len(sup) == 3
@@ -442,7 +442,7 @@ def test_size3_scan_memory_stays_small():
 def test_provisioned_mask_matches_per_natural_partners(frag):
     """The provisioned mask, counted in one pass over the gadget pairs,
     equals the per-natural gadget_partners oracle."""
-    ctx = GroupContext(frag(), 3, warn_not_nice=False)
+    ctx = GroupContext(frag(), 3)
     prov = _context_arrays(ctx, None)[3]
     want = [
         int(isinstance(v, Natural) and len(ctx.graph.gadget_partners(v.n)) >= PROVISION_PARTNERS)

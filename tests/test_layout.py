@@ -1,8 +1,12 @@
 """Source layout rules, checked on the syntax tree of each module.
 
 A graph's adjacency has one format, the neighbour bitmasks Graph.masks;
-the numpy adjacency matrix is derived from it for the niceness check and
-the scans alone.
+kernels alone unpacks them into a dense numpy matrix, for the scans.
+
+Niceness is a graph property with one owner, graphs.check_nice, called
+only where a verdict or a report depends on it: verify, interpret and the
+command line.  The arithmetic modules (group, kernels, formulas,
+subgroup, extension, cayley) never check it.
 
 The full-column commuting system (group.commutation_matrix with
 fplinear.kernel_dim) and the full-coset enumeration
@@ -20,10 +24,11 @@ import mekler
 
 ORACLES = {"commutation_matrix", "kernel_dim", "full_coset_oracle"}
 MAY_USE_ORACLES = {"verify.py", "__init__.py"}
+MAY_CHECK_NICENESS = {"graphs.py", "verify.py", "interpret.py", "cli.py", "__init__.py"}
 
 
-def oracle_uses(tree):
-    """Oracle names a module imports or reads, by line."""
+def name_uses(tree, wanted):
+    """The wanted names a module imports or reads, by line."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -34,28 +39,39 @@ def oracle_uses(tree):
             names = [node.attr]
         else:
             continue
-        found += [(node.lineno, name) for name in names if name in ORACLES]
+        found += [(node.lineno, name) for name in names if name in wanted]
     return found
 
 
-def test_oracles_serve_only_the_cross_checks():
+def misuse_outside(wanted, allowed):
+    """Per module not in allowed, its uses of the wanted names."""
     package = Path(mekler.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 5
     misuse = {}
     for path in modules:
-        if path.name in MAY_USE_ORACLES:
+        if path.name in allowed:
             continue
-        uses = oracle_uses(ast.parse(path.read_text(), filename=str(path)))
+        uses = name_uses(ast.parse(path.read_text(), filename=str(path)), wanted)
         if uses:
             misuse[path.name] = uses
-    assert misuse == {}
+    return misuse
+
+
+def test_oracles_serve_only_the_cross_checks():
+    assert misuse_outside(ORACLES, MAY_USE_ORACLES) == {}
+
+
+def test_only_verdicts_and_reports_check_niceness():
+    assert misuse_outside({"check_nice"}, MAY_CHECK_NICENESS) == {}
 
 
 def test_the_rule_sees_imports_and_calls():
     tree = ast.parse("from .fplinear import kernel_dim\nfrom . import formulas\nformulas.full_coset_oracle(1)\n")
-    assert oracle_uses(tree) == [(1, "kernel_dim"), (3, "full_coset_oracle")]
-    assert oracle_uses(ast.parse("def commutation_matrix():\n    pass\n")) == []
+    assert name_uses(tree, ORACLES) == [(1, "kernel_dim"), (3, "full_coset_oracle")]
+    assert name_uses(ast.parse("def commutation_matrix():\n    pass\n"), ORACLES) == []
+    tree = ast.parse("from .graphs import check_nice\nimport mekler\nmekler.graphs.check_nice(g)\n")
+    assert name_uses(tree, {"check_nice"}) == [(1, "check_nice"), (3, "check_nice")]
 
 
 def references(tree, name):
@@ -128,12 +144,13 @@ def test_the_reachability_rule_follows_helpers():
     assert reachable_names(tree, "f") & ENGINE == {"commutator_vector"}
 
 
-MAY_USE_ADJACENCY_MATRIX = {"graphs.py", "kernels.py"}
+MAY_USE_ADJACENCY_MATRIX = {"kernels.py"}
+UNPACKS_A_MATRIX = {"adjacency_matrix", "_adjacency_matrix", "unpackbits"}
 
 
 def adjacency_uses(tree, may_use_matrix):
     """(line, name) of every read of an adjacency attribute and, unless the
-    module may use it, every call of adjacency_matrix."""
+    module may use it, every call that unpacks a dense adjacency matrix."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "adjacency":
@@ -141,7 +158,7 @@ def adjacency_uses(tree, may_use_matrix):
         elif isinstance(node, ast.Call) and not may_use_matrix:
             fn = node.func
             name = fn.attr if isinstance(fn, ast.Attribute) else fn.id if isinstance(fn, ast.Name) else None
-            if name == "adjacency_matrix":
+            if name in UNPACKS_A_MATRIX:
                 found.append((node.lineno, name))
     return sorted(found)
 
@@ -160,4 +177,6 @@ def test_the_adjacency_rule_sees_reads_and_calls():
     tree = ast.parse("a = g.adjacency[v]\nm = g.adjacency_matrix()\nadjacency_matrix(g)\nadjacency = 1\n")
     assert adjacency_uses(tree, False) == [(1, "adjacency"), (2, "adjacency_matrix"), (3, "adjacency_matrix")]
     assert adjacency_uses(tree, True) == [(1, "adjacency")]
+    tree = ast.parse("m = kernels._adjacency_matrix(ctx.adj)\nb = np.unpackbits(rows)\n")
+    assert adjacency_uses(tree, False) == [(1, "_adjacency_matrix"), (2, "unpackbits")]
     assert adjacency_uses(ast.parse("def adjacency_matrix(self):\n    return self.masks\n"), False) == []

@@ -37,7 +37,7 @@ from mekler.subgroup import (
 
 
 def ctx7(p=3):
-    return GroupContext(build_fragment([0, 1], [(0, 1)]), p, warn_not_nice=False)
+    return GroupContext(build_fragment([0, 1], [(0, 1)]), p)
 
 
 def all_gen_vectors(ctx):
@@ -99,7 +99,7 @@ def test_verify_index_p_report():
 
 def test_verify_index_p_degenerate_fragment():
     # no gadget vertices: the functional vanishes identically
-    ctx = GroupContext(build_fragment([0, 1]), 3, warn_not_nice=False)
+    ctx = GroupContext(build_fragment([0, 1]), 3)
     report = verify_index_p(ctx, EdgeFunctional.from_edges([]))
     assert not report
     assert report.degenerate and not report.surjective and not report.is_index_p
@@ -158,14 +158,14 @@ def test_center_check_passes_on_gadgeted_fragments():
 def test_center_check_fails_on_single_vertex_fragment():
     # one lone generator is central in its (abelian) group but not formally
     # central in normal form, so the certificate must report it
-    ctx = GroupContext(build_fragment([0]), 3, warn_not_nice=False)
+    ctx = GroupContext(build_fragment([0]), 3)
     res = center_of_subgroup_check(ctx, EdgeFunctional.from_edges([]))
     assert not res.ok
     assert res.failures == ["x[n:0]^1"]
     assert res.witnesses == 1
     assert not bool(res)
     # two adjacent naturals: the whole group is abelian, the center is everything
-    ctx = GroupContext(build_fragment([0, 1], extra_edges=[(Natural(0), Natural(1))]), 3, warn_not_nice=False)
+    ctx = GroupContext(build_fragment([0, 1], extra_edges=[(Natural(0), Natural(1))]), 3)
     res = center_of_subgroup_check(ctx, EdgeFunctional.from_edges([]))
     assert not res.ok
     assert res.failures == ["x[n:0]^1", "x[n:1]^1"]
@@ -235,7 +235,7 @@ def test_center_check_against_small_support_oracle(frag, p, r_edges):
     certified center, so the exact check fails whenever it does; on
     fragments small enough, every subgroup coset is tried against every
     other."""
-    ctx = GroupContext(frag, p, warn_not_nice=False)
+    ctx = GroupContext(frag, p)
     ell = EdgeFunctional.from_edges(r_edges)
     res = center_of_subgroup_check(ctx, ell)
     center = [parse_element(ctx, text).gen for text in res.failures]
@@ -300,7 +300,7 @@ def test_subgroup_centralizer_dim_frozen_values():
 
 
 def test_subgroup_centralizer_degenerate_central():
-    ctx = GroupContext(build_fragment([0, 1]), 3, warn_not_nice=False)
+    ctx = GroupContext(build_fragment([0, 1]), 3)
     ell = EdgeFunctional.from_edges([])
     # functional vanishes identically: no dimension is lost
     assert centralizer_dim_in_subgroup(ctx, ell, identity(ctx)) == 2
@@ -321,7 +321,7 @@ def test_down_fragment_is_adequate():
 
 def test_adequacy_fails_without_provisioned_naturals():
     g = build_fragment(list(range(7)), [(0, i) for i in range(1, 7)])
-    ctx = GroupContext(g, 3, warn_not_nice=False)
+    ctx = GroupContext(g, 3)
     ell = EdgeFunctional.from_edges([])
     adequacy = assess_adequacy(ctx, ell)
     assert not adequacy.adequate
@@ -336,7 +336,7 @@ def test_adequacy_fails_when_a_bystander_reaches_the_threshold():
     # on the threshold, so the dimension test cannot tell them apart
     pairs = [(0, i) for i in range(1, 8)] + [(j, 8) for j in range(1, 7)]
     g = build_fragment(list(range(9)), pairs)
-    ctx = GroupContext(g, 3, warn_not_nice=False)
+    ctx = GroupContext(g, 3)
     ell = EdgeFunctional.from_edges([])
     adequacy = assess_adequacy(ctx, ell)
     assert adequacy.provisioned == (0,)
