@@ -89,6 +89,7 @@ from .cayley import (
     CoverCertificate,
     nth_roots_count,
     bounded_root_set,
+    root_counts,
     power_image,
     covering_number,
     has_unique_roots,

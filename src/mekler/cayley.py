@@ -28,47 +28,50 @@ COVER_NODE_BUDGET = 2_000_000  # search nodes an exact cover search may visit
 class FiniteGroup:
     """Multiplication table with the group axioms machine-checked.
 
-    The table is validated at construction: Latin square both ways, a
-    two-sided identity, two-sided inverses, and exact associativity by
-    Light's test: the g with (x g) y = x (g y) for all x, y are closed under
-    products, so checking a generating set proves it, in O(n^2 |gens|).
+    The table is the group's own read-only, C-contiguous int32 copy: every
+    order under the cap fits in int32, and so does every flat index x*n + y.
+    It is validated at construction in whole-array passes: Latin square
+    both ways, a two-sided identity, two-sided inverses, and exact
+    associativity by Light's test: the g with (x g) y = x (g y) for all x, y
+    are closed under products, so checking a generating set proves it, in
+    O(n^2 |gens|).
     """
 
     def __init__(self, table, names: Sequence[str] | None = None):
-        t = np.asarray(table, dtype=np.int64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        if not (isinstance(table, np.ndarray) and table.dtype == np.int32):
+            table = np.asarray(table, dtype=np.int64)  # bounds are checked before narrowing
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ConfigError("table must be square")
-        n = t.shape[0]
+        n = table.shape[0]
         if n == 0:
             raise ConfigError("empty table")
-        if t.min() < 0 or t.max() >= n:
+        if table.min() < 0 or table.max() >= n:
             raise ConfigError("table entries must index elements")
-        ar = np.arange(n)
-        if not (np.sort(t, axis=1) == ar[None, :]).all():
+        t = np.array(table, dtype=np.int32, order="C")  # never the caller's array
+        # the checks read a uint16 copy where the order allows: half the
+        # bytes of the int32 table to stream through, and vectorised sorts
+        w = t.astype(np.uint16) if n <= 1 << 16 else t
+        ar = np.arange(n, dtype=w.dtype)
+        if not (np.sort(w, axis=1) == ar[None, :]).all():
             raise ConfigError("a row is not a permutation of the elements")
-        if not (np.sort(t, axis=0) == ar[:, None]).all():
+        if not (np.sort(w, axis=0) == ar[:, None]).all():
             raise ConfigError("a column is not a permutation of the elements")
-        rows_id = np.flatnonzero((t == ar[None, :]).all(axis=1))
-        e = -1
-        for cand in rows_id:
-            if (t[:, cand] == ar).all():
-                e = int(cand)
-                break
-        if e < 0:
+        e = int(np.argmin(w[:, 0]))  # e 0 = 0, and column 0 holds 0 once
+        if not ((w[e] == ar).all() and (w[:, e] == ar).all()):
             raise ConfigError("no two-sided identity")
-        inv = np.empty(n, dtype=np.int64)
-        for g in range(n):
-            hs = np.flatnonzero(t[g] == e)
-            if hs.size != 1 or t[hs[0], g] != e:
-                raise ConfigError(f"element {g} lacks a two-sided inverse")
-            inv[g] = hs[0]
-        for g in _generating_set(t, e):
-            if not (t[t[:, g], :] == t[:, t[g, :]]).all():  # (x g) y against x (g y)
+        inv = np.argmax(w == e, axis=1)  # the right inverse in each row
+        bad = np.flatnonzero(w[inv, ar] != e)
+        if bad.size:
+            raise ConfigError(f"element {bad[0]} lacks a two-sided inverse")
+        for g in _generating_set(w, e):
+            if not (w.take(w[:, g], axis=0) == w.take(w[g], axis=1)).all():  # (x g) y against x (g y)
                 raise ConfigError("table is not associative")
         if names is not None:
             names = tuple(names)
             if len(names) != n:
                 raise ConfigError("names must match the element count")
+        t.flags.writeable = False
+        inv.flags.writeable = False
         self.table = t
         self._names = names
         self._namer: Callable[[], tuple[str, ...]] | None = None
@@ -125,18 +128,32 @@ def _named_later(table: np.ndarray, namer: Callable[[], tuple[str, ...]]) -> Fin
 
 def _generating_set(t: np.ndarray, e: int) -> list[int]:
     """Elements, picked greedily (the first one not yet reached), whose
-    right-multiplication closure from the identity covers the table."""
-    reached = np.zeros(len(t), dtype=bool)
-    reached[e] = True
+    right-multiplication closure from the identity covers the table.
+
+    Right multiplication by a pick is a permutation of the elements (the
+    columns are Latin), so the closure is the identity's orbit under the
+    picks.  Each pass labels every element with the least element it is
+    known to share an orbit with, across each pick's edges both ways and
+    then by pointer jumping; when no label moves, the orbit is the label
+    class of the identity.  About log2 of the orbit's diameter passes, each
+    over whole arrays."""
+    n = len(t)
+    label = np.arange(n, dtype=np.int32)
+    reached = label == e
     gens: list[int] = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            step = np.zeros(len(t), dtype=bool)
-            step[t[np.ix_(frontier, gens)]] = True
-            frontier = np.flatnonzero(step & ~reached)
-            reached[frontier] = True
+        steps = t[:, gens].T  # steps[k][x] is x times pick k
+        while True:
+            new = label
+            for step in steps:
+                new = np.minimum(new, new[step])  # x takes the label of x g
+                new[step] = np.minimum(new[step], new)  # x g takes the label of x
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        reached = label == label[e]
     return gens
 
 
@@ -144,11 +161,11 @@ def pow_all(g: FiniteGroup, n: int) -> np.ndarray:
     """Vector of y**n over all y, by table-driven square and multiply."""
     size = len(g)
     if n < 0:
-        base = g.inverses.copy()
+        base = g.inverses
         n = -n
     else:
-        base = np.arange(size, dtype=np.int64)
-    acc = np.full(size, g.identity, dtype=np.int64)
+        base = np.arange(size, dtype=np.int32)
+    acc = np.full(size, g.identity, dtype=np.int32)
     while n:
         if n & 1:
             acc = g.table[acc, base]
@@ -157,25 +174,30 @@ def pow_all(g: FiniteGroup, n: int) -> np.ndarray:
     return acc
 
 
+def root_counts(g: FiniteGroup, n: int) -> np.ndarray:
+    """counts[x] is how many y satisfy y**n = x: one power map answers
+    every root and image question below."""
+    return np.bincount(pow_all(g, n), minlength=len(g))
+
+
 def nth_roots_count(g: FiniteGroup, x: int, n: int) -> int:
     """How many y satisfy y**n = x."""
-    return int((pow_all(g, n) == x).sum())
+    return int(root_counts(g, n)[x])
 
 
 def power_image(g: FiniteGroup, n: int) -> tuple[int, ...]:
-    return tuple(int(v) for v in np.flatnonzero(np.bincount(pow_all(g, n), minlength=len(g))))
+    return tuple(np.flatnonzero(root_counts(g, n)).tolist())
 
 
 def bounded_root_set(g: FiniteGroup, n: int, m: int) -> tuple[int, ...]:
     """Elements with at least one and at most m n-th roots."""
-    counts = np.bincount(pow_all(g, n), minlength=len(g))
-    return tuple(int(v) for v in np.flatnonzero((counts > 0) & (counts <= m)))
+    counts = root_counts(g, n)
+    return tuple(np.flatnonzero((counts > 0) & (counts <= m)).tolist())
 
 
 def has_unique_roots(g: FiniteGroup, n: int) -> bool:
     """True when y -> y**n is injective (n-th roots are unique)."""
-    counts = np.bincount(pow_all(g, n), minlength=len(g))
-    return bool((counts <= 1).all())
+    return bool((root_counts(g, n) <= 1).all())
 
 
 # --- coset covers -------------------------------------------------------------
@@ -191,11 +213,11 @@ class CoverCertificate:
     budget_hit: bool = False  # the search stopped at COVER_NODE_BUDGET
 
     def verify(self, g: FiniteGroup, subset: Sequence[int]) -> bool:
-        covered = set()
-        for x in self.reps:
-            for s in subset:
-                covered.add(g.mul(x, s))
-        return len(covered) == len(g)
+        """Every element lies in some x * S, x a representative, read off
+        the table itself and not off the search's bitmasks."""
+        covered = np.zeros(len(g), dtype=bool)
+        covered[g.table[np.array(self.reps, dtype=np.intp)][:, np.asarray(subset, dtype=np.intp)]] = True
+        return bool(covered.all())
 
 
 class _NodeBudgetHit(Exception):
@@ -292,7 +314,7 @@ def covering_number(g: FiniteGroup, subset: Iterable[int]) -> tuple[int, CoverCe
     cert = CoverCertificate(
         reps=tuple(best_reps), size=ub, exact=exact, universe=size, nodes=nodes, budget_hit=budget_hit
     )
-    if not cert.verify(g, [int(s) for s in sub]):
+    if not cert.verify(g, sub):
         raise RuntimeError(f"cover certificate with representatives {cert.reps} does not cover the group")
     return ub, cert
 
@@ -324,19 +346,23 @@ class CoverReport:
             ]
         )
 
+    @classmethod
+    def of_image(cls, g: FiniteGroup, n: int, image: Sequence[int]) -> CoverReport:
+        """The report on covering g by the translates of its n-th power image."""
+        k, cert = covering_number(g, image)
+        return cls(
+            group_order=len(g),
+            exponent=n,
+            image_size=len(image),
+            covering_size=k,
+            reps=cert.reps,
+            exact=cert.exact,
+            budget_hit=cert.budget_hit,
+        )
+
 
 def covering_report(g: FiniteGroup, n: int = 2) -> CoverReport:
-    image = power_image(g, n)
-    k, cert = covering_number(g, image)
-    return CoverReport(
-        group_order=len(g),
-        exponent=n,
-        image_size=len(image),
-        covering_size=k,
-        reps=cert.reps,
-        exact=cert.exact,
-        budget_hit=cert.budget_hit,
-    )
+    return CoverReport.of_image(g, n, power_image(g, n))
 
 
 # --- constructions ------------------------------------------------------------
@@ -353,67 +379,84 @@ def _tabulate(right: np.ndarray) -> np.ndarray:
     """Multiplication table from right actions: right[k][i] is element i
     followed by generator k, and element 0 is the identity.
 
-    A breadth-first walk from the identity reaches each element j from a
-    parent by one generator k; column j of the table is then right[k]
-    applied to its parent's column."""
+    Column j of the table is right multiplication by j, so the column of a
+    product s t is column t applied to column s, and the product's index is
+    column t read at s.  The known columns start as the identity's and the
+    generators' (right itself), the elements of word length at most 1.  If
+    the known elements are those of length at most L and the newest those
+    longer than L/2, their products are those of length at most 2L: a word
+    longer than L is a known prefix times its last L letters.  So each pass
+    multiplies the known elements by the newest ones and fills the new
+    columns in whole-array gathers, about log2(diameter) passes in all."""
     size = right.shape[1]
-    table = np.empty((size, size), dtype=np.int64)
-    table[:, 0] = np.arange(size)
-    reached = [0]
-    seen = {0}
-    for par in reached:  # reached grows while it is walked
-        for step in right:
-            j = int(step[par])
-            if j not in seen:
-                seen.add(j)
-                reached.append(j)
-                table[:, j] = step[table[:, par]]
-    if len(reached) != size:
-        raise RuntimeError("the generators do not reach every element")
-    return table
+    cols = np.empty((size, size), dtype=np.int32)  # cols[j] is column j of the table
+    cols[right[:, 0]] = right
+    cols[0] = np.arange(size)
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    seen[right[:, 0]] = True
+    newest = np.flatnonzero(seen)
+    slot = np.empty(size, dtype=np.intp)
+    while not seen.all():
+        known = np.flatnonzero(seen)
+        prods = cols[newest][:, known].ravel()  # known[a] * newest[b] at b * len(known) + a
+        fresh = np.flatnonzero(~seen[prods])
+        if not fresh.size:
+            raise RuntimeError("the generators do not reach every element")
+        kids = prods[fresh]
+        slot[kids] = np.arange(kids.size)
+        first = slot[kids] == np.arange(kids.size)  # one factor pair per element
+        b, a = np.divmod(fresh[first], known.size)
+        kids = kids[first]
+        cols[kids] = cols.ravel()[cols[known[a]] + size * newest[b][:, None]]
+        seen[kids] = True
+        newest = kids
+    return cols.T
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ConfigError("order must be positive")
     check_order(n)
-    ar = np.arange(n)
+    ar = np.arange(n, dtype=np.int32)
     return FiniteGroup((ar[:, None] + ar[None, :]) % n, names=tuple(str(i) for i in range(n)))
-
-
-def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply f first, then g."""
-    return tuple(g[f[x]] for x in range(len(f)))
 
 
 def from_permutation_generators(perms: Sequence[tuple[int, ...]]) -> FiniteGroup:
     """Close a set of permutations under composition and tabulate.
 
-    The breadth-first closure from the identity records right[k][i],
-    element i followed by generator k, so only |G| * |gens| compositions
-    are made; _tabulate fills the table from these right actions."""
+    Points are stored as the narrowest unsigned ints that hold them.  The
+    closure walks breadth-first levels from the identity: one gather makes
+    every product of a level with every generator, and one dict lookup on
+    each product's bytes finds or numbers it, so the elements are numbered
+    in the order a one-at-a-time walk numbers them.  That records
+    right[k][i], element i followed by generator k, and _tabulate fills the
+    table from these right actions.  Names are made on first read."""
     if not perms:
         raise ConfigError("need at least one generator")
     npts = len(perms[0])
     for pm in perms:
         if len(pm) != npts or sorted(pm) != list(range(npts)):
             raise ConfigError("generators must be permutations of the same point set")
-    ident = tuple(range(npts))
-    elems = {ident: 0}
-    order = [ident]
-    right: list[list[int]] = [[] for _ in perms]
-    for el in order:  # order grows while it is walked
-        for k, pm in enumerate(perms):
-            prod = _compose(el, pm)
-            j = elems.get(prod)
-            if j is None:
-                if len(order) >= DEFAULT_MAX_ORDER:
-                    raise ConfigError(f"group order exceeds the cap of {DEFAULT_MAX_ORDER}")
-                j = elems[prod] = len(order)
-                order.append(prod)
-            right[k].append(j)
-    table = _tabulate(np.array(right, dtype=np.int64))
-    return _named_later(table, lambda: tuple(_cycle_notation(pm) for pm in order))
+    gens = np.array(perms, dtype=np.min_scalar_type(max(npts - 1, 0)))
+    level = np.arange(npts, dtype=gens.dtype)[None, :]
+    width = level.nbytes
+    index = {level.tobytes(): 0}
+    levels = [level]
+    right: list[int] = []  # right[i * len(perms) + k]: element i followed by generator k
+    while len(level):
+        buf = gens[:, level].swapaxes(0, 1).tobytes()  # level element i followed by generator k, i major
+        keys = [buf[i * width:(i + 1) * width] for i in range(len(level) * len(perms))]
+        new = [key for key in dict.fromkeys(keys) if key not in index]
+        if len(index) + len(new) > DEFAULT_MAX_ORDER:
+            raise ConfigError(f"group order exceeds the cap of {DEFAULT_MAX_ORDER}")
+        index.update(zip(new, range(len(index), len(index) + len(new))))
+        right.extend(map(index.__getitem__, keys))
+        level = np.frombuffer(b"".join(new), dtype=gens.dtype).reshape(len(new), npts)
+        levels.append(level)
+    elems = np.concatenate(levels)
+    table = _tabulate(np.array(right, dtype=np.int32).reshape(len(elems), len(perms)).T)
+    return _named_later(table, lambda: tuple(_cycle_notation(pm) for pm in elems.tolist()))
 
 
 def _cycle_notation(pm: tuple[int, ...]) -> str:

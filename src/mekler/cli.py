@@ -22,19 +22,18 @@ import json
 import random
 import sys
 
+import numpy as np
+
 from .cayley import (
+    CoverReport,
     FiniteGroup,
     check_order,
     cayley_from_context,
-    covering_report,
     cyclic_group,
     dihedral_group,
-    has_unique_roots,
-    nth_roots_count,
-    bounded_root_set,
     parse_cayley_text,
     parse_permutation_text,
-    power_image,
+    root_counts,
     sl2_permutation_group,
     symmetric_group,
 )
@@ -246,12 +245,16 @@ def _load_probe_group(spec: str) -> FiniteGroup:
 
 
 def cmd_qprobe(args) -> int:
+    if args.m is not None and args.m < 1:
+        raise ConfigError(f"root-count bound must be at least 1, got {args.m}")
     g = _load_probe_group(args.group)
     n = args.n
-    image = power_image(g, n)
-    unique = has_unique_roots(g, n)
-    roots_e = nth_roots_count(g, g.identity, n)
-    rep = covering_report(g, n)
+    counts = root_counts(g, n)  # the one power map every probe below reads
+    image = np.flatnonzero(counts)
+    unique = bool((counts <= 1).all())
+    roots_e = int(counts[g.identity])
+    rep = CoverReport.of_image(g, n, image)
+    bounded = None if args.m is None else int(((counts > 0) & (counts <= args.m)).sum())
     if args.format == "structured":
         payload = {
             "group": args.group,
@@ -266,8 +269,8 @@ def cmd_qprobe(args) -> int:
         }
         if rep.budget_hit:
             payload["cover_node_budget_hit"] = True
-        if args.m is not None:
-            payload["bounded_root_set_size"] = len(bounded_root_set(g, n, args.m))
+        if bounded is not None:
+            payload["bounded_root_set_size"] = bounded
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         lines = [
@@ -275,9 +278,8 @@ def cmd_qprobe(args) -> int:
             f"power map y -> y^{n}: image size {len(image)}, "
             f"identity has {roots_e} roots, unique roots: {'yes' if unique else 'no'}",
         ]
-        if args.m is not None:
-            bset = bounded_root_set(g, n, args.m)
-            lines.append(f"elements with 1..{args.m} roots: {len(bset)}")
+        if bounded is not None:
+            lines.append(f"elements with 1..{args.m} roots: {bounded}")
         lines.append(rep.summary())
         _emit(args, "\n".join(lines) + "\n")
     return 0

@@ -11,8 +11,8 @@ from mekler import cayley
 from mekler.cayley import (
     CoverCertificate,
     FiniteGroup,
-    _compose,
     _cycle_notation,
+    _generating_set,
     bounded_root_set,
     cayley_from_context,
     covering_number,
@@ -27,6 +27,7 @@ from mekler.cayley import (
     parse_permutation_text,
     pow_all,
     power_image,
+    root_counts,
     sl2_permutation_group,
     symmetric_group,
 )
@@ -34,6 +35,12 @@ from mekler.cli import _load_probe_group
 from mekler.cli import main as cli_main
 from mekler.graphs import ConfigError, Natural, build_fragment
 from mekler.group import GroupContext, format_element, mul, parse_element
+
+
+def _compose(f, g):
+    """Apply f first, then g: the one-product-at-a-time oracle for the
+    permutation closure."""
+    return tuple(g[f[x]] for x in range(len(f)))
 
 
 def brute_pow(g, a, n):
@@ -160,6 +167,104 @@ def test_large_nonassociative_latin_square_rejected():
     assert len(FiniteGroup((np.arange(n)[:, None] + np.arange(n)[None, :]) % n)) == n
 
 
+def brute_verdict(t):
+    """The first axiom the table breaks, checked one element at a time in
+    the constructor's order, or None for a group."""
+    n = len(t)
+    if any(sorted(row) != list(range(n)) for row in t):
+        return "a row is not a permutation"
+    if any(sorted(row[c] for row in t) != list(range(n)) for c in range(n)):
+        return "a column is not a permutation"
+    ids = [e for e in range(n) if all(t[e][x] == x and t[x][e] == x for x in range(n))]
+    if not ids:
+        return "no two-sided identity"
+    e = ids[0]
+    for g in range(n):
+        if not any(t[g][h] == e and t[h][g] == e for h in range(n)):
+            return f"element {g} lacks a two-sided inverse"
+    if any(t[t[a][b]][c] != t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n)):
+        return "not associative"
+    return None
+
+
+def test_validation_agrees_with_brute_force_on_perturbed_tables():
+    """Groups with intercalates swapped away from the identity's row and
+    column, then relabelled: loops that break associativity or two-sided
+    inverses, and some that are still groups."""
+    rng = random.Random(3)
+    ar = np.arange(8)
+    bases = [ar[:, None] ^ ar[None, :], cyclic_group(8).table, dihedral_group(4).table, symmetric_group(3).table]
+    verdicts = set()
+    for _ in range(150):
+        t = np.array(rng.choice(bases), dtype=np.int64)
+        n = len(t)
+        for _ in range(rng.randrange(1, 4)):
+            for _ in range(100):
+                (r1, r2), (c1, c2) = rng.sample(range(1, n), 2), rng.sample(range(1, n), 2)
+                if t[r1, c1] == t[r2, c2] and t[r1, c2] == t[r2, c1]:
+                    t[[r1, r1, r2, r2], [c1, c2, c1, c2]] = t[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+                    break
+        p = np.array(rng.sample(range(n), n))
+        relabelled = np.empty_like(t)
+        relabelled[p[:, None], p[None, :]] = p[t]
+        want = brute_verdict(relabelled.tolist())
+        verdicts.add(want if want is None or "inverse" not in want else "inverse")
+        if want is None:
+            assert len(FiniteGroup(relabelled)) == n
+        else:
+            with pytest.raises(ConfigError, match=want):
+                FiniteGroup(relabelled)
+    assert verdicts == {None, "not associative", "inverse"}
+
+
+def test_validated_table_is_a_frozen_int32_copy():
+    mine = ((np.arange(6)[:, None] + np.arange(6)[None, :]) % 6).astype(np.int32)
+    before = mine.copy()
+    g = FiniteGroup(mine)
+    assert g.table.dtype == np.int32 and g.table.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        g.table[0, 0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        g.inverses[0] = 5
+    assert mine.flags.writeable and np.array_equal(mine, before)
+    mine[0, 0] = 5  # the caller's array is still the caller's
+    assert g.mul(0, 0) == 0
+    for build in (lambda: sl2_permutation_group(3), lambda: cyclic_group(4), lambda: parse_cayley_text("1\n0\n")):
+        t = build().table
+        assert t.dtype == np.int32 and t.flags.c_contiguous and not t.flags.writeable
+
+
+def _right_closure(t, gens, e):
+    """Every element reached from e by right multiplications, one at a time."""
+    reached = {e}
+    todo = [e]
+    for x in todo:
+        for k in gens:
+            y = int(t[x][k])
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
+
+
+def test_generating_set_picks_greedily_and_generates():
+    # Z2^5 as xor on bit vectors: each greedy pick doubles the closure
+    ar = np.arange(32)
+    z2 = ar[:, None] ^ ar[None, :]
+    assert _generating_set(z2, 0) == [1, 2, 4, 8, 16]
+    assert _right_closure(z2, [1, 2, 4, 8, 16], 0) == set(range(32))
+    c108 = cyclic_group(108).table
+    assert _generating_set(c108, 0) == [1]
+    assert _right_closure(c108, [1], 0) == set(range(108))
+    for g in (symmetric_group(4), sl2_permutation_group(5), dihedral_group(53)):
+        gens = _generating_set(g.table, g.identity)
+        assert _right_closure(g.table, gens, g.identity) == set(range(len(g)))
+        # greedy: each pick is the least element the earlier picks miss
+        for i, pick in enumerate(gens):
+            missed = set(range(len(g))) - _right_closure(g.table, gens[:i], g.identity)
+            assert pick == min(missed)
+
+
 def test_cyclic_group_basics():
     g = cyclic_group(6)
     assert len(g) == 6
@@ -183,6 +288,7 @@ def test_pow_all_and_root_counts_match_brute_force():
             expected = [brute_pow(g, a, n) for a in range(size)]
             assert pow_all(g, n).tolist() == expected
             counts = brute_root_counts(g, n)
+            assert root_counts(g, n).tolist() == counts
             for x in range(size):
                 assert nth_roots_count(g, x, n) == counts[x]
             assert power_image(g, n) == tuple(sorted(set(expected)))
@@ -279,9 +385,11 @@ def _elements_of(g, npts):
         (lambda: symmetric_group(4), 4),
         (lambda: dihedral_group(7), 7),
         (lambda: sl2_permutation_group(3), 8),
+        (lambda: sl2_permutation_group(7), 48),
+        (lambda: from_permutation_generators([(1, 2, 0, 3), (0, 1, 2, 3), (1, 2, 0, 3), (3, 1, 2, 0)]), 4),
         (lambda: parse_permutation_text("(1 2 3 4 5)\n(1 2)\n(2000)"), 2000),
     ],
-    ids=["sym4", "dihedral7", "sl2-3", "s5-on-2000-points"],
+    ids=["sym4", "dihedral7", "sl2-3", "sl2-7", "repeated-and-identity", "s5-on-2000-points"],
 )
 def test_permutation_table_equals_pairwise_composition(build, npts):
     g = build()
@@ -291,17 +399,28 @@ def test_permutation_table_equals_pairwise_composition(build, npts):
     assert np.array_equal(g.table, _pairwise_table(perms_of))
 
 
-def test_permutation_table_composes_once_per_element_and_generator(monkeypatch):
-    calls = []
-
-    def counting(f, h):
-        calls.append(1)
-        return _compose(f, h)
-
-    monkeypatch.setattr(cayley, "_compose", counting)
-    g = sl2_permutation_group(7)  # two generators
-    assert len(g) == 336
-    assert len(calls) <= len(g) * 2
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [(1, 0, 2, 3), (1, 2, 3, 0)],
+        [(1, 2, 3, 4, 5, 6, 0), (0, 3, 6, 2, 5, 1, 4)],  # x + 1 and 3x mod 7: order 42
+        [(1, 2, 0, 3), (0, 1, 2, 3), (1, 2, 0, 3), (3, 1, 2, 0)],
+    ],
+    ids=["sym4", "affine7", "repeated-and-identity"],
+)
+def test_permutation_closure_makes_one_product_per_element_and_generator(gens, monkeypatch):
+    """The closure hands _tabulate exactly |G| * |gens| products, element i
+    followed by generator k at right[k][i], each the one the oracle
+    composition makes, with the elements in breadth-first order."""
+    seen = []
+    tabulate = cayley._tabulate
+    monkeypatch.setattr(cayley, "_tabulate", lambda right: seen.append(right.copy()) or tabulate(right))
+    g = from_permutation_generators(gens)
+    (right,) = seen
+    elems = _breadth_first_elements(gens)
+    assert right.shape == (len(gens), len(g)) == (len(gens), len(elems))
+    index = {el: i for i, el in enumerate(elems)}
+    assert right.tolist() == [[index[_compose(el, pm)] for el in elems] for pm in gens]
 
 
 def _breadth_first_elements(gens):
@@ -311,7 +430,7 @@ def _breadth_first_elements(gens):
     seen = set(order)
     for el in order:
         for pm in gens:
-            prod = tuple(pm[el[x]] for x in range(len(el)))
+            prod = _compose(el, pm)
             if prod not in seen:
                 seen.add(prod)
                 order.append(prod)

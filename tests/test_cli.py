@@ -9,10 +9,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import mekler
-from mekler.cayley import format_cayley_text, symmetric_group
+from mekler.cayley import FiniteGroup, format_cayley_text, symmetric_group
 from mekler.cli import main
 from mekler import cayley, cli, group, kernels, subgroup, verify
 from mekler.graphs import ConfigError, FragmentSpec
@@ -429,6 +430,67 @@ def test_qprobe_never_imports_numpy_ma():
     r = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stderr.splitlines()[-1] == "[0, 0, 0] False"
+
+
+# sha256 of qprobe reports, text and structured, recorded before table
+# building and validation moved to whole-array passes; the speed-up must
+# leave every byte as it was.  The perm and cayley files are written into
+# the working directory so that the spec, which the report echoes, is the
+# same on every run.
+PINNED_QPROBE_REPORTS = [
+    (("sl2:3",), "20f331986a7e46d1be391a21e2b454ce56bd6d0d8795fb5fa038d1ead225df16",
+     "ee3b2d8029a7b969f66dd0b8afc1c493c06f82ad7caf8f5ae74276c24edd5f2f"),
+    (("sl2:5", "--m", "2"), "4db8ca0dccad41e0ec28e2d3240e5348cf147f0768a58935bbc7c336d7f2fe27",
+     "3d0443bc7bec51b80194b3d716f9b2ccf18456fa9c8a935fb2d5b7f3b7ad6340"),
+    (("sl2:7", "--n", "3"), "99dc7d03f18c2e29d3ec78bc6b1763c673f554291c8f344871513a6695bd2f1c",
+     "7d267d943e0b2723b81486b8643079b359878e6d0877be5cbb1b438ef32a902e"),
+    (("sym:5", "--m", "2"), "61231e89c81d6e2d0e76458d8c7975c57f188af744f5b9079349c8c14e244126",
+     "f7e598cafbfbd240e1090aa774fc238e78ff2fc2ae32a2b322a5ae3b51198f77"),
+    (("dihedral:53",), "b3bddc6cc10e5a58529fa65285ecde893235b744ad7fd2af021205400c79d01c",
+     "096d9219a26bee5a6635f54d9c42285f85979589da130041947a7b9ebb5ba9b2"),
+    (("cyclic:108", "--m", "2"), "2c805429c3ea158e91bf29424dc73164b7d4ef51448d5315840c6b807f035068",
+     "0fab2f748adbf9cb615f171d029c09bb1d38ab08f218009819726810c6dfc2dc"),
+    (("mekler:3", "--n", "3"), "b1f6f442d76df69962de9c29c8ade7226e05660842242cf26d669a6cd4da425f",
+     "0b1f4e24e8d630ff74376ce1b2946d9753f721d891f9a15887b8ae7c44907b4c"),
+    (("perm:a5.perms", "--m", "2"), "7493a096f0f975597829f4742694ae3433fcc2f589176312014ecb6dcb847018",
+     "32aa543a8a91e5df04c3bcaa856418013df1cd37c7f141735fe94e11376b5be0"),
+    (("cayley:z6xz4.cayley", "--n", "3"), "9d1de2e2f15a34796e28bb44a1975693ff4a41aff43aa291dd274d0139f5dde8",
+     "47357bbd6f4f91ab60f484fb8c84e99d9c62c9d2d304e090597f411219299e2c"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, text_sha, structured_sha",
+    PINNED_QPROBE_REPORTS,
+    ids=["sl2-3", "sl2-5-m2", "sl2-7-n3", "sym5-m2", "dihedral53", "cyclic108-m2", "mekler3-n3", "perm-m2", "cayley-n3"],
+)
+def test_qprobe_reports_are_pinned(capsys, tmp_path, monkeypatch, flags, text_sha, structured_sha):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a5.perms").write_text("(1 2 3 4 5)\n(1 2 3)\n")
+    i, j = np.divmod(np.arange(24), 4)  # Z6 x Z4, element (i, j) at 4i + j
+    z6xz4 = ((i[:, None] + i[None, :]) % 6) * 4 + (j[:, None] + j[None, :]) % 4
+    (tmp_path / "z6xz4.cayley").write_text(format_cayley_text(FiniteGroup(z6xz4)))
+    for fmt, want in (("text", text_sha), ("structured", structured_sha)):
+        code, out, _ = run(capsys, "qprobe", "--group", *flags, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
+
+def test_qprobe_takes_one_power_map(capsys, monkeypatch):
+    calls = []
+    real = cayley.pow_all
+    monkeypatch.setattr(cayley, "pow_all", lambda g, n: calls.append(n) or real(g, n))
+    for fmt in ("text", "structured"):
+        code, _, _ = run(capsys, "qprobe", "--group", "sl2:3", "--m", "2", "--format", fmt)
+        assert code == 0
+    assert calls == [2, 2]
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_qprobe_refuses_a_root_count_bound_below_one(capsys, m):
+    code, out, err = run(capsys, "qprobe", "--group", "sl2:3", "--m", m)
+    assert code == 2 and out == ""
+    assert f"root-count bound must be at least 1, got {m}" in err
 
 
 def test_qprobe_bad_specs(capsys, tmp_path):
