@@ -69,10 +69,13 @@ def ext_inv(ctx: GroupContext, aut: InducedAutomorphism, a: ExtElement) -> ExtEl
 
 
 def ext_pow(ctx: GroupContext, aut: InducedAutomorphism, a: ExtElement, k: int) -> ExtElement:
+    _require_involution(aut)
     if k < 0:
         return ext_pow(ctx, aut, ext_inv(ctx, aut, a), -k)
-    acc = ext_identity(ctx)
-    for _ in range(k):
+    if k == 0:
+        return ext_identity(ctx)
+    acc = a
+    for _ in range(k - 1):
         acc = ext_mul(ctx, aut, acc, a)
     return acc
 

@@ -19,10 +19,21 @@ own neighbour bitmasks, Graph.masks, one int per vertex index.
 Natural/Gadget vertices appear only at the boundary: generator and
 central_generator arguments and the element text form.
 
-Elements are immutable slot values.  mul, inv and InducedAutomorphism.apply
-each build the result's generator and central dicts in one local pass,
-adding the cocycle as they go and reducing every sum mod p on the spot, and
-wrap them without a second normalization; no intermediate vector is made.
+Elements are immutable slot values.  mul, inv, commutator and
+InducedAutomorphism.apply each build the result's generator and central
+dicts in one local pass, reading the operands' dicts directly, adding the
+cocycle as they go and reducing every sum mod p on the spot.  They, like
+identity and the samplers, hand those dicts to _element, which makes the
+two vectors and the element with __new__ and the slot setters and checks
+nothing a second time: the modulus is checked once, where operands enter
+(mul, inv, commutator_vector, apply, apply_coset), and GroupElement's own
+constructor, which validates, is left to outside callers.
+
+The samplers draw from the generator's random bits through _below, the
+rejection loop random.Random.randrange runs (n.bit_length() bits at a time
+until the value falls below n), and pick supports by the two pool paths of
+random.Random.sample; so every seeded draw is the one those calls make,
+fixed by this module rather than by the standard library's internals.
 
 Centralizer dimensions, common kernels, their witness bases and the
 kernel subgroup's center all come from one support-local engine
@@ -35,6 +46,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -94,10 +106,13 @@ class GroupContext:
             raise IndexError(f"central coordinate {k} out of range")
         u = bisect.bisect_right(self._later, k) - 1
         w = u + 1 + k - self._later[u]  # the answer if u had no later neighbours
-        for t in mask_bits(self.adj[u] >> (u + 1) << (u + 1)):
-            if t > w:
+        later = self.adj[u] >> (u + 1) << (u + 1)
+        while later:
+            low = later & -later
+            if low.bit_length() - 1 > w:
                 break
             w += 1  # each neighbour at or below w pushes it one further
+            later ^= low
         return u * self.n + w
 
     def __len__(self) -> int:
@@ -129,7 +144,9 @@ class GroupElement:
     def __eq__(self, other):
         if other.__class__ is not GroupElement:
             return NotImplemented
-        return self.gen == other.gen and self.cen == other.cen
+        # both parts of an element share one modulus, so one check covers both
+        g, h = self.gen, other.gen
+        return g.p == h.p and g._entries == h._entries and self.cen._entries == other.cen._entries
 
     def __hash__(self) -> int:
         return hash((self.gen, self.cen))
@@ -141,16 +158,31 @@ class GroupElement:
 # the slot setters, which bypass the refusing __setattr__
 _set_gen = GroupElement.gen.__set__
 _set_cen = GroupElement.cen.__set__
+_new = object.__new__
+
+
+def _element(p: int, gen: dict[int, int], cen: dict[int, int]) -> GroupElement:
+    """Wrap a generator and a central dict, both already reduced mod p with
+    no zeros; the dicts are taken over and nothing is checked again."""
+    g = _new(FpVector)
+    g.p, g._entries, g._hash = p, gen, None
+    c = _new(FpVector)
+    c.p, c._entries, c._hash = p, cen, None
+    a = _new(GroupElement)
+    _set_gen(a, g)
+    _set_cen(a, c)
+    return a
 
 
 def identity(ctx: GroupContext) -> GroupElement:
-    return GroupElement(FpVector.zero(ctx.p), FpVector.zero(ctx.p))
+    return _element(ctx.p, {}, {})
 
 
 def generator(ctx: GroupContext, v: Vertex, exp: int = 1) -> GroupElement:
     if v not in ctx.vindex:
         raise ConfigError(f"{encode_vertex(v)} is not a vertex of this fragment")
-    return GroupElement(FpVector(ctx.p, {ctx.vindex[v]: exp}), FpVector.zero(ctx.p))
+    exp %= ctx.p
+    return _element(ctx.p, {ctx.vindex[v]: exp} if exp else {}, {})
 
 
 def central_generator(ctx: GroupContext, u: Vertex, w: Vertex, exp: int = 1) -> GroupElement:
@@ -170,24 +202,24 @@ def mul(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
     agen, bgen = a.gen, b.gen
     if agen.p != p or bgen.p != p:
         raise ValueError(f"modulus mismatch: {agen.p} and {bgen.p} vs {p}")
-    bitems = bgen.items()
-    gen = dict(agen.items())
-    for k, c in bitems:
+    ag, bg = agen._entries, bgen._entries
+    gen = ag.copy()
+    for k, c in bg.items():
         s = (gen.get(k, 0) + c) % p
         if s:
             gen[k] = s
         else:
             del gen[k]
-    cen = dict(a.cen.items())
-    for k, c in b.cen.items():
+    cen = a.cen._entries.copy()
+    for k, c in b.cen._entries.items():
         s = (cen.get(k, 0) + c) % p
         if s:
             cen[k] = s
         else:
             del cen[k]
-    for w, ca in agen.items():
+    for w, ca in ag.items():
         adj_w = adj[w]
-        for u, cb in bitems:
+        for u, cb in bg.items():
             if u < w and not (adj_w >> u) & 1:  # only swaps where a's vertex comes later
                 key = u * n + w
                 s = (cen.get(key, 0) + ca * cb) % p
@@ -195,7 +227,7 @@ def mul(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
                     cen[key] = s
                 else:
                     del cen[key]
-    return GroupElement(FpVector.from_reduced(p, gen), FpVector.from_reduced(p, cen))
+    return _element(p, gen, cen)
 
 
 def inv(ctx: GroupContext, a: GroupElement) -> GroupElement:
@@ -205,8 +237,8 @@ def inv(ctx: GroupContext, a: GroupElement) -> GroupElement:
     agen = a.gen
     if agen.p != p:
         raise ValueError(f"modulus mismatch: {agen.p} vs {p}")
-    items = agen.items()
-    cen = {k: p - c for k, c in a.cen.items()}
+    items = agen._entries.items()
+    cen = {k: p - c for k, c in a.cen._entries.items()}
     for w, ca in items:
         adj_w = adj[w]
         for u, cb in items:
@@ -217,7 +249,7 @@ def inv(ctx: GroupContext, a: GroupElement) -> GroupElement:
                     cen[key] = s
                 else:
                     del cen[key]
-    return GroupElement(FpVector.from_reduced(p, {k: p - c for k, c in items}), FpVector.from_reduced(p, cen))
+    return _element(p, {k: p - c for k, c in items}, cen)
 
 
 def pow_(ctx: GroupContext, a: GroupElement, k: int) -> GroupElement:
@@ -241,9 +273,11 @@ def commutator_vector(ctx: GroupContext, agen: FpVector, bgen: FpVector) -> FpVe
     nothing because the generators commute.
     """
     p, n, adj = ctx.p, ctx.n, ctx.adj
+    if agen.p != p or bgen.p != p:
+        raise ValueError(f"modulus mismatch: {agen.p} and {bgen.p} vs {p}")
     out: dict[int, int] = {}
-    bitems = bgen.items()
-    for s, ca in agen.items():
+    bitems = bgen._entries.items()
+    for s, ca in agen._entries.items():
         adj_s = adj[s]
         for t, cb in bitems:
             if t == s or (adj_s >> t) & 1:
@@ -261,7 +295,7 @@ def commutator_vector(ctx: GroupContext, agen: FpVector, bgen: FpVector) -> FpVe
 
 
 def commutator(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
-    return GroupElement(FpVector.zero(ctx.p), commutator_vector(ctx, a.gen, b.gen))
+    return _element(ctx.p, {}, commutator_vector(ctx, a.gen, b.gen)._entries)
 
 
 def is_central(a: GroupElement) -> bool:
@@ -407,10 +441,12 @@ class InducedAutomorphism:
     def apply(self, a: GroupElement) -> GroupElement:
         ctx, iperm = self.ctx, self.iperm
         p, n, adj = ctx.p, ctx.n, ctx.adj
+        if a.gen.p != p:
+            raise ValueError(f"modulus mismatch: {a.gen.p} vs {p}")
         # a permutation sends distinct pairs to distinct pairs, so the
         # images of the central coordinates never collide
         cen: dict[int, int] = {}
-        for key, c in a.cen.items():
+        for key, c in a.cen._entries.items():
             iu, iw = iperm[key // n], iperm[key % n]
             if iu < iw:
                 cen[iu * n + iw] = c
@@ -420,7 +456,7 @@ class InducedAutomorphism:
         # back into vertex order picks up a_w a_u at (u, w) wherever the
         # permutation inverts a non-commuting pair.  Permuting coordinates
         # alone would not be a homomorphism.
-        word = [(iperm[v], c) for v, c in sorted(a.gen.items())]
+        word = [(iperm[v], c) for v, c in sorted(a.gen._entries.items())]
         for k, (w, cw) in enumerate(word):
             adj_w = adj[w]
             for u, cu in word[k + 1 :]:
@@ -431,10 +467,13 @@ class InducedAutomorphism:
                         cen[key] = s
                     else:
                         del cen[key]
-        return GroupElement(FpVector.from_reduced(p, dict(word)), FpVector.from_reduced(p, cen))
+        return _element(p, dict(word), cen)
 
     def apply_coset(self, gen: FpVector) -> FpVector:
-        return FpVector.from_reduced(self.ctx.p, {self.iperm[v]: c for v, c in gen.items()})
+        p, iperm = self.ctx.p, self.iperm
+        if gen.p != p:
+            raise ValueError(f"modulus mismatch: {gen.p} vs {p}")
+        return FpVector.from_reduced(p, {iperm[v]: c for v, c in gen._entries.items()})
 
     def moves_coset(self, gen: FpVector) -> bool:
         return self.apply_coset(gen) != gen
@@ -495,21 +534,62 @@ def parse_element(ctx: GroupContext, text: str) -> GroupElement:
 # --- sampling ----------------------------------------------------------------
 
 
+def _below(getrandbits, n: int) -> int:
+    """A draw from range(n), n >= 1: n.bit_length() random bits at a time
+    until the value falls below n, the loop random.Random.randrange runs."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_element(ctx: GroupContext, rng, max_support: int = 4) -> GroupElement:
     """Random normal-form element with small support and at most two
-    central terms, for law suites."""
-    k = rng.randint(0, min(max_support, ctx.n))
-    gen = {i: rng.randint(1, ctx.p - 1) for i in rng.sample(range(ctx.n), k)}
-    return GroupElement(FpVector.from_reduced(ctx.p, gen), _random_central_part(ctx, rng, 2))
+    central terms, for law suites.  rng is a random.Random; the draws are
+    those of rng.randint(0, min(max_support, n)) for the support size k,
+    rng.sample(range(n), k) for the support and rng.randint(1, p - 1) for
+    each exponent, in that order, then the central part's."""
+    if max_support < 0:
+        raise ValueError(f"max_support must be non-negative, got {max_support}")
+    getrandbits = rng.getrandbits
+    n, p = ctx.n, ctx.p
+    k = _below(getrandbits, min(max_support, n) + 1)
+    # random.Random.sample's two paths: a pool of the unpicked indices when
+    # that list is smaller than a k-element set, else a set of the picks
+    setsize = 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
+    picks = []
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = _below(getrandbits, n - i)
+            picks.append(pool[j])
+            pool[j] = pool[n - i - 1]
+    else:
+        seen = set()
+        for _ in range(k):
+            j = _below(getrandbits, n)
+            while j in seen:
+                j = _below(getrandbits, n)
+            seen.add(j)
+            picks.append(j)
+    gen = {i: 1 + _below(getrandbits, p - 1) for i in picks}
+    return _element(p, gen, _random_central_part(ctx, getrandbits, 2))
 
 
 def random_central(ctx: GroupContext, rng, max_terms: int = 3) -> GroupElement:
-    return GroupElement(FpVector.zero(ctx.p), _random_central_part(ctx, rng, max_terms))
+    """Random central element with at most max_terms terms, drawn as
+    rng.randint(0, max_terms) terms of a rng.randrange(ncentral) pair and a
+    rng.randint(1, p - 1) exponent each (no draw when ncentral is 0)."""
+    if max_terms < 0:
+        raise ValueError(f"max_terms must be non-negative, got {max_terms}")
+    return _element(ctx.p, {}, _random_central_part(ctx, rng.getrandbits, max_terms))
 
 
-def _random_central_part(ctx: GroupContext, rng, max_terms: int) -> FpVector:
+def _random_central_part(ctx: GroupContext, getrandbits, max_terms: int) -> dict[int, int]:
     cen: dict[int, int] = {}
-    for _ in range(rng.randint(0, max_terms) if ctx.ncentral else 0):
-        key = ctx.central_key_at(rng.randrange(ctx.ncentral))  # draw the pair before its exponent
-        cen[key] = rng.randint(1, ctx.p - 1)
-    return FpVector.from_reduced(ctx.p, cen)
+    if ctx.ncentral:
+        for _ in range(_below(getrandbits, max_terms + 1)):
+            key = ctx.central_key_at(_below(getrandbits, ctx.ncentral))  # draw the pair before its exponent
+            cen[key] = 1 + _below(getrandbits, ctx.p - 1)
+    return cen

@@ -152,21 +152,20 @@ def _defining_relation_checks(res, ctx):
     e = identity(ctx)
     bad_adj = bad_non = 0
     n_adj = n_non = 0
-    for i, u in enumerate(ctx.vertex_order):
-        for w in ctx.vertex_order[i + 1 :]:
-            c = commutator(ctx, generator(ctx, u), generator(ctx, w))
-            if ctx.graph.has_edge(u, w):
+    n = ctx.n
+    gens = [generator(ctx, v) for v in ctx.vertex_order]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = commutator(ctx, gens[i], gens[j])
+            if not ctx.nonadjacent(i, j):
                 n_adj += 1
                 if c != e:
                     bad_adj += 1
             else:
                 n_non += 1
-                ok = (
-                    len(c.gen) == 0
-                    and len(c.cen) == 1
-                    and c.cen.get(ctx.central_pair(u, w)) in (1, ctx.p - 1)
-                )
-                rev = commutator(ctx, generator(ctx, w), generator(ctx, u))
+                # the pair's own central key, i * n + j for i < j
+                ok = len(c.gen) == 0 and len(c.cen) == 1 and c.cen.get(i * n + j) in (1, ctx.p - 1)
+                rev = commutator(ctx, gens[j], gens[i])
                 if not ok or mul(ctx, c, rev) != e:
                     bad_non += 1
     _check(res, "adjacent generators commute", bad_adj == 0, f"{n_adj} adjacent pairs")

@@ -132,6 +132,11 @@ def test_extension_requires_an_involution():
         ext_mul(ctx, aut, a, a)
     with pytest.raises(ValueError):
         ext_inv(ctx, aut, a)
+    for k in (0, 1, 2, -1):  # a^1 makes no product, and is refused all the same
+        with pytest.raises(ValueError):
+            ext_pow(ctx, aut, a, k)
+    with pytest.raises(ValueError):
+        in_base_by_power_formula(ctx, aut, a)
 
 
 def test_extension_elements_are_immutable_values():

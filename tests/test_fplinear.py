@@ -10,6 +10,7 @@ from mekler.fplinear import (
     is_odd_prime,
     kernel_basis,
     kernel_dim,
+    rref_indexed,
 )
 
 
@@ -109,3 +110,70 @@ def test_kernel_basis_is_reduced_echelon():
         for other in basis:
             if vec is not other:
                 assert other.get(min(vec), 0) == 0
+
+
+def two_elimination_kernel_basis(rows, ncols, p):
+    """The oracle: eliminate with the lowest column as pivot, read one
+    kernel vector off per free column, then put those vectors in reduced
+    echelon form with a second elimination."""
+    pivots = rref_indexed(rows, p)
+    raw = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = {f: 1}
+        for c, prow in pivots.items():
+            coef = prow.get(f, 0)
+            if coef:
+                vec[c] = (-coef) % p
+        raw.append(vec)
+    reduced = rref_indexed(raw, p)
+    return [reduced[c] for c in sorted(reduced)]
+
+
+def random_system(rng, p):
+    """Index-keyed rows of one of five shapes: no rows, zero rows among
+    random ones, full column rank, rows with dependent combinations, and
+    random rows of random density; a fifth of the systems have one column."""
+    ncols = 1 if rng.random() < 0.2 else rng.randint(2, 10)
+    shape = rng.randrange(5)
+    if shape == 0:
+        return [], ncols, shape
+    if shape == 2:  # a triangular system on shuffled columns, then extra rows
+        cols = rng.sample(range(ncols), ncols)
+        rows = [{c: rng.randrange(1, p)} | {d: rng.randrange(1, p) for d in cols[i + 1 :] if rng.random() < 0.5}
+                for i, c in enumerate(cols)]
+        rows += [{c: rng.randrange(1, p) for c in range(ncols) if rng.random() < 0.5} for _ in range(rng.randrange(3))]
+        rng.shuffle(rows)
+        return rows, ncols, shape
+    density = rng.choice((0.2, 0.5, 0.9))
+    rows = [{c: rng.randrange(1, p) for c in range(ncols) if rng.random() < density} for _ in range(rng.randrange(1, ncols + 3))]
+    if shape == 1:
+        rows += [{} for _ in range(rng.randint(1, 3))]
+    elif shape == 3:
+        for _ in range(rng.randint(1, 3)):
+            combo = {}
+            for row in rng.sample(rows, min(2, len(rows))):
+                k = rng.randrange(1, p)
+                for c, v in row.items():
+                    combo[c] = (combo.get(c, 0) + k * v) % p
+            rows.append({c: v for c, v in combo.items() if v})
+    rng.shuffle(rows)
+    return rows, ncols, shape
+
+
+def test_kernel_basis_matches_the_two_elimination_oracle():
+    rng = random.Random(19)
+    seen = set()
+    for p in (3, 5, 7):
+        for _ in range(800):
+            rows, ncols, shape = random_system(rng, p)
+            basis = kernel_basis(iter([dict(r) for r in rows]), ncols, p)
+            assert basis == two_elimination_kernel_basis([dict(r) for r in rows], ncols, p)
+            assert [min(v) for v in basis] == sorted(min(v) for v in basis)
+            seen.add((shape, ncols == 1, len(basis) == 0, len(basis) == ncols))
+    shapes = {s[0] for s in seen}
+    assert shapes == {0, 1, 2, 3, 4}
+    assert (2, False, True, False) in seen  # full rank on several columns: no kernel
+    assert (0, True, False, True) in seen and (0, False, False, True) in seen  # no rows: the standard basis
+    assert any(one and not empty for _, one, empty, _ in seen)  # one free column

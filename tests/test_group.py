@@ -11,11 +11,12 @@ import random
 import pytest
 
 from mekler.fplinear import FpVector, kernel_basis, kernel_dim, rref_indexed
-from mekler.graphs import Gadget, Natural, all_pairs, build_fragment, pair_swap_automorphism
+from mekler.graphs import Gadget, Graph, Natural, all_pairs, build_fragment, pair_swap_automorphism
 from mekler.group import (
     GroupContext,
     GroupElement,
     InducedAutomorphism,
+    _below,
     _local_system,
     central_generator,
     centralizer_dim_mod_center,
@@ -270,9 +271,20 @@ def test_modulus_mismatch_raises():
     ctx = ctx18()
     with pytest.raises(ValueError, match="disagree on modulus"):
         GroupElement(FpVector(3, {0: 1}), FpVector.zero(5))
-    foreign = GroupElement(FpVector(5, {0: 1}), FpVector.zero(5))
+    foreign = GroupElement(FpVector(5, {0: 4, 1: 3}), FpVector.zero(5))
     x = generator(ctx, Natural(0))
-    for bad in (lambda: mul(ctx, x, foreign), lambda: mul(ctx, foreign, x), lambda: inv(ctx, foreign)):
+    aut = InducedAutomorphism(ctx, pair_swap_automorphism(ctx.graph, [(0, 1)]))
+    for bad in (
+        lambda: mul(ctx, x, foreign),
+        lambda: mul(ctx, foreign, x),
+        lambda: inv(ctx, foreign),
+        lambda: aut.apply(foreign),
+        lambda: aut.apply_coset(foreign.gen),
+        lambda: aut.moves_coset(foreign.gen),
+        lambda: commutator_vector(ctx, x.gen, foreign.gen),
+        lambda: commutator_vector(ctx, foreign.gen, x.gen),
+        lambda: commutator(ctx, foreign, x),
+    ):
         with pytest.raises(ValueError, match="modulus mismatch"):
             bad()
 
@@ -400,6 +412,73 @@ def test_random_element_is_deterministic_per_seed():
     assert len({format_element(ctx, a) for a in seq1}) > 1
     assert random_central(ctx, random.Random(5)) == random_central(ctx, random.Random(5))
     assert is_central(random_central(ctx, random.Random(6)))
+
+
+def frozen_random_element(ctx, rng, max_support=4):
+    """The sampler as it was, through rng.randint, rng.sample and rng.randrange."""
+    k = rng.randint(0, min(max_support, ctx.n))
+    gen = {i: rng.randint(1, ctx.p - 1) for i in rng.sample(range(ctx.n), k)}
+    return GroupElement(FpVector.from_reduced(ctx.p, gen), frozen_central_part(ctx, rng, 2))
+
+
+def frozen_random_central(ctx, rng, max_terms=3):
+    return GroupElement(FpVector.zero(ctx.p), frozen_central_part(ctx, rng, max_terms))
+
+
+def frozen_central_part(ctx, rng, max_terms):
+    cen = {}
+    for _ in range(rng.randint(0, max_terms) if ctx.ncentral else 0):
+        key = ctx.central_key_at(rng.randrange(ctx.ncentral))
+        cen[key] = rng.randint(1, ctx.p - 1)
+    return FpVector.from_reduced(ctx.p, cen)
+
+
+def test_below_draws_as_randrange():
+    for n in (1, 2, 3, 4, 5, 7, 8, 21, 22, 34, 100, 1 << 20, (1 << 40) + 3):
+        for seed in range(20):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            assert [_below(rng.getrandbits, n) for _ in range(30)] == [oracle.randrange(n) for _ in range(30)]
+            assert rng.random() == oracle.random()
+
+
+def complete_ctx(p):
+    verts = [Natural(i) for i in range(4)]
+    return GroupContext(Graph(verts, itertools.combinations(verts, 2)), p)
+
+
+@pytest.mark.parametrize(
+    "make, n, ncentral",
+    [
+        (lambda: ctx7(3), 7, 14),
+        (lambda: ctx18(5), 18, 132),
+        (lambda: GroupContext(build_fragment([0, 1, 2, 3], all_pairs([0, 1, 2, 3])), 7), 34, 519),
+        (lambda: GroupContext(build_fragment(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)]), 3), 25, 272),
+        (lambda: complete_ctx(5), 4, 0),
+    ],
+    ids=["n7-p3", "n18-p5", "n34-p7", "n25-p3", "no-center-p5"],
+)
+def test_samplers_draw_as_the_standard_library_calls(make, n, ncentral):
+    """random_element and random_central make the draws, in the same order,
+    that rng.randint, rng.sample and rng.randrange made, on both paths of
+    sample (the pool for n <= 21, and for k > 5 up to n = 85; the set of
+    picks above) and with no center, and leave the generator in the same
+    state."""
+    ctx = make()
+    assert (ctx.n, ctx.ncentral) == (n, ncentral)
+    for seed in range(40):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for support, terms in ((4, 3), (0, 0), (1, 1), (8, 5), (ctx.n, 2)):
+            for _ in range(3):
+                a, b = random_element(ctx, rng, support), frozen_random_element(ctx, oracle, support)
+                assert a == b and list(a.gen.items()) == list(b.gen.items())
+                assert list(a.cen.items()) == list(b.cen.items())
+                a, b = random_central(ctx, rng, terms), frozen_random_central(ctx, oracle, terms)
+                assert a == b and list(a.cen.items()) == list(b.cen.items())
+        assert rng.random() == oracle.random()
+    with pytest.raises(ValueError):
+        random_element(ctx, random.Random(0), -1)
+    with pytest.raises(ValueError):
+        random_central(ctx, random.Random(0), -1)
 
 
 def old_pair_enumeration(ctx):
