@@ -39,13 +39,22 @@ walking every support, in two steps:
         edge-free supports are the prefix counts over vertex order of each
         functional-bit pattern minus those with an edge;
     (2) a support with t > 0 lies inside some N(v), so it is among the
-        size-subsets of the neighbourhoods, built once per scan (centres
-        of one degree together) with t and the functional's count on the
-        common neighbours.  Each is moved from its t = 0 code to its own.
+        size-subsets of the neighbourhoods (centres of one degree taken
+        together), each with t and the functional's count on the common
+        neighbours.  Each is moved from its t = 0 code to its own.
 
-A scan costs O(n^2 + |E| log |E| + sum_v C(deg v, 3)) time, not O(n^3):
-the n^2 is reading the dense adjacency matrix.  Its memory holds that
-matrix and the neighbourhood subsets.  Walking every support one anchor
+What reads the graph alone is kept in per-graph tables: the dense
+adjacency matrix, the natural and provisioned masks, the edges, the
+neighbourhood subsets of each size with their t, centres and incidences,
+and the triangles.  They cost O(n^2 + |E| log |E| + sum_v C(deg v, 3))
+time and memory, not O(n^3) (the n^2 is the dense matrix), paid on a
+graph's first scan, one support size at a time, and are held read-only
+while the graph is alive, shared by its contexts at every prime.  Each
+scan pays only for what reads the functional: its bits, the functional's
+count on the common neighbours by one bincount over the incidences, the
+t = 0 pattern counts and the histograms, in O(n + |E| log |E| +
+sum_v C(deg v, 3)) time.  Nothing that reads the functional, the prime,
+the budget or the threshold is kept.  Walking every support one anchor
 (smallest vertex) at a time survives only to list the supports of
 violating signatures.
 
@@ -58,13 +67,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .fplinear import FpVector, rref_indexed
-from .graphs import ConfigError, Natural, Vertex
+from .graphs import ConfigError, Graph, Natural, Vertex
 from .group import GroupContext, commuting_kernel_dim, commuting_rows
 from .subgroup import DIM_THRESHOLD, PROVISION_PARTNERS, EdgeFunctional
 
@@ -136,27 +146,18 @@ class ScanResult:
 
 def _adjacency_matrix(masks: Sequence[int]) -> np.ndarray:
     """The neighbour bitmasks unpacked into a dense bool matrix, for the
-    scans only; each scan unpacks its own."""
+    scans only; each graph's is unpacked once, on its first scan."""
     n, width = len(masks), (len(masks) + 7) // 8
     rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     return np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
 
-def _context_arrays(ctx: GroupContext, ell: EdgeFunctional | None):
-    """Adjacency matrix, ell bits, natural mask and provisioned mask, in
-    vertex order.  Functional values are 0 or 1, so the bits are the values."""
-    adj = _adjacency_matrix(ctx.adj)
+def _ell_bits(ctx: GroupContext, ell: EdgeFunctional | None) -> np.ndarray:
+    """The functional's nonzero vertices, in vertex order.  Functional
+    values are 0 or 1, so the bits are the values."""
     if ell is None:
-        ellbit = np.zeros(len(ctx), dtype=np.int64)
-    else:
-        ellbit = (np.array(ell.values(ctx)) % ctx.p != 0).astype(np.int64)
-    nat = np.array([isinstance(v, Natural) for v in ctx.vertex_order], dtype=np.int64)
-    partners = ctx.graph.partner_counts()
-    prov = np.array(
-        [isinstance(v, Natural) and partners[v.n] >= PROVISION_PARTNERS for v in ctx.vertex_order],
-        dtype=np.int64,
-    )
-    return adj, ellbit, nat, prov
+        return np.zeros(len(ctx), dtype=np.int64)
+    return (np.array(ell.values(ctx)) % ctx.p != 0).astype(np.int64)
 
 
 @functools.cache
@@ -233,19 +234,10 @@ def _support_keys(sup: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-class _GraphTables(NamedTuple):
-    """What the counted histograms read of the graph, built once per scan."""
-
-    src: np.ndarray  # np.nonzero(adj): every ordered edge (src, dst), by src then dst
-    dst: np.ndarray
-    subsets: dict  # size -> (sorted keys, t, tl) of the neighbourhood subsets
-    triangles: np.ndarray  # (m, 3) rows (c, a, b): a < b in N(c) and a ~ b
-
-
-def _wedges(src: np.ndarray, dst: np.ndarray, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _wedges(dst: np.ndarray, deg: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Every size-subset of every neighbourhood N(c), as the centres c and
-    ascending (m, size) rows.  Centres of one degree are taken together."""
-    deg = np.bincount(src, minlength=n)
+    ascending (m, size) rows, from the ordered edges' ends and the degrees.
+    Centres of one degree are taken together."""
     start = np.cumsum(deg) - deg
     centres, rows = [np.zeros(0, dtype=np.int64)], [np.zeros((0, size), dtype=np.int64)]
     for d in np.flatnonzero(np.bincount(deg)):
@@ -259,24 +251,71 @@ def _wedges(src: np.ndarray, dst: np.ndarray, n: int, size: int) -> tuple[np.nda
     return np.concatenate(centres), np.concatenate(rows)
 
 
-def _neighbourhood_subsets(adj: np.ndarray, ellbit: np.ndarray, max_support: int) -> _GraphTables:
-    """The graph's edges and, for each size from 2 to max_support, the
-    distinct size-subsets of the neighbourhoods N(v) as sorted keys, with t
-    (how many N(v) hold the subset) and tl (how many of those v the
-    functional is nonzero on); also every triangle once per edge, from the
-    neighbourhood pairs that are edges."""
-    n = len(adj)
-    src, dst = np.nonzero(adj)
-    subsets, triangles = {}, np.zeros((0, 3), dtype=np.int64)
-    for size in range(2, max_support + 1):
-        centres, rows = _wedges(src, dst, n, size)
-        uniq, inverse, t = np.unique(_support_keys(rows, n), return_inverse=True, return_counts=True)
-        tl = np.bincount(inverse.ravel(), weights=ellbit[centres], minlength=len(uniq))
-        subsets[size] = uniq, t, tl.astype(np.int64)
-        if size == 2:
-            closed = adj[rows[:, 0], rows[:, 1]]
-            triangles = np.column_stack([centres[closed], rows[closed]])
-    return _GraphTables(src, dst, subsets, triangles)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # shared by every scan of the graph
+    return a
+
+
+class _Subsets(NamedTuple):
+    """The distinct size-subsets of the neighbourhoods N(c) of one graph."""
+
+    rows: np.ndarray  # (m, size) ascending rows, in lexicographic order
+    t: np.ndarray  # how many N(c) hold each row
+    centres: np.ndarray  # the centre c of every (c, subset) incidence
+    inverse: np.ndarray  # the row of every incidence
+
+
+class _GraphTables:
+    """What the scans read of the graph alone, in vertex order: the dense
+    adjacency matrix, the natural and provisioned masks, every ordered edge
+    (src, dst) by src then dst, and, one support size at a time as a scan
+    first needs it, the neighbourhood subsets of that size and (with the
+    pairs) every triangle once per edge, as rows (c, a, b) with a < b in
+    N(c) and a ~ b.  Every array is read-only; nothing here reads a
+    functional, a prime or a budget."""
+
+    def __init__(self, adj: np.ndarray, nat: np.ndarray, prov: np.ndarray):
+        self.n = len(adj)
+        self.adj, self.nat, self.prov = map(_frozen, (adj, nat, prov))
+        self.src, self.dst = map(_frozen, np.nonzero(adj))
+        self.degree = _frozen(np.bincount(self.src, minlength=self.n))
+        self._subsets: dict[int, _Subsets] = {}
+        self._triangles: np.ndarray | None = None
+
+    def subsets(self, size: int) -> _Subsets:
+        if size not in self._subsets:
+            centres, rows = _wedges(self.dst, self.degree, size)
+            _, first, inverse, t = np.unique(
+                _support_keys(rows, self.n), return_index=True, return_inverse=True, return_counts=True
+            )
+            if size == 2:
+                closed = self.adj[rows[:, 0], rows[:, 1]]
+                self._triangles = _frozen(np.column_stack([centres[closed], rows[closed]]))
+            self._subsets[size] = _Subsets(*map(_frozen, (rows[first], t, centres, inverse.ravel())))
+        return self._subsets[size]
+
+    def triangles(self) -> np.ndarray:
+        self.subsets(2)
+        return self._triangles
+
+
+_TABLES: weakref.WeakKeyDictionary[Graph, _GraphTables] = weakref.WeakKeyDictionary()
+
+
+def _graph_tables(graph: Graph) -> _GraphTables:
+    """The graph's tables, built on its first scan and held while the graph
+    is alive, so contexts at every prime share them.  A Graph is immutable
+    after creation, so its tables never go stale."""
+    tables = _TABLES.get(graph)
+    if tables is None:
+        nat = np.array([isinstance(v, Natural) for v in graph.vertices], dtype=np.int64)
+        partners = graph.partner_counts()
+        prov = np.array(
+            [isinstance(v, Natural) and partners[v.n] >= PROVISION_PARTNERS for v in graph.vertices],
+            dtype=np.int64,
+        )
+        tables = _TABLES[graph] = _GraphTables(_adjacency_matrix(graph.masks), nat, prov)
+    return tables
 
 
 def _pattern_totals(ellbit: np.ndarray, size: int) -> np.ndarray:
@@ -338,7 +377,7 @@ def _edge_triples(tables: _GraphTables, ellbit: np.ndarray) -> np.ndarray:
     near_a, near_b = neighbours(a), neighbours(b)
     r, lc = np.arange(3)[:, None], np.arange(2)
     la, lb = ellbit[a][:, :, None], ellbit[b][:, :, None]
-    c, x, y = tables.triangles.T
+    c, x, y = tables.triangles().T
     rt = (c > x).astype(np.int64) + (c > y)  # region of c against the edge x < y
     # keyed (c ~ a, c ~ b): the counts without T, then each triangle's signs
     by_edge = {(0, 0): region - near_a - near_b, (1, 0): near_a, (0, 1): near_b}
@@ -366,19 +405,17 @@ def _t0_patterns(tables: _GraphTables, ellbit: np.ndarray, size: int) -> np.ndar
     return counts.ravel()
 
 
-def _signature_histogram(adj, ellbit, nat, prov, size: int, tables: _GraphTables) -> np.ndarray:
+def _signature_histogram(tables: _GraphTables, ellbit: np.ndarray, size: int) -> np.ndarray:
     """Supports of the given size per signature code, as from
     _support_batches.  Pairs and triples are counted at t = 0 per pattern
     in closed form, then each neighbourhood subset (t >= 1) is moved from
     its t = 0 code to its own."""
-    n = len(adj)
     if size == 1:
-        sup = np.arange(n)[:, None]
-        t, tl = adj.sum(axis=1), adj[:, ellbit == 1].sum(axis=1)
-        return np.bincount(_signatures(sup, t, tl, adj, ellbit, nat, prov, 1))
-    keys, t, tl = tables.subsets[size]
-    sup = np.column_stack([keys // n ** (size - 1 - u) % n for u in range(size)])
-    code = _signatures(sup, t, tl, adj, ellbit, nat, prov, size)
+        tl = np.bincount(tables.src, weights=ellbit[tables.dst], minlength=tables.n)
+        return np.bincount(_signatures(np.arange(tables.n)[:, None], tables.degree, tl, tables, ellbit, 1))
+    sub = tables.subsets(size)
+    tl = np.bincount(sub.inverse, weights=ellbit[sub.centres], minlength=len(sub.t))
+    code = _signatures(sub.rows, sub.t, tl, tables, ellbit, size)
     counts = _t0_patterns(tables, ellbit, size)
     nbits = size * (size - 1) // 2
     at_t0 = code & ((1 << (2 + size + nbits)) - 1)  # t and tl > 0 are the top bits
@@ -388,30 +425,29 @@ def _signature_histogram(adj, ellbit, nat, prov, size: int, tables: _GraphTables
     return np.bincount(codes, weights=weights).astype(np.int64)
 
 
-def _signatures(sup, t, tl, adj, ellbit, nat, prov, size: int) -> np.ndarray:
+def _signatures(sup, t, tl, tables: _GraphTables, ellbit, size: int) -> np.ndarray:
     """One integer per support, packing (t, tl > 0, non-adjacency bits,
     ell bits, natural and provisioned bits) from high to low."""
     code = t * 2 + (tl > 0)
     for u, w in itertools.combinations(range(size), 2):
-        code = code * 2 + ~adj[sup[:, u], sup[:, w]]
+        code = code * 2 + ~tables.adj[sup[:, u], sup[:, w]]
     for u in range(size):
         code = code * 2 + ellbit[sup[:, u]]
     if size == 1:
-        return code * 4 + nat[sup[:, 0]] * 2 + prov[sup[:, 0]]
+        return code * 4 + tables.nat[sup[:, 0]] * 2 + tables.prov[sup[:, 0]]
     return code * 4
 
 
-def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support):
+def _scan_arrays(tables: _GraphTables, ellbit: np.ndarray, p: int, mode: int, max_support: int):
     """Scan every support up to max_support; returns (elements, members,
     records) with records (kind, support indices, exps, dim_group,
     dim_subgroup) in ScanResult order."""
     checked = 0
     members = 0
     records = []
-    tables = _neighbourhood_subsets(adj, ellbit, max_support)
     for size in range(1, max_support + 1):
         rank_b, rank_bl, memb, pats = _rank_tables(p, size)
-        hist = _signature_histogram(adj, ellbit, nat, prov, size, tables)
+        hist = _signature_histogram(tables, ellbit, size)
         codes = np.flatnonzero(hist)
         counts = hist[codes]
         nbits = size * (size - 1) // 2
@@ -438,8 +474,8 @@ def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support):
         bad_codes = codes[(kind >= 0).any(axis=1)]
         if not len(bad_codes):
             continue
-        for sup, t, tl in _support_batches(adj, ellbit, size):
-            code = _signatures(sup, t, tl, adj, ellbit, nat, prov, size)
+        for sup, t, tl in _support_batches(tables.adj, ellbit, size):
+            code = _signatures(sup, t, tl, tables, ellbit, size)
             for pos in np.flatnonzero(np.isin(code, bad_codes)):
                 r = np.searchsorted(codes, code[pos])
                 for ci in np.flatnonzero(kind[r] >= 0):
@@ -449,13 +485,17 @@ def _scan_arrays(adj, ellbit, nat, prov, p, mode, max_support):
     return checked, members, records
 
 
-def _run_scan(ctx, ell, mode, max_support):
+def check_support_budget(max_support: int) -> None:
+    """Refuse a support budget the scans do not cover."""
     if max_support < 1:
         raise ConfigError(f"support budget must be 1 to 3, got {max_support}")
     if max_support > 3:
         raise ConfigError("support budgets beyond 3 are not covered by the dichotomy statements")
-    adj, ellbit, nat, prov = _context_arrays(ctx, ell)
-    checked, members, records = _scan_arrays(adj, ellbit, nat, prov, ctx.p, mode, max_support)
+
+
+def _run_scan(ctx, ell, mode, max_support):
+    check_support_budget(max_support)
+    checked, members, records = _scan_arrays(_graph_tables(ctx.graph), _ell_bits(ctx, ell), ctx.p, mode, max_support)
     verts = ctx.vertex_order
     return ScanResult(
         mode=mode,

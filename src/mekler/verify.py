@@ -35,7 +35,7 @@ from .group import (
 from .interpret import (
     DEFAULT_P, DEFAULT_SEED, DEFAULT_TRANSLATES, build_down_fragment, build_up_fragment, natural_graph, roundtrip
 )
-from .kernels import element_dims, scan_group_bound, scan_subgroup_dichotomy
+from .kernels import check_support_budget, element_dims, scan_group_bound, scan_subgroup_dichotomy
 from .subgroup import (
     EdgeFunctional,
     assess_adequacy,
@@ -77,6 +77,7 @@ class VerifyConfig:
             raise ConfigError(f"sample budget must be at least 1, got {self.samples}")
         if self.translates < 1:
             raise ConfigError(f"translates must be at least 1, got {self.translates}")
+        check_support_budget(self.support_budget)
         for a, b in edges:
             if a == b or a not in nats or b not in nats:
                 raise ConfigError(f"edge {a}-{b} is not a pair of configured naturals")

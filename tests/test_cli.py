@@ -333,6 +333,16 @@ def test_support_budget_out_of_range_is_named(capsys, budget, message):
     assert f"configuration rejected: {message}" in err
 
 
+def test_support_budget_is_refused_before_any_suite_runs(capsys, monkeypatch):
+    def no_suite(*args):
+        raise RuntimeError("a suite ran")
+
+    monkeypatch.setattr(verify, "_group_axiom_checks", no_suite)
+    code, out, err = run(capsys, "verify-lemmas", "--budget-support", "4", "--budget-samples", "5")
+    assert code == 2 and out == ""
+    assert "configuration rejected: support budgets beyond 3 are not covered" in err
+
+
 def test_fragment_structured(capsys):
     code, out, _ = run(
         capsys, "fragment", "--naturals", "0,1,2", "--pairs", "0-1", "--format", "structured"
