@@ -39,22 +39,17 @@ walking every support, in two steps:
         edge-free supports are the prefix counts over vertex order of each
         functional-bit pattern minus those with an edge;
     (2) a support with t > 0 lies inside some N(v), so it is among the
-        size-subsets of the neighbourhoods (centres of one degree taken
-        together), each with t and the functional's count on the common
-        neighbours.  Each is moved from its t = 0 code to its own.
+        size-subsets of the neighbourhoods, built once per scan (centres
+        of one degree together) with t and the functional's count on the
+        common neighbours.  Each is moved from its t = 0 code to its own.
 
-What reads the graph alone is kept in per-graph tables: the dense
-adjacency matrix, the natural and provisioned masks, the edges, the
-neighbourhood subsets of each size with their t, centres and incidences,
-and the triangles.  They cost O(n^2 + |E| log |E| + sum_v C(deg v, 3))
-time and memory, not O(n^3) (the n^2 is the dense matrix), paid on a
-graph's first scan, one support size at a time, and are held read-only
-while the graph is alive, shared by its contexts at every prime.  Each
-scan pays only for what reads the functional: its bits, the functional's
-count on the common neighbours by one bincount over the incidences, the
-t = 0 pattern counts and the histograms, in O(n + |E| log |E| +
-sum_v C(deg v, 3)) time.  Nothing that reads the functional, the prime,
-the budget or the threshold is kept.  Walking every support one anchor
+A scan first builds what it reads of the graph alone (the dense adjacency
+matrix, the natural and provisioned masks, the edges, the neighbourhood
+subsets up to its support budget and the triangles), then counts what
+reads the functional.  It costs O(n^2 + |E| log |E| + sum_v C(deg v, 3))
+time, not O(n^3): the n^2 is reading the dense adjacency matrix.  Its
+memory holds that matrix and the neighbourhood subsets; no scan keeps
+anything of its graph or its functional.  Walking every support one anchor
 (smallest vertex) at a time survives only to list the supports of
 violating signatures.
 
@@ -67,7 +62,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -146,7 +140,7 @@ class ScanResult:
 
 def _adjacency_matrix(masks: Sequence[int]) -> np.ndarray:
     """The neighbour bitmasks unpacked into a dense bool matrix, for the
-    scans only; each graph's is unpacked once, on its first scan."""
+    scans only; each scan unpacks its own."""
     n, width = len(masks), (len(masks) + 7) // 8
     rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     return np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
@@ -157,7 +151,7 @@ def _ell_bits(ctx: GroupContext, ell: EdgeFunctional | None) -> np.ndarray:
     values are 0 or 1, so the bits are the values."""
     if ell is None:
         return np.zeros(len(ctx), dtype=np.int64)
-    return (np.array(ell.values(ctx)) % ctx.p != 0).astype(np.int64)
+    return np.fromiter(map(ell.value, ctx.vertex_order), dtype=np.int64, count=len(ctx))
 
 
 @functools.cache
@@ -234,26 +228,27 @@ def _support_keys(sup: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
+@functools.cache
+def _combinations(d: int, size: int) -> np.ndarray:
+    """Every ascending size-subset of range(d), as the rows of a read-only array."""
+    rows = np.array(list(itertools.combinations(range(d), size)), dtype=np.int64)
+    rows.flags.writeable = False
+    return rows
+
+
 def _wedges(dst: np.ndarray, deg: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Every size-subset of every neighbourhood N(c), as the centres c and
     ascending (m, size) rows, from the ordered edges' ends and the degrees.
     Centres of one degree are taken together."""
     start = np.cumsum(deg) - deg
     centres, rows = [np.zeros(0, dtype=np.int64)], [np.zeros((0, size), dtype=np.int64)]
-    for d in np.flatnonzero(np.bincount(deg)):
-        if d < size:
-            continue
+    for d in np.flatnonzero(np.bincount(deg)[size:]) + size:
         cs = np.flatnonzero(deg == d)
         nbrs = dst[start[cs][:, None] + np.arange(d)]  # ascending in each row
-        combos = np.array(list(itertools.combinations(range(d), size)))
+        combos = _combinations(int(d), size)
         centres.append(np.repeat(cs, len(combos)))
         rows.append(nbrs[:, combos].reshape(-1, size))
     return np.concatenate(centres), np.concatenate(rows)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False  # shared by every scan of the graph
-    return a
 
 
 class _Subsets(NamedTuple):
@@ -266,71 +261,51 @@ class _Subsets(NamedTuple):
 
 
 class _GraphTables:
-    """What the scans read of the graph alone, in vertex order: the dense
+    """What a scan reads of the graph alone, in vertex order: the dense
     adjacency matrix, the natural and provisioned masks, every ordered edge
-    (src, dst) by src then dst, and, one support size at a time as a scan
-    first needs it, the neighbourhood subsets of that size and (with the
-    pairs) every triangle once per edge, as rows (c, a, b) with a < b in
-    N(c) and a ~ b.  Every array is read-only; nothing here reads a
-    functional, a prime or a budget."""
+    (src, dst) by src then dst with the degrees, the neighbourhood subsets
+    of each size from 2 to max_support and, with the pairs, every triangle
+    once per edge, as rows (c, a, b) with a < b in N(c) and a ~ b.  Nothing
+    here reads a functional or a prime."""
 
-    def __init__(self, adj: np.ndarray, nat: np.ndarray, prov: np.ndarray):
-        self.n = len(adj)
-        self.adj, self.nat, self.prov = map(_frozen, (adj, nat, prov))
-        self.src, self.dst = map(_frozen, np.nonzero(adj))
-        self.degree = _frozen(np.bincount(self.src, minlength=self.n))
-        self._subsets: dict[int, _Subsets] = {}
-        self._triangles: np.ndarray | None = None
-
-    def subsets(self, size: int) -> _Subsets:
-        if size not in self._subsets:
+    def __init__(self, adj: np.ndarray, nat: np.ndarray, prov: np.ndarray, max_support: int = 3):
+        self.n = n = len(adj)
+        self.adj, self.nat, self.prov = adj, nat, prov
+        self.src, self.dst = np.divmod(np.flatnonzero(adj), n)  # np.nonzero is several times slower
+        self.degree = np.bincount(self.src, minlength=n)
+        self.subsets: dict[int, _Subsets] = {}
+        self.triangles = np.zeros((0, 3), dtype=np.int64)
+        for size in range(2, max_support + 1):
             centres, rows = _wedges(self.dst, self.degree, size)
             _, first, inverse, t = np.unique(
-                _support_keys(rows, self.n), return_index=True, return_inverse=True, return_counts=True
+                _support_keys(rows, n), return_index=True, return_inverse=True, return_counts=True
             )
+            self.subsets[size] = _Subsets(rows[first], t, centres, inverse.ravel())
             if size == 2:
-                closed = self.adj[rows[:, 0], rows[:, 1]]
-                self._triangles = _frozen(np.column_stack([centres[closed], rows[closed]]))
-            self._subsets[size] = _Subsets(*map(_frozen, (rows[first], t, centres, inverse.ravel())))
-        return self._subsets[size]
-
-    def triangles(self) -> np.ndarray:
-        self.subsets(2)
-        return self._triangles
+                closed = adj[rows[:, 0], rows[:, 1]]
+                self.triangles = np.column_stack([centres[closed], rows[closed]])
 
 
-_TABLES: weakref.WeakKeyDictionary[Graph, _GraphTables] = weakref.WeakKeyDictionary()
-
-
-def _graph_tables(graph: Graph) -> _GraphTables:
-    """The graph's tables, built on its first scan and held while the graph
-    is alive, so contexts at every prime share them.  A Graph is immutable
-    after creation, so its tables never go stale."""
-    tables = _TABLES.get(graph)
-    if tables is None:
-        nat = np.array([isinstance(v, Natural) for v in graph.vertices], dtype=np.int64)
-        partners = graph.partner_counts()
-        prov = np.array(
-            [isinstance(v, Natural) and partners[v.n] >= PROVISION_PARTNERS for v in graph.vertices],
-            dtype=np.int64,
-        )
-        tables = _TABLES[graph] = _GraphTables(_adjacency_matrix(graph.masks), nat, prov)
-    return tables
+def _graph_tables(graph: Graph, max_support: int) -> _GraphTables:
+    """The tables of one scan of the graph, up to the given support size."""
+    partners = graph.partner_counts()
+    # 2 for a natural, plus 1 when it is provisioned
+    flags = np.array(
+        [isinstance(v, Natural) and 2 + (partners[v.n] >= PROVISION_PARTNERS) for v in graph.vertices],
+        dtype=np.int64,
+    )
+    return _GraphTables(_adjacency_matrix(graph.masks), flags >> 1, flags & 1, max_support)
 
 
 def _pattern_totals(ellbit: np.ndarray, size: int) -> np.ndarray:
     """Supports of each positional functional-bit pattern (first vertex's
     bit highest), from prefix counts over vertex order: ends[pat][j] counts
     the increasing tuples with pattern pat whose last vertex is j."""
-    onehot = (1 - ellbit, ellbit)
-    ends = {(): None}
-    for _ in range(size):
-        ends = {
-            pat + (bit,): onehot[bit] * (1 if prev is None else np.cumsum(prev) - prev)
-            for pat, prev in ends.items()
-            for bit in (0, 1)
-        }
-    return np.array([ends[pat].sum() for pat in itertools.product((0, 1), repeat=size)], dtype=np.int64)
+    onehot = np.stack([1 - ellbit, ellbit])
+    ends = onehot
+    for _ in range(size - 1):
+        ends = (np.cumsum(ends, axis=-1) - ends)[..., None, :] * onehot
+    return ends.sum(axis=-1).ravel()
 
 
 def _triple_patterns() -> np.ndarray:
@@ -354,38 +329,36 @@ def _edge_triples(tables: _GraphTables, ellbit: np.ndarray) -> np.ndarray:
     below, between or above it, with ell bit 0 or 1; there the triples with
     c ~ a and c ~ b are the triangles T, those with c ~ a only number
     |N(a) ∩ region| - T, with c ~ b only |N(b) ∩ region| - T, and the rest
-    |region| - |N(a) ∩ region| - |N(b) ∩ region| + T."""
+    |region| - |N(a) ∩ region| - |N(b) ∩ region| + T.  A pattern reads the
+    edge only through the ell bits of a and b, so each count is summed over
+    the edges of one (ell bit of a, ell bit of b) class, and each triangle
+    is counted in its class (region, ell bits of a, b and c)."""
     n = len(ellbit)
-    src, dst = tables.src, tables.dst
-    up = src < dst
-    a, b = src[up, None], dst[up, None]
-    lo = np.hstack([np.zeros_like(a), a + 1, b + 1])  # (edges, region)
-    hi = np.hstack([a, b, np.full_like(a, n)])
-
-    def by_ell(total, ones):  # (edges, region, ell bit of c)
-        return np.stack([total - ones, ones], axis=-1)
-
-    prefix = np.concatenate([[0], np.cumsum(ellbit)])
-    region = by_ell(hi - lo, prefix[hi] - prefix[lo])
-    keys = src * n + dst  # ascending
-    key_prefix = np.concatenate([[0], np.cumsum(ellbit[dst])])
-
-    def neighbours(v):
-        i, j = np.searchsorted(keys, v * n + lo), np.searchsorted(keys, v * n + hi)
-        return by_ell(j - i, key_prefix[j] - key_prefix[i])
-
-    near_a, near_b = neighbours(a), neighbours(b)
-    r, lc = np.arange(3)[:, None], np.arange(2)
-    la, lb = ellbit[a][:, :, None], ellbit[b][:, :, None]
-    c, x, y = tables.triangles().T
+    src, dst, degree = tables.src, tables.dst, tables.degree
+    start = np.cumsum(degree) - degree  # row v of the ordered edges is start[v] to end[v]
+    end = start + degree
+    split = start + np.bincount(src[dst < src], minlength=n)  # first neighbour above v
+    e = np.flatnonzero(src < dst)  # the edges a < b, by position
+    a, b = src[e], dst[e]
+    f = np.searchsorted(src * n + dst, b * n + a)  # the same edges as (b, a)
+    # windows (count, region, edge) into one prefix of the ell bits: the
+    # vertices of each region, then N(a) and N(b) in it as runs of the edges
+    prefix = np.concatenate([[0], np.cumsum(ellbit), [0], np.cumsum(ellbit[dst])])
+    lo = np.array([np.zeros_like(a), a + 1, b + 1, start[a], split[a], e + 1, start[b], f + 1, split[b]]).reshape(3, 3, -1)
+    hi = np.array([a, b, np.full_like(a, n), split[a], e, end[a], f, split[b], end[b]]).reshape(3, 3, -1)
+    lo[1:] += n + 1
+    hi[1:] += n + 1
+    ones = prefix[hi] - prefix[lo]
+    by_ell = np.stack([hi - lo - ones, ones], axis=2)  # (count, region, ell bit of c, edge)
+    edge_class = (ellbit[a] << 1 | ellbit[b])[:, None] == np.arange(4)
+    # each count summed per class, as (region, ell bits of a, b and c)
+    region, near_a, near_b = (by_ell @ edge_class).reshape(3, 3, 2, 2, 2).transpose(0, 1, 3, 4, 2)
+    c, x, y = tables.triangles.T
     rt = (c > x).astype(np.int64) + (c > y)  # region of c against the edge x < y
-    # keyed (c ~ a, c ~ b): the counts without T, then each triangle's signs
-    by_edge = {(0, 0): region - near_a - near_b, (1, 0): near_a, (0, 1): near_b}
-    by_triangle = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1}
-    codes = [TRIPLE_PATTERN[r, ca, cb, la, lb, lc].ravel() for ca, cb in by_edge]
-    codes += [TRIPLE_PATTERN[rt, ca, cb, ellbit[x], ellbit[y], ellbit[c]] for ca, cb in by_triangle]
-    weights = [count.ravel() for count in by_edge.values()] + [np.full(len(c), sign) for sign in by_triangle.values()]
-    return np.bincount(np.concatenate(codes), weights=np.concatenate(weights), minlength=64)
+    tri = np.bincount(((rt << 1 | ellbit[x]) << 1 | ellbit[y]) << 1 | ellbit[c], minlength=24).reshape(3, 2, 2, 2)
+    # indexed (region, c ~ a, c ~ b, ell bits of a, b and c), like TRIPLE_PATTERN
+    weights = np.moveaxis(np.array([[region - near_a - near_b + tri, near_b - tri], [near_a - tri, tri]]), 2, 0)
+    return np.bincount(TRIPLE_PATTERN.ravel(), weights=weights.ravel(), minlength=64)
 
 
 def _t0_patterns(tables: _GraphTables, ellbit: np.ndarray, size: int) -> np.ndarray:
@@ -413,7 +386,7 @@ def _signature_histogram(tables: _GraphTables, ellbit: np.ndarray, size: int) ->
     if size == 1:
         tl = np.bincount(tables.src, weights=ellbit[tables.dst], minlength=tables.n)
         return np.bincount(_signatures(np.arange(tables.n)[:, None], tables.degree, tl, tables, ellbit, 1))
-    sub = tables.subsets(size)
+    sub = tables.subsets[size]
     tl = np.bincount(sub.inverse, weights=ellbit[sub.centres], minlength=len(sub.t))
     code = _signatures(sub.rows, sub.t, tl, tables, ellbit, size)
     counts = _t0_patterns(tables, ellbit, size)
@@ -495,7 +468,8 @@ def check_support_budget(max_support: int) -> None:
 
 def _run_scan(ctx, ell, mode, max_support):
     check_support_budget(max_support)
-    checked, members, records = _scan_arrays(_graph_tables(ctx.graph), _ell_bits(ctx, ell), ctx.p, mode, max_support)
+    tables = _graph_tables(ctx.graph, max_support)
+    checked, members, records = _scan_arrays(tables, _ell_bits(ctx, ell), ctx.p, mode, max_support)
     verts = ctx.vertex_order
     return ScanResult(
         mode=mode,

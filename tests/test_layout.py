@@ -2,7 +2,7 @@
 
 A graph's adjacency has one format, the neighbour bitmasks Graph.masks;
 kernels alone unpacks them into a dense numpy matrix, for the scans, and
-only in the per-graph table builder, so once per graph.
+only in the table builder, so once per scan.
 
 Niceness is a graph property with one owner, graphs.check_nice, called
 only where a verdict or a report depends on it: verify, interpret and the
@@ -98,9 +98,9 @@ def test_the_anchor_walk_only_lists_violations():
     assert [fn for fn, _ in calls["kernels.py"]] == ["_scan_arrays"]
 
 
-def test_each_graph_is_unpacked_once():
-    """Inside kernels only the per-graph table builder unpacks the neighbour
-    bitmasks, so a graph's dense matrix is built on its first scan alone."""
+def test_each_scan_unpacks_the_graph_once():
+    """Inside kernels only the table builder unpacks the neighbour bitmasks,
+    so a scan builds one dense matrix, whatever its support budget."""
     path = Path(mekler.__file__).parent / "kernels.py"
     refs = references(ast.parse(path.read_text(), filename=str(path)), "_adjacency_matrix")
     assert [fn for fn, _ in refs] == ["_graph_tables"]
