@@ -3,9 +3,9 @@
 Vectors are sparse maps from hashable keys to nonzero residues, and the
 modulus rides along on every vector and is checked whenever two meet.  A
 linear system is a list of index-keyed rows, dicts from column index to
-nonzero residue over columns 0..ncols-1; the one eliminator, rref_indexed,
-works on those rows, and kernel_basis and kernel_dim read its pivots
-(kernel_basis from one elimination pivoting on the highest column).
+nonzero residue over columns 0..ncols-1, built once by its caller in the
+columns it is to be solved in; the one eliminator, rref_indexed, works on
+those rows as given, and kernel_basis and kernel_dim read its pivots.
 Everything is exact integer arithmetic mod p.
 """
 
@@ -163,24 +163,21 @@ def rref_indexed(rows: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, 
 
 
 def kernel_basis(rows: Iterable[dict[int, int]], ncols: int, p: int) -> list[dict[int, int]]:
-    """Kernel of index-keyed rows over columns 0..ncols-1 as its reduced
-    echelon basis, by pivot column; that basis is unique to the subspace,
-    and an empty row list yields the full standard basis.
+    """Kernel of index-keyed rows over columns 0..ncols-1, one vector per
+    free column f, listed by f: each is 1 at f, which is its highest
+    nonzero column, and 0 at every other free column.  That basis is unique
+    to the subspace, and an empty row list yields the full standard basis.
 
-    One elimination, pivoting on the highest column: rref_indexed runs on
-    the rows with column c renamed ncols-1-c.  A pivot row for column c is
-    then 1 at c and nonzero elsewhere only at free columns below c, so each
-    free column f gives the kernel vector e_f - sum_c prow_c[f] e_c, whose
-    lowest entry is f, with coefficient 1, and which is zero at every other
-    free column.  Listed by f, these vectors already are the reduced
-    echelon basis, read off by scattering each pivot row once."""
-    top = ncols - 1
-    pivots = rref_indexed(({top - c: v for c, v in row.items()} for row in rows), p)
-    basis = {f: {f: 1} for f in range(ncols) if top - f not in pivots}
+    One elimination, read as it stands: rref_indexed pivots on the lowest
+    column, so a pivot row for column c is 1 at c and nonzero elsewhere
+    only at free columns above c, and free column f gives the kernel vector
+    e_f - sum_c prow_c[f] e_c, read off by scattering each pivot row once."""
+    pivots = rref_indexed(rows, p)
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
     for c, prow in pivots.items():
         for k, v in prow.items():
             if k != c:
-                basis[top - k][top - c] = p - v
+                basis[k][c] = p - v
     return list(basis.values())
 
 

@@ -37,15 +37,17 @@ fixed by this module rather than by the standard library's internals.
 
 Centralizer dimensions, common kernels, their witness bases and the
 kernel subgroup's center all come from one support-local engine
-(commuting_kernel_dim, commuting_kernel_basis), whose rows commuting_rows
-builds per coset from that coset's own support; commutation_matrix builds
-the same system's index-keyed rows over all columns as its oracle.
+(commuting_kernel_dim, commuting_kernel_basis).  Its system has one
+format: commuting_rows writes each row once, per coset from that coset's
+own support, keyed by the final local column, and the columns are numbered
+in descending vertex order, so rref_indexed and kernel_basis take the rows
+as they are and pivot on the highest vertex; commutation_matrix builds the
+same system's index-keyed rows over all columns as its oracle.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -63,6 +65,7 @@ from .graphs import (
 )
 
 Coset = FpVector  # generator-side cosets mod the center, keyed by vertex index
+Columns = Mapping[int, int] | Sequence[int]  # a commuting system's column of each vertex index
 
 
 class GroupContext:
@@ -323,18 +326,20 @@ def is_natural_vertex_like(ctx: GroupContext, a: GroupElement) -> bool:
     return host_degree(ctx.vertex_order[v])[0]
 
 
-def commuting_rows(family: Sequence[dict[int, int]], nonadj: Mapping[int, int], p: int) -> Iterator[dict[int, int]]:
-    """Index-keyed rows b |-> a_s b_t - a_t b_s of lambda(a, -), one for
-    each coset a (column index -> reduced exponent) and each non-adjacent
-    pair {s, t} with s in supp(a); nonadj[s] is the bitmask of the columns
-    not adjacent to s.  A t outside supp(a) gives the single-entry row
-    a_s b_t, which forces b_t = 0; since every such row for t is a scalar
-    multiple of the first, column t gets it only the first time it comes up
-    in a call.  The forced bitmask records those columns, and a coset walks
-    nonadj[s] & (own | ~forced), own being its support, so forced columns
-    are never visited again except as the other end of a two-entry row.
-    The row span, hence every kernel and its reduced echelon basis, is what
-    one row per pair would give.  Rows are generated, not listed."""
+def commuting_rows(family: Iterable[dict[int, int]], nonadj: Mapping[int, int], col: Columns, p: int) -> Iterator[dict[int, int]]:
+    """Rows b |-> a_s b_t - a_t b_s of lambda(a, -), one for each coset a
+    (vertex index -> reduced exponent) and each non-adjacent pair {s, t}
+    with s in supp(a); nonadj[s] is the bitmask of the vertices not
+    adjacent to s, and col[t] is vertex t's column, so each row is written
+    once, keyed by its final column indices.  A t outside supp(a) gives the
+    single-entry row a_s b_t, which forces b_t = 0; since every such row
+    for t is a scalar multiple of the first, column t gets it only the
+    first time it comes up in a call.  The forced bitmask records those
+    vertices, and a coset walks nonadj[s] & (own | ~forced), own being its
+    support, so forced vertices are never visited again except as the
+    other end of a two-entry row.  The row span, hence every kernel and
+    its reduced echelon basis, is what one row per pair would give.  Rows
+    are generated, not listed."""
     forced = 0
     for a in family:
         own = sum(1 << s for s in a)
@@ -347,35 +352,37 @@ def commuting_rows(family: Sequence[dict[int, int]], nonadj: Mapping[int, int], 
                 ct = a.get(t)
                 if ct is None:
                     forced |= low
-                    yield {t: cs}
+                    yield {col[t]: cs}
                 elif s < t:  # the pair {s, t} is met once, from its smaller end
-                    yield {t: cs, s: -ct % p}
+                    yield {col[t]: cs, col[s]: -ct % p}
 
 
-def _local_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tuple[list[int], Iterable[dict[int, int]]]:
+def _commuting_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tuple[list[int], list[dict[int, int]]]:
     """The commuting system on the columns that can be nonzero in its kernel:
-    the family's support S and the common neighbours of S, in vertex order.
-    Any other column t is non-adjacent to some s in S, where a member with
-    a_s != 0 gives the single-entry row a_s b_t, so b_t = 0.  Common
-    neighbours are adjacent to all of S, so only columns of S start or meet
-    a row: each s in S gets the bitmask of S less its neighbours and
-    itself, and the rows are remapped to local columns as they come."""
+    the family's support S and the common neighbours of S, numbered in
+    descending vertex order, so that rref_indexed, pivoting on the lowest
+    column, pivots on the highest vertex.  Any other vertex t is
+    non-adjacent to some s in S, where a member with a_s != 0 gives the
+    single-entry row a_s b_t, so b_t = 0.  Common neighbours are adjacent
+    to all of S, so only vertices of S start or meet a row: each s in S
+    gets the bitmask of S less its neighbours and itself.  The functional's
+    row, if any, comes last."""
     p, adj = ctx.p, ctx.adj
     supmask = 0
     for a in family:
-        for s in a.support():
-            supmask |= 1 << s
+        if a.p != p:
+            raise ValueError(f"modulus mismatch: {a.p} vs {p}")
+        supmask |= sum(1 << s for s in a._entries)
     common = (1 << ctx.n) - 1
     nonadj: dict[int, int] = {}
     for s in mask_bits(supmask):
         common &= adj[s]
         nonadj[s] = supmask & ~adj[s] & ~(1 << s)
-    cols = mask_bits(supmask | common)
-    local = {v: i for i, v in enumerate(cols)}
-    rows = ({local[t]: c for t, c in row.items()} for row in commuting_rows([dict(a.items()) for a in family], nonadj, p))
+    cols = mask_bits(supmask | common)[::-1]
+    col = {v: i for i, v in enumerate(cols)}
+    rows = list(commuting_rows([a._entries for a in family], nonadj, col, p))
     if functional is not None:
-        verts = ctx.vertex_order
-        rows = itertools.chain(rows, [{i: c for i, v in enumerate(cols) if (c := functional.value(verts[v]) % p)}])
+        rows.append({i: c for i, v in enumerate(cols) if (c := functional.value(ctx.vertex_order[v]) % p)})
     return cols, rows
 
 
@@ -383,14 +390,16 @@ def commuting_kernel_dim(ctx: GroupContext, family: Sequence[Coset], functional=
     """dim of {b mod Z : [a, b] = e for every a in the family}, intersected
     with the kernel of the functional (anything with value(vertex), such as
     an EdgeFunctional) when one is given."""
-    cols, rows = _local_system(ctx, family, functional)
+    cols, rows = _commuting_system(ctx, family, functional)
     return len(cols) - len(rref_indexed(rows, ctx.p))
 
 
 def commuting_kernel_basis(ctx: GroupContext, family: Sequence[Coset], functional=None) -> list[Coset]:
-    """That kernel's reduced echelon basis over the vertex order, by pivot."""
-    cols, rows = _local_system(ctx, family, functional)
-    return [FpVector(ctx.p, {cols[i]: c for i, c in v.items()}) for v in kernel_basis(rows, len(cols), ctx.p)]
+    """That kernel's reduced echelon basis over the vertex order, by pivot:
+    each vector is 1 at its lowest vertex and 0 at the other pivots.
+    kernel_basis lists it by local column, so by descending vertex."""
+    cols, rows = _commuting_system(ctx, family, functional)
+    return [FpVector.from_reduced(ctx.p, {cols[i]: c for i, c in v.items()}) for v in reversed(kernel_basis(rows, len(cols), ctx.p))]
 
 
 def commutation_matrix(ctx: GroupContext, agen: FpVector) -> list[dict[int, int]]:

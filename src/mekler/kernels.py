@@ -21,8 +21,8 @@ whether the functional is nonzero on one of them; for a single vertex also
 whether it is a natural and whether it is provisioned.  A scan counts the
 supports of each signature, checks each signature once against every
 exponent pattern through rank tables, built once per (p, size) from the
-rows of group.commuting_rows, and lists actual supports only for the
-signatures that violate.
+rows group.commuting_rows writes, with each support position its own
+column, and lists actual supports only for the signatures that violate.
 
 Sizes 2 and 3 are counted from the graph's sparse structure, never by
 walking every support, in two steps:
@@ -158,7 +158,8 @@ def _ell_bits(ctx: GroupContext, ell: EdgeFunctional | None) -> np.ndarray:
 def _rank_tables(p: int, size: int):
     """Lookup tables over (non-adjacency pattern, exponent pattern, ell bits):
     rank(B) and rank([B; ell|S]) for the within-support block B of the
-    commuting system, whose rows follow group.commuting_rows; also the
+    commuting system, whose rows group.commuting_rows writes straight into
+    columns 0..size-1, position t of the support being column t; also the
     membership table and the exponent patterns themselves."""
     pats = tuple(itertools.product(range(1, p), repeat=size))
     pairs = list(itertools.combinations(range(size), 2))
@@ -174,7 +175,7 @@ def _rank_tables(p: int, size: int):
                 nonadj[u] |= 1 << w
                 nonadj[w] |= 1 << u
         for ci, exps in enumerate(pats):
-            rows = list(commuting_rows([dict(enumerate(exps))], nonadj, p))
+            rows = list(commuting_rows([dict(enumerate(exps))], nonadj, range(size), p))
             rank_b[na, ci] = len(rref_indexed(rows, p))
             for lp, lrow in enumerate(ell_rows):
                 rank_bl[na, ci, lp] = len(rref_indexed(rows + [lrow], p))

@@ -77,6 +77,8 @@ class VerifyConfig:
             raise ConfigError(f"sample budget must be at least 1, got {self.samples}")
         if self.translates < 1:
             raise ConfigError(f"translates must be at least 1, got {self.translates}")
+        if self.oracle_budget < 1:
+            raise ConfigError(f"oracle budget must be at least 1, got {self.oracle_budget}")
         check_support_budget(self.support_budget)
         for a, b in edges:
             if a == b or a not in nats or b not in nats:

@@ -343,6 +343,17 @@ def test_support_budget_is_refused_before_any_suite_runs(capsys, monkeypatch):
     assert "configuration rejected: support budgets beyond 3 are not covered" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"], ids=["zero", "negative"])
+def test_oracle_budget_below_one_is_refused_before_any_suite_runs(capsys, monkeypatch, budget):
+    def no_suite(*args):
+        raise RuntimeError("a suite ran")
+
+    monkeypatch.setattr(verify, "_group_axiom_checks", no_suite)
+    code, out, err = run(capsys, "verify-lemmas", "--budget-oracle", budget, "--budget-samples", "5")
+    assert code == 2 and out == ""
+    assert f"configuration rejected: oracle budget must be at least 1, got {budget}" in err
+
+
 def test_fragment_structured(capsys):
     code, out, _ = run(
         capsys, "fragment", "--naturals", "0,1,2", "--pairs", "0-1", "--format", "structured"

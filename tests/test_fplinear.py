@@ -72,8 +72,9 @@ def test_vector_rejects_mixed_modulus():
 
 
 def test_kernel_of_ones_row_frozen():
-    # kernel of (1 1) over F_3 is one-dimensional, canonical basis (1, 2)
-    assert kernel_basis(indexed_rows([[1, 1]], 3), 2, 3) == [{0: 1, 1: 2}]
+    # kernel of (1 1) over F_3 is one-dimensional: column 1 is free and the
+    # basis vector is 1 there, (2, 1)
+    assert kernel_basis(indexed_rows([[1, 1]], 3), 2, 3) == [{0: 2, 1: 1}]
 
 
 def test_rank_and_kernel_against_brute_force():
@@ -96,20 +97,21 @@ def test_rank_and_kernel_against_brute_force():
 
 
 def test_kernel_basis_is_reduced_echelon():
-    # every pivot coordinate appears in exactly one basis vector with value 1
+    # every free coordinate is the highest entry of exactly one basis vector,
+    # with value 1, and is zero in every other basis vector
     m = indexed_rows([[1, 2, 0, 1], [0, 0, 1, 2]], 3)
     basis = kernel_basis(m, 4, 3)
     assert kernel_dim(m, 4, 3) == 2
-    leads = []
+    tops = []
     for vec in basis:
-        lead = min(vec)
-        assert vec[lead] == 1
-        leads.append(lead)
-    assert len(set(leads)) == len(basis)
+        top = max(vec)
+        assert vec[top] == 1
+        tops.append(top)
+    assert len(set(tops)) == len(basis)
     for vec in basis:
         for other in basis:
             if vec is not other:
-                assert other.get(min(vec), 0) == 0
+                assert other.get(max(vec), 0) == 0
 
 
 def two_elimination_kernel_basis(rows, ncols, p):
@@ -163,14 +165,22 @@ def random_system(rng, p):
 
 
 def test_kernel_basis_matches_the_two_elimination_oracle():
+    """kernel_basis on the columns reversed, c -> ncols-1-c, is the oracle's
+    reduced echelon basis reversed back: its vectors, 1 at their highest
+    free column and listed by it, are the oracle's, 1 at their lowest
+    pivot, in the opposite order."""
     rng = random.Random(19)
     seen = set()
     for p in (3, 5, 7):
         for _ in range(800):
             rows, ncols, shape = random_system(rng, p)
-            basis = kernel_basis(iter([dict(r) for r in rows]), ncols, p)
-            assert basis == two_elimination_kernel_basis([dict(r) for r in rows], ncols, p)
-            assert [min(v) for v in basis] == sorted(min(v) for v in basis)
+
+            def flip(vec):
+                return {ncols - 1 - c: v for c, v in vec.items()}
+
+            basis = kernel_basis(iter([flip(r) for r in rows]), ncols, p)
+            assert [flip(v) for v in reversed(basis)] == two_elimination_kernel_basis([dict(r) for r in rows], ncols, p)
+            assert [max(v) for v in basis] == sorted(max(v) for v in basis)
             seen.add((shape, ncols == 1, len(basis) == 0, len(basis) == ncols))
     shapes = {s[0] for s in seen}
     assert shapes == {0, 1, 2, 3, 4}

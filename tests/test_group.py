@@ -17,7 +17,7 @@ from mekler.group import (
     GroupElement,
     InducedAutomorphism,
     _below,
-    _local_system,
+    _commuting_system,
     central_generator,
     centralizer_dim_mod_center,
     commutation_matrix,
@@ -204,7 +204,10 @@ def test_centralizer_dims_by_vertex_kind():
 def test_support_local_engine_matches_full_columns(r_edges):
     """Every coset of the 7-vertex fragment, with and without the
     functional, and every pair of cosets of support <= 2 down to the
-    kernel basis, against the commuting system over all |V| columns."""
+    kernel basis, against the commuting system over all |V| columns.  For
+    the basis those columns are numbered in descending vertex order,
+    vertex v as column n-1-v, so that kernel_basis, 1 at each vector's
+    highest column, gives the reduced echelon basis over the vertex order."""
     ctx = ctx7()
     ell = EdgeFunctional.from_edges(r_edges)
     verts = ctx.vertex_order
@@ -220,6 +223,9 @@ def test_support_local_engine_matches_full_columns(r_edges):
         extra = [functional.row(ctx)] if functional else []
         return [r for agen in family for r in rows[agen]] + extra
 
+    def flip(vec):
+        return {n - 1 - c: v for c, v in vec.items()}
+
     for agen in cosets:
         assert commuting_kernel_dim(ctx, [agen]) == kernel_dim(full_columns([agen]), n, p)
         assert commuting_kernel_dim(ctx, [agen], ell) == kernel_dim(full_columns([agen], ell), n, p)
@@ -228,7 +234,8 @@ def test_support_local_engine_matches_full_columns(r_edges):
     for xgen in small:
         for ygen in small:
             basis = commuting_kernel_basis(ctx, [xgen, ygen], ell)
-            assert basis == [FpVector(p, v) for v in kernel_basis(full_columns([xgen, ygen], ell), n, p)]
+            oracle = kernel_basis([flip(r) for r in full_columns([xgen, ygen], ell)], n, p)
+            assert basis == [FpVector(p, flip(v)) for v in reversed(oracle)]
 
 
 @pytest.mark.parametrize("r_edges", [[(0, 1)], [(0, 1), (1, 2), (2, 3)]], ids=["R-01", "R-path"])
@@ -237,18 +244,33 @@ def test_center_check_system_is_linear_in_vertices(r_edges):
     family holds the pivot vertex, so without the forced-column rule each
     non-neighbour of the pivot would get its single-entry row once per
     witness, quadratically many in |V|.  With it, the 181-vertex system has
-    at most one single-entry row per column and under 2 |V| rows in all."""
+    at most one single-entry row per column and under 2 |V| rows in all.
+    The rows are final: keyed by local columns, numbered in descending
+    vertex order, and read by the eliminator as they are."""
     ctx = GroupContext(build_down_fragment([0, 1, 2, 3]), 3)
     assert ctx.n == 181
     ell = EdgeFunctional.from_edges(r_edges)
     witnesses = commuting_kernel_basis(ctx, [], ell)
     assert len(witnesses) == ctx.n - 1
-    cols, rows = _local_system(ctx, witnesses, ell)
-    rows = list(rows)
+    cols, rows = _commuting_system(ctx, witnesses, ell)
+    assert cols == sorted(cols, reverse=True) and len(set(cols)) == len(cols)
+    assert all(0 <= k < len(cols) for r in rows for k in r)
     singles = [next(iter(r)) for r in rows if len(r) == 1]
     assert len(singles) == len(set(singles)) <= ctx.n
     assert len(rows) < 2 * ctx.n
     assert len(cols) - len(rref_indexed(rows, ctx.p)) == 0  # the centre check passes
+
+
+def test_the_engine_refuses_a_coset_of_another_modulus():
+    ctx = ctx7()
+    i, j = ctx.vindex[Natural(0)], ctx.vindex[Natural(1)]
+    for family in ([FpVector(5, {i: 3, j: 1})], [FpVector(3, {i: 1}), FpVector(5, {i: 3, j: 2})]):
+        with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
+            commuting_kernel_dim(ctx, family)
+        with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
+            commuting_kernel_basis(ctx, family)
+        with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
+            commuting_kernel_basis(ctx, family, EdgeFunctional.from_edges([(0, 1)]))
 
 
 def test_elements_are_immutable_values():

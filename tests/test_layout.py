@@ -16,6 +16,11 @@ verify and the tests, never a verdict of the library itself.  The coset
 enumeration is also independent of what it certifies: it reads
 commutation off the alternating form itself, not through the commutator
 or the commuting-kernel engine.
+
+The commuting system has one row builder and one basis reader:
+group.commuting_rows writes every row once, keyed by its final column, and
+only group and the scans' rank tables (kernels._rank_tables) call it; only
+group reads a kernel basis (fplinear.kernel_basis) off those rows.
 """
 
 import ast
@@ -83,6 +88,14 @@ def references(tree, name):
             if (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name):
                 found.append((getattr(top, "name", None), node.lineno))
     return found
+
+
+def test_one_row_builder_and_one_basis_reader():
+    assert misuse_outside({"commuting_rows"}, {"group.py", "kernels.py"}) == {}
+    path = Path(mekler.__file__).parent / "kernels.py"
+    refs = references(ast.parse(path.read_text(), filename=str(path)), "commuting_rows")
+    assert [fn for fn, _ in refs] == ["_rank_tables"]
+    assert misuse_outside({"kernel_basis"}, {"group.py"}) == {}
 
 
 def test_the_anchor_walk_only_lists_violations():

@@ -184,9 +184,11 @@ def test_single_generators_are_not_a_complete_witness_family():
 
 def small_support_center_oracle(ctx, ell):
     """Subgroup cosets of support <= 2 that commute with the reduced kernel
-    basis of the functional, by enumeration."""
-    p = ctx.p
-    witnesses = [FpVector(p, w) for w in kernel_basis([ell.row(ctx)], ctx.n, p)]
+    basis of the functional, by enumeration; the basis is kernel_basis's
+    with vertex v as column n-1-v, so it is the engine's basis."""
+    p, top = ctx.p, ctx.n - 1
+    row = {top - v: c for v, c in ell.row(ctx).items()}
+    witnesses = [FpVector(p, {top - c: x for c, x in w.items()}) for w in kernel_basis([row], ctx.n, p)]
     found = set()
     for size in (1, 2):
         for combo in itertools.combinations(range(ctx.n), size):
