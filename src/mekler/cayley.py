@@ -39,7 +39,7 @@ class FiniteGroup:
 
     def __init__(self, table, names: Sequence[str] | None = None):
         if not (isinstance(table, np.ndarray) and table.dtype == np.int32):
-            table = np.asarray(table, dtype=np.int64)  # bounds are checked before narrowing
+            table = _int64_table(table)  # bounds are checked before narrowing
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ConfigError("table must be square")
         n = table.shape[0]
@@ -117,6 +117,15 @@ class FiniteGroup:
     def name(self, a: int) -> str:
         names = self.names
         return names[a] if names else str(a)
+
+
+def _int64_table(table) -> np.ndarray:
+    """The table as int64, refusing an entry that is not a whole number
+    rather than letting the cast truncate it."""
+    raw = np.asarray(table)
+    if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.trunc(raw))).all():
+        raise ConfigError("table entries must be integers")
+    return np.asarray(table, dtype=np.int64)
 
 
 def _named_later(table: np.ndarray, namer: Callable[[], tuple[str, ...]]) -> FiniteGroup:
@@ -557,24 +566,63 @@ def _ints(tokens: Sequence[str]) -> list[int]:
         raise ConfigError(f"expected integers: {err}") from err
 
 
-def parse_cayley_text(text: str) -> FiniteGroup:
-    """First line the order, then that many rows of 0-based indices."""
+def _plain_table(text: str) -> np.ndarray | None:
+    """The int64 table of a text in the plain form format_cayley_text
+    writes, converted in one pass, or None for any other text.
+
+    Plain is ASCII digits, single spaces and newlines: the order alone on
+    the first line as str() writes it, then that many lines of exactly that
+    many tokens, each ending in a newline.  The order is read off the line
+    count and compared as text, so a first line of any length costs no
+    int().  The checks are whole-buffer: a body that starts with a digit
+    and ends in a newline alternates digit runs and separator runs, as many
+    of each; so n*n numbers and n*n separator bytes mean single separators,
+    and with every n-th separator a newline, every line holds n tokens.
+    numpy reads a digit run as int() does; one past int64 saturates, and
+    the saturated entry fails the same index check as an int() overflow."""
+    head, _, body = text.partition("\n")
+    n = body.count("\n")
+    if n < 1 or head != str(n) or not body.endswith("\n") or not text.isascii():
+        return None
+    data = body.encode()
+    if data.translate(None, b"0123456789 \n") or not data[:1].isdigit():
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero(raw < ord("0"))  # where the spaces and newlines are
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if values.size != n * n or seps.size != n * n or not (raw[seps[n - 1::n]] == ord("\n")).all():
+        return None
+    return values.reshape(n, n)
+
+
+def _tokenwise_table(text: str) -> np.ndarray:
+    """The int64 table of any table text, read token by token with int()
+    after splitting on any whitespace, with a message for each refusal."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise ConfigError("empty table file")
     n = _ints([lines[0]])[0]
+    if n < 1:
+        raise ConfigError(f"table order must be at least 1, got {n}")
     if len(lines) != n + 1:
         raise ConfigError(f"expected {n} rows, found {len(lines) - 1}")
     rows = [ln.split() for ln in lines[1:]]
     if any(len(row) != n for row in rows):
         raise ConfigError("row length differs from the declared order")
     try:  # numpy reads each token with int(), so it takes the same tokens
-        table = np.array(rows, dtype=np.int64)
+        return np.array(rows, dtype=np.int64)
     except ValueError as err:
         raise ConfigError(f"expected integers: {err}") from err
     except OverflowError as err:  # an entry past int64 cannot index an element
         raise ConfigError("table entries must index elements") from err
-    return FiniteGroup(table)
+
+
+def parse_cayley_text(text: str) -> FiniteGroup:
+    """First line the order, at least 1, then that many rows of 0-based
+    indices.  The plain form that format_cayley_text writes is converted in
+    one pass; any other text token by token.  Both give the same table."""
+    table = _plain_table(text)
+    return FiniteGroup(_tokenwise_table(text) if table is None else table)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -44,6 +44,16 @@ class ExtElement:
 # the slot setters, which bypass the refusing __setattr__
 _set_h = ExtElement.h.__set__
 _set_eps = ExtElement.eps.__set__
+_new = object.__new__
+
+
+def _ext(h: GroupElement, eps: int) -> ExtElement:
+    """Wrap a base element and a flip already reduced to 0 or 1; nothing is
+    checked or reduced again."""
+    a = _new(ExtElement)
+    _set_h(a, h)
+    _set_eps(a, eps)
+    return a
 
 
 def _require_involution(aut: InducedAutomorphism) -> None:
@@ -52,20 +62,20 @@ def _require_involution(aut: InducedAutomorphism) -> None:
 
 
 def ext_identity(ctx: GroupContext) -> ExtElement:
-    return ExtElement(identity(ctx), 0)
+    return _ext(identity(ctx), 0)
 
 
 def ext_mul(ctx: GroupContext, aut: InducedAutomorphism, a: ExtElement, b: ExtElement) -> ExtElement:
     if not aut.is_involution:
         _require_involution(aut)
     k = aut.apply(b.h) if a.eps else b.h
-    return ExtElement(mul(ctx, a.h, k), a.eps + b.eps)
+    return _ext(mul(ctx, a.h, k), a.eps ^ b.eps)
 
 
 def ext_inv(ctx: GroupContext, aut: InducedAutomorphism, a: ExtElement) -> ExtElement:
     _require_involution(aut)
     h_inv = inv(ctx, a.h)
-    return ExtElement(aut.apply(h_inv) if a.eps else h_inv, a.eps)
+    return _ext(aut.apply(h_inv) if a.eps else h_inv, a.eps)
 
 
 def ext_pow(ctx: GroupContext, aut: InducedAutomorphism, a: ExtElement, k: int) -> ExtElement:

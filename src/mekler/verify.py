@@ -21,6 +21,7 @@ from .graphs import ConfigError, Natural, build_fragment, check_nice, pair_swap_
 from .group import (
     GroupContext,
     InducedAutomorphism,
+    _below,
     commutation_matrix,
     commutator,
     generator,
@@ -228,10 +229,11 @@ def _edge_grid_check(res, ctx, naturals, r_set, rng, evaluate, name):
 def _extension_checks(res, ctx, aut, rng, samples):
     e2 = ext_identity(ctx)
     bad_assoc = bad_inv = bad_base = bad_conj = bad_hom = 0
-    for _ in range(samples):
-        a = ExtElement(random_element(ctx, rng), rng.randrange(2))
-        b = ExtElement(random_element(ctx, rng), rng.randrange(2))
-        c = ExtElement(random_element(ctx, rng), rng.randrange(2))
+    bits = rng.getrandbits
+    for _ in range(samples):  # each flip takes the draw rng.randrange(2) would
+        a = ExtElement(random_element(ctx, rng), _below(bits, 2))
+        b = ExtElement(random_element(ctx, rng), _below(bits, 2))
+        c = ExtElement(random_element(ctx, rng), _below(bits, 2))
         if ext_mul(ctx, aut, ext_mul(ctx, aut, a, b), c) != ext_mul(ctx, aut, a, ext_mul(ctx, aut, b, c)):
             bad_assoc += 1
         if ext_mul(ctx, aut, a, ext_inv(ctx, aut, a)) != e2:

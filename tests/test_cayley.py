@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,16 @@ def test_table_validation_errors():
         FiniteGroup([[0, 2, 1], [1, 0, 2], [2, 1, 0]])
     with pytest.raises(ValueError, match="names must match"):
         FiniteGroup([[0, 1], [1, 0]], names=("e",))
+
+
+def test_non_integral_entries_rejected():
+    with pytest.raises(ConfigError, match="table entries must be integers"):
+        FiniteGroup([[0.7, 1.2], [1.9, 0.1]])
+    with pytest.raises(ConfigError, match="table entries must be integers"):
+        FiniteGroup(np.array([[0.0, float("nan")], [1.0, 0.0]]))
+    with pytest.raises(ConfigError, match="table entries must be integers"):
+        FiniteGroup([[0.0, float("inf")], [1.0, 0.0]])
+    assert np.array_equal(FiniteGroup([[0.0, 1.0], [1.0, 0.0]]).table, [[0, 1], [1, 0]])
 
 
 def test_one_sided_inverse_rejected():
@@ -667,6 +678,101 @@ def test_cayley_text_round_trip():
         parse_cayley_text("2\n0 1\n")
     with pytest.raises(ValueError, match="row length"):
         parse_cayley_text("2\n0 1\n1 0 0\n")
+    for order in ("0", "-1"):
+        with pytest.raises(ConfigError, match=f"^table order must be at least 1, got {order}$"):
+            parse_cayley_text(f"{order}\n")
+
+
+def _plain_spellings():
+    """Plain texts of groups of one- to three-digit orders."""
+    return [format_cayley_text(g) for g in (cyclic_group(1), symmetric_group(3), cyclic_group(12), sl2_permutation_group(5))]
+
+
+def _arabic_indic(text):
+    return text.translate({ord(d): 0x660 + int(d) for d in "0123456789"})
+
+
+@pytest.mark.parametrize(
+    "respell",
+    [
+        lambda t: t.replace(" ", "\t"),
+        lambda t: t.replace(" ", "  "),
+        lambda t: "\n".join(" ".join("+" + tok for tok in ln.split()) for ln in t.split("\n")),
+        lambda t: "\n".join(" ".join("00" + tok for tok in ln.split()) for ln in t.split("\n")),
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: "\n" + t.replace("\n", "\n\n"),
+        lambda t: t.rstrip("\n"),
+        lambda t: " " + t.replace("\n", " \n"),
+        _arabic_indic,
+    ],
+    ids=["tabs", "double-spaces", "plus-signs", "leading-zeros", "crlf", "blank-lines", "no-final-newline",
+         "edge-spaces", "arabic-indic"],
+)
+def test_non_plain_spellings_read_token_by_token_to_the_same_table(respell):
+    for plain in _plain_spellings():
+        text = respell(plain)
+        if text == plain:  # the order-1 table has no space to respell
+            continue
+        assert cayley._plain_table(text) is None
+        assert np.array_equal(parse_cayley_text(text).table, parse_cayley_text(plain).table)
+
+
+def test_one_pass_conversion_agrees_with_the_per_token_reader():
+    """Seeded edits of plain texts: whatever the one-pass conversion takes,
+    the per-token reader takes too, into the same table."""
+    rng = random.Random(3)
+    taken = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        rows = [" ".join(str(rng.randint(0, 12)) for _ in range(n)) for _ in range(n)]
+        chars = list(f"{n}\n" + "".join(row + "\n" for row in rows))
+        for _ in range(rng.randint(0, 2)):
+            at = rng.randrange(len(chars))
+            if rng.random() < 0.5:
+                chars.insert(at, rng.choice("0123456789  \n\n+\t"))
+            else:
+                del chars[at]
+        text = "".join(chars)
+        fast = cayley._plain_table(text)
+        if fast is not None:
+            taken += 1
+            assert np.array_equal(fast, cayley._tokenwise_table(text)), text
+    assert taken > 500
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty table file"),
+        ("2\n0 1\n1\n", "row length differs from the declared order"),
+        ("2\n0 1\n1 0 1\n", "row length differs from the declared order"),
+        ("2\n0 1 1\n0\n", "row length differs from the declared order"),
+        ("2\n0 1\n", "expected 2 rows, found 1"),
+        ("2\n0 1\n1 0\n0 1\n", "expected 2 rows, found 3"),
+        ("2\n0 2\n2 0\n", "table entries must index elements"),
+        ("2\n0 1\n0 1\n", "a column is not a permutation of the elements"),
+        ("1" * 4500 + "\n0\n", "expected integers: Exceeds the limit"),
+    ],
+)
+def test_malformed_plain_texts_keep_their_messages(text, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        parse_cayley_text(text)
+
+
+def test_plain_text_is_converted_in_one_pass(monkeypatch):
+    """format_cayley_text's output never reaches the per-token reader."""
+    plains = _plain_spellings()
+    want = [cayley._tokenwise_table(text) for text in plains]
+
+    def refuse(text):
+        raise AssertionError("plain text went through the per-token reader")
+
+    monkeypatch.setattr(cayley, "_tokenwise_table", refuse)
+    for text, table in zip(plains, want):
+        assert np.array_equal(parse_cayley_text(text).table, table)
+    overflow = "2\n0 " + "9" * 30 + "\n" + "9" * 30 + " 0\n"
+    with pytest.raises(ConfigError, match="table entries must index elements"):
+        parse_cayley_text(overflow)
 
 
 def test_permutation_text_forms():

@@ -151,3 +151,20 @@ def test_extension_elements_are_immutable_values():
     with pytest.raises(AttributeError):
         del a.h
     assert a.eps == 1 and a == b
+
+
+def test_arithmetic_results_are_the_constructors_values():
+    """ext_mul, ext_inv, ext_identity and ext_pow wrap their results without
+    the constructor; each result is the value the constructor makes."""
+    ctx, aut = make_ctx()
+    rng = random.Random(11)
+    for _ in range(20):
+        a, b = random_ext(ctx, rng), random_ext(ctx, rng)
+        results = [ext_mul(ctx, aut, a, b), ext_inv(ctx, aut, a), ext_identity(ctx), ext_pow(ctx, aut, a, 2)]
+        for r in results:
+            assert type(r) is ExtElement and r.eps in (0, 1)
+            same = ExtElement(r.h, r.eps)
+            assert r == same and hash(r) == hash(same)
+            with pytest.raises(AttributeError):
+                r.eps = 0
+        assert results[0].eps == (a.eps + b.eps) % 2
