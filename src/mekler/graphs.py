@@ -368,17 +368,39 @@ class FragmentSpec:
     def from_json(cls, text: str) -> "FragmentSpec":
         try:
             doc = json.loads(text)
-            if not isinstance(doc, dict) or "naturals" not in doc:
-                raise ConfigError("graph document must be an object with a 'naturals' field")
-            naturals = tuple(int(n) for n in doc["naturals"])
-            pairs = tuple((int(pr[0]), int(pr[1])) for pr in doc.get("gadget_pairs", []) or [])
-            extra = tuple((str(e[0]), str(e[1])) for e in doc.get("extra_edges", []) or [])
-            p = doc.get("p")
-            return cls(naturals=naturals, gadget_pairs=pairs, extra_edges=extra, p=None if p is None else int(p))
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, KeyError, IndexError, OverflowError, RecursionError) as err:
+        except (ValueError, RecursionError) as err:
             raise ConfigError(f"bad fragment document: {err}") from err
+        if not isinstance(doc, dict) or doc.get("naturals") is None:
+            raise ConfigError("graph document must be an object with a 'naturals' field")
+        doc = {key: value for key, value in doc.items() if value is not None}  # null reads as absent
+        naturals = tuple(_json_typed(n, int, "a natural") for n in _json_array(doc["naturals"], "naturals"))
+        pairs = tuple(
+            tuple(_json_typed(n, int, "a gadget pair entry") for n in _json_array(pr, "a gadget pair", 2))
+            for pr in _json_array(doc.get("gadget_pairs", []), "gadget_pairs")
+        )
+        extra = tuple(
+            tuple(_json_typed(v, str, "an extra edge end") for v in _json_array(e, "an extra edge", 2))
+            for e in _json_array(doc.get("extra_edges", []), "extra_edges")
+        )
+        p = _json_typed(doc["p"], int, "p") if "p" in doc else None
+        return cls(naturals=naturals, gadget_pairs=pairs, extra_edges=extra, p=p)
+
+
+def _json_array(value, what: str, length: int | None = None) -> list:
+    """value, which must be a JSON array, of exactly length entries if given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length} entries"
+        raise ConfigError(f"bad fragment document: {what} must be an array{size}, got {value!r}")
+    return value
+
+
+def _json_typed(value, kind: type, what: str):
+    """value, which must be a JSON integer or string as kind says; a bool is
+    not an integer, though Python's bool is an int."""
+    if type(value) is not kind:
+        name = "an integer" if kind is int else "a string"
+        raise ConfigError(f"bad fragment document: {what} must be {name}, got {value!r}")
+    return value
 
 
 def all_pairs(naturals: Sequence[int]) -> tuple[tuple[int, int], ...]:

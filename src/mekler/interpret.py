@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .formulas import FormulaTrace, down_edge_formula, power_separated, up_edge_formula
 from .graphs import ConfigError, Graph, Natural, all_pairs, build_fragment, check_nice, pair_swap_automorphism
@@ -101,21 +100,6 @@ def _partition_by_power(ctx: GroupContext, elements: list[GroupElement]) -> list
     return classes
 
 
-def _classes_to_labels(ctx: GroupContext, classes: list[list[GroupElement]]) -> dict[int, list[GroupElement]]:
-    reps: dict[int, list[GroupElement]] = {}
-    for cls in classes:
-        supports = {vertex_like_parts(a)[0] for a in cls}
-        if len(supports) != 1:
-            raise InternalFault("power-equivalence class mixes support vertices")
-        v = ctx.vertex_order[supports.pop()]
-        if not isinstance(v, Natural):
-            raise InternalFault("recovered class is not on a natural vertex")
-        if v.n in reps:
-            raise InternalFault("two classes claim the same natural")
-        reps[v.n] = cls
-    return reps
-
-
 def _recover_edges(ctx, reps_by_label, evaluate, translates):
     """Run the edge formula over several representative pairs per label pair
     and demand a unanimous verdict; the formula is about cosets, so any rep
@@ -144,6 +128,27 @@ def _recover_edges(ctx, reps_by_label, evaluate, translates):
     return labels, frozenset(edges), traces
 
 
+def _recover(ctx, name, candidates, keep, evaluate, rng, translates) -> RecoveredGraph:
+    """The recovery both pipelines share: sample the class of each candidate
+    vertex, keep the elements keep accepts, partition them by power, name
+    each class by its support natural and read the edges with evaluate."""
+    rng = rng if rng is not None else random.Random(0)
+    sample = [a for v in candidates for a in _sample_class(ctx, v, rng, translates)]
+    reps_by_label: dict[int, list[GroupElement]] = {}
+    for cls in _partition_by_power(ctx, [a for a in sample if keep(a)]):
+        supports = {vertex_like_parts(a)[0] for a in cls}
+        if len(supports) != 1:
+            raise InternalFault("power-equivalence class mixes support vertices")
+        v = ctx.vertex_order[supports.pop()]
+        if not isinstance(v, Natural):
+            raise InternalFault("recovered class is not on a natural vertex")
+        if v.n in reps_by_label:
+            raise InternalFault("two classes claim the same natural")
+        reps_by_label[v.n] = cls
+    labels, edges, traces = _recover_edges(ctx, reps_by_label, evaluate, translates)
+    return RecoveredGraph(name, labels, edges, reps_by_label, traces)
+
+
 def recover_graph_up(
     ctx: GroupContext,
     aut: InducedAutomorphism,
@@ -156,21 +161,15 @@ def recover_graph_up(
     live on the hub and pentagon of the pair under test, so an ungadgeted
     pair would read as a non-edge no matter what the automorphism does.
     """
-    rng = rng if rng is not None else random.Random(0)
     nats = ctx.graph.naturals()
     gadgeted = set(ctx.graph.gadget_pairs())
     missing = [pr for pr in all_pairs(list(nats)) if pr not in gadgeted]
     if missing:
         raise AdequacyError(f"up recovery needs every natural pair gadgeted; missing {sorted(missing)}")
-    sample: list[GroupElement] = []
-    for v in ctx.vertex_order:
-        sample.extend(_sample_class(ctx, v, rng, translates))
-    naturals_only = [a for a in sample if is_natural_vertex_like(ctx, a)]
-    reps_by_label = _classes_to_labels(ctx, _partition_by_power(ctx, naturals_only))
-    labels, edges, traces = _recover_edges(
-        ctx, reps_by_label, lambda x, y: up_edge_formula(ctx, aut, x, y), translates
+    return _recover(
+        ctx, "up", ctx.vertex_order, lambda a: is_natural_vertex_like(ctx, a),
+        lambda x, y: up_edge_formula(ctx, aut, x, y), rng, translates,
     )
-    return RecoveredGraph("up", labels, edges, reps_by_label, traces)
 
 
 def recover_graph_down(
@@ -186,21 +185,14 @@ def recover_graph_down(
     The fragment must pass the adequacy assessment or the dimension test
     refuses outright.
     """
-    rng = rng if rng is not None else random.Random(0)
     adequacy = assess_adequacy(ctx, ell)
     if not adequacy.adequate:
         raise AdequacyError(adequacy.explain())
-    sample: list[GroupElement] = []
-    for v in ctx.vertex_order:
-        if ell.value(v) % ctx.p != 0:
-            continue
-        sample.extend(_sample_class(ctx, v, rng, translates))
-    members = [a for a in sample if natural_vertex_like_by_dimension(ctx, ell, a, adequacy)]
-    reps_by_label = _classes_to_labels(ctx, _partition_by_power(ctx, members))
-    labels, edges, traces = _recover_edges(
-        ctx, reps_by_label, lambda x, y: down_edge_formula(ctx, ell, x, y), translates
+    killed = [v for v in ctx.vertex_order if ell.value(v) % ctx.p == 0]
+    return _recover(
+        ctx, "down", killed, lambda a: natural_vertex_like_by_dimension(ctx, ell, a, adequacy),
+        lambda x, y: down_edge_formula(ctx, ell, x, y), rng, translates,
     )
-    return RecoveredGraph("down", labels, edges, reps_by_label, traces)
 
 
 def build_up_fragment(naturals: list[int]) -> Graph:
@@ -258,37 +250,18 @@ def _graph_edge_labels(gamma: Graph) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def _not_nice_note(name: str, frag: Graph) -> str | None:
-    """The round trip's note on a fragment that is not nice, or None."""
-    rep = check_nice(frag)
-    return None if rep.is_nice else f"{name}: fragment not nice ({rep.summary()}); recovery is not guaranteed"
-
-
-def _pipeline_context(contexts, name: str, frag: Graph, p: int) -> GroupContext:
-    """The caller's context for this pipeline, or a new one; a given
-    context must be over this very fragment and prime."""
-    ctx = contexts.get(name)
-    if ctx is None:
-        return GroupContext(frag, p)
-    if ctx.p != p or ctx.graph.vertices != frag.vertices or ctx.graph.edges != frag.edges:
-        raise ConfigError(f"the {name} context is not over the {name} fragment of these naturals at p={p}")
-    return ctx
-
-
 def roundtrip(
     gamma: Graph,
     p: int = DEFAULT_P,
     pipeline: str = "both",
     seed: int = DEFAULT_SEED,
     translates: int = DEFAULT_TRANSLATES,
-    *,
-    contexts: Mapping[str, GroupContext] | None = None,
 ) -> RoundTripResult:
     """Encode gamma, then recover it through the requested pipeline(s) and
     compare labels and edges exactly.
 
-    contexts may hand over the group context of a pipeline ("up" or
-    "down") that the caller has already built, so it is not built again."""
+    Each pipeline builds its own fragment and group context over it, and
+    draws from its own generator seeded by seed and the pipeline's name."""
     if pipeline not in ("up", "down", "both"):
         raise ConfigError(f"pipeline must be up, down or both, got {pipeline!r}")
     if translates < 1:
@@ -298,50 +271,37 @@ def roundtrip(
     naturals = sorted(gamma.naturals())
     if len(naturals) < 2:
         raise ConfigError("need at least two vertices to recover a graph")
-    runs = ("up", "down") if pipeline == "both" else (pipeline,)
-    contexts = contexts or {}
-    for name in contexts:
-        if name not in runs:
-            raise ConfigError(f"a {name!r} context was given but the pipelines run are {list(runs)}")
     edges = _graph_edge_labels(gamma)
     messages: list[str] = []
     not_nice: list[str] = []
-    up_rec = down_rec = None
+    recovered: dict[str, RecoveredGraph] = {}
     ok = True
-    if "up" in runs:
-        frag = build_up_fragment(naturals)
-        if note := _not_nice_note("up", frag):
-            messages.append(note)
-            not_nice.append("up")
-        ctx = _pipeline_context(contexts, "up", frag, p)
-        aut = InducedAutomorphism(ctx, pair_swap_automorphism(frag, sorted(edges)))
-        up_rec = recover_graph_up(ctx, aut, rng=random.Random(f"{seed}-up"), translates=translates)
-        ok_up = set(up_rec.labels) == set(naturals) and up_rec.edges == edges
-        ok = ok and ok_up
+    for name in ("up", "down") if pipeline == "both" else (pipeline,):
+        frag = build_up_fragment(naturals) if name == "up" else build_down_fragment(naturals)
+        nice = check_nice(frag)
+        if not nice.is_nice:
+            messages.append(f"{name}: fragment not nice ({nice.summary()}); recovery is not guaranteed")
+            not_nice.append(name)
+        ctx = GroupContext(frag, p)
+        rng = random.Random(f"{seed}-{name}")
+        if name == "up":
+            aut = InducedAutomorphism(ctx, pair_swap_automorphism(frag, sorted(edges)))
+            rec = recover_graph_up(ctx, aut, rng=rng, translates=translates)
+        else:
+            ell = EdgeFunctional.from_edges(sorted(edges))
+            rec = recover_graph_down(ctx, ell, rng=rng, translates=translates)
+        recovered[name] = rec
+        match = set(rec.labels) == set(naturals) and rec.edges == edges
+        ok = ok and match
         messages.append(
-            f"up: {len(up_rec.labels)} vertices, {len(up_rec.edges)} edges, "
-            f"{'match' if ok_up else 'MISMATCH'}"
-        )
-    if "down" in runs:
-        frag = build_down_fragment(naturals)
-        if note := _not_nice_note("down", frag):
-            messages.append(note)
-            not_nice.append("down")
-        ctx = _pipeline_context(contexts, "down", frag, p)
-        ell = EdgeFunctional.from_edges(sorted(edges))
-        down_rec = recover_graph_down(ctx, ell, rng=random.Random(f"{seed}-down"), translates=translates)
-        ok_down = set(down_rec.labels) == set(naturals) and down_rec.edges == edges
-        ok = ok and ok_down
-        messages.append(
-            f"down: {len(down_rec.labels)} vertices, {len(down_rec.edges)} edges, "
-            f"{'match' if ok_down else 'MISMATCH'}"
+            f"{name}: {len(rec.labels)} vertices, {len(rec.edges)} edges, {'match' if match else 'MISMATCH'}"
         )
     return RoundTripResult(
         pipeline=pipeline,
         input_labels=tuple(naturals),
         input_edges=edges,
-        up=up_rec,
-        down=down_rec,
+        up=recovered.get("up"),
+        down=recovered.get("down"),
         ok=ok,
         messages=tuple(messages),
         not_nice=tuple(not_nice),

@@ -330,12 +330,9 @@ def _oracle_checks(res, cfg):
         )
 
 
-def _roundtrip_check(res, cfg, ctx_up, ctx_down):
+def _roundtrip_check(res, cfg):
     gamma = natural_graph(list(cfg.naturals), list(cfg.r_edges))
-    result = roundtrip(
-        gamma, p=cfg.p, pipeline="both", seed=cfg.seed, translates=cfg.translates,
-        contexts={"up": ctx_up, "down": ctx_down},
-    )
+    result = roundtrip(gamma, p=cfg.p, pipeline="both", seed=cfg.seed, translates=cfg.translates)
     _check(res, "round trip recovers the encoded graph through both pipelines", result.ok, "; ".join(result.messages))
 
 
@@ -384,5 +381,5 @@ def verify_lemmas(cfg: VerifyConfig) -> SuiteResult:
     _dichotomy_checks(res, ctx_down, ell, cfg.support_budget)
 
     _oracle_checks(res, cfg)
-    _roundtrip_check(res, cfg, ctx_up, ctx_down)
+    _roundtrip_check(res, cfg)
     return res

@@ -577,6 +577,14 @@ def test_rejected_inputs_exit_2(capsys, argv):
     assert "configuration rejected" in err
 
 
+def test_fragment_json_with_a_float_natural_exits_2(capsys, tmp_path):
+    spec = tmp_path / "float.json"
+    spec.write_text('{"naturals": [0, 1.9, 2]}')
+    code, out, err = run(capsys, "nice", "--json", str(spec))
+    assert code == 2 and out == ""
+    assert "configuration rejected" in err and "a natural must be an integer, got 1.9" in err
+
+
 def test_unreadable_and_unwritable_paths_exit_2(capsys, tmp_path):
     bad = tmp_path / "binary.json"
     bad.write_bytes(b"\xff\xfe\x00")

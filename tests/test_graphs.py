@@ -355,6 +355,29 @@ def test_fragment_spec_optional_p_and_errors():
         FragmentSpec.from_json("[1, 2]")
     with pytest.raises(ValueError):
         FragmentSpec.from_json('{"gadget_pairs": []}')
+    assert FragmentSpec.from_json('{"naturals": [0, 1], "gadget_pairs": null, "p": null}') == FragmentSpec((0, 1))
+    # only JSON integers (not bools) are naturals, pair entries and p, and
+    # pairs and extra edges have exactly two entries: nothing is coerced
+    for bad in (
+        '{"naturals": [0, 1.9, 2]}',
+        '{"naturals": "012"}',
+        '{"naturals": [true, 2]}',
+        '{"naturals": {"0": 1}}',
+        '{"naturals": [0, 1, 2], "gadget_pairs": ["01"]}',
+        '{"naturals": [0, 1, 2], "gadget_pairs": [[0, 1, 2]]}',
+        '{"naturals": [0, 1], "gadget_pairs": [[0, false]]}',
+        '{"naturals": [0, 1], "gadget_pairs": [[0, 1.0]]}',
+        '{"naturals": [0, 1], "gadget_pairs": ""}',
+        '{"naturals": [0, 1], "p": 3.5}',
+        '{"naturals": [0, 1], "p": "5"}',
+        '{"naturals": [0, 1], "p": true}',
+        '{"naturals": [0, 1], "extra_edges": [["n:0"]]}',
+        '{"naturals": [0, 1], "extra_edges": [["n:0", "n:1", "n:0"]]}',
+        '{"naturals": [0, 1], "extra_edges": [["n:0", 1]]}',
+        '{"naturals": [0, 1], "extra_edges": ["n:0"]}',
+    ):
+        with pytest.raises(ConfigError, match="bad fragment document"):
+            FragmentSpec.from_json(bad)
 
 
 def test_fragment_spec_rejects_a_prime_that_is_not_odd():

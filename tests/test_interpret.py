@@ -1,18 +1,20 @@
 """Graph recovery pipelines and the end-to-end round trip."""
 
+import hashlib
 import random
 import warnings
 
 import pytest
 
-from mekler import interpret, verify
+from mekler import interpret
 from mekler.cli import main as cli_main
 from mekler.formulas import FormulaTrace, power_separated
-from mekler.graphs import ConfigError, Natural, all_pairs, build_fragment, pair_swap_automorphism
+from mekler.graphs import Natural, all_pairs, build_fragment, pair_swap_automorphism
 from mekler.group import (
     GroupContext,
     InducedAutomorphism,
     central_generator,
+    format_element,
     generator,
     identity,
     mul,
@@ -153,12 +155,11 @@ def test_up_roundtrip_at_scale(k):
     """The up pipeline recovers a path and a seeded random R on k naturals,
     616 fragment vertices at k = 16."""
     naturals = list(range(k))
-    ctx = GroupContext(build_up_fragment(naturals), 3)
     rng = random.Random(k)
     path = [(i, i + 1) for i in range(k - 1)]
     scattered = [pr for pr in all_pairs(naturals) if rng.random() < 0.3]
     for edges in (path, scattered):
-        res = roundtrip(natural_graph(naturals, edges), pipeline="up", seed=k, contexts={"up": ctx})
+        res = roundtrip(natural_graph(naturals, edges), pipeline="up", seed=k)
         assert res.ok
         assert res.up.labels == tuple(naturals) and res.up.edges == frozenset(edges)
 
@@ -198,6 +199,31 @@ def test_roundtrip_is_seed_stable():
     assert a.messages == b.messages
 
 
+# sha256 of the class representatives and formula witnesses of the seeded
+# recoveries below, recorded before the two pipelines shared one driver: the
+# reports print only counts, labels and edges, so this pins which elements
+# each seed samples and which witnesses the formulas return.
+PINNED_RECOVERY = "bbd2b5fbed5572738ad81bf2ed117e035c37ddd03e8c2b057396d02e4b58107d"
+
+
+def test_seeded_recovery_is_pinned():
+    naturals = [0, 1, 2, 3]
+    res = roundtrip(natural_graph(naturals, [(0, 1), (2, 3)]), p=3, seed=5)
+    lines = []
+    for rec, frag in ((res.up, build_up_fragment(naturals)), (res.down, build_down_fragment(naturals))):
+        ctx = GroupContext(frag, 3)
+
+        def fmt(elements):
+            return " | ".join(format_element(ctx, a) for a in elements)
+
+        for n, reps in sorted(rec.class_reps.items()):
+            lines.append(f"{rec.pipeline} class {n}: {fmt(reps)}")
+        for (n, m), tr in sorted(rec.traces.items()):
+            lines.append(f"{rec.pipeline} edge {n}-{m}: {tr.verdict} {tr.method} {fmt(tr.witnesses)} {tr.note}")
+    assert len(lines) == 2 * (4 + 6)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_RECOVERY
+
+
 def test_roundtrip_input_validation():
     with pytest.raises(ValueError):
         roundtrip(natural_graph([0, 1], []), pipeline="sideways")
@@ -206,55 +232,6 @@ def test_roundtrip_input_validation():
     frag = build_fragment([0, 1], [(0, 1)])
     with pytest.raises(ValueError):
         roundtrip(frag)  # gadget vertices are not a plain natural graph
-
-
-def test_roundtrip_uses_the_contexts_it_is_given(monkeypatch):
-    gamma = natural_graph([0, 1, 2], [(0, 2)])
-    ctx_up = GroupContext(build_up_fragment([0, 1, 2]), 5)
-    ctx_down = GroupContext(build_down_fragment([0, 1, 2]), 5)
-    built = []
-    monkeypatch.setattr(interpret, "GroupContext", lambda *a: built.append(a) or GroupContext(*a))
-    given = roundtrip(gamma, p=5, contexts={"up": ctx_up, "down": ctx_down})
-    assert built == []
-    half = roundtrip(gamma, p=5, contexts={"down": ctx_down})
-    assert len(built) == 1 and built[0][1] == 5
-    assert (given.ok, given.messages) == (half.ok, half.messages) == (True, roundtrip(gamma, p=5).messages)
-
-
-def test_roundtrip_refuses_contexts_of_other_fragments():
-    gamma = natural_graph([0, 1, 2], [(0, 1)])
-    up3 = GroupContext(build_up_fragment([0, 1, 2]), 3)
-    down3 = GroupContext(build_down_fragment([0, 1, 2]), 3)
-    refused = [
-        {"up": GroupContext(build_up_fragment([0, 1, 2, 3]), 3)},  # other naturals
-        {"up": GroupContext(build_up_fragment([0, 1, 2]), 5)},  # other prime
-        {"down": GroupContext(build_down_fragment([0, 1, 3]), 3)},
-        {"down": GroupContext(build_down_fragment([0, 1, 2]), 5)},
-        {"up": down3},  # the other pipeline's fragment
-        {"down": up3},
-    ]
-    for contexts in refused:
-        with pytest.raises(ConfigError, match="context is not over"):
-            roundtrip(gamma, p=3, contexts=contexts)
-    with pytest.raises(ConfigError, match="pipelines run"):
-        roundtrip(gamma, p=3, pipeline="up", contexts={"up": up3, "down": down3})
-    assert roundtrip(gamma, p=3, contexts={"up": up3, "down": down3}).ok
-
-
-def test_verify_lemmas_builds_three_contexts(monkeypatch):
-    """The up and down contexts serve the suites and the round trip; the
-    oracle's small fragment is the third."""
-    built = []
-
-    def counting(*args, **kwargs):
-        built.append(len(args[0]))
-        return GroupContext(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "GroupContext", counting)
-    monkeypatch.setattr(interpret, "GroupContext", counting)
-    res = verify.verify_lemmas(verify.VerifyConfig(naturals=(0, 1, 2, 3), r_edges=((0, 1), (2, 3)), samples=20))
-    assert res.ok
-    assert sorted(built) == sorted([len(build_up_fragment([0, 1, 2, 3])), len(build_down_fragment([0, 1, 2, 3])), 7])
 
 
 def test_representative_dependent_edge_verdict_is_an_internal_fault(monkeypatch):

@@ -21,6 +21,14 @@ The commuting system has one row builder and one basis reader:
 group.commuting_rows writes every row once, keyed by its final column, and
 only group and the scans' rank tables (kernels._rank_tables) call it; only
 group reads a kernel basis (fplinear.kernel_basis) off those rows.
+
+Both recovery pipelines run one driver, interpret._recover: it alone
+samples the candidate classes and partitions them by power, so the up and
+the down recovery differ only in their refusal, candidates, filter and
+edge formula.
+
+No invariant of the library rests on an assert statement, which python -O
+removes.
 """
 
 import ast
@@ -200,3 +208,32 @@ def test_the_adjacency_rule_sees_reads_and_calls():
     assert adjacency_uses(tree, False) == [(1, "adjacency"), (2, "_adjacency_matrix"), (3, "unpackbits")]
     assert adjacency_uses(tree, True) == [(1, "adjacency")]
     assert adjacency_uses(ast.parse("def _adjacency_matrix(masks):\n    return masks\n"), False) == []
+
+
+def test_both_pipelines_share_one_recovery_driver():
+    path = Path(mekler.__file__).parent / "interpret.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "_recover" in reachable_names(tree, "recover_graph_up")
+    assert "_recover" in reachable_names(tree, "recover_graph_down")
+    for helper in ("_sample_class", "_partition_by_power"):
+        assert [fn for fn, _ in references(tree, helper)] == ["_recover"], helper
+    assert misuse_outside({"_recover", "_sample_class", "_partition_by_power"}, {"interpret.py"}) == {}
+
+
+def assert_lines(tree):
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_the_library_has_no_assert():
+    package = Path(mekler.__file__).parent
+    found = {
+        path.relative_to(package).as_posix(): lines
+        for path in sorted(package.rglob("*.py"))
+        if (lines := assert_lines(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert found == {}
+
+
+def test_the_assert_rule_sees_nested_asserts():
+    tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\n")
+    assert assert_lines(tree) == [3]
