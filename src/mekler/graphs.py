@@ -22,12 +22,22 @@ from typing import Iterable, Sequence, Union
 from .fplinear import is_odd_prime
 
 LEVELS = ("0", "1", "1.25", "1.5", "1.75")
+MAX_PRIME = 1000  # the arithmetic is meant for small primes; p is refused above this
 
 
 class ConfigError(ValueError):
     """Rejected input: a bad prime, vertex, element or fragment text, or a
     configuration the constructions cannot honour.  The command line maps
     this (and nothing broader) to exit code 2."""
+
+
+def check_prime(p: int) -> None:
+    """Refuse p unless it is an odd prime of at most MAX_PRIME; the cap comes
+    first, so the primality test never divides by more than sqrt(MAX_PRIME)."""
+    if p > MAX_PRIME:
+        raise ConfigError(f"p must be an odd prime of at most {MAX_PRIME}, got {p}")
+    if not is_odd_prime(p):
+        raise ConfigError(f"p must be an odd prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -346,8 +356,8 @@ class FragmentSpec:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not is_odd_prime(self.p):
-            raise ConfigError(f"p must be an odd prime, got {self.p}")
+        if self.p is not None:
+            check_prime(self.p)
 
     def build(self) -> Graph:
         extra = [(decode_vertex(u), decode_vertex(v)) for u, v in self.extra_edges]

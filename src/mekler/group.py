@@ -52,11 +52,12 @@ import math
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fplinear import FpVector, is_odd_prime, kernel_basis, rref_indexed
+from .fplinear import FpVector, kernel_basis, rref_indexed
 from .graphs import (
     ConfigError,
     Graph,
     Vertex,
+    check_prime,
     decode_vertex,
     encode_vertex,
     host_degree,
@@ -80,8 +81,7 @@ class GroupContext:
     """
 
     def __init__(self, graph: Graph, p: int):
-        if not is_odd_prime(p):
-            raise ConfigError(f"p must be an odd prime, got {p}")
+        check_prime(p)
         self.graph = graph
         self.p = p
         self.vertex_order: tuple[Vertex, ...] = graph.vertices

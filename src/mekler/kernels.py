@@ -44,14 +44,19 @@ walking every support, in two steps:
         common neighbours.  Each is moved from its t = 0 code to its own.
 
 A scan first builds what it reads of the graph alone (the dense adjacency
-matrix, the natural and provisioned masks, the edges, the neighbourhood
-subsets up to its support budget and the triangles), then counts what
-reads the functional.  It costs O(n^2 + |E| log |E| + sum_v C(deg v, 3))
-time, not O(n^3): the n^2 is reading the dense adjacency matrix.  Its
-memory holds that matrix and the neighbourhood subsets; no scan keeps
-anything of its graph or its functional.  Walking every support one anchor
-(smallest vertex) at a time survives only to list the supports of
-violating signatures.
+matrix, the natural and provisioned masks, the edges, the vertices and
+the neighbourhood subsets up to its support budget, and the triangles),
+then counts what reads the functional.  It costs O(n^2 + |E| log |E| +
+sum_v C(deg v, 3)) time, not O(n^3): the n^2 is reading the dense
+adjacency matrix.  Its memory holds that matrix and the neighbourhood
+subsets; no scan keeps anything of its graph or its functional.
+
+The count of violations is exact: the supports of each signature times
+its violating exponent patterns.  Only the listing looks at supports: it
+walks them one anchor (smallest vertex) at a time in lexicographic order,
+gives each its t = 0 code and, where it is among the subsets the count
+coded, that subset's code, and stops after LISTING_BUDGET violations, so
+a graph that violates everywhere lists in about the time it counts.
 
 Nothing assumes the graph is nice.  Agreement with element_dims, the
 generic eliminator and brute-force coset counting is asserted in the test
@@ -70,7 +75,7 @@ import numpy as np
 from .fplinear import FpVector, rref_indexed
 from .graphs import ConfigError, Graph, Natural, Vertex
 from .group import GroupContext, commuting_kernel_dim, commuting_rows
-from .subgroup import DIM_THRESHOLD, PROVISION_PARTNERS, EdgeFunctional
+from .subgroup import DIM_THRESHOLD, EdgeFunctional, provisioned_naturals
 
 MODE_GROUP = 0
 MODE_SUBGROUP = 1
@@ -78,6 +83,8 @@ MODE_SUBGROUP = 1
 KIND_GROUP_BOUND = 0  # non-single-natural support above the group bound
 KIND_SUBGROUP_HIGH = 1  # subgroup member, not a lone natural, at/over threshold
 KIND_SUBGROUP_LOW = 2  # provisioned lone natural below threshold
+
+LISTING_BUDGET = 10_000  # violations a scan lists; it counts all of them
 
 
 def element_dims(
@@ -121,18 +128,25 @@ class ScanViolation:
 
 @dataclass
 class ScanResult:
-    """Outcome of one scan.  violations are ordered by support size, then
-    support (in vertex order), then exponent pattern."""
+    """Outcome of one scan.  violation_count is exact: the supports of each
+    signature times its violating exponent patterns.  violations lists the
+    first LISTING_BUDGET of them, ordered by support size, then support (in
+    vertex order), then exponent pattern."""
 
     mode: int
     max_support: int
     elements_checked: int
     members_checked: int
+    violation_count: int
     violations: list[ScanViolation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.violation_count == 0
+
+    @property
+    def listing_cut(self) -> bool:
+        return len(self.violations) < self.violation_count
 
     def __bool__(self) -> bool:
         return self.ok
@@ -185,42 +199,6 @@ def _rank_tables(p: int, size: int):
     return rank_b, rank_bl, memb, pats
 
 
-def _support_batches(adj: np.ndarray, ellbit: np.ndarray, size: int) -> Iterator[tuple]:
-    """Every support of the given size in lexicographic order, in batches of
-    (supports, t, tl): an (m, size) index array, the common-neighbour count
-    of each support and how many of those the functional is nonzero on.
-    Size 3 comes one anchor i at a time: t of {i, j, k} counts the v in
-    N(i) whose neighbourhood holds the pair (j, k).  O(n^3) for size 3, so
-    it serves only the listing of violating supports."""
-    n = adj.shape[0]
-    if size == 1:
-        yield np.arange(n)[:, None], adj.sum(axis=1), adj.astype(np.int64) @ ellbit
-        return
-    jj, kk = np.triu_indices(n, k=1)
-    # wedges: every pair (a, b) inside some N(v), by its index in (jj, kk)
-    centre, first, pair_id = [], [], []
-    for v in range(n):
-        nb = np.flatnonzero(adj[v])
-        a, b = (nb[x] for x in np.triu_indices(len(nb), k=1))
-        centre.append(np.full(len(a), v))
-        first.append(a)
-        pair_id.append(a * n - a * (a + 1) // 2 + b - a - 1)
-    centre, first, pair_id = (np.concatenate(x).astype(np.int64) for x in (centre, first, pair_id))
-    if size == 2:
-        t = np.bincount(pair_id, minlength=len(jj))
-        tl = np.bincount(pair_id, weights=ellbit[centre], minlength=len(jj)).astype(np.int64)
-        yield np.column_stack([jj, kk]), t, tl
-        return
-    for i in range(n - 2):
-        start = (i + 1) * n - (i + 1) * (i + 2) // 2  # first pair (j, k) with j > i
-        sel = adj[i, centre] & (first > i)
-        local = pair_id[sel] - start
-        m = len(jj) - start
-        t = np.bincount(local, minlength=m)
-        tl = np.bincount(local, weights=ellbit[centre[sel]], minlength=m).astype(np.int64)
-        yield np.column_stack([np.full(m, i), jj[start:], kk[start:]]), t, tl
-
-
 def _support_keys(sup: np.ndarray, n: int) -> np.ndarray:
     """One integer per support row, its vertices as base-n digits."""
     key = np.zeros(len(sup), dtype=np.int64)
@@ -253,7 +231,8 @@ def _wedges(dst: np.ndarray, deg: np.ndarray, size: int) -> tuple[np.ndarray, np
 
 
 class _Subsets(NamedTuple):
-    """The distinct size-subsets of the neighbourhoods N(c) of one graph."""
+    """The distinct size-subsets of the neighbourhoods N(c) of one graph;
+    at size 1 every vertex, an isolated one with t = 0."""
 
     rows: np.ndarray  # (m, size) ascending rows, in lexicographic order
     t: np.ndarray  # how many N(c) hold each row
@@ -264,17 +243,17 @@ class _Subsets(NamedTuple):
 class _GraphTables:
     """What a scan reads of the graph alone, in vertex order: the dense
     adjacency matrix, the natural and provisioned masks, every ordered edge
-    (src, dst) by src then dst with the degrees, the neighbourhood subsets
-    of each size from 2 to max_support and, with the pairs, every triangle
-    once per edge, as rows (c, a, b) with a < b in N(c) and a ~ b.  Nothing
-    here reads a functional or a prime."""
+    (src, dst) by src then dst with the degrees, the vertices, the
+    neighbourhood subsets of each size from 2 to max_support and, with the
+    pairs, every triangle once per edge, as rows (c, a, b) with a < b in
+    N(c) and a ~ b.  Nothing here reads a functional or a prime."""
 
     def __init__(self, adj: np.ndarray, nat: np.ndarray, prov: np.ndarray, max_support: int = 3):
         self.n = n = len(adj)
         self.adj, self.nat, self.prov = adj, nat, prov
         self.src, self.dst = np.divmod(np.flatnonzero(adj), n)  # np.nonzero is several times slower
         self.degree = np.bincount(self.src, minlength=n)
-        self.subsets: dict[int, _Subsets] = {}
+        self.subsets = {1: _Subsets(np.arange(n)[:, None], self.degree, self.src, self.dst)}
         self.triangles = np.zeros((0, 3), dtype=np.int64)
         for size in range(2, max_support + 1):
             centres, rows = _wedges(self.dst, self.degree, size)
@@ -289,12 +268,9 @@ class _GraphTables:
 
 def _graph_tables(graph: Graph, max_support: int) -> _GraphTables:
     """The tables of one scan of the graph, up to the given support size."""
-    partners = graph.partner_counts()
+    provisioned = provisioned_naturals(graph)
     # 2 for a natural, plus 1 when it is provisioned
-    flags = np.array(
-        [isinstance(v, Natural) and 2 + (partners[v.n] >= PROVISION_PARTNERS) for v in graph.vertices],
-        dtype=np.int64,
-    )
+    flags = np.array([isinstance(v, Natural) and 2 + (v.n in provisioned) for v in graph.vertices], dtype=np.int64)
     return _GraphTables(_adjacency_matrix(graph.masks), flags >> 1, flags & 1, max_support)
 
 
@@ -379,17 +355,22 @@ def _t0_patterns(tables: _GraphTables, ellbit: np.ndarray, size: int) -> np.ndar
     return counts.ravel()
 
 
-def _signature_histogram(tables: _GraphTables, ellbit: np.ndarray, size: int) -> np.ndarray:
-    """Supports of the given size per signature code, as from
-    _support_batches.  Pairs and triples are counted at t = 0 per pattern
-    in closed form, then each neighbourhood subset (t >= 1) is moved from
-    its t = 0 code to its own."""
-    if size == 1:
-        tl = np.bincount(tables.src, weights=ellbit[tables.dst], minlength=tables.n)
-        return np.bincount(_signatures(np.arange(tables.n)[:, None], tables.degree, tl, tables, ellbit, 1))
+def _subset_codes(tables: _GraphTables, ellbit: np.ndarray, size: int) -> np.ndarray:
+    """The signature code of every row of tables.subsets[size]: of every
+    neighbourhood subset, or at size 1 of every vertex."""
     sub = tables.subsets[size]
     tl = np.bincount(sub.inverse, weights=ellbit[sub.centres], minlength=len(sub.t))
-    code = _signatures(sub.rows, sub.t, tl, tables, ellbit, size)
+    return _signatures(sub.rows, sub.t, tl, tables, ellbit, size)
+
+
+def _signature_histogram(tables: _GraphTables, ellbit: np.ndarray, size: int) -> np.ndarray:
+    """Supports of the given size per signature code.  Every vertex is
+    coded.  Pairs and triples are counted at t = 0 per pattern in closed
+    form, then each neighbourhood subset (t >= 1) is moved from its t = 0
+    code to its own."""
+    code = _subset_codes(tables, ellbit, size)
+    if size == 1:
+        return np.bincount(code)
     counts = _t0_patterns(tables, ellbit, size)
     nbits = size * (size - 1) // 2
     at_t0 = code & ((1 << (2 + size + nbits)) - 1)  # t and tl > 0 are the top bits
@@ -412,51 +393,89 @@ def _signatures(sup, t, tl, tables: _GraphTables, ellbit, size: int) -> np.ndarr
     return code * 4
 
 
+def _verdicts(codes: np.ndarray, p: int, mode: int, size: int):
+    """Decode signature codes against every exponent pattern: (kind,
+    dim_group, dim_subgroup, member), each indexed (code, pattern), with
+    kind -1 where nothing is violated; in group mode dim_subgroup is -1 and
+    member None, every element counting."""
+    rank_b, rank_bl, memb, _ = _rank_tables(p, size)
+    nbits = size * (size - 1) // 2
+    lone_nat = (size == 1) & ((codes >> 1) & 1 == 1)
+    provisioned = codes & 1 == 1
+    lp = (codes >> 2) & ((1 << size) - 1)
+    na = (codes >> (2 + size)) & ((1 << nbits) - 1)
+    tl_pos = (codes >> (2 + size + nbits)) & 1
+    t = codes >> (3 + size + nbits)
+    rb = rank_b[na]  # (signatures, patterns) from here on
+    dim_g = size + t[:, None] - rb
+    kind = np.full(dim_g.shape, -1)
+    if mode == MODE_GROUP:
+        kind[~lone_nat[:, None] & (dim_g > DIM_THRESHOLD - 1)] = KIND_GROUP_BOUND
+        return kind, dim_g, np.full(dim_g.shape, -1), None
+    member = memb[:, lp].T
+    vanish = (tl_pos[:, None] == 0) & (rank_bl[na, :, lp] == rb)
+    dim_s = dim_g - 1 + vanish
+    kind[member & ~lone_nat[:, None] & (dim_s >= DIM_THRESHOLD)] = KIND_SUBGROUP_HIGH
+    kind[member & (lone_nat & provisioned)[:, None] & (dim_s < DIM_THRESHOLD)] = KIND_SUBGROUP_LOW
+    return kind, dim_g, dim_s, member
+
+
+def _anchored(n: int, i: int, size: int) -> np.ndarray:
+    """Every support of the given size whose smallest vertex is i, in
+    lexicographic order."""
+    if size == 1:
+        return np.array([[i]])
+    rest = np.arange(i + 1, n)
+    tail = rest[:, None] if size == 2 else rest[np.column_stack(np.triu_indices(len(rest), 1))]
+    return np.column_stack([np.full(len(tail), i), tail])
+
+
+def _violating_supports(tables: _GraphTables, ellbit, size: int, codes, bad) -> Iterator[tuple]:
+    """Lazily, in lexicographic order, every support of the given size whose
+    code is codes[r] with bad[r] set, as (support indices, r).  Anchor by
+    anchor, each support takes its t = 0 code, and the subsets the count
+    coded take their own."""
+    n = tables.n
+    rows = tables.subsets[size].rows
+    keys, subset_code = _support_keys(rows, n), _subset_codes(tables, ellbit, size)
+    by_anchor = np.searchsorted(rows[:, 0], np.arange(n + 1))  # the rows of anchor i start at by_anchor[i]
+    for i in range(n - size + 1):
+        sup = _anchored(n, i, size)
+        code = _signatures(sup, 0, 0, tables, ellbit, size)
+        own = slice(by_anchor[i], by_anchor[i + 1])
+        code[np.searchsorted(_support_keys(sup, n), keys[own])] = subset_code[own]
+        r = np.searchsorted(codes, code)
+        for pos in np.flatnonzero(bad[r]):
+            yield tuple(sup[pos].tolist()), r[pos]
+
+
 def _scan_arrays(tables: _GraphTables, ellbit: np.ndarray, p: int, mode: int, max_support: int):
     """Scan every support up to max_support; returns (elements, members,
-    records) with records (kind, support indices, exps, dim_group,
+    violations, records): the exact violation count and the first
+    LISTING_BUDGET records (kind, support indices, exps, dim_group,
     dim_subgroup) in ScanResult order."""
-    checked = 0
-    members = 0
+    checked = members = violations = 0
     records = []
     for size in range(1, max_support + 1):
-        rank_b, rank_bl, memb, pats = _rank_tables(p, size)
         hist = _signature_histogram(tables, ellbit, size)
         codes = np.flatnonzero(hist)
         counts = hist[codes]
-        nbits = size * (size - 1) // 2
-        lone_nat = (size == 1) & ((codes >> 1) & 1 == 1)
-        provisioned = codes & 1 == 1
-        lp = (codes >> 2) & ((1 << size) - 1)
-        na = (codes >> (2 + size)) & ((1 << nbits) - 1)
-        tl_pos = (codes >> (2 + size + nbits)) & 1
-        t = codes >> (3 + size + nbits)
-        rb = rank_b[na]  # (signatures, patterns) from here on
-        dim_g = size + t[:, None] - rb
-        checked += int(counts.sum()) * len(pats)
-        kind = np.full(dim_g.shape, -1)
-        if mode == MODE_GROUP:
-            dim_s = np.full(dim_g.shape, -1)
-            kind[~lone_nat[:, None] & (dim_g > DIM_THRESHOLD - 1)] = KIND_GROUP_BOUND
-        else:
-            member = memb[:, lp].T
+        kind, dim_g, dim_s, member = _verdicts(codes, p, mode, size)
+        checked += int(counts.sum()) * kind.shape[1]
+        if member is not None:
             members += int((counts[:, None] * member).sum())
-            vanish = (tl_pos[:, None] == 0) & (rank_bl[na, :, lp] == rb)
-            dim_s = dim_g - 1 + vanish
-            kind[member & ~lone_nat[:, None] & (dim_s >= DIM_THRESHOLD)] = KIND_SUBGROUP_HIGH
-            kind[member & (lone_nat & provisioned)[:, None] & (dim_s < DIM_THRESHOLD)] = KIND_SUBGROUP_LOW
-        bad_codes = codes[(kind >= 0).any(axis=1)]
-        if not len(bad_codes):
+        bad = kind >= 0
+        if not bad.any():
             continue
-        for sup, t, tl in _support_batches(tables.adj, ellbit, size):
-            code = _signatures(sup, t, tl, tables, ellbit, size)
-            for pos in np.flatnonzero(np.isin(code, bad_codes)):
-                r = np.searchsorted(codes, code[pos])
-                for ci in np.flatnonzero(kind[r] >= 0):
-                    records.append(
-                        (int(kind[r, ci]), tuple(int(x) for x in sup[pos]), pats[ci], int(dim_g[r, ci]), int(dim_s[r, ci]))
-                    )
-    return checked, members, records
+        violations += int(counts @ bad.sum(axis=1))
+        if len(records) >= LISTING_BUDGET:
+            continue
+        pats = _rank_tables(p, size)[3]
+        for sup, r in _violating_supports(tables, ellbit, size, codes, bad.any(axis=1)):
+            records += [(int(kind[r, ci]), sup, pats[ci], int(dim_g[r, ci]), int(dim_s[r, ci])) for ci in np.flatnonzero(bad[r])]
+            if len(records) >= LISTING_BUDGET:
+                break
+    return checked, members, violations, records[:LISTING_BUDGET]
 
 
 def check_support_budget(max_support: int) -> None:
@@ -470,13 +489,14 @@ def check_support_budget(max_support: int) -> None:
 def _run_scan(ctx, ell, mode, max_support):
     check_support_budget(max_support)
     tables = _graph_tables(ctx.graph, max_support)
-    checked, members, records = _scan_arrays(tables, _ell_bits(ctx, ell), ctx.p, mode, max_support)
+    checked, members, count, records = _scan_arrays(tables, _ell_bits(ctx, ell), ctx.p, mode, max_support)
     verts = ctx.vertex_order
     return ScanResult(
         mode=mode,
         max_support=max_support,
         elements_checked=checked,
         members_checked=members if mode == MODE_SUBGROUP else checked,
+        violation_count=count,
         violations=[
             ScanViolation(kind=k, support=tuple(verts[i] for i in sup), exps=exps, dim_group=dg, dim_subgroup=ds)
             for k, sup, exps, dg, ds in records

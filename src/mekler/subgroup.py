@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .fplinear import FpVector
-from .graphs import ConfigError, Natural, Vertex
+from .graphs import ConfigError, Graph, Natural, Vertex
 from .group import (
     GroupContext,
     GroupElement,
@@ -208,6 +208,12 @@ class FragmentAdequacy:
         )
 
 
+def provisioned_naturals(graph: Graph) -> set[int]:
+    """The naturals with at least PROVISION_PARTNERS gadgeted partners, from
+    one pass over the gadget pairs."""
+    return {n for n, k in graph.partner_counts().items() if k >= PROVISION_PARTNERS}
+
+
 def assess_adequacy(ctx: GroupContext, ell: EdgeFunctional) -> FragmentAdequacy:
     """Decide whether the >= 6 / <= 5 dichotomy can be trusted here.
 
@@ -217,14 +223,9 @@ def assess_adequacy(ctx: GroupContext, ell: EdgeFunctional) -> FragmentAdequacy:
     naturals apart from bystanders and we refuse.
     """
     g = ctx.graph
-    partners = g.partner_counts()
-    provisioned: list[int] = []
-    unprovisioned: list[int] = []
-    for n in g.naturals():
-        if partners[n] >= PROVISION_PARTNERS:
-            provisioned.append(n)
-        else:
-            unprovisioned.append(n)
+    rich = provisioned_naturals(g)
+    provisioned = [n for n in g.naturals() if n in rich]
+    unprovisioned = [n for n in g.naturals() if n not in rich]
     dims: dict[int, int] = {}
     separated = True
     for n in unprovisioned:

@@ -187,7 +187,7 @@ def _centralizer_bound_checks(res, ctx, rng, support_budget):
         res,
         "centralizer dimension of non-natural small supports stays at most 5",
         scan.ok,
-        f"{scan.elements_checked} elements, {len(scan.violations)} violations",
+        f"{scan.elements_checked} elements, {scan.violation_count} violations",
     )
     agree = True
     verts = list(ctx.vertex_order)
@@ -288,7 +288,7 @@ def _dichotomy_checks(res, ctx, ell, support_budget):
         res,
         "subgroup dimension dichotomy holds on all small supports",
         scan.ok,
-        f"{scan.members_checked} members, {len(scan.violations)} violations",
+        f"{scan.members_checked} members, {scan.violation_count} violations",
     )
     sample_dims = []
     agree = True

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 import mekler
 from mekler.cayley import FiniteGroup, format_cayley_text, symmetric_group
 from mekler.cli import main
-from mekler import cayley, cli, group, kernels, subgroup, verify
+from mekler import cayley, cli, graphs, group, kernels, subgroup, verify
 from mekler.graphs import ConfigError, FragmentSpec
 from mekler.group import GroupContext
 from mekler.interpret import build_down_fragment
@@ -244,6 +245,28 @@ def test_fragment_rejects_a_prime_that_is_not_odd(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "configuration rejected: p must be an odd prime, got 4" in err
     assert not spec_path.exists()
+
+
+BIG_PRIME = 2305843009213693951  # the Mersenne prime 2**61 - 1
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "nice"])
+def test_a_prime_above_the_cap_exits_2_at_once(capsys, tmp_path, monkeypatch, command):
+    """The cap is checked before any trial division, which on this prime
+    would run for hours."""
+
+    def refuse_to_divide(p):
+        raise AssertionError(f"trial division reached p = {p}")
+
+    monkeypatch.setattr(graphs, "is_odd_prime", refuse_to_divide)
+    spec = tmp_path / "big.json"
+    spec.write_text(f'{{"naturals": [0, 1], "p": {BIG_PRIME}}}')
+    argv = ["roundtrip", "--p", str(BIG_PRIME)] if command == "roundtrip" else ["nice", "--json", str(spec)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"p must be an odd prime of at most {graphs.MAX_PRIME}, got {BIG_PRIME}" in err
 
 
 def test_verify_lemmas_report_is_the_same_under_python_O():

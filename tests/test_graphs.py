@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mekler import graphs
 from mekler.graphs import (
+    MAX_PRIME,
     ConfigError,
     FragmentSpec,
     Gadget,
@@ -21,6 +22,7 @@ from mekler.graphs import (
     all_pairs,
     build_fragment,
     check_nice,
+    check_prime,
     decode_vertex,
     encode_vertex,
     host_degree,
@@ -29,6 +31,7 @@ from mekler.graphs import (
     pair_swap_automorphism,
     vertex_key,
 )
+from mekler.group import GroupContext
 from mekler.kernels import _adjacency_matrix
 
 
@@ -387,6 +390,19 @@ def test_fragment_spec_rejects_a_prime_that_is_not_odd():
         with pytest.raises(ConfigError, match="odd prime"):
             FragmentSpec.from_json(f'{{"naturals": [0, 1], "p": {bad}}}')
     assert FragmentSpec.from_json('{"naturals": [0, 1], "p": 7}').p == 7
+
+
+def test_primes_above_the_cap_are_refused_where_p_enters():
+    assert 101 <= MAX_PRIME < 1009
+    for bad in (1009, 2**61 - 1, 2**61):
+        with pytest.raises(ConfigError, match=f"at most {MAX_PRIME}, got {bad}"):
+            check_prime(bad)
+        with pytest.raises(ConfigError, match=f"at most {MAX_PRIME}"):
+            FragmentSpec(naturals=(0, 1), p=bad)
+        with pytest.raises(ConfigError, match=f"at most {MAX_PRIME}"):
+            GroupContext(build_fragment([0, 1]), bad)
+    check_prime(997)
+    assert FragmentSpec(naturals=(0, 1), p=997).p == GroupContext(build_fragment([0, 1]), 997).p == 997
 
 
 def test_all_pairs():

@@ -1,8 +1,12 @@
 """Scan kernels against brute force, the generic eliminator and element_dims."""
 
+import functools
 import itertools
 import math
+import random
+import time
 import tracemalloc
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -25,16 +29,18 @@ from mekler.kernels import (
     KIND_GROUP_BOUND,
     KIND_SUBGROUP_HIGH,
     KIND_SUBGROUP_LOW,
+    LISTING_BUDGET,
     MODE_GROUP,
     MODE_SUBGROUP,
     ScanResult,
     _ell_bits,
     _graph_tables,
     _GraphTables,
+    _rank_tables,
     _scan_arrays,
     _signature_histogram,
     _signatures,
-    _support_batches,
+    _verdicts,
     element_dims,
     scan_group_bound,
     scan_subgroup_dichotomy,
@@ -244,8 +250,9 @@ def test_low_side_violation_detected_with_doctored_provisioning():
     tables = _graph_tables(ctx.graph, 1)
     assert tables.prov.sum() == 0  # two partners each: genuinely unprovisioned
     doctored = _GraphTables(tables.adj, tables.nat, tables.nat.copy(), 1)
-    checked, members, records = _scan_arrays(doctored, _ell_bits(ctx, ell), ctx.p, MODE_SUBGROUP, 1)
+    checked, members, count, records = _scan_arrays(doctored, _ell_bits(ctx, ell), ctx.p, MODE_SUBGROUP, 1)
     assert checked == 7 * 2
+    assert count == len(records)
     low = [r for r in records if r[0] == KIND_SUBGROUP_LOW]
     assert len(low) == 4  # both naturals, both exponents
     assert all(r[4] < DIM_THRESHOLD for r in low)
@@ -268,6 +275,41 @@ def test_small_supports_only_paths():
     assert res1.elements_checked == 14
     assert isinstance(res1, ScanResult)
 
+
+def _support_batches(adj: np.ndarray, ellbit: np.ndarray, size: int) -> Iterator[tuple]:
+    """Every support of the given size in lexicographic order, in batches of
+    (supports, t, tl): an (m, size) index array, the common-neighbour count
+    of each support and how many of those the functional is nonzero on.
+    Size 3 comes one anchor i at a time: t of {i, j, k} counts the v in
+    N(i) whose neighbourhood holds the pair (j, k).  O(n^3) for size 3: the
+    oracle the library's count and listing are checked against."""
+    n = adj.shape[0]
+    if size == 1:
+        yield np.arange(n)[:, None], adj.sum(axis=1), adj.astype(np.int64) @ ellbit
+        return
+    jj, kk = np.triu_indices(n, k=1)
+    # wedges: every pair (a, b) inside some N(v), by its index in (jj, kk)
+    centre, first, pair_id = [], [], []
+    for v in range(n):
+        nb = np.flatnonzero(adj[v])
+        a, b = (nb[x] for x in np.triu_indices(len(nb), k=1))
+        centre.append(np.full(len(a), v))
+        first.append(a)
+        pair_id.append(a * n - a * (a + 1) // 2 + b - a - 1)
+    centre, first, pair_id = (np.concatenate(x).astype(np.int64) for x in (centre, first, pair_id))
+    if size == 2:
+        t = np.bincount(pair_id, minlength=len(jj))
+        tl = np.bincount(pair_id, weights=ellbit[centre], minlength=len(jj)).astype(np.int64)
+        yield np.column_stack([jj, kk]), t, tl
+        return
+    for i in range(n - 2):
+        start = (i + 1) * n - (i + 1) * (i + 2) // 2  # first pair (j, k) with j > i
+        sel = adj[i, centre] & (first > i)
+        local = pair_id[sel] - start
+        m = len(jj) - start
+        t = np.bincount(local, minlength=m)
+        tl = np.bincount(local, weights=ellbit[centre[sel]], minlength=m).astype(np.int64)
+        yield np.column_stack([np.full(m, i), jj[start:], kk[start:]]), t, tl
 
 
 def anchor_histogram(tables, ellbit, size):
@@ -327,9 +369,9 @@ def test_counted_histograms_equal_the_anchor_walk(n, density, seed, p):
         # the counts do not depend on the threshold; a high one keeps random
         # graphs from listing most of their supports as violations
         mp.setattr(kernels, "DIM_THRESHOLD", 10**6)
-        checked, counted_members, _ = _scan_arrays(tables, ellbit, p, MODE_SUBGROUP, 3)
+        checked, counted_members, _, _ = _scan_arrays(tables, ellbit, p, MODE_SUBGROUP, 3)
         assert (checked, counted_members) == (elements, members)
-        checked, _, records = _scan_arrays(tables, np.zeros(n, dtype=np.int64), p, MODE_GROUP, 3)
+        checked, _, _, records = _scan_arrays(tables, np.zeros(n, dtype=np.int64), p, MODE_GROUP, 3)
         assert checked == elements and records == []
 
 
@@ -452,3 +494,121 @@ def test_provisioned_mask_matches_per_natural_partners(frag):
     ]
     assert prov.tolist() == want
     assert sum(want) > 0
+
+
+def walk_records(tables, ellbit, p, mode, max_support=3):
+    """Every violation record of a scan, from the per-anchor walk over every
+    support and its own histogram, in ScanResult order."""
+    records = []
+    for size in range(1, max_support + 1):
+        codes = np.flatnonzero(anchor_histogram(tables, ellbit, size))
+        kind, dim_g, dim_s, _ = _verdicts(codes, p, mode, size)
+        pats = _rank_tables(p, size)[3]
+        for sup, t, tl in _support_batches(tables.adj, ellbit, size):
+            r = np.searchsorted(codes, _signatures(sup, t, tl, tables, ellbit, size))
+            for pos, ci in zip(*np.nonzero(kind[r] >= 0)):
+                row = r[pos]
+                records.append((int(kind[row, ci]), tuple(sup[pos].tolist()), pats[ci], int(dim_g[row, ci]), int(dim_s[row, ci])))
+    return records
+
+
+def non_nice_fragment(naturals):
+    """All pairs of the naturals gadgeted, then every non-edge added with
+    probability 0.3, drawn from random.Random(1) in combinations order."""
+    graph = build_fragment(range(naturals), all_pairs(range(naturals)))
+    rng = random.Random(1)
+    extra = [
+        (u, w) for u, w in itertools.combinations(graph.vertices, 2) if not graph.has_edge(u, w) and rng.random() < 0.3
+    ]
+    return build_fragment(range(naturals), all_pairs(range(naturals)), extra_edges=extra)
+
+
+@functools.cache
+def non_nice_scan(mode):
+    """The 81-vertex non-nice fragment at p = 3, the dichotomy with R = {0-1}:
+    (context, functional, the walk's full listing)."""
+    ctx = GroupContext(non_nice_fragment(6), 3)
+    ell = EdgeFunctional.from_edges([(0, 1)]) if mode == MODE_SUBGROUP else None
+    return ctx, ell, walk_records(_graph_tables(ctx.graph, 3), _ell_bits(ctx, ell), 3, mode)
+
+
+def run_scan(ctx, ell):
+    return scan_group_bound(ctx) if ell is None else scan_subgroup_dichotomy(ctx, ell)
+
+
+def as_records(ctx, res):
+    return [(v.kind, tuple(ctx.vindex[s] for s in v.support), v.exps, v.dim_group, v.dim_subgroup) for v in res.violations]
+
+
+@pytest.mark.parametrize("mode, count", [(MODE_GROUP, 124_334), (MODE_SUBGROUP, 19_656)], ids=["bound", "dichotomy"])
+def test_non_nice_listing_is_the_walks_first_records(mode, count):
+    """The exact count equals the walk's full count; the listing is the
+    walk's first LISTING_BUDGET records."""
+    ctx, ell, walked = non_nice_scan(mode)
+    assert len(ctx) == 81
+    res = run_scan(ctx, ell)
+    assert res.violation_count == len(walked) == count
+    assert not res.ok and res.listing_cut
+    assert len(res.violations) == LISTING_BUDGET
+    assert as_records(ctx, res) == walked[:LISTING_BUDGET]
+
+
+def test_a_full_listing_walks_no_larger_size(monkeypatch):
+    """With the budget filled inside size 1, at its end or inside size 2,
+    the scan still counts every violation but walks no larger size."""
+    ctx, ell, walked = non_nice_scan(MODE_GROUP)
+    singles = sum(1 for r in walked if len(r[1]) == 1)
+    assert 3 < singles < len(walked)
+    sizes = []
+    walk = kernels._violating_supports
+
+    def recording(tables, ellbit, size, *args):
+        sizes.append(size)
+        return walk(tables, ellbit, size, *args)
+
+    monkeypatch.setattr(kernels, "_violating_supports", recording)
+    for budget, walked_sizes in ((3, [1]), (singles, [1]), (singles + 3, [1, 2])):
+        sizes.clear()
+        monkeypatch.setattr(kernels, "LISTING_BUDGET", budget)
+        res = run_scan(ctx, ell)
+        assert sizes == walked_sizes
+        assert res.violation_count == len(walked)
+        assert as_records(ctx, res) == walked[:budget]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 24),
+    density=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([3, 5]),
+    budget=st.integers(1, 300),
+)
+def test_listing_is_a_prefix_of_the_walk(n, density, seed, p, budget):
+    """At threshold 3 random graphs violate often; the count equals the
+    walk's and the listing is the walk's first records, in both modes."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    nat = rng.integers(0, 2, n)
+    tables = _GraphTables(upper | upper.T, nat, nat & rng.integers(0, 2, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "DIM_THRESHOLD", 3)
+        mp.setattr(kernels, "LISTING_BUDGET", budget)
+        for mode, ellbit in ((MODE_GROUP, np.zeros(n, dtype=np.int64)), (MODE_SUBGROUP, rng.integers(0, 2, n))):
+            walked = walk_records(tables, ellbit, p, mode)
+            _, _, count, records = _scan_arrays(tables, ellbit, p, mode, 3)
+            assert count == len(walked)
+            assert records == walked[:budget]
+
+
+def test_dense_non_nice_scans_cut_their_listings_quickly():
+    """148 vertices, 8 naturals, density 0.3: hundreds of thousands of
+    violations are counted, and the listing stops at the budget."""
+    ctx = GroupContext(non_nice_fragment(8), 3)
+    assert len(ctx) == 148
+    for ell in (None, EdgeFunctional.from_edges([(0, 1)])):
+        start = time.perf_counter()
+        res = run_scan(ctx, ell)
+        assert time.perf_counter() - start < 5.0
+        assert res.listing_cut and len(res.violations) == LISTING_BUDGET
+        assert res.violation_count > 10 * LISTING_BUDGET

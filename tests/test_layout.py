@@ -22,6 +22,11 @@ group.commuting_rows writes every row once, keyed by its final column, and
 only group and the scans' rank tables (kernels._rank_tables) call it; only
 group reads a kernel basis (fplinear.kernel_basis) off those rows.
 
+A scan enumerates supports once: the count and the listing of violations
+read the signature codes of kernels._subset_codes, and the count never
+reaches the listing's walk over anchors.  The full per-anchor walk is a
+test oracle only.
+
 Both recovery pipelines run one driver, interpret._recover: it alone
 samples the candidate classes and partitions them by power, so the up and
 the down recovery differ only in their refusal, candidates, filter and
@@ -106,17 +111,16 @@ def test_one_row_builder_and_one_basis_reader():
     assert misuse_outside({"kernel_basis"}, {"group.py"}) == {}
 
 
-def test_the_anchor_walk_only_lists_violations():
-    """The per-anchor support walk is O(n^3) for triples; the scans count
-    signatures without it and call it only to list violating supports."""
+def test_the_scans_code_supports_once():
+    """The count and the listing read the signature codes of one helper,
+    _subset_codes; the per-anchor walk _support_batches, O(n^3) for
+    triples, is a test oracle that no module of the library defines or
+    names."""
     package = Path(mekler.__file__).parent
-    calls = {
-        path.name: refs
-        for path in sorted(package.glob("*.py"))
-        if (refs := references(ast.parse(path.read_text(), filename=str(path)), "_support_batches"))
-    }
-    assert list(calls) == ["kernels.py"]
-    assert [fn for fn, _ in calls["kernels.py"]] == ["_scan_arrays"]
+    assert [path.name for path in sorted(package.rglob("*.py")) if "_support_batches" in path.read_text()] == []
+    path = package / "kernels.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [fn for fn, _ in references(tree, "_subset_codes")] == ["_signature_histogram", "_violating_supports"]
 
 
 def test_each_scan_unpacks_the_graph_once():
@@ -166,7 +170,7 @@ def test_the_count_never_falls_back_to_the_walk():
     path = Path(mekler.__file__).parent / "kernels.py"
     names = reachable_names(ast.parse(path.read_text(), filename=str(path)), "_signature_histogram")
     assert {"_t0_patterns", "_edge_triples", "_signatures"} <= names
-    assert "_support_batches" not in names
+    assert {"_violating_supports", "_anchored"} & names == set()
 
 
 def test_the_reachability_rule_follows_helpers():
