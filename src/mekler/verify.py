@@ -22,6 +22,7 @@ from .group import (
     GroupContext,
     InducedAutomorphism,
     _below,
+    centralizer_dim_mod_center,
     commutation_matrix,
     commutator,
     generator,
@@ -36,7 +37,7 @@ from .group import (
 from .interpret import (
     DEFAULT_P, DEFAULT_SEED, DEFAULT_TRANSLATES, build_down_fragment, build_up_fragment, natural_graph, roundtrip
 )
-from .kernels import check_support_budget, element_dims, scan_group_bound, scan_subgroup_dichotomy
+from .kernels import check_support_budget, scan_group_bound, scan_subgroup_dichotomy
 from .subgroup import (
     EdgeFunctional,
     assess_adequacy,
@@ -199,7 +200,7 @@ def _centralizer_bound_checks(res, ctx, rng, support_budget):
         a = identity(ctx)
         for v, k in zip(support, exps):
             a = mul(ctx, a, generator(ctx, v, k))
-        dim_fast, _, _ = element_dims(ctx, None, support, exps)
+        dim_fast = centralizer_dim_mod_center(ctx, a)
         dim_generic = kernel_dim(commutation_matrix(ctx, a.gen), ctx.n, ctx.p)  # over all |V| columns
         if dim_fast != dim_generic:
             agree = False

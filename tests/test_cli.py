@@ -16,7 +16,7 @@ import pytest
 import mekler
 from mekler.cayley import FiniteGroup, format_cayley_text, symmetric_group
 from mekler.cli import main
-from mekler import cayley, cli, graphs, group, kernels, subgroup, verify
+from mekler import cayley, cli, graphs, group, subgroup, verify
 from mekler.graphs import ConfigError, FragmentSpec
 from mekler.group import GroupContext
 from mekler.interpret import build_down_fragment
@@ -148,7 +148,7 @@ def test_dimension_cross_checks_do_not_compare_the_engine_with_itself(monkeypatc
 
     assert verdicts() == [True, True]
     engine = group.commuting_kernel_dim
-    for module in (group, kernels, subgroup):
+    for module in (group, subgroup):
         monkeypatch.setattr(module, "commuting_kernel_dim", lambda *args: engine(*args) + 1)
     assert verdicts() == [False, False]
 

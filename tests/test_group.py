@@ -396,6 +396,30 @@ def test_induced_automorphism_maps_commutators():
         assert aut.apply(mul(ctx, a, b)) == mul(ctx, aut.apply(a), aut.apply(b))
 
 
+def test_the_twist_is_the_graph_automorphism_on_a_basis():
+    """The twist of the default up fragment (naturals 0, 1, 2, R = {0-1})
+    certified on a basis, with sigma read from the permutation itself and
+    the expected side built by generator and commutator, never by apply:
+    x_v goes to x_sigma(v), and the central basis element of a non-adjacent
+    pair u < w, which is [x_w, x_u], goes to [x_sigma(w), x_sigma(u)]."""
+    ctx = GroupContext(build_up_fragment([0, 1, 2]), 3)
+    sigma = pair_swap_automorphism(ctx.graph, [(0, 1)])
+    aut = InducedAutomorphism(ctx, sigma)
+    verts = ctx.vertex_order
+    compared = 0
+    for v in verts:
+        assert aut.apply(generator(ctx, v)) == generator(ctx, sigma[v]), v
+        compared += 1
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        if ctx.nonadjacent(i, j):
+            u, w = verts[i], verts[j]
+            assert central_generator(ctx, u, w) == commutator(ctx, generator(ctx, w), generator(ctx, u))
+            expected = commutator(ctx, generator(ctx, sigma[w]), generator(ctx, sigma[u]))
+            assert aut.apply(central_generator(ctx, u, w)) == expected, (u, w)
+            compared += 1
+    assert compared == 18 + 132
+
+
 def test_induced_automorphism_rejects_non_automorphism():
     ctx = GroupContext(build_fragment([0, 1, 2], [(0, 1)]), 3)
     bad = {v: v for v in ctx.graph.vertices}

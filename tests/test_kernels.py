@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from mekler import kernels
 from mekler.fplinear import FpVector, kernel_dim
-from mekler.graphs import Gadget, Natural, all_pairs, build_fragment
+from mekler.graphs import ConfigError, Gadget, Natural, all_pairs, build_fragment
 from mekler.group import (
     GroupContext,
     GroupElement,
     centralizer_dim_mod_center,
     commutation_matrix,
     commutator_vector,
+    commuting_kernel_dim,
     from_vectors,
 )
 from mekler.interpret import build_down_fragment
@@ -38,10 +39,9 @@ from mekler.kernels import (
     _GraphTables,
     _rank_tables,
     _scan_arrays,
-    _signature_histogram,
     _signatures,
+    _subset_codes,
     _verdicts,
-    element_dims,
     scan_group_bound,
     scan_subgroup_dichotomy,
 )
@@ -72,6 +72,27 @@ def planted_dichotomy_fragment():
             (Gadget(0, 1, "0"), Gadget(0, 3, "0")),
         ],
     )
+
+
+def element_dims(ctx, ell, support, exps):
+    """Per-element reference for the scans: (dim_group, dim_subgroup,
+    member), from the support-local engine on one coset.  With ell None the
+    subgroup entries degenerate to the group ones and member is True.
+    Exponents must be nonzero mod p."""
+    p = ctx.p
+    size = len(support)
+    if size == 0 or size != len(exps):
+        raise ValueError("support and exponents must be nonempty and aligned")
+    if any(e % p == 0 for e in exps):
+        raise ValueError("exponents must be nonzero mod p")
+    if len(set(support)) != size:
+        raise ValueError("support vertices must be distinct")
+    coset = FpVector(p, {ctx.vindex[v]: e for v, e in zip(support, exps)})
+    dim_group = commuting_kernel_dim(ctx, [coset])
+    if ell is None:
+        return dim_group, dim_group, True
+    member = sum(e * ell.value(s) for e, s in zip(exps, support)) % p == 0
+    return dim_group, commuting_kernel_dim(ctx, [coset], ell), member
 
 
 def normalized(violations):
@@ -326,6 +347,25 @@ def trimmed(hist):
     return hist[: np.flatnonzero(hist)[-1] + 1] if hist.any() else hist[:0]
 
 
+def with_common_neighbours(hist, size):
+    """The histogram's codes with t >= 1, the ones a scan codes; at size 1
+    all of them."""
+    if size == 1:
+        return hist
+    hist = hist.copy()
+    hist[: 1 << (3 + size + size * (size - 1) // 2)] = 0  # t is the code's top field
+    return hist
+
+
+def assert_coded_equals_anchor(tables, ellbit):
+    """The histogram of the codes a scan computes, on the vertices and the
+    neighbourhood subsets, equals the walk's restricted to t >= 1."""
+    for size in (1, 2, 3):
+        coded = np.bincount(_subset_codes(tables, ellbit, size))
+        walked = with_common_neighbours(anchor_histogram(tables, ellbit, size), size)
+        assert np.array_equal(trimmed(coded), trimmed(walked))
+
+
 def closed_form_counts(ellbit, p, max_support):
     """Elements and subgroup members of a scan by combinatorics alone: a
     member's exponents on its value-1 vertices sum to 0 mod p."""
@@ -360,10 +400,7 @@ def test_counted_histograms_equal_the_anchor_walk(n, density, seed, p):
     nat = rng.integers(0, 2, n)
     prov = nat & rng.integers(0, 2, n)
     tables = _GraphTables(adj, nat, prov)
-    for size in (1, 2, 3):
-        counted = _signature_histogram(tables, ellbit, size)
-        assert counted.min() >= 0
-        assert np.array_equal(trimmed(counted), trimmed(anchor_histogram(tables, ellbit, size)))
+    assert_coded_equals_anchor(tables, ellbit)
     elements, members = closed_form_counts(ellbit, p, 3)
     with pytest.MonkeyPatch.context() as mp:
         # the counts do not depend on the threshold; a high one keeps random
@@ -373,14 +410,6 @@ def test_counted_histograms_equal_the_anchor_walk(n, density, seed, p):
         assert (checked, counted_members) == (elements, members)
         checked, _, _, records = _scan_arrays(tables, np.zeros(n, dtype=np.int64), p, MODE_GROUP, 3)
         assert checked == elements and records == []
-
-
-def assert_counted_equals_anchor(adj, ellbit, nat, prov):
-    tables = _GraphTables(adj, nat, prov)
-    for size in (1, 2, 3):
-        counted = _signature_histogram(tables, ellbit, size)
-        assert counted.min() >= 0
-        assert np.array_equal(trimmed(counted), trimmed(anchor_histogram(tables, ellbit, size)))
 
 
 def graph_from_edges(n, edges):
@@ -398,7 +427,8 @@ def test_counted_histograms_with_triangles_in_every_region(seed):
     adj = graph_from_edges(20, itertools.combinations((0, 5, 10, 15), 2))
     rng = np.random.default_rng(seed)
     nat = rng.integers(0, 2, 20)
-    assert_counted_equals_anchor(adj, rng.integers(0, 2, 20), nat, nat & rng.integers(0, 2, 20))
+    ellbit = rng.integers(0, 2, 20)
+    assert_coded_equals_anchor(_GraphTables(adj, nat, nat & rng.integers(0, 2, 20)), ellbit)
 
 
 def test_counted_histograms_on_every_5_vertex_graph():
@@ -408,14 +438,11 @@ def test_counted_histograms_on_every_5_vertex_graph():
     for mask in range(1 << len(pairs)):
         adj = graph_from_edges(5, (pair for bit, pair in enumerate(pairs) if mask >> bit & 1))
         ellbit, nat, prov = rng.integers(0, 2, (3, 5))
-        assert_counted_equals_anchor(adj, ellbit, nat, nat & prov)
+        assert_coded_equals_anchor(_GraphTables(adj, nat, nat & prov), ellbit)
 
 
-def test_count_encodes_only_vertices_and_neighbourhood_subsets(monkeypatch):
-    """The count computes signature codes for the single vertices and the
-    neighbourhood pairs and triples, never for every (edge, third vertex)
-    pair: at most n + 2 (sum_v C(deg v, 2) + sum_v C(deg v, 3)) rows."""
-    ctx = GroupContext(build_fragment(range(11), all_pairs(range(11))), 3)
+def coded_rows(monkeypatch, scan):
+    """The result of scan() and the number of rows it gave a signature code."""
     rows = []
     signatures = kernels._signatures
 
@@ -424,34 +451,59 @@ def test_count_encodes_only_vertices_and_neighbourhood_subsets(monkeypatch):
         return signatures(sup, *args)
 
     monkeypatch.setattr(kernels, "_signatures", counting)
-    res = scan_group_bound(ctx)
-    deg = kernels._adjacency_matrix(ctx.adj).sum(axis=1)
-    bound = len(ctx) + 2 * sum(math.comb(int(d), 2) + math.comb(int(d), 3) for d in deg)
-    assert bound == 5456
+    return scan(), sum(rows)
+
+
+def subset_bound(adj):
+    """n + sum_v (C(deg v, 2) + C(deg v, 3)): the vertices and every
+    neighbourhood pair and triple, once per centre."""
+    return len(adj) + sum(math.comb(int(d), 2) + math.comb(int(d), 3) for d in adj.sum(axis=1))
+
+
+def test_count_encodes_only_vertices_and_neighbourhood_subsets(monkeypatch):
+    """The count computes signature codes for the single vertices and the
+    neighbourhood pairs and triples, never for every (edge, third vertex)
+    pair, each once: at most n + sum_v C(deg v, 2) + sum_v C(deg v, 3) rows."""
+    ctx = GroupContext(build_fragment(range(11), all_pairs(range(11))), 3)
+    res, rows = coded_rows(monkeypatch, lambda: scan_group_bound(ctx))
+    bound = subset_bound(kernels._adjacency_matrix(ctx.adj))
+    assert bound == 2871
     assert res.ok and res.elements_checked == 31_028_712
-    assert sum(rows) <= bound
+    assert rows <= bound
 
 
-def test_listed_violations_in_the_counted_class(monkeypatch):
-    """At threshold 1 every member support that is edge-free with no common
-    neighbour (the class never enumerated by the count) violates, so the
-    listing must find those supports from their counted signature alone."""
-    monkeypatch.setattr(kernels, "DIM_THRESHOLD", 1)
+@pytest.mark.parametrize("threshold", [1, 3])
+def test_scans_refuse_a_budget_the_lemma_does_not_cover(monkeypatch, threshold):
+    """A support with no common neighbour has dimension at most its size, so
+    the scans code only neighbourhood subsets while every budget stays
+    below the threshold.  At or above it the scan refuses, as an internal
+    fault and not as a rejected configuration: check_support_budget keeps
+    every caller at 3."""
+    monkeypatch.setattr(kernels, "DIM_THRESHOLD", threshold)
     ctx = GroupContext(fragment18(), 3)
     ell = EdgeFunctional.from_edges([(0, 1)])
-    res = scan_subgroup_dichotomy(ctx, ell)
-    elements, members, found = oracle_scan(ctx, ell, threshold=1)
-    assert (res.elements_checked, res.members_checked) == (elements, members)
-    listed = [(v.kind, v.support, v.exps, v.dim_group, v.dim_subgroup) for v in res.violations]
-    assert listed == found
-    adj = kernels._adjacency_matrix(ctx.adj)
-    in_class_c = [
-        sup for _, sup, _, _, _ in found
-        if len(sup) == 3
-        and not any(adj[ctx.vindex[u], ctx.vindex[w]] for u, w in itertools.combinations(sup, 2))
-        and not np.all(adj[[ctx.vindex[v] for v in sup]], axis=0).any()
-    ]
-    assert len(in_class_c) > 100
+    for scan in (lambda: scan_group_bound(ctx), lambda: scan_subgroup_dichotomy(ctx, ell)):
+        with pytest.raises(RuntimeError) as err:
+            scan()
+        assert not isinstance(err.value, ConfigError)
+    if threshold == 3:
+        assert scan_subgroup_dichotomy(ctx, ell, max_support=2).elements_checked == 18 * 2 + 153 * 4
+
+
+@pytest.mark.parametrize("threshold, violating", [(DIM_THRESHOLD, 0), (4, 0), (3, 27)])
+def test_no_support_without_common_neighbours_violates(monkeypatch, threshold, violating):
+    """Every t = 0 code of size 2 and 3, for p in {3, 5, 7} and both modes:
+    none violates at a threshold above the support size, which is the
+    lemma the scans rest on.  At threshold 3 the triples with every pair
+    adjacent do: in group mode under each of the 8 ell-bit patterns, in
+    subgroup mode only with ell zero on all three, 3 * (8 + 1) codes."""
+    monkeypatch.setattr(kernels, "DIM_THRESHOLD", threshold)
+    found = 0
+    for p, size, mode in itertools.product((3, 5, 7), (2, 3), (MODE_GROUP, MODE_SUBGROUP)):
+        codes = np.arange(1 << (size * (size - 1) // 2 + size)) << 2  # t = 0, tl = 0, no natural bits
+        kind = _verdicts(codes, p, mode, size)[0]
+        found += int((kind >= 0).any(axis=1).sum())
+    assert found == violating
 
 
 def test_size3_scan_memory_stays_small():
@@ -502,7 +554,7 @@ def walk_records(tables, ellbit, p, mode, max_support=3):
     records = []
     for size in range(1, max_support + 1):
         codes = np.flatnonzero(anchor_histogram(tables, ellbit, size))
-        kind, dim_g, dim_s, _ = _verdicts(codes, p, mode, size)
+        kind, dim_g, dim_s = _verdicts(codes, p, mode, size)
         pats = _rank_tables(p, size)[3]
         for sup, t, tl in _support_batches(tables.adj, ellbit, size):
             r = np.searchsorted(codes, _signatures(sup, t, tl, tables, ellbit, size))
@@ -555,23 +607,14 @@ def test_non_nice_listing_is_the_walks_first_records(mode, count):
 
 def test_a_full_listing_walks_no_larger_size(monkeypatch):
     """With the budget filled inside size 1, at its end or inside size 2,
-    the scan still counts every violation but walks no larger size."""
+    the scan still counts every violation and lists the walk's first
+    records."""
     ctx, ell, walked = non_nice_scan(MODE_GROUP)
     singles = sum(1 for r in walked if len(r[1]) == 1)
     assert 3 < singles < len(walked)
-    sizes = []
-    walk = kernels._violating_supports
-
-    def recording(tables, ellbit, size, *args):
-        sizes.append(size)
-        return walk(tables, ellbit, size, *args)
-
-    monkeypatch.setattr(kernels, "_violating_supports", recording)
-    for budget, walked_sizes in ((3, [1]), (singles, [1]), (singles + 3, [1, 2])):
-        sizes.clear()
+    for budget in (3, singles, singles + 3):
         monkeypatch.setattr(kernels, "LISTING_BUDGET", budget)
         res = run_scan(ctx, ell)
-        assert sizes == walked_sizes
         assert res.violation_count == len(walked)
         assert as_records(ctx, res) == walked[:budget]
 
@@ -585,14 +628,16 @@ def test_a_full_listing_walks_no_larger_size(monkeypatch):
     budget=st.integers(1, 300),
 )
 def test_listing_is_a_prefix_of_the_walk(n, density, seed, p, budget):
-    """At threshold 3 random graphs violate often; the count equals the
-    walk's and the listing is the walk's first records, in both modes."""
+    """At threshold 4, the lowest a support budget of 3 admits, random
+    graphs violate often; the walk codes every support, those with no
+    common neighbour too, and the count equals the walk's and the listing
+    is the walk's first records, in both modes."""
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, 1)
     nat = rng.integers(0, 2, n)
     tables = _GraphTables(upper | upper.T, nat, nat & rng.integers(0, 2, n))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "DIM_THRESHOLD", 3)
+        mp.setattr(kernels, "DIM_THRESHOLD", 4)
         mp.setattr(kernels, "LISTING_BUDGET", budget)
         for mode, ellbit in ((MODE_GROUP, np.zeros(n, dtype=np.int64)), (MODE_SUBGROUP, rng.integers(0, 2, n))):
             walked = walk_records(tables, ellbit, p, mode)
@@ -612,3 +657,25 @@ def test_dense_non_nice_scans_cut_their_listings_quickly():
         assert time.perf_counter() - start < 5.0
         assert res.listing_cut and len(res.violations) == LISTING_BUDGET
         assert res.violation_count > 10 * LISTING_BUDGET
+
+
+def k6_fragment():
+    """The 286-vertex fragment of 11 naturals, all pairs gadgeted, with a K6
+    planted on its last 6 vertices."""
+    graph = build_fragment(range(11), all_pairs(range(11)))
+    k6 = [(u, w) for u, w in itertools.combinations(graph.vertices[-6:], 2) if not graph.has_edge(u, w)]
+    return build_fragment(range(11), all_pairs(range(11)), extra_edges=k6)
+
+
+def test_a_planted_k6_lists_from_the_neighbourhood_subsets(monkeypatch):
+    """The bound scan lists the walk's 232 records and codes no row beyond
+    the vertices and the neighbourhood pairs and triples: at most
+    n + sum_v (C(deg v, 2) + C(deg v, 3)) rows, where the walk codes every
+    support."""
+    ctx = GroupContext(k6_fragment(), 3)
+    tables = _graph_tables(ctx.graph, 3)
+    walked = walk_records(tables, _ell_bits(ctx, None), 3, MODE_GROUP)
+    res, rows = coded_rows(monkeypatch, lambda: scan_group_bound(ctx))
+    assert res.violation_count == len(walked) == 232
+    assert as_records(ctx, res) == walked
+    assert rows <= subset_bound(tables.adj)

@@ -22,10 +22,11 @@ group.commuting_rows writes every row once, keyed by its final column, and
 only group and the scans' rank tables (kernels._rank_tables) call it; only
 group reads a kernel basis (fplinear.kernel_basis) off those rows.
 
-A scan enumerates supports once: the count and the listing of violations
-read the signature codes of kernels._subset_codes, and the count never
-reaches the listing's walk over anchors.  The full per-anchor walk is a
-test oracle only.
+A scan codes supports once: the count and the listing of violations read
+the signature codes of kernels._subset_codes, on the vertices and the
+neighbourhood subsets alone.  The full per-anchor walk, the closed-form
+counts of supports with no common neighbour it replaced, and the
+per-element reference element_dims are test oracles only.
 
 Both recovery pipelines run one driver, interpret._recover: it alone
 samples the candidate classes and partitions them by power, so the up and
@@ -111,16 +112,37 @@ def test_one_row_builder_and_one_basis_reader():
     assert misuse_outside({"kernel_basis"}, {"group.py"}) == {}
 
 
+ONLY_IN_THE_TESTS = {
+    "_support_batches",
+    "_signature_histogram",
+    "_t0_patterns",
+    "_edge_triples",
+    "_triple_patterns",
+    "TRIPLE_PATTERN",
+    "_anchored",
+    "_violating_supports",
+    "element_dims",
+}
+
+
 def test_the_scans_code_supports_once():
-    """The count and the listing read the signature codes of one helper,
-    _subset_codes; the per-anchor walk _support_batches, O(n^3) for
-    triples, is a test oracle that no module of the library defines or
-    names."""
+    """Only _subset_codes computes signature codes, and it is what the scan
+    reads; the scan tables hold no triangles, and no module of the library
+    defines or names the per-anchor walk, the t = 0 pattern counts or
+    element_dims."""
     package = Path(mekler.__file__).parent
-    assert [path.name for path in sorted(package.rglob("*.py")) if "_support_batches" in path.read_text()] == []
     path = package / "kernels.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert [fn for fn, _ in references(tree, "_subset_codes")] == ["_signature_histogram", "_violating_supports"]
+    assert [fn for fn, _ in references(tree, "_signatures")] == ["_subset_codes"]
+    assert [fn for fn, _ in references(tree, "_subset_codes")] == ["_scan_arrays"]
+    assert name_uses(tree, {"triangles"}) == []  # the scan tables keep none
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = [(node.lineno, node.name) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in ONLY_IN_THE_TESTS]
+        if uses := sorted(defined + name_uses(tree, ONLY_IN_THE_TESTS)):
+            found[path.name] = uses
+    assert found == {}
 
 
 def test_each_scan_unpacks_the_graph_once():
@@ -167,10 +189,12 @@ def test_the_coset_oracle_shares_no_code_with_the_engine():
 
 
 def test_the_count_never_falls_back_to_the_walk():
+    """The scan's count codes supports through _subset_codes and reaches no
+    per-anchor walk or t = 0 pattern count."""
     path = Path(mekler.__file__).parent / "kernels.py"
-    names = reachable_names(ast.parse(path.read_text(), filename=str(path)), "_signature_histogram")
-    assert {"_t0_patterns", "_edge_triples", "_signatures"} <= names
-    assert {"_violating_supports", "_anchored"} & names == set()
+    names = reachable_names(ast.parse(path.read_text(), filename=str(path)), "_scan_arrays")
+    assert {"_subset_codes", "_signatures", "_verdicts"} <= names
+    assert ONLY_IN_THE_TESTS & names == set()
 
 
 def test_the_reachability_rule_follows_helpers():
