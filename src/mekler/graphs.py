@@ -158,23 +158,13 @@ class Graph:
         return tuple(v.n for v in self.vertices if isinstance(v, Natural))
 
     def gadget_pairs(self) -> tuple[tuple[int, int], ...]:
-        pairs = sorted({v.pair for v in self.vertices if isinstance(v, Gadget)})
+        pairs = sorted({(v.a, v.b) for v in self.vertices if isinstance(v, Gadget)})
         return tuple(pairs)
 
     def partner_counts(self) -> Counter[int]:
         """Each natural's number of gadgeted partners, from one pass over
         the pairs; a natural without partners reads 0."""
         return Counter(n for pair in self.gadget_pairs() for n in pair)
-
-    def gadget_partners(self, n: int) -> tuple[int, ...]:
-        """Naturals m such that the {n, m} hub is present."""
-        out = set()
-        for a, b in self.gadget_pairs():
-            if a == n:
-                out.add(b)
-            elif b == n:
-                out.add(a)
-        return tuple(sorted(out))
 
 
 def build_fragment(

@@ -43,8 +43,15 @@ too, so it costs no more than the count.
 
 A scan builds what it reads of the graph alone (the dense adjacency
 matrix, the natural and provisioned masks and the neighbourhood subsets up
-to its support budget), then codes what reads the functional.  It costs
-O(n^2 + |E| log |E| + sum_v C(deg v, 3)) time, the n^2 being the dense
+to its support budget), then codes what reads the functional.  The subsets
+of every size come from one gather of the neighbour rows per degree class,
+and each size is deduplicated by one stable sort of its support keys; the
+functional-bit totals of every size come from one run of prefix counts.
+Each size's codes are histogrammed by np.bincount, not sorted: a code is
+a small non-negative integer below 2^(size(size+1)/2 + 3) * (max t + 1),
+so the histogram has at most 512 n entries.  A scan costs
+O(n^2 + W log W) time, W = sum_v (C(deg v, 2) + C(deg v, 3)) the
+neighbourhood subsets counted once per centre and the n^2 the dense
 adjacency matrix, and keeps nothing of its graph or its functional.
 Nothing assumes the graph is nice.  Agreement with the generic eliminator,
 brute-force coset counting and a walk over every support is asserted in
@@ -118,7 +125,8 @@ def _adjacency_matrix(masks: Sequence[int]) -> np.ndarray:
     """The neighbour bitmasks unpacked into a dense bool matrix, for the
     scans only; each scan unpacks its own."""
     n, width = len(masks), (len(masks) + 7) // 8
-    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    packed = b"".join(map(int.to_bytes, masks, itertools.repeat(width), itertools.repeat("little")))
+    rows = np.frombuffer(packed, dtype=np.uint8)
     return np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -177,19 +185,24 @@ def _combinations(d: int, size: int) -> np.ndarray:
     return rows
 
 
-def _wedges(dst: np.ndarray, deg: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _wedges(dst: np.ndarray, deg: np.ndarray, max_support: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Every size-subset of every neighbourhood N(c), as the centres c and
-    ascending (m, size) rows, from the ordered edges' ends and the degrees.
-    Centres of one degree are taken together."""
+    ascending (m, size) rows, from the ordered edges' ends and the degrees,
+    for each size from 2 to max_support.  Centres of one degree are taken
+    together: their neighbour rows are gathered once and cut into every
+    size's combinations."""
+    sizes = range(2, max_support + 1)
     start = np.cumsum(deg) - deg
-    centres, rows = [np.zeros(0, dtype=np.int64)], [np.zeros((0, size), dtype=np.int64)]
-    for d in np.flatnonzero(np.bincount(deg)[size:]) + size:
+    centres = {size: [np.zeros(0, dtype=np.int64)] for size in sizes}
+    rows = {size: [np.zeros((0, size), dtype=np.int64)] for size in sizes}
+    for d in np.flatnonzero(np.bincount(deg)[2:]) + 2:
         cs = np.flatnonzero(deg == d)
         nbrs = dst[start[cs][:, None] + np.arange(d)]  # ascending in each row
-        combos = _combinations(int(d), size)
-        centres.append(np.repeat(cs, len(combos)))
-        rows.append(nbrs[:, combos].reshape(-1, size))
-    return np.concatenate(centres), np.concatenate(rows)
+        for size in range(2, min(d, max_support) + 1):
+            combos = _combinations(int(d), size)
+            centres[size].append(np.repeat(cs, len(combos)))
+            rows[size].append(nbrs[:, combos].reshape(-1, size))
+    return {size: (np.concatenate(centres[size]), np.concatenate(rows[size])) for size in sizes}
 
 
 class _Subsets(NamedTuple):
@@ -206,7 +219,13 @@ class _GraphTables:
     """What a scan reads of the graph alone, in vertex order: the dense
     adjacency matrix, the natural and provisioned masks, every vertex and
     the neighbourhood subsets of each size from 2 to max_support.  Nothing
-    here reads a functional or a prime."""
+    here reads a functional or a prime.
+
+    The subsets of one size are deduplicated by one stable sort of their
+    support keys: a run of equal keys is one subset, its first incidence
+    gives the row, its length gives t, and the running count of run starts
+    gives each incidence its row.  The rows come out in lexicographic
+    order, as np.unique would give them."""
 
     def __init__(self, adj: np.ndarray, nat: np.ndarray, prov: np.ndarray, max_support: int = 3):
         self.n = n = len(adj)
@@ -214,12 +233,16 @@ class _GraphTables:
         src, dst = np.divmod(np.flatnonzero(adj), n)  # the ordered edges; np.nonzero is several times slower
         degree = np.bincount(src, minlength=n)
         self.subsets = {1: _Subsets(np.arange(n)[:, None], degree, src, dst)}
-        for size in range(2, max_support + 1):
-            centres, rows = _wedges(dst, degree, size)
-            _, first, inverse, t = np.unique(
-                _support_keys(rows, n), return_index=True, return_inverse=True, return_counts=True
-            )
-            self.subsets[size] = _Subsets(rows[first], t, centres, inverse.ravel())
+        for size, (centres, rows) in _wedges(dst, degree, max_support).items():
+            keys = _support_keys(rows, n)
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            run_start = np.ones(len(keys) + 1, dtype=bool)  # the last entry closes the last run
+            np.not_equal(keys[1:], keys[:-1], out=run_start[1:-1])
+            bounds = np.flatnonzero(run_start)
+            inverse = np.empty(len(keys), dtype=np.int64)
+            inverse[order] = np.cumsum(run_start[:-1]) - 1
+            self.subsets[size] = _Subsets(rows[order[bounds[:-1]]], bounds[1:] - bounds[:-1], centres, inverse)
 
 
 def _graph_tables(graph: Graph, max_support: int) -> _GraphTables:
@@ -230,15 +253,18 @@ def _graph_tables(graph: Graph, max_support: int) -> _GraphTables:
     return _GraphTables(_adjacency_matrix(graph.masks), flags >> 1, flags & 1, max_support)
 
 
-def _pattern_totals(ellbit: np.ndarray, size: int) -> np.ndarray:
+def _pattern_totals(ellbit: np.ndarray, max_support: int) -> list[np.ndarray]:
     """Supports of each positional functional-bit pattern (first vertex's
-    bit highest), from prefix counts over vertex order: ends[pat][j] counts
-    the increasing tuples with pattern pat whose last vertex is j."""
+    bit highest), for each size from 1 to max_support, from prefix counts
+    over vertex order: ends[pat][j] counts the increasing tuples with
+    pattern pat whose last vertex is j, and each size extends the last."""
     onehot = np.stack([1 - ellbit, ellbit])
     ends = onehot
-    for _ in range(size - 1):
+    totals = [ends.sum(axis=-1)]
+    for _ in range(max_support - 1):
         ends = (np.cumsum(ends, axis=-1) - ends)[..., None, :] * onehot
-    return ends.sum(axis=-1).ravel()
+        totals.append(ends.sum(axis=-1).ravel())
+    return totals
 
 
 def _subset_codes(tables: _GraphTables, ellbit: np.ndarray, size: int) -> np.ndarray:
@@ -297,19 +323,23 @@ def _scan_arrays(tables: _GraphTables, ellbit: np.ndarray, p: int, mode: int, ma
         raise RuntimeError(f"supports of size {max_support} can violate with no common neighbour")
     checked = members = violations = 0
     records = []
-    for size in range(1, max_support + 1):
+    for size, totals in enumerate(_pattern_totals(ellbit, max_support), 1):
         _, _, memb, pats = _rank_tables(p, size)
         checked += math.comb(tables.n, size) * len(pats)
-        members += int(_pattern_totals(ellbit, size) @ memb.sum(axis=0))
-        codes, row_code, counts = np.unique(_subset_codes(tables, ellbit, size), return_inverse=True, return_counts=True)
+        members += int(totals @ memb.sum(axis=0))
+        row_codes = _subset_codes(tables, ellbit, size)
+        hist = np.bincount(row_codes)
+        codes = np.flatnonzero(hist)
         kind, dim_g, dim_s = _verdicts(codes, p, mode, size)
         bad = kind >= 0
-        violations += int(counts @ bad.sum(axis=1))
+        violations += int(hist[codes] @ bad.sum(axis=1))
+        bad_code = np.zeros(len(hist), dtype=bool)
+        bad_code[codes] = bad.any(axis=1)
+        # each violating row adds at least one record: rows past the budget's remainder go unread
+        listed = np.flatnonzero(bad_code[row_codes])[: max(0, LISTING_BUDGET - len(records))]
         rows = tables.subsets[size].rows
-        for row in np.flatnonzero(bad.any(axis=1)[row_code]):
-            if len(records) >= LISTING_BUDGET:
-                break
-            r, sup = row_code[row], tuple(rows[row].tolist())
+        for row, r in zip(listed, np.searchsorted(codes, row_codes[listed])):
+            sup = tuple(rows[row].tolist())
             records += [(int(kind[r, ci]), sup, pats[ci], int(dim_g[r, ci]), int(dim_s[r, ci])) for ci in np.flatnonzero(bad[r])]
     return checked, members, violations, records[:LISTING_BUDGET]
 

@@ -32,6 +32,7 @@ from mekler.graphs import (
     vertex_key,
 )
 from mekler.group import GroupContext
+from mekler.interpret import build_down_fragment
 from mekler.kernels import _adjacency_matrix
 
 
@@ -326,12 +327,39 @@ def test_build_fragment_validation():
     assert (len(g.vertices), len(g.edges)) == (7, 7)
 
 
+def gadget_partners(graph, n):
+    """Naturals m such that the {n, m} gadget is present: the tests'
+    per-natural oracle for the partner counts."""
+    out = set()
+    for a, b in graph.gadget_pairs():
+        if a == n:
+            out.add(b)
+        elif b == n:
+            out.add(a)
+    return tuple(sorted(out))
+
+
 def test_gadget_partners():
     g = build_fragment([0, 1, 2, 3], [(0, 1), (0, 2)])
-    assert g.gadget_partners(0) == (1, 2)
-    assert g.gadget_partners(1) == (0,)
-    assert g.gadget_partners(3) == ()
+    assert gadget_partners(g, 0) == (1, 2)
+    assert gadget_partners(g, 1) == (0,)
+    assert gadget_partners(g, 3) == ()
     assert g.gadget_pairs() == ((0, 1), (0, 2))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        build_fragment([0, 1, 2, 3], [(0, 1), (0, 2)]),
+        build_fragment(range(5), all_pairs(range(5))),
+        build_down_fragment([0, 1, 2]),
+        # a lone pentagon vertex, with no hub and no other level of its gadget
+        Graph([Natural(0), Natural(1), Natural(2), Gadget(0, 2, "1.5")], [(Natural(0), Gadget(0, 2, "1.5"))]),
+    ],
+    ids=["two-pairs", "all-pairs-5", "down-3", "lone-pentagon"],
+)
+def test_gadget_pairs_are_the_pairs_of_the_gadget_vertices(graph):
+    assert graph.gadget_pairs() == tuple(sorted({v.pair for v in graph.vertices if isinstance(v, Gadget)}))
 
 
 def test_fragment_spec_json_round_trip():

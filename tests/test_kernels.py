@@ -46,6 +46,7 @@ from mekler.kernels import (
     scan_subgroup_dichotomy,
 )
 from mekler.subgroup import DIM_THRESHOLD, PROVISION_PARTNERS, EdgeFunctional, centralizer_dim_in_subgroup
+from test_graphs import gadget_partners
 
 
 def ctx7():
@@ -199,7 +200,7 @@ def oracle_scan(ctx, ell, threshold=DIM_THRESHOLD):
     for size in (1, 2, 3):
         for sup in itertools.combinations(ctx.vertex_order, size):
             lone_nat = size == 1 and isinstance(sup[0], Natural)
-            provisioned = lone_nat and len(ctx.graph.gadget_partners(sup[0].n)) >= PROVISION_PARTNERS
+            provisioned = lone_nat and len(gadget_partners(ctx.graph, sup[0].n)) >= PROVISION_PARTNERS
             for exps in itertools.product(range(1, ctx.p), repeat=size):
                 dim_g, dim_s, member = element_dims(ctx, ell, sup, exps)
                 elements += 1
@@ -441,6 +442,104 @@ def test_counted_histograms_on_every_5_vertex_graph():
         assert_coded_equals_anchor(_GraphTables(adj, nat, nat & prov), ellbit)
 
 
+def random_tables(n, density, seed):
+    """_GraphTables of a seeded random graph with seeded natural and
+    provisioned bits, and seeded functional bits."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    nat = rng.integers(0, 2, n)
+    return _GraphTables(upper | upper.T, nat, nat & rng.integers(0, 2, n)), rng.integers(0, 2, n)
+
+
+def unique_subsets(adj, size):
+    """(rows, t, centres, inverse) of the size-subsets of the neighbourhoods,
+    from a loop over the centres in the scan's incidence order (by degree,
+    then by centre) and np.unique over the rows: the reference for the
+    stable-sort dedupe of _GraphTables."""
+    degree = adj.sum(axis=1)
+    centres, rows = [], []
+    for c in sorted(range(len(adj)), key=lambda c: (degree[c], c)):
+        for combo in itertools.combinations(np.flatnonzero(adj[c]).tolist(), size):
+            centres.append(c)
+            rows.append(combo)
+    rows = np.array(rows, dtype=np.int64).reshape(-1, size)
+    if not len(rows):  # np.unique along an axis refuses an empty array
+        return rows, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    _, first, inverse, t = np.unique(rows, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    return rows[first], t, np.array(centres, dtype=np.int64), inverse.ravel()
+
+
+def unique_codes(tables, ellbit, size):
+    """The signature code of every distinct subset of one size, coded from
+    the np.unique reference subsets; at size 1 from the vertices."""
+    rows, t, centres, inverse = tables.subsets[1] if size == 1 else unique_subsets(tables.adj, size)
+    tl = np.bincount(inverse, weights=ellbit[centres], minlength=len(t))
+    return rows, _signatures(rows, t, tl, tables, ellbit, size)
+
+
+def on_random_graphs(test):
+    """Run test on 40 seeded random graphs of 0 to 40 vertices, and on the
+    edge cases below."""
+    for case in (
+        example(n=0, density=0.5, seed=0),  # no vertex at all
+        example(n=1, density=1.0, seed=1),
+        example(n=30, density=0.0, seed=2),  # edgeless: no subset of any size
+        example(n=2, density=1.0, seed=3),  # one edge: every degree below 2
+        example(n=3, density=1.0, seed=4),  # a triangle: every degree below 3
+    ):
+        test = case(test)
+    graphs = given(n=st.integers(0, 40), density=st.sampled_from([0.0, 0.05, 0.15, 0.4, 1.0]), seed=st.integers(0, 2**32 - 1))
+    return settings(derandomize=True, database=None, deadline=None, max_examples=40)(graphs(test))
+
+
+@on_random_graphs
+def test_deduped_subsets_equal_np_unique(n, density, seed):
+    """Every field of every size's neighbourhood subsets equals the np.unique
+    reference: the rows in lexicographic order, t, the centres and the row
+    of every incidence."""
+    tables, _ = random_tables(n, density, seed)
+    for size in (2, 3):
+        want = unique_subsets(tables.adj, size)
+        got = tables.subsets[size]
+        for field, got_field, want_field in zip(got._fields, got, want):
+            assert got_field.shape == want_field.shape, (size, field)
+            assert np.array_equal(got_field, want_field), (size, field)
+
+
+@on_random_graphs
+def test_code_histograms_equal_np_unique_counts(n, density, seed):
+    """Each size's bincount histogram of the scan's codes has the np.unique
+    counts of the reference subsets' codes, within its stated length bound;
+    and at threshold 4, where random graphs violate often, the scan's count
+    and listing equal those read through np.unique's codes and inverse."""
+    tables, ellbit = random_tables(n, density, seed)
+    budget = 1 + seed % 300
+    for size in (1, 2, 3):
+        hist = np.bincount(_subset_codes(tables, ellbit, size))
+        codes, counts = np.unique(unique_codes(tables, ellbit, size)[1], return_counts=True)
+        assert np.array_equal(np.flatnonzero(hist), codes)
+        assert np.array_equal(hist[codes], counts)
+        t = tables.subsets[size].t
+        assert len(hist) <= (int(t.max(initial=0)) + 1) << (size * (size + 1) // 2 + 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "DIM_THRESHOLD", 4)
+        mp.setattr(kernels, "LISTING_BUDGET", budget)
+        for mode, bits, p in ((MODE_GROUP, np.zeros(n, dtype=np.int64), 3), (MODE_SUBGROUP, ellbit, 5)):
+            violations, records = 0, []
+            for size in (1, 2, 3):
+                rows, row_codes = unique_codes(tables, bits, size)
+                codes, row_code, counts = np.unique(row_codes, return_inverse=True, return_counts=True)
+                kind, dim_g, dim_s = _verdicts(codes, p, mode, size)
+                violations += int(counts @ (kind >= 0).sum(axis=1))
+                pats = _rank_tables(p, size)[3]
+                for row, r in enumerate(row_code.ravel()):
+                    if len(records) >= budget:
+                        break
+                    sup = tuple(rows[row].tolist())
+                    records += [(int(kind[r, ci]), sup, pats[ci], int(dim_g[r, ci]), int(dim_s[r, ci])) for ci in np.flatnonzero(kind[r] >= 0)]
+            assert _scan_arrays(tables, bits, p, mode, 3)[2:] == (violations, records[:budget])
+
+
 def coded_rows(monkeypatch, scan):
     """The result of scan() and the number of rows it gave a signature code."""
     rows = []
@@ -541,7 +640,7 @@ def test_provisioned_mask_matches_per_natural_partners(frag):
     ctx = GroupContext(frag(), 3)
     prov = _graph_tables(ctx.graph, 1).prov
     want = [
-        int(isinstance(v, Natural) and len(ctx.graph.gadget_partners(v.n)) >= PROVISION_PARTNERS)
+        int(isinstance(v, Natural) and len(gadget_partners(ctx.graph, v.n)) >= PROVISION_PARTNERS)
         for v in ctx.vertex_order
     ]
     assert prov.tolist() == want

@@ -28,6 +28,12 @@ neighbourhood subsets alone.  The full per-anchor walk, the closed-form
 counts of supports with no common neighbour it replaced, and the
 per-element reference element_dims are test oracles only.
 
+A scan keeps nothing between calls: the only caches in kernels are the
+rank tables and the index combinations, keyed by a prime, a degree and a
+support size alone, and kernels binds no module-level container.  A cache
+keyed on a graph, a context or a functional would make a rescanned graph
+look fast while no command ever rescans one.
+
 Both recovery pipelines run one driver, interpret._recover: it alone
 samples the candidate classes and partitions them by power, so the up and
 the down recovery differ only in their refusal, candidates, filter and
@@ -236,6 +242,76 @@ def test_the_adjacency_rule_sees_reads_and_calls():
     assert adjacency_uses(tree, False) == [(1, "adjacency"), (2, "_adjacency_matrix"), (3, "unpackbits")]
     assert adjacency_uses(tree, True) == [(1, "adjacency")]
     assert adjacency_uses(ast.parse("def _adjacency_matrix(masks):\n    return masks\n"), False) == []
+
+
+CACHES = {"cache", "lru_cache", "cached_property"}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque", "WeakKeyDictionary", "WeakValueDictionary", "WeakSet"}
+
+
+def cached_functions(tree):
+    """Per function under functools.cache, lru_cache or cached_property, at
+    any depth, the annotation of each of its parameters."""
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for dec in node.decorator_list:
+            fn = dec.func if isinstance(dec, ast.Call) else dec
+            if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) in CACHES:
+                found[node.name] = [ast.unparse(arg.annotation) if arg.annotation else None for arg in node.args.args]
+    return found
+
+
+def module_containers(tree):
+    """(line, target) of every module-level binding of a mutable container:
+    a dict, list or set display or comprehension, or a call that makes one."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        fn = value.func if isinstance(value, ast.Call) else None
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+        if isinstance(value, CONTAINERS) or name in CONTAINER_CALLS:
+            found += [(node.lineno, ast.unparse(target)) for target in targets]
+    return found
+
+
+def test_scans_keep_no_state_between_calls():
+    """The only caches in kernels are the rank tables and the index
+    combinations, each keyed by integers alone, and kernels binds no
+    module-level dict, list, set or weak mapping."""
+    path = Path(mekler.__file__).parent / "kernels.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert cached_functions(tree) == {"_rank_tables": ["int", "int"], "_combinations": ["int", "int"]}
+    assert module_containers(tree) == []
+
+
+def test_the_state_rule_sees_caches_and_containers():
+    source = (
+        "import functools, weakref\n"
+        "TABLES = weakref.WeakKeyDictionary()\n"
+        "SEEN: dict = {}\n"
+        "ORDER = [1, 2]\n"
+        "KINDS = (1, 2)\n"
+        "@functools.cache\n"
+        "def _graph_tables(graph: Graph, max_support: int):\n"
+        "    pass\n"
+        "class C:\n"
+        "    @functools.lru_cache(maxsize=None)\n"
+        "    def m(self, x):\n"
+        "        pass\n"
+        "@cache\n"
+        "def _rank_tables(p: int, size: int):\n"
+        "    pass\n"
+    )
+    tree = ast.parse(source)
+    assert cached_functions(tree) == {"_graph_tables": ["Graph", "int"], "m": [None, None], "_rank_tables": ["int", "int"]}
+    assert module_containers(tree) == [(2, "TABLES"), (3, "SEEN"), (4, "ORDER")]
 
 
 def test_both_pipelines_share_one_recovery_driver():
