@@ -21,7 +21,6 @@ from .graphs import (
     build_fragment,
     check_nice,
     pair_swap_automorphism,
-    host_degree,
     encode_vertex,
     decode_vertex,
 )
@@ -86,12 +85,8 @@ from .interpret import (
 from .cayley import (
     FiniteGroup,
     CoverCertificate,
-    nth_roots_count,
-    bounded_root_set,
     root_counts,
-    power_image,
     covering_number,
-    has_unique_roots,
     covering_report,
     cayley_from_context,
     sl2_permutation_group,

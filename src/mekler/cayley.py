@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .fplinear import FpVector
 from .graphs import ConfigError
-from .group import GroupContext, from_vectors, format_element, mul as ctx_mul
+from .group import GroupContext, from_vectors, mul as ctx_mul
 
 DEFAULT_MAX_ORDER = 2048  # largest group tabulated
 EXACT_CAP = 2000  # largest group whose covering number is searched exactly
@@ -26,7 +26,8 @@ COVER_NODE_BUDGET = 2_000_000  # search nodes an exact cover search may visit
 
 
 class FiniteGroup:
-    """Multiplication table with the group axioms machine-checked.
+    """Multiplication table with the group axioms machine-checked, its
+    identity and its inverses; elements are the unnamed indices 0..n-1.
 
     The table is the group's own read-only, C-contiguous int32 copy: every
     order under the cap fits in int32, and so does every flat index x*n + y.
@@ -37,7 +38,7 @@ class FiniteGroup:
     O(n^2 |gens|).
     """
 
-    def __init__(self, table, names: Sequence[str] | None = None):
+    def __init__(self, table):
         if not (isinstance(table, np.ndarray) and table.dtype == np.int32):
             table = _int64_table(table)  # bounds are checked before narrowing
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -66,24 +67,11 @@ class FiniteGroup:
         for g in _generating_set(w, e):
             if not (w.take(w[:, g], axis=0) == w.take(w[g], axis=1)).all():  # (x g) y against x (g y)
                 raise ConfigError("table is not associative")
-        if names is not None:
-            names = tuple(names)
-            if len(names) != n:
-                raise ConfigError("names must match the element count")
         t.flags.writeable = False
         inv.flags.writeable = False
         self.table = t
-        self._names = names
-        self._namer: Callable[[], tuple[str, ...]] | None = None
         self.identity = e
         self.inverses = inv
-
-    @property
-    def names(self) -> tuple[str, ...] | None:
-        """Element names; a builder may leave them to be made on first read."""
-        if self._namer is not None:
-            self._names, self._namer = self._namer(), None
-        return self._names
 
     def __len__(self) -> int:
         return self.table.shape[0]
@@ -94,30 +82,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
 
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        acc = self.identity
-        base = a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
-
-    def order_of(self, a: int) -> int:
-        k = 1
-        cur = a
-        while cur != self.identity:
-            cur = self.mul(cur, a)
-            k += 1
-        return k
-
-    def name(self, a: int) -> str:
-        names = self.names
-        return names[a] if names else str(a)
-
 
 def _int64_table(table) -> np.ndarray:
     """The table as int64, refusing an entry that is not a whole number
@@ -126,13 +90,6 @@ def _int64_table(table) -> np.ndarray:
     if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.trunc(raw))).all():
         raise ConfigError("table entries must be integers")
     return np.asarray(table, dtype=np.int64)
-
-
-def _named_later(table: np.ndarray, namer: Callable[[], tuple[str, ...]]) -> FiniteGroup:
-    """The validated group whose names namer makes when they are first read."""
-    g = FiniteGroup(table)
-    g._namer = namer
-    return g
 
 
 def _generating_set(t: np.ndarray, e: int) -> list[int]:
@@ -187,26 +144,6 @@ def root_counts(g: FiniteGroup, n: int) -> np.ndarray:
     """counts[x] is how many y satisfy y**n = x: one power map answers
     every root and image question below."""
     return np.bincount(pow_all(g, n), minlength=len(g))
-
-
-def nth_roots_count(g: FiniteGroup, x: int, n: int) -> int:
-    """How many y satisfy y**n = x."""
-    return int(root_counts(g, n)[x])
-
-
-def power_image(g: FiniteGroup, n: int) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(root_counts(g, n)).tolist())
-
-
-def bounded_root_set(g: FiniteGroup, n: int, m: int) -> tuple[int, ...]:
-    """Elements with at least one and at most m n-th roots."""
-    counts = root_counts(g, n)
-    return tuple(np.flatnonzero((counts > 0) & (counts <= m)).tolist())
-
-
-def has_unique_roots(g: FiniteGroup, n: int) -> bool:
-    """True when y -> y**n is injective (n-th roots are unique)."""
-    return bool((root_counts(g, n) <= 1).all())
 
 
 # --- coset covers -------------------------------------------------------------
@@ -371,7 +308,7 @@ class CoverReport:
 
 
 def covering_report(g: FiniteGroup, n: int = 2) -> CoverReport:
-    return CoverReport.of_image(g, n, power_image(g, n))
+    return CoverReport.of_image(g, n, np.flatnonzero(root_counts(g, n)))
 
 
 # --- constructions ------------------------------------------------------------
@@ -428,7 +365,7 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise ConfigError("order must be positive")
     check_order(n)
     ar = np.arange(n, dtype=np.int32)
-    return FiniteGroup((ar[:, None] + ar[None, :]) % n, names=tuple(str(i) for i in range(n)))
+    return FiniteGroup((ar[:, None] + ar[None, :]) % n)
 
 
 def from_permutation_generators(perms: Sequence[tuple[int, ...]]) -> FiniteGroup:
@@ -440,7 +377,7 @@ def from_permutation_generators(perms: Sequence[tuple[int, ...]]) -> FiniteGroup
     each product's bytes finds or numbers it, so the elements are numbered
     in the order a one-at-a-time walk numbers them.  That records
     right[k][i], element i followed by generator k, and _tabulate fills the
-    table from these right actions.  Names are made on first read."""
+    table from these right actions."""
     if not perms:
         raise ConfigError("need at least one generator")
     npts = len(perms[0])
@@ -451,7 +388,6 @@ def from_permutation_generators(perms: Sequence[tuple[int, ...]]) -> FiniteGroup
     level = np.arange(npts, dtype=gens.dtype)[None, :]
     width = level.nbytes
     index = {level.tobytes(): 0}
-    levels = [level]
     right: list[int] = []  # right[i * len(perms) + k]: element i followed by generator k
     while len(level):
         buf = gens[:, level].swapaxes(0, 1).tobytes()  # level element i followed by generator k, i major
@@ -462,28 +398,7 @@ def from_permutation_generators(perms: Sequence[tuple[int, ...]]) -> FiniteGroup
         index.update(zip(new, range(len(index), len(index) + len(new))))
         right.extend(map(index.__getitem__, keys))
         level = np.frombuffer(b"".join(new), dtype=gens.dtype).reshape(len(new), npts)
-        levels.append(level)
-    elems = np.concatenate(levels)
-    table = _tabulate(np.array(right, dtype=np.int32).reshape(len(elems), len(perms)).T)
-    return _named_later(table, lambda: tuple(_cycle_notation(pm) for pm in elems.tolist()))
-
-
-def _cycle_notation(pm: tuple[int, ...]) -> str:
-    seen = [False] * len(pm)
-    parts = []
-    for start in range(len(pm)):
-        if seen[start] or pm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        cur = pm[start]
-        while cur != start:
-            seen[cur] = True
-            cyc.append(cur)
-            cur = pm[cur]
-        parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
+    return FiniteGroup(_tabulate(np.array(right, dtype=np.int32).reshape(len(index), len(perms)).T))
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -526,11 +441,14 @@ def sl2_permutation_group(q: int) -> FiniteGroup:
 
 
 def cayley_from_context(ctx: GroupContext) -> FiniteGroup:
-    """Tabulate the fragment's whole group, names in element text form.
+    """Tabulate the fragment's whole group.
 
-    Elements are listed by their generator and central coordinates, and
-    right[v][i] is element i followed by x_v, so only |G| * |V| products
-    are made; _tabulate fills the table from these right actions."""
+    Element i is the normal-form element whose coordinates are the base-p
+    digits of i, most significant first: the generator exponents in vertex
+    order, then the central exponents by ascending central key, so element
+    0 is the identity.  right[v][i] is element i followed by x_v, so only
+    |G| * |V| products are made; _tabulate fills the table from these right
+    actions."""
     p = ctx.p
     nv, nc = ctx.n, ctx.ncentral
     check_order(p ** (nv + nc))
@@ -545,8 +463,7 @@ def cayley_from_context(ctx: GroupContext) -> FiniteGroup:
         elems.append(el)
     gens = [from_vectors(ctx, FpVector(p, {v: 1})) for v in range(nv)]
     right = np.array([[index[ctx_mul(ctx, a, x)] for a in elems] for x in gens], dtype=np.int64)
-    table = _tabulate(right)  # elems[0] is the identity
-    return _named_later(table, lambda: tuple(format_element(ctx, e) for e in elems))
+    return FiniteGroup(_tabulate(right))
 
 
 # --- file formats -------------------------------------------------------------

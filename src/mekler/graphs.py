@@ -96,16 +96,6 @@ def decode_vertex(text: str) -> Vertex:
     raise ConfigError(f"cannot decode vertex {text[:40]!r}")
 
 
-def host_degree(v: Vertex) -> tuple[bool, int | None]:
-    """(infinite_in_host, finite_bound).  Hubs are capped at 4, pentagon
-    vertices at 2, naturals are infinite in the host graph."""
-    if isinstance(v, Natural):
-        return (True, None)
-    if v.level == "0":
-        return (False, 4)
-    return (False, 2)
-
-
 def _edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
     if u == v:
         raise ConfigError(f"self loop at {encode_vertex(u)}")
@@ -150,9 +140,6 @@ class Graph:
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         i, j = self.index.get(u), self.index.get(v)
         return i is not None and j is not None and bool(self.masks[i] >> j & 1)
-
-    def degree(self, v: Vertex) -> int:
-        return self.masks[self.index[v]].bit_count()
 
     def naturals(self) -> tuple[int, ...]:
         return tuple(v.n for v in self.vertices if isinstance(v, Natural))

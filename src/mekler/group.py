@@ -17,7 +17,8 @@ central coordinate (u, w) is the int key u * n + w, so sorted keys are the
 central basis in its (u, w) order; the adjacency ctx.adj is the graph's
 own neighbour bitmasks, Graph.masks, one int per vertex index.
 Natural/Gadget vertices appear only at the boundary: generator and
-central_generator arguments and the element text form.
+central_generator arguments, is_natural_vertex_like and the element text
+form.
 
 Elements are immutable slot values.  mul, inv, commutator and
 InducedAutomorphism.apply each build the result's generator and central
@@ -56,11 +57,11 @@ from .fplinear import FpVector, kernel_basis, rref_indexed
 from .graphs import (
     ConfigError,
     Graph,
+    Natural,
     Vertex,
     check_prime,
     decode_vertex,
     encode_vertex,
-    host_degree,
     is_graph_automorphism,
     mask_bits,
 )
@@ -320,10 +321,7 @@ def vertex_like_parts(a: GroupElement) -> tuple[int, int]:
 
 def is_natural_vertex_like(ctx: GroupContext, a: GroupElement) -> bool:
     """Vertex-like on a vertex of infinite host degree (a natural)."""
-    if not is_vertex_like(a):
-        return False
-    v, _ = vertex_like_parts(a)
-    return host_degree(ctx.vertex_order[v])[0]
+    return is_vertex_like(a) and isinstance(ctx.vertex_order[vertex_like_parts(a)[0]], Natural)
 
 
 def commuting_rows(family: Iterable[dict[int, int]], nonadj: Mapping[int, int], col: Columns, p: int) -> Iterator[dict[int, int]]:

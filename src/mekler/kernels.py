@@ -31,6 +31,9 @@ code every vertex and, from size 2 on, only the size-subsets of the
 neighbourhoods N(v), which hold every support with t >= 1.  A scan refuses,
 as an internal fault, a support budget at or above the threshold, where
 this would no longer hold; check_support_budget keeps every caller at 3.
+Before it builds anything, a scan refuses with formulas.BudgetError a prime
+whose rank tables need more than RANK_TABLE_BUDGET eliminations, sum_k
+2^C(k,2) (p - 1)^k (1 + 2^k): every p up to 31 scans at support budget 3.
 
 What needs no signature is counted in closed form: C(n, size) supports of
 (p - 1)^size exponent patterns each, and the subgroup members per
@@ -68,6 +71,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .formulas import BudgetError
 from .fplinear import rref_indexed
 from .graphs import ConfigError, Graph, Natural, Vertex
 from .group import GroupContext, commuting_rows
@@ -81,6 +85,7 @@ KIND_SUBGROUP_HIGH = 1  # subgroup member, not a lone natural, at/over threshold
 KIND_SUBGROUP_LOW = 2  # provisioned lone natural below threshold
 
 LISTING_BUDGET = 10_000  # violations a scan lists; it counts all of them
+RANK_TABLE_BUDGET = 2_000_000  # eliminations a scan's rank tables may need: every p <= 31 at support 3
 
 
 # --- signature scan ------------------------------------------------------------
@@ -352,8 +357,16 @@ def check_support_budget(max_support: int) -> None:
         raise ConfigError("support budgets beyond 3 are not covered by the dichotomy statements")
 
 
+def _rank_table_eliminations(p: int, max_support: int) -> int:
+    """Eliminations _rank_tables runs up to max_support: B and each [B; ell|S]
+    per non-adjacency and exponent pattern."""
+    return sum(2 ** math.comb(k, 2) * (p - 1) ** k * (1 + 2**k) for k in range(1, max_support + 1))
+
+
 def _run_scan(ctx, ell, mode, max_support):
     check_support_budget(max_support)
+    if (need := _rank_table_eliminations(ctx.p, max_support)) > RANK_TABLE_BUDGET:
+        raise BudgetError(f"refusing the scan at p = {ctx.p}: {need} rank-table eliminations exceed the budget of {RANK_TABLE_BUDGET}")
     tables = _graph_tables(ctx.graph, max_support)
     checked, members, count, records = _scan_arrays(tables, _ell_bits(ctx, ell), ctx.p, mode, max_support)
     verts = ctx.vertex_order

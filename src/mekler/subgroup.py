@@ -245,17 +245,16 @@ def natural_vertex_like_by_dimension(
     ctx: GroupContext,
     ell: EdgeFunctional,
     a: GroupElement,
-    adequacy: FragmentAdequacy | None = None,
+    adequacy: FragmentAdequacy,
 ) -> bool:
     """The definable route to "a is a natural generator times a central
     element": its subgroup centralizer dimension reaches the threshold.
 
-    Refuses with an explicit error on fragments where the threshold cannot
-    separate (never a silent wrong answer).  The element must be a
+    adequacy is the fragment's assessment for ell, made once by the
+    caller.  Refuses with an explicit error on fragments where the threshold
+    cannot separate (never a silent wrong answer).  The element must be a
     non-central member of the subgroup.
     """
-    if adequacy is None:
-        adequacy = assess_adequacy(ctx, ell)
     if not adequacy.adequate:
         raise AdequacyError(adequacy.explain())
     if not in_kernel_subgroup(ctx, ell, a):

@@ -1,7 +1,6 @@
 """Finite Cayley-table machinery: validation, roots, covers, file formats."""
 
 import itertools
-import json
 import random
 import re
 
@@ -12,9 +11,7 @@ from mekler import cayley
 from mekler.cayley import (
     CoverCertificate,
     FiniteGroup,
-    _cycle_notation,
     _generating_set,
-    bounded_root_set,
     cayley_from_context,
     covering_number,
     covering_report,
@@ -22,20 +19,16 @@ from mekler.cayley import (
     dihedral_group,
     format_cayley_text,
     from_permutation_generators,
-    has_unique_roots,
-    nth_roots_count,
     parse_cayley_text,
     parse_permutation_text,
     pow_all,
-    power_image,
     root_counts,
     sl2_permutation_group,
     symmetric_group,
 )
-from mekler.cli import _load_probe_group
-from mekler.cli import main as cli_main
+from mekler.fplinear import FpVector
 from mekler.graphs import ConfigError, Natural, build_fragment
-from mekler.group import GroupContext, format_element, mul, parse_element
+from mekler.group import GroupContext, from_vectors, identity, mul
 
 
 def _compose(f, g):
@@ -52,6 +45,27 @@ def brute_pow(g, a, n):
     for _ in range(n):
         acc = g.mul(acc, a)
     return acc
+
+
+def image_of(g, n):
+    """The n-th powers, ascending, read off the one power map."""
+    return tuple(np.flatnonzero(root_counts(g, n)).tolist())
+
+
+def unique_roots(g, n):
+    return bool((root_counts(g, n) <= 1).all())
+
+
+def element_orders(g):
+    """Each element's order, by walking its powers along the table."""
+    orders = []
+    for a in range(len(g)):
+        k, cur = 1, a
+        while cur != g.identity:
+            cur = int(g.table[cur, a])
+            k += 1
+        orders.append(k)
+    return orders
 
 
 def brute_root_counts(g, n):
@@ -112,8 +126,6 @@ def test_table_validation_errors():
     # subtraction mod 3: Latin both ways, no identity row at all
     with pytest.raises(ValueError, match="identity"):
         FiniteGroup([[0, 2, 1], [1, 0, 2], [2, 1, 0]])
-    with pytest.raises(ValueError, match="names must match"):
-        FiniteGroup([[0, 1], [1, 0]], names=("e",))
 
 
 def test_non_integral_entries_rejected():
@@ -280,13 +292,13 @@ def test_cyclic_group_basics():
     g = cyclic_group(6)
     assert len(g) == 6
     assert g.identity == 0
-    assert g.name(4) == "4"
     assert g.mul(4, 5) == 3
     assert g.inv(2) == 4
+    orders = element_orders(g)
     for a in range(6):
-        assert g.pow(a, -1) == g.inv(a)
-        assert g.pow(a, 0) == g.identity
-        assert 6 % g.order_of(a) == 0 if a else g.order_of(a) == 1
+        assert pow_all(g, -1)[a] == g.inv(a)
+        assert pow_all(g, 0)[a] == g.identity
+        assert 6 % orders[a] == 0 if a else orders[a] == 1
     with pytest.raises(ValueError, match="positive"):
         cyclic_group(0)
 
@@ -299,34 +311,33 @@ def test_pow_all_and_root_counts_match_brute_force():
             expected = [brute_pow(g, a, n) for a in range(size)]
             assert pow_all(g, n).tolist() == expected
             counts = brute_root_counts(g, n)
-            assert root_counts(g, n).tolist() == counts
-            for x in range(size):
-                assert nth_roots_count(g, x, n) == counts[x]
-            assert power_image(g, n) == tuple(sorted(set(expected)))
+            got = root_counts(g, n)
+            assert got.tolist() == counts
+            assert image_of(g, n) == tuple(sorted(set(expected)))
             for m in (1, 2, size):
                 want = tuple(x for x in range(size) if 1 <= counts[x] <= m)
-                assert bounded_root_set(g, n, m) == want
+                assert tuple(np.flatnonzero((got > 0) & (got <= m)).tolist()) == want
 
 
 def test_power_zero_degenerates():
     g = dihedral_group(5)
-    assert power_image(g, 0) == (g.identity,)
-    assert nth_roots_count(g, g.identity, 0) == len(g)
+    assert image_of(g, 0) == (g.identity,)
+    assert root_counts(g, 0)[g.identity] == len(g)
 
 
 def test_unique_roots():
-    assert not has_unique_roots(cyclic_group(2), 2)
-    assert has_unique_roots(cyclic_group(3), 2)
-    assert has_unique_roots(cyclic_group(6), 5)
-    assert not has_unique_roots(symmetric_group(3), 3)
-    assert has_unique_roots(symmetric_group(3), 1)
+    assert not unique_roots(cyclic_group(2), 2)
+    assert unique_roots(cyclic_group(3), 2)
+    assert unique_roots(cyclic_group(6), 5)
+    assert not unique_roots(symmetric_group(3), 3)
+    assert unique_roots(symmetric_group(3), 1)
 
 
 def test_s3_square_roots_frozen():
     g = symmetric_group(3)
     # y^2 = e has the identity and the three transpositions as solutions
-    assert nth_roots_count(g, g.identity, 2) == 4
-    img = power_image(g, 2)
+    assert root_counts(g, 2)[g.identity] == 4
+    img = image_of(g, 2)
     assert len(img) == 3
     # the square image is closed under multiplication (it is the
     # rotation subgroup), which is what makes its cover a coset count
@@ -340,7 +351,7 @@ def test_symmetric_group_matches_explicit_generators():
     assert np.array_equal(symmetric_group(3).table, direct.table)
     assert len(symmetric_group(4)) == 24
     assert len(symmetric_group(1)) == 1
-    assert symmetric_group(3).name(symmetric_group(3).identity) == "()"
+    assert symmetric_group(3).identity == 0  # the identity permutation comes first
     with pytest.raises(ValueError):
         symmetric_group(0)
     with pytest.raises(ValueError):
@@ -350,7 +361,7 @@ def test_symmetric_group_matches_explicit_generators():
 def test_dihedral_group():
     g = dihedral_group(7)
     assert len(g) == 14
-    orders = sorted(g.order_of(a) for a in range(len(g)))
+    orders = sorted(element_orders(g))
     assert orders == [1] + [2] * 7 + [7] * 6
     with pytest.raises(ValueError, match="triangle"):
         dihedral_group(2)
@@ -377,37 +388,43 @@ def _pairwise_table(perms_of):
     return np.array([[index[row.tobytes()] for row in arr[:, a]] for a in arr])
 
 
-def _elements_of(g, npts):
-    """Each element's permutation, read back from its cycle-notation name."""
-    out = []
-    for name in g.names:
-        images = list(range(npts))
-        for body in name.strip("()").split(")("):
-            pts = [int(x) - 1 for x in body.split()]
-            for a, b in zip(pts, pts[1:] + pts[:1]):
-                images[a] = b
-        out.append(tuple(images))
-    return out
+def _sl2_generators(q):
+    """The shear and the quarter turn of SL2 over F_q, as permutations of
+    the nonzero plane vectors listed in lexicographic order."""
+    points = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
+    index = {pt: i for i, pt in enumerate(points)}
+    return [
+        tuple(index[((a + b) % q, b)] for a, b in points),
+        tuple(index[(b, (q - 1) * a % q)] for a, b in points),
+    ]
+
+
+def _s5_on(npts):
+    """(1 2 3 4 5), (1 2) and the identity, 0-based, on npts points."""
+    fixed = tuple(range(5, npts))
+    return [(1, 2, 3, 4, 0) + fixed, (1, 0, 2, 3, 4) + fixed, tuple(range(npts))]
 
 
 @pytest.mark.parametrize(
-    "build, npts",
+    "build, gens",
     [
-        (lambda: symmetric_group(4), 4),
-        (lambda: dihedral_group(7), 7),
-        (lambda: sl2_permutation_group(3), 8),
-        (lambda: sl2_permutation_group(7), 48),
-        (lambda: from_permutation_generators([(1, 2, 0, 3), (0, 1, 2, 3), (1, 2, 0, 3), (3, 1, 2, 0)]), 4),
-        (lambda: parse_permutation_text("(1 2 3 4 5)\n(1 2)\n(2000)"), 2000),
+        (lambda: symmetric_group(4), [(1, 0, 2, 3), (1, 2, 3, 0)]),
+        (lambda: dihedral_group(7), [tuple((i + 1) % 7 for i in range(7)), tuple((-i) % 7 for i in range(7))]),
+        (lambda: sl2_permutation_group(3), _sl2_generators(3)),
+        (lambda: sl2_permutation_group(7), _sl2_generators(7)),
+        (
+            lambda: from_permutation_generators([(1, 2, 0, 3), (0, 1, 2, 3), (1, 2, 0, 3), (3, 1, 2, 0)]),
+            [(1, 2, 0, 3), (0, 1, 2, 3), (1, 2, 0, 3), (3, 1, 2, 0)],
+        ),
+        (lambda: parse_permutation_text("(1 2 3 4 5)\n(1 2)\n(2000)"), _s5_on(2000)),
     ],
     ids=["sym4", "dihedral7", "sl2-3", "sl2-7", "repeated-and-identity", "s5-on-2000-points"],
 )
-def test_permutation_table_equals_pairwise_composition(build, npts):
+def test_permutation_table_equals_pairwise_composition(build, gens):
     g = build()
-    perms_of = _elements_of(g, npts)
-    assert len(set(perms_of)) == len(g)
-    assert perms_of[0] == tuple(range(npts))
-    assert np.array_equal(g.table, _pairwise_table(perms_of))
+    elems = _breadth_first_elements(gens)
+    assert len(elems) == len(g)
+    assert np.array_equal(g.table, _pairwise_table(elems))
 
 
 @pytest.mark.parametrize(
@@ -448,42 +465,12 @@ def _breadth_first_elements(gens):
     return order
 
 
-@pytest.mark.parametrize(
-    "build, gens",
-    [
-        (lambda tmp: symmetric_group(4), [(1, 0, 2, 3), (1, 2, 3, 0)]),
-        (lambda tmp: dihedral_group(7), [tuple((i + 1) % 7 for i in range(7)), tuple((-i) % 7 for i in range(7))]),
-        (lambda tmp: _load_probe_group(f"perm:{tmp}"), [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
-    ],
-    ids=["sym4", "dihedral7", "perm-file"],
-)
-def test_lazy_names_equal_eager_cycle_notation(build, gens, tmp_path, monkeypatch):
-    path = tmp_path / "s5.perms"
-    path.write_text("(1 2 3 4 5)\n(1 2)\n")
-    calls = []
-    monkeypatch.setattr(cayley, "_cycle_notation", lambda pm: calls.append(1) or _cycle_notation(pm))
-    g = build(path)
-    assert calls == []  # nothing named at construction
-    want = tuple(_cycle_notation(pm) for pm in _breadth_first_elements(gens))
-    assert g.names == want
-    assert g.name(len(g) - 1) == want[-1] and g.name(g.identity) == "()"
-    assert len(calls) == len(g)  # named once, on first read
-
-
-def test_structured_qprobe_names_no_element(monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(cayley, "_cycle_notation", lambda pm: calls.append(1) or _cycle_notation(pm))
-    assert cli_main(["qprobe", "--group", "sl2:7", "--n", "3", "--format", "structured"]) == 0
-    assert json.loads(capsys.readouterr().out)["order"] == 336
-    assert calls == []
-
-
 def test_sl2_orders():
     assert len(sl2_permutation_group(2)) == 6
     assert len(sl2_permutation_group(3)) == 24
     assert len(sl2_permutation_group(5)) == 120
     g2 = sl2_permutation_group(2)
-    assert sorted(g2.order_of(a) for a in range(6)) == [1, 2, 2, 2, 3, 3]
+    assert sorted(element_orders(g2)) == [1, 2, 2, 2, 3, 3]
     for q in (1, 4, 6):
         with pytest.raises(ValueError, match="prime"):
             sl2_permutation_group(q)
@@ -491,7 +478,7 @@ def test_sl2_orders():
 
 def test_covering_number_s3():
     g = symmetric_group(3)
-    img = power_image(g, 2)
+    img = image_of(g, 2)
     k, cert = covering_number(g, img)
     assert k == 2
     assert cert.exact
@@ -515,7 +502,7 @@ def test_covering_number_edges():
 
 def test_sl2_square_covers_are_brute_minimal():
     g3 = sl2_permutation_group(3)
-    img3 = power_image(g3, 2)
+    img3 = image_of(g3, 2)
     assert len(img3) == 10
     k3, cert3 = covering_number(g3, img3)
     assert k3 == 3 and cert3.exact
@@ -523,7 +510,7 @@ def test_sl2_square_covers_are_brute_minimal():
     assert brute_min_cover(g3, img3) == 3
 
     g5 = sl2_permutation_group(5)
-    img5 = power_image(g5, 2)
+    img5 = image_of(g5, 2)
     assert len(img5) == 46
     k5, cert5 = covering_number(g5, img5)
     assert k5 == 4 and cert5.exact
@@ -623,7 +610,7 @@ COVER_CASES = [
 def test_seeded_cover_search_matches_unseeded_oracle(build, exponents):
     g = build()
     for n in exponents:
-        img = power_image(g, n)
+        img = image_of(g, n)
         k, cert = covering_number(g, img)
         want_k, want_reps, oracle_nodes = _unseeded_cover(g, img)
         assert (k, cert.reps) == (want_k, want_reps)
@@ -635,7 +622,7 @@ def test_seeded_cover_search_node_count():
     """Seeding proves SL2(F5)'s square cover optimal in a few thousand nodes;
     the unseeded search needs many times more."""
     g = sl2_permutation_group(5)
-    img = power_image(g, 2)
+    img = image_of(g, 2)
     k, cert = covering_number(g, img)
     assert k == 4 and cert.exact
     assert 0 < cert.nodes < 5_000
@@ -644,7 +631,7 @@ def test_seeded_cover_search_node_count():
 
 def test_cover_node_budget_keeps_the_best_verified_cover(monkeypatch):
     g = sl2_permutation_group(5)
-    img = power_image(g, 2)
+    img = image_of(g, 2)
     monkeypatch.setattr(cayley, "COVER_NODE_BUDGET", 50)
     k, cert = covering_number(g, img)
     assert cert.exact is False and cert.budget_hit
@@ -802,27 +789,39 @@ def test_permutation_text_errors():
         parse_permutation_text("()")
 
 
+def _context_elements(ctx):
+    """Element i of cayley_from_context, rebuilt from the base-p digits of
+    i, most significant first: the generator exponents in vertex order,
+    then the central exponents by ascending central key u * n + w."""
+    p, n = ctx.p, ctx.n
+    keys = sorted(u * n + w for u in range(n) for w in range(u + 1, n) if ctx.nonadjacent(u, w))
+    elems = []
+    for digits in itertools.product(range(p), repeat=n + len(keys)):
+        gen = FpVector(p, {v: d for v, d in enumerate(digits[:n]) if d})
+        cen = FpVector(p, {k: d for k, d in zip(keys, digits[n:]) if d})
+        elems.append(from_vectors(ctx, gen, cen))
+    return elems
+
+
 def test_cayley_from_context_heisenberg():
     graph = build_fragment(naturals=[0, 1], gadget_pairs=[])
     ctx = GroupContext(graph, 3)
     g = cayley_from_context(ctx)
     assert len(g) == 27
-    assert g.name(g.identity) == "e"
-    assert len(set(g.names)) == 27
+    elems = _context_elements(ctx)
+    assert g.identity == 0 and elems[0] == identity(ctx)
+    assert len(set(elems)) == 27
     # exponent three and non-abelian
-    assert all(g.pow(a, 3) == g.identity for a in range(27))
+    assert (pow_all(g, 3) == g.identity).all()
     assert any(g.mul(a, b) != g.mul(b, a) for a in range(27) for b in range(27))
-    # table entries agree with the symbolic product, located by name
-    index = {name: i for i, name in enumerate(g.names)}
+    # table entries agree with the symbolic product, located by coordinates
+    index = {el: i for i, el in enumerate(elems)}
     for i in range(0, 27, 5):
         for j in range(0, 27, 7):
-            a = parse_element(ctx, g.name(i))
-            b = parse_element(ctx, g.name(j))
-            want = format_element(ctx, mul(ctx, a, b))
-            assert g.name(g.mul(i, j)) == want
+            assert g.mul(i, j) == index[mul(ctx, elems[i], elems[j])]
     # cubing collapses to the identity, so unique roots fail wholesale
-    assert not has_unique_roots(g, 3)
-    assert power_image(g, 3) == (g.identity,)
+    assert not unique_roots(g, 3)
+    assert image_of(g, 3) == (g.identity,)
     k, _ = covering_number(g, [g.identity])
     assert k == 27
 
@@ -834,12 +833,12 @@ def test_cayley_from_context_heisenberg():
 def test_cayley_from_context_equals_pairwise_products(naturals, extra, p):
     ctx = GroupContext(build_fragment(naturals, [], extra_edges=extra), p)
     g = cayley_from_context(ctx)
-    elems = [parse_element(ctx, name) for name in g.names]
+    elems = _context_elements(ctx)
     index = {el: i for i, el in enumerate(elems)}
     pairwise = np.array([[index[mul(ctx, a, b)] for b in elems] for a in elems])
     assert np.array_equal(g.table, pairwise)
     # element order: coordinates in lexicographic order, generators first
-    assert g.name(0) == "e" and len(index) == len(g) == p ** (ctx.n + ctx.ncentral)
+    assert elems[0] == identity(ctx) and len(index) == len(g) == p ** (ctx.n + ctx.ncentral)
 
 
 def test_cayley_from_context_multiplies_once_per_element_and_vertex(monkeypatch):

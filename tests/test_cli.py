@@ -289,6 +289,26 @@ def test_verify_lemmas_report_is_the_same_under_python_O():
     assert json.loads(runs[1].stdout)["ok"] is True
 
 
+def test_scans_past_their_budget_are_skip_not_pass(capsys):
+    """At p = 101 both scans' rank tables are past their budget: the two
+    scan checks SKIP with the budget in their detail, the two oracle checks
+    SKIP on theirs, and every other check runs and passes."""
+    code, out, _ = run(capsys, "verify-lemmas", "--p", "101", "--format", "structured")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 25
+    skipped = {c["name"]: c["detail"] for c in checks if c["passed"] is None}
+    scans = [
+        "centralizer dimension of non-natural small supports stays at most 5",
+        "subgroup dimension dichotomy holds on all small supports",
+    ]
+    oracles = [f"formula evaluators agree with full enumeration (R {tag})" for tag in ("empty", "full")]
+    assert sorted(skipped) == sorted(scans + oracles)
+    for name in scans:
+        assert skipped[name] == "skipped: refusing the scan at p = 101: 72100300 rank-table eliminations exceed the budget of 2000000"
+    assert all(c["passed"] is True for c in checks if c["name"] not in skipped)
+
+
 # sha256 of the verify-lemmas reports, text and structured, recorded before
 # the element arithmetic, the coset oracle and the context handling were
 # sped up; speed changes must leave every byte as it was.  The last

@@ -25,7 +25,6 @@ from mekler.graphs import (
     check_prime,
     decode_vertex,
     encode_vertex,
-    host_degree,
     is_graph_automorphism,
     mask_bits,
     pair_swap_automorphism,
@@ -88,20 +87,13 @@ def test_fragment_sizes_are_frozen():
 def test_fragment_degrees():
     # all-pairs fragment: naturals meet k-1 hubs, hubs have 4 ends, pentagon 2
     g = build_fragment(range(4), all_pairs(range(4)))
-    for v in g.vertices:
+    for v, mask in zip(g.vertices, g.masks):
         if isinstance(v, Natural):
-            assert g.degree(v) == 3
+            assert mask.bit_count() == 3
         elif v.level == "0":
-            assert g.degree(v) == 4
+            assert mask.bit_count() == 4
         else:
-            assert g.degree(v) == 2
-
-
-def test_host_degree_bounds():
-    assert host_degree(Natural(5)) == (True, None)
-    assert host_degree(Gadget(0, 1, "0")) == (False, 4)
-    for lev in ("1", "1.25", "1.5", "1.75"):
-        assert host_degree(Gadget(0, 1, lev)) == (False, 2)
+            assert mask.bit_count() == 2
 
 
 def test_encode_decode_round_trip():
@@ -465,7 +457,7 @@ def test_masks_are_the_adjacency(g):
     for u, v in itertools.product(g.vertices, repeat=2):
         assert g.has_edge(u, v) == ((u, v) in g.edges or (v, u) in g.edges)
     for v in g.vertices:
-        assert g.degree(v) == sum(1 for e in g.edges if v in e)
+        assert g.masks[g.index[v]].bit_count() == sum(1 for e in g.edges if v in e)
         assert not g.has_edge(v, Natural(99)) and not g.has_edge(Natural(99), v)
     adj = _adjacency_matrix(g.masks)
     assert adj.dtype == bool

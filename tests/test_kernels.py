@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mekler import kernels
-from mekler.fplinear import FpVector, kernel_dim
+from mekler.formulas import BudgetError
+from mekler.fplinear import FpVector, kernel_dim, rref_indexed
 from mekler.graphs import ConfigError, Gadget, Natural, all_pairs, build_fragment
 from mekler.group import (
     GroupContext,
@@ -33,10 +34,12 @@ from mekler.kernels import (
     LISTING_BUDGET,
     MODE_GROUP,
     MODE_SUBGROUP,
+    RANK_TABLE_BUDGET,
     ScanResult,
     _ell_bits,
     _graph_tables,
     _GraphTables,
+    _rank_table_eliminations,
     _rank_tables,
     _scan_arrays,
     _signatures,
@@ -569,6 +572,35 @@ def test_count_encodes_only_vertices_and_neighbourhood_subsets(monkeypatch):
     assert bound == 2871
     assert res.ok and res.elements_checked == 31_028_712
     assert rows <= bound
+
+
+def test_the_rank_table_budget_counts_every_elimination(monkeypatch):
+    """The budget's count is the number of eliminations _rank_tables runs,
+    and it admits every p up to 31 at support budget 3; 37 is the first
+    prime it refuses."""
+    calls = []
+    monkeypatch.setattr(kernels, "rref_indexed", lambda rows, p: calls.append(p) or rref_indexed(rows, p))
+    for p in (3, 5, 7):
+        calls.clear()
+        for size in (1, 2, 3):
+            _rank_tables.__wrapped__(p, size)  # past the cache, so every table is built
+            assert len(calls) == _rank_table_eliminations(p, size)  # every size up to this one
+    assert _rank_table_eliminations(31, 3) == 1_953_090 <= RANK_TABLE_BUDGET
+    assert _rank_table_eliminations(37, 3) > RANK_TABLE_BUDGET
+
+
+def test_scans_past_the_rank_table_budget_refuse_at_once(monkeypatch):
+    """At p = 997 the rank tables would list 9.9e8 exponent patterns at
+    size 3; both scans refuse before any table is built."""
+    monkeypatch.setattr(kernels, "_rank_tables", None)  # any table build would fail
+    monkeypatch.setattr(kernels, "_graph_tables", None)
+    ctx = GroupContext(fragment18(), 997)
+    ell = EdgeFunctional.from_edges([(0, 1)])
+    for scan in (lambda: scan_group_bound(ctx), lambda: scan_subgroup_dichotomy(ctx, ell)):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"eliminations exceed the budget of {RANK_TABLE_BUDGET}$"):
+            scan()
+        assert time.perf_counter() - t0 < 0.1
 
 
 @pytest.mark.parametrize("threshold", [1, 3])

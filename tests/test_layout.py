@@ -41,6 +41,15 @@ edge formula.
 
 No invariant of the library rests on an assert statement, which python -O
 removes.
+
+Every public name has a reader.  Each public top-level function and class
+of a library module, and each public method of such a class, is read by
+some library module other than at its own definition: as a name, an
+attribute or a from-import.  The package __init__ neither counts as a
+reader, since its re-exports read every name, nor is checked.  A name
+without a reader is a key of PUBLIC_WITHOUT_READER, whose value says why
+it stays; a listed name that gains a reader or is gone fails the rule too,
+so the list never outlives its reasons.
 """
 
 import ast
@@ -341,3 +350,81 @@ def test_the_library_has_no_assert():
 def test_the_assert_rule_sees_nested_asserts():
     tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\n")
     assert assert_lines(tree) == [3]
+
+
+PUBLIC_WITHOUT_READER = {
+    "covering_report": "the perfbench harness calls it; it moves with ROADMAP item 2",
+    "format_cayley_text": "it writes the plain table form that the one-pass reader is tested against",
+    "central_generator": "the validated constructor at the boundary, which the tests' expected sides use",
+    "parse_element": "ROADMAP item 8 gives it a caller",
+    "ScanResult.listing_cut": "the README documents it",
+}
+
+
+def reads(tree, name, skip=None):
+    """Whether tree reads name as a name, an attribute or a from-import,
+    outside the subtree skip."""
+    inside = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == name for alias in node.names):
+                return True
+        elif (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name):
+            return True
+    return False
+
+
+def unread_public_names(modules):
+    """The public names of the modules (file name to syntax tree), but
+    __init__, that no module but __init__ reads outside their definition,
+    sorted; a method as Class.method."""
+    readers = {name: tree for name, tree in modules.items() if name != "__init__.py"}
+    unread = []
+    for module, tree in readers.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            defs = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                methods = [node for node in top.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+                defs += [(f"{top.name}.{node.name}", node) for node in methods]
+            for qual, node in defs:
+                name = qual.rpartition(".")[2]
+                if not any(reads(other, name, node if where == module else None) for where, other in readers.items()):
+                    unread.append(qual)
+    return sorted(unread)
+
+
+def test_every_public_name_has_a_reader():
+    package = Path(mekler.__file__).parent
+    modules = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    assert len(modules) > 5
+    assert unread_public_names(modules) == sorted(PUBLIC_WITHOUT_READER)
+
+
+def test_the_reader_rule_sees_imports_attributes_and_own_reads():
+    source = (
+        "def f(n):\n"
+        "    return f(n - 1)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        pass\n"
+        "    def u(self):\n"
+        "        return self.u\n"
+        "    def _h(self):\n"
+        "        pass\n"
+        "def g():\n"
+        "    pass\n"
+        "def _k():\n"
+        "    pass\n"
+    )
+    modules = {
+        "a.py": ast.parse(source),
+        "b.py": ast.parse("from .a import g\nx.m()\n"),
+        "__init__.py": ast.parse("from .a import f, C\ndef exported():\n    pass\n"),
+    }
+    assert unread_public_names(modules) == ["C", "C.u", "f"]
+    modules["b.py"] = ast.parse("from .a import g, C\nC().u\nf\n")
+    assert unread_public_names(modules) == ["C.m"]

@@ -330,7 +330,7 @@ def test_adequacy_fails_without_provisioned_naturals():
     assert adequacy.provisioned == ()
     assert "no natural" in adequacy.explain()
     with pytest.raises(AdequacyError):
-        natural_vertex_like_by_dimension(ctx, ell, generator(ctx, Natural(0)))
+        natural_vertex_like_by_dimension(ctx, ell, generator(ctx, Natural(0)), adequacy)
 
 
 def test_adequacy_fails_when_a_bystander_reaches_the_threshold():
@@ -347,7 +347,7 @@ def test_adequacy_fails_when_a_bystander_reaches_the_threshold():
     assert adequacy.unprovisioned_dims[8] == DIM_THRESHOLD
     assert "under-provisioned" in adequacy.explain()
     with pytest.raises(AdequacyError):
-        natural_vertex_like_by_dimension(ctx, ell, generator(ctx, Natural(0)))
+        natural_vertex_like_by_dimension(ctx, ell, generator(ctx, Natural(0)), adequacy)
 
 
 def test_dimension_test_classifies_down_fragment():
