@@ -38,8 +38,8 @@ from .group import (
     is_central,
     is_vertex_like,
     is_natural_vertex_like,
-    commuting_kernel_dim,
     commuting_kernel_basis,
+    centralizer_dim,
     centralizer_dim_mod_center,
     format_element,
     parse_element,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fplinear import FpVector
 from .graphs import ConfigError
-from .group import GroupContext, from_vectors, mul as ctx_mul
+from .group import GroupContext, from_vectors, mul as ctx_mul, power
 
 DEFAULT_MAX_ORDER = 2048  # largest group tabulated
 EXACT_CAP = 2000  # largest group whose covering number is searched exactly
@@ -125,19 +125,8 @@ def _generating_set(t: np.ndarray, e: int) -> list[int]:
 
 def pow_all(g: FiniteGroup, n: int) -> np.ndarray:
     """Vector of y**n over all y, by table-driven square and multiply."""
-    size = len(g)
-    if n < 0:
-        base = g.inverses
-        n = -n
-    else:
-        base = np.arange(size, dtype=np.int32)
-    acc = np.full(size, g.identity, dtype=np.int32)
-    while n:
-        if n & 1:
-            acc = g.table[acc, base]
-        base = g.table[base, base]
-        n >>= 1
-    return acc
+    base = g.inverses if n < 0 else np.arange(len(g), dtype=np.int32)
+    return power(lambda x, y: g.table[x, y], base, abs(n), np.full(len(g), g.identity, dtype=np.int32))
 
 
 def root_counts(g: FiniteGroup, n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ base and keeps its flip, so its p-th power (p odd) still flips.
 
 from __future__ import annotations
 
-from .group import GroupContext, GroupElement, InducedAutomorphism, identity, inv, mul
+from .group import GroupContext, GroupElement, InducedAutomorphism, identity, inv, mul, power
 
 
 class ExtElement:
@@ -82,12 +82,7 @@ def ext_pow(ctx: GroupContext, aut: InducedAutomorphism, a: ExtElement, k: int) 
     _require_involution(aut)
     if k < 0:
         return ext_pow(ctx, aut, ext_inv(ctx, aut, a), -k)
-    if k == 0:
-        return ext_identity(ctx)
-    acc = a
-    for _ in range(k - 1):
-        acc = ext_mul(ctx, aut, acc, a)
-    return acc
+    return power(lambda x, y: ext_mul(ctx, aut, x, y), a, k, ext_identity(ctx))
 
 
 def ext_conjugate(ctx: GroupContext, aut: InducedAutomorphism, t: ExtElement, a: ExtElement) -> ExtElement:

@@ -36,14 +36,13 @@ until the value falls below n), and pick supports by the two pool paths of
 random.Random.sample; so every seeded draw is the one those calls make,
 fixed by this module rather than by the standard library's internals.
 
-Centralizer dimensions, common kernels, their witness bases and the
-kernel subgroup's center all come from one support-local engine
-(commuting_kernel_dim, commuting_kernel_basis).  Its system has one
-format: commuting_rows writes each row once, per coset from that coset's
-own support, keyed by the final local column, and the columns are numbered
-in descending vertex order, so rref_indexed and kernel_basis take the rows
-as they are and pivot on the highest vertex; commutation_matrix builds the
-same system's index-keyed rows over all columns as its oracle.
+Centralizer dimensions have a closed form (centralizer_dim, Mekler 1981):
+t + c for t common neighbours and c non-adjacency components of the
+support.  Witness bases of common kernels and the kernel subgroup's center
+come from commuting_kernel_basis: commuting_rows writes each row once,
+keyed by its final column, numbered in descending vertex order so that
+kernel_basis pivots on the highest vertex.  commutation_matrix builds a
+coset's rows over all columns, the closed form's oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import math
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fplinear import FpVector, kernel_basis, rref_indexed
+from .fplinear import FpVector, kernel_basis
 from .graphs import (
     ConfigError,
     Graph,
@@ -67,7 +66,6 @@ from .graphs import (
 )
 
 Coset = FpVector  # generator-side cosets mod the center, keyed by vertex index
-Columns = Mapping[int, int] | Sequence[int]  # a commuting system's column of each vertex index
 
 
 class GroupContext:
@@ -256,18 +254,23 @@ def inv(ctx: GroupContext, a: GroupElement) -> GroupElement:
     return _element(p, {k: p - c for k, c in items}, cen)
 
 
+def power(times, a, k: int, one):
+    """a^k, k >= 0, by squaring with the product times: about 2 log2 k
+    products, not k - 1; powers of one element commute."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = a if acc is None else times(acc, a)
+        k >>= 1
+        if k:  # the square after the top bit would go unused
+            a = times(a, a)
+    return one if acc is None else acc
+
+
 def pow_(ctx: GroupContext, a: GroupElement, k: int) -> GroupElement:
     if k < 0:
         return pow_(ctx, inv(ctx, a), -k)
-    acc = None
-    base = a
-    while k:
-        if k & 1:
-            acc = base if acc is None else mul(ctx, acc, base)
-        k >>= 1
-        if k:  # the square after the top bit would go unused
-            base = mul(ctx, base, base)
-    return identity(ctx) if acc is None else acc
+    return power(lambda x, y: mul(ctx, x, y), a, k, identity(ctx))
 
 
 def commutator_vector(ctx: GroupContext, agen: FpVector, bgen: FpVector) -> FpVector:
@@ -324,7 +327,7 @@ def is_natural_vertex_like(ctx: GroupContext, a: GroupElement) -> bool:
     return is_vertex_like(a) and isinstance(ctx.vertex_order[vertex_like_parts(a)[0]], Natural)
 
 
-def commuting_rows(family: Iterable[dict[int, int]], nonadj: Mapping[int, int], col: Columns, p: int) -> Iterator[dict[int, int]]:
+def commuting_rows(family: Iterable[dict[int, int]], nonadj: Mapping[int, int], col: Mapping[int, int], p: int) -> Iterator[dict[int, int]]:
     """Rows b |-> a_s b_t - a_t b_s of lambda(a, -), one for each coset a
     (vertex index -> reduced exponent) and each non-adjacent pair {s, t}
     with s in supp(a); nonadj[s] is the bitmask of the vertices not
@@ -355,16 +358,14 @@ def commuting_rows(family: Iterable[dict[int, int]], nonadj: Mapping[int, int], 
                     yield {col[t]: cs, col[s]: -ct % p}
 
 
-def _commuting_system(ctx: GroupContext, family: Sequence[Coset], functional) -> tuple[list[int], list[dict[int, int]]]:
-    """The commuting system on the columns that can be nonzero in its kernel:
-    the family's support S and the common neighbours of S, numbered in
-    descending vertex order, so that rref_indexed, pivoting on the lowest
-    column, pivots on the highest vertex.  Any other vertex t is
-    non-adjacent to some s in S, where a member with a_s != 0 gives the
-    single-entry row a_s b_t, so b_t = 0.  Common neighbours are adjacent
-    to all of S, so only vertices of S start or meet a row: each s in S
-    gets the bitmask of S less its neighbours and itself.  The functional's
-    row, if any, comes last."""
+def commuting_kernel_basis(ctx: GroupContext, family: Sequence[Coset], functional=None) -> list[Coset]:
+    """The reduced echelon basis of {b mod Z : [a, b] = e for every a in the
+    family}, within the kernel of the functional (anything with
+    value(vertex), such as an EdgeFunctional) when one is given: each
+    vector is 1 at its lowest vertex and 0 at the other pivots.  The
+    columns are the family's support S and its common neighbours, in
+    descending vertex order: any other vertex is non-adjacent to some s in
+    S, whose single-entry row kills it.  The functional's row comes last."""
     p, adj = ctx.p, ctx.adj
     supmask = 0
     for a in family:
@@ -381,28 +382,12 @@ def _commuting_system(ctx: GroupContext, family: Sequence[Coset], functional) ->
     rows = list(commuting_rows([a._entries for a in family], nonadj, col, p))
     if functional is not None:
         rows.append({i: c for i, v in enumerate(cols) if (c := functional.value(ctx.vertex_order[v]) % p)})
-    return cols, rows
-
-
-def commuting_kernel_dim(ctx: GroupContext, family: Sequence[Coset], functional=None) -> int:
-    """dim of {b mod Z : [a, b] = e for every a in the family}, intersected
-    with the kernel of the functional (anything with value(vertex), such as
-    an EdgeFunctional) when one is given."""
-    cols, rows = _commuting_system(ctx, family, functional)
-    return len(cols) - len(rref_indexed(rows, ctx.p))
-
-
-def commuting_kernel_basis(ctx: GroupContext, family: Sequence[Coset], functional=None) -> list[Coset]:
-    """That kernel's reduced echelon basis over the vertex order, by pivot:
-    each vector is 1 at its lowest vertex and 0 at the other pivots.
-    kernel_basis lists it by local column, so by descending vertex."""
-    cols, rows = _commuting_system(ctx, family, functional)
-    return [FpVector.from_reduced(ctx.p, {cols[i]: c for i, c in v.items()}) for v in reversed(kernel_basis(rows, len(cols), ctx.p))]
+    return [FpVector.from_reduced(p, {cols[i]: c for i, c in v.items()}) for v in reversed(kernel_basis(rows, len(cols), p))]
 
 
 def commutation_matrix(ctx: GroupContext, agen: FpVector) -> list[dict[int, int]]:
     """Index-keyed rows of b |-> lambda(a, b) over columns 0..n-1, the
-    full-column oracle for the support-local engine.
+    full-column oracle for the closed form.
 
     Only central coordinates touching supp(a) can be nonzero, so rows are
     built for those pairs alone (each row has at most two entries); absent
@@ -422,10 +407,53 @@ def commutation_matrix(ctx: GroupContext, agen: FpVector) -> list[dict[int, int]
     return rows
 
 
+def nonadjacency_components(adj: Sequence[int], support: int) -> list[int]:
+    """The components of the non-adjacency graph on the vertices of the
+    bitmask support, as bitmasks, in order of their lowest vertex; adj[v]
+    is vertex v's neighbour bitmask."""
+    components = []
+    while support:
+        component = todo = support & -support
+        while todo:
+            low = todo & -todo
+            new = support & ~adj[low.bit_length() - 1] & ~component
+            component |= new
+            todo ^= low | new
+        components.append(component)
+        support ^= component
+    return components
+
+
+def centralizer_dim(ctx: GroupContext, gen: Coset, functional=None) -> int:
+    """dim of {b mod Z : [a, b] = e} for the coset a = gen, within the kernel
+    of the functional when one is given, in closed form (A. H. Mekler,
+    Stability of nilpotent groups of class 2 and prime exponent, JSL 46,
+    1981): t + c, t the number of common neighbours of the support S and c
+    the number of components C of the non-adjacency graph on S.  The rows
+    a_u b_w - a_w b_u of non-adjacent u, w in S make b a multiple of a on
+    each C, a vertex non-adjacent to some of S gets a single-entry row, and
+    common neighbours are free.  The functional takes one dimension off
+    unless it is zero on every common neighbour and on a|C for every C."""
+    p, adj, entries = ctx.p, ctx.adj, gen._entries
+    if gen.p != p:
+        raise ValueError(f"modulus mismatch: {gen.p} vs {p}")
+    support = sum(1 << s for s in entries)
+    common = (1 << ctx.n) - 1
+    for s in entries:
+        common &= adj[s]
+    components = nonadjacency_components(adj, support)
+    dim = common.bit_count() + len(components)
+    if functional is None:
+        return dim
+    value, verts = functional.value, ctx.vertex_order
+    on_common = any(value(verts[v]) % p for v in mask_bits(common))
+    return dim - (on_common or any(sum(entries[u] * value(verts[u]) for u in mask_bits(c)) % p for c in components))
+
+
 def centralizer_dim_mod_center(ctx: GroupContext, a: GroupElement) -> int:
-    """dim of {b mod Z : [a, b] = e}, as the kernel of b |-> lambda(a, b);
-    a central input centralizes everything, dimension |V|."""
-    return commuting_kernel_dim(ctx, [a.gen])
+    """dim of {b mod Z : [a, b] = e}, by the closed form; a central input
+    centralizes everything, dimension |V|."""
+    return centralizer_dim(ctx, a.gen)
 
 
 class InducedAutomorphism:

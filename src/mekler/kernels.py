@@ -1,27 +1,25 @@
 """Batch scans of centralizer dimensions over all small supports.
 
-The dichotomy and bound suites check every support pattern of size up to 3
-with every exponent pattern; on the adequate fragments that is tens of
-millions of elements, far too many for the generic sparse eliminator.  The
-per-element computation factors exactly: in the commutation matrix of an
-element supported on S, every column outside S is either killed by a
-single-entry row (some support vertex non-adjacent to it) or entirely free
-(adjacent to all of S), and the S columns are constrained by the tiny block
-B of within-support rows.  So
+The scans check every support of size up to 3 with every exponent
+pattern, by the closed form of group.centralizer_dim (A. H. Mekler,
+Stability of nilpotent groups of class 2 and prime exponent, JSL 46, 1981)
+for an element supported on S:
 
-    dim_group    = |S| + #common_neighbors(S) - rank(B)
-    dim_subgroup = dim_group - 1, unless the functional vanishes on the
-                   kernel: zero on every common neighbor and
-                   rank([B; ell|S]) == rank(B).
+    dim_group    = t + c, t the number of common neighbours of S and c the
+                   number of components of the non-adjacency graph on S
+    dim_subgroup = dim_group - 1, unless the functional is zero on every
+                   common neighbour and sum_{u in C} ell_u e_u = 0 mod p
+                   on every component C.
 
-The verdict on an element therefore depends only on a small signature of
-its support: the size, which pairs of S are non-adjacent, which vertices of
-S the functional is nonzero on, the number t of common neighbours and
-whether the functional is nonzero on one of them; for a single vertex also
-whether it is a natural and whether it is provisioned.  Each signature is
-checked once against every exponent pattern through rank tables, built once
-per (p, size) from the rows group.commuting_rows writes, with each support
-position its own column.
+So a verdict depends only on a signature of the support: the size, its
+non-adjacent pairs, its vertices where the functional is nonzero, t and
+whether the functional is nonzero on a common neighbour; for a single
+vertex also whether it is a (provisioned) natural.  No exponent enters
+dim_group, so in group mode a signature violates for all (p - 1)^k
+exponent patterns or for none.  In subgroup mode M_j = ((p - 1)^j +
+(-1)^j (p - 1)) / p of the j-tuples of nonzero residues sum to 0: a
+signature with j functional bits has M_j (p - 1)^(k - j) members, and
+those where the functional vanishes are a product over the components.
 
 Only the supports with a common neighbour need a signature.  Both
 dimensions are at most |S| + t, and every violation but the low kind, which
@@ -31,34 +29,23 @@ code every vertex and, from size 2 on, only the size-subsets of the
 neighbourhoods N(v), which hold every support with t >= 1.  A scan refuses,
 as an internal fault, a support budget at or above the threshold, where
 this would no longer hold; check_support_budget keeps every caller at 3.
-Before it builds anything, a scan refuses with formulas.BudgetError a prime
-whose rank tables need more than RANK_TABLE_BUDGET eliminations, sum_k
-2^C(k,2) (p - 1)^k (1 + 2^k): every p up to 31 scans at support budget 3.
 
-What needs no signature is counted in closed form: C(n, size) supports of
-(p - 1)^size exponent patterns each, and the subgroup members per
-functional-bit pattern from prefix counts over vertex order, times the
-members of each pattern in the rank tables' membership table.  The count of
+The rest is counted in closed form: C(n, k) supports of (p - 1)^k
+exponent patterns each, of which C(m, j) C(n - m, k - j) have j of the m
+functional ones, with M_j (p - 1)^(k - j) members each.  The count of
 violations is exact: the subsets of each signature times its violating
-exponent patterns.  The listing reads the violating subsets in their
-lexicographic order and stops after LISTING_BUDGET violations, across sizes
-too, so it costs no more than the count.
+patterns.  The listing reads the violating subsets in lexicographic order,
+enumerating exponent patterns once per signature it lists, and stops
+after LISTING_BUDGET violations, across sizes too.
 
 A scan builds what it reads of the graph alone (the dense adjacency
-matrix, the natural and provisioned masks and the neighbourhood subsets up
-to its support budget), then codes what reads the functional.  The subsets
-of every size come from one gather of the neighbour rows per degree class,
-and each size is deduplicated by one stable sort of its support keys; the
-functional-bit totals of every size come from one run of prefix counts.
-Each size's codes are histogrammed by np.bincount, not sorted: a code is
-a small non-negative integer below 2^(size(size+1)/2 + 3) * (max t + 1),
-so the histogram has at most 512 n entries.  A scan costs
-O(n^2 + W log W) time, W = sum_v (C(deg v, 2) + C(deg v, 3)) the
-neighbourhood subsets counted once per centre and the n^2 the dense
-adjacency matrix, and keeps nothing of its graph or its functional.
-Nothing assumes the graph is nice.  Agreement with the generic eliminator,
-brute-force coset counting and a walk over every support is asserted in
-the test suite.
+matrix, the natural masks and the neighbourhood subsets, by one gather per
+degree class and one stable sort per size), then the codes.  Its codes are
+histogrammed by np.bincount: a code is below 2^(size(size+1)/2 + 3) *
+(max t + 1), so at most 512 n entries.  A scan costs O(n^2 + W log W)
+time, W = sum_v (C(deg v, 2) + C(deg v, 3)) the neighbourhood subsets
+counted once per centre and n^2 the dense adjacency matrix, and keeps
+nothing of its graph or its functional.  Nothing assumes the graph is nice.
 """
 
 from __future__ import annotations
@@ -66,15 +53,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .formulas import BudgetError
-from .fplinear import rref_indexed
 from .graphs import ConfigError, Graph, Natural, Vertex
-from .group import GroupContext, commuting_rows
+from .group import GroupContext, nonadjacency_components
 from .subgroup import DIM_THRESHOLD, EdgeFunctional, provisioned_naturals
 
 MODE_GROUP = 0
@@ -85,7 +71,7 @@ KIND_SUBGROUP_HIGH = 1  # subgroup member, not a lone natural, at/over threshold
 KIND_SUBGROUP_LOW = 2  # provisioned lone natural below threshold
 
 LISTING_BUDGET = 10_000  # violations a scan lists; it counts all of them
-RANK_TABLE_BUDGET = 2_000_000  # eliminations a scan's rank tables may need: every p <= 31 at support 3
+PATTERN_BLOCK = 1 << 14  # exponent patterns a listing decodes at a time
 
 
 # --- signature scan ------------------------------------------------------------
@@ -141,37 +127,6 @@ def _ell_bits(ctx: GroupContext, ell: EdgeFunctional | None) -> np.ndarray:
     if ell is None:
         return np.zeros(len(ctx), dtype=np.int64)
     return np.fromiter(map(ell.value, ctx.vertex_order), dtype=np.int64, count=len(ctx))
-
-
-@functools.cache
-def _rank_tables(p: int, size: int):
-    """Lookup tables over (non-adjacency pattern, exponent pattern, ell bits):
-    rank(B) and rank([B; ell|S]) for the within-support block B of the
-    commuting system, whose rows group.commuting_rows writes straight into
-    columns 0..size-1, position t of the support being column t; also the
-    membership table and the exponent patterns themselves."""
-    pats = tuple(itertools.product(range(1, p), repeat=size))
-    pairs = list(itertools.combinations(range(size), 2))
-    nbits = len(pairs)
-    ell_bits = [[(lp >> (size - 1 - t)) & 1 for t in range(size)] for lp in range(1 << size)]
-    ell_rows = [{t: 1 for t, bit in enumerate(bits) if bit} for bits in ell_bits]
-    rank_b = np.zeros((1 << nbits, len(pats)), dtype=np.int64)
-    rank_bl = np.zeros((1 << nbits, len(pats), 1 << size), dtype=np.int64)
-    for na in range(1 << nbits):
-        nonadj = dict.fromkeys(range(size), 0)  # per-column non-adjacency bitmasks of the pattern
-        for t, (u, w) in enumerate(pairs):
-            if (na >> (nbits - 1 - t)) & 1:
-                nonadj[u] |= 1 << w
-                nonadj[w] |= 1 << u
-        for ci, exps in enumerate(pats):
-            rows = list(commuting_rows([dict(enumerate(exps))], nonadj, range(size), p))
-            rank_b[na, ci] = len(rref_indexed(rows, p))
-            for lp, lrow in enumerate(ell_rows):
-                rank_bl[na, ci, lp] = len(rref_indexed(rows + [lrow], p))
-    memb = np.array(pats) @ np.array(ell_bits).T % p == 0
-    for table in (rank_b, rank_bl, memb):
-        table.flags.writeable = False  # shared by every scan through the cache
-    return rank_b, rank_bl, memb, pats
 
 
 def _support_keys(sup: np.ndarray, n: int) -> np.ndarray:
@@ -258,20 +213,6 @@ def _graph_tables(graph: Graph, max_support: int) -> _GraphTables:
     return _GraphTables(_adjacency_matrix(graph.masks), flags >> 1, flags & 1, max_support)
 
 
-def _pattern_totals(ellbit: np.ndarray, max_support: int) -> list[np.ndarray]:
-    """Supports of each positional functional-bit pattern (first vertex's
-    bit highest), for each size from 1 to max_support, from prefix counts
-    over vertex order: ends[pat][j] counts the increasing tuples with
-    pattern pat whose last vertex is j, and each size extends the last."""
-    onehot = np.stack([1 - ellbit, ellbit])
-    ends = onehot
-    totals = [ends.sum(axis=-1)]
-    for _ in range(max_support - 1):
-        ends = (np.cumsum(ends, axis=-1) - ends)[..., None, :] * onehot
-        totals.append(ends.sum(axis=-1).ravel())
-    return totals
-
-
 def _subset_codes(tables: _GraphTables, ellbit: np.ndarray, size: int) -> np.ndarray:
     """The signature code of every row of tables.subsets[size]: of every
     neighbourhood subset, or at size 1 of every vertex."""
@@ -293,30 +234,86 @@ def _signatures(sup, t, tl, tables: _GraphTables, ellbit, size: int) -> np.ndarr
     return code * 4
 
 
-def _verdicts(codes: np.ndarray, p: int, mode: int, size: int):
-    """Decode signature codes against every exponent pattern: (kind,
-    dim_group, dim_subgroup), each indexed (code, pattern), with kind -1
-    where nothing is violated; in group mode dim_subgroup is -1."""
-    rank_b, rank_bl, memb, _ = _rank_tables(p, size)
+def _members(p: int, size: int, j: int) -> int:
+    """The exponent patterns of a support with j functional bits that the
+    functional sends to 0: M_j (p - 1)^(size - j)."""
+    return ((p - 1) ** j + (-1) ** j * (p - 1)) // p * (p - 1) ** (size - j)
+
+
+def _decode(code: int, size: int):
+    """(dim_group, ell_common, components, ell, lone_natural, provisioned) of
+    a signature code: t + c, whether the functional is nonzero on a common
+    neighbour, the non-adjacency components and the functional's nonzero
+    vertices as positional bitmasks (bit size - 1 - u for the u-th vertex,
+    as in the code), and the natural bits."""
     nbits = size * (size - 1) // 2
-    lone_nat = (size == 1) & ((codes >> 1) & 1 == 1)
-    provisioned = codes & 1 == 1
-    lp = (codes >> 2) & ((1 << size) - 1)
-    na = (codes >> (2 + size)) & ((1 << nbits) - 1)
-    tl_pos = (codes >> (2 + size + nbits)) & 1
-    t = codes >> (3 + size + nbits)
-    rb = rank_b[na]  # (signatures, patterns) from here on
-    dim_g = size + t[:, None] - rb
-    kind = np.full(dim_g.shape, -1)
+    full = (1 << size) - 1
+    adj = [full ^ (1 << b) for b in range(size)]  # positional neighbour bitmasks
+    for i, (u, w) in enumerate(itertools.combinations(range(size - 1, -1, -1), 2)):
+        if (code >> (1 + size + nbits - i)) & 1:  # the pair is non-adjacent
+            adj[u] ^= 1 << w
+            adj[w] ^= 1 << u
+    components = nonadjacency_components(adj, full)
+    head = code >> (2 + size + nbits)  # t, then whether tl > 0
+    return (head >> 1) + len(components), head & 1, components, (code >> 2) & full, size == 1 and (code >> 1) & 1, code & 1
+
+
+def _verdict(code: int, p: int, mode: int, size: int) -> tuple[int, int, int]:
+    """(kind, dim_group, violating exponent patterns) of one signature code,
+    kind -1 where none violates.  Members with dim_subgroup = dim_group are
+    those on which the functional vanishes, counted per component."""
+    dim, ell_common, components, ell, lone_natural, provisioned = _decode(code, size)
     if mode == MODE_GROUP:
-        kind[~lone_nat[:, None] & (dim_g > DIM_THRESHOLD - 1)] = KIND_GROUP_BOUND
-        return kind, dim_g, np.full(dim_g.shape, -1)
-    member = memb[:, lp].T
-    vanish = (tl_pos[:, None] == 0) & (rank_bl[na, :, lp] == rb)
-    dim_s = dim_g - 1 + vanish
-    kind[member & ~lone_nat[:, None] & (dim_s >= DIM_THRESHOLD)] = KIND_SUBGROUP_HIGH
-    kind[member & (lone_nat & provisioned)[:, None] & (dim_s < DIM_THRESHOLD)] = KIND_SUBGROUP_LOW
-    return kind, dim_g, dim_s
+        bad = not lone_natural and dim >= DIM_THRESHOLD
+        return (KIND_GROUP_BOUND, dim, (p - 1) ** size) if bad else (-1, dim, 0)
+    members = _members(p, size, ell.bit_count())
+    # each component's exponents on the functional's ones sum to 0
+    vanishing = 0 if ell_common else math.prod(_members(p, c.bit_count(), (ell & c).bit_count()) for c in components)
+    if not lone_natural:
+        kind, count = KIND_SUBGROUP_HIGH, members if dim > DIM_THRESHOLD else vanishing if dim == DIM_THRESHOLD else 0
+    elif provisioned:
+        kind, count = KIND_SUBGROUP_LOW, members if dim < DIM_THRESHOLD else members - vanishing if dim == DIM_THRESHOLD else 0
+    else:
+        kind, count = -1, 0
+    return (kind, dim, count) if count else (-1, dim, 0)
+
+
+def _patterns(p: int, size: int, start: int, stop: int) -> np.ndarray:
+    """Exponent patterns start to stop - 1 of itertools.product(range(1, p),
+    repeat=size), as rows, as far as there are any: base-(p - 1) digits
+    plus 1."""
+    index = np.arange(start, min(stop, (p - 1) ** size), dtype=np.int64)
+    digits = np.empty((len(index), size), dtype=np.int64)
+    for u in range(size - 1, -1, -1):
+        index, digits[:, u] = np.divmod(index, p - 1)
+    return digits + 1
+
+
+def _listing(code: int, p: int, mode: int, size: int):
+    """(kind, dim_group, exps, dim_subgroup) of one signature code: its first
+    LISTING_BUDGET violating exponent patterns in itertools.product order,
+    decoded and checked PATTERN_BLOCK at a time, and each one's subgroup
+    dimension (-1 in group mode)."""
+    kind, dim, count = _verdict(code, p, mode, size)
+    want = min(count, LISTING_BUDGET)
+    if mode == MODE_GROUP:
+        return kind, dim, list(map(tuple, _patterns(p, size, 0, want).tolist())), [-1] * want
+    _, ell_common, components, ell_mask, _, _ = _decode(code, size)
+    bits = size - 1 - np.arange(size)
+    ell = (ell_mask >> bits) & 1
+    on_component = (np.array(components)[None, :] >> bits[:, None]) & ell[:, None]  # (vertex, component) functional bits
+    exps, dims = [], []
+    for start in range(0, (p - 1) ** size, PATTERN_BLOCK):
+        if len(exps) >= want:
+            break
+        pats = _patterns(p, size, start, start + PATTERN_BLOCK)
+        member = pats @ ell % p == 0
+        vanish = (not ell_common) & (pats @ on_component % p == 0).all(axis=1)
+        dim_s = dim - 1 + vanish
+        bad = member & ((dim_s >= DIM_THRESHOLD) if kind == KIND_SUBGROUP_HIGH else (dim_s < DIM_THRESHOLD))
+        exps += map(tuple, pats[bad].tolist())
+        dims += dim_s[bad].tolist()
+    return kind, dim, exps[:want], dims[:want]
 
 
 def _scan_arrays(tables: _GraphTables, ellbit: np.ndarray, p: int, mode: int, max_support: int):
@@ -328,24 +325,27 @@ def _scan_arrays(tables: _GraphTables, ellbit: np.ndarray, p: int, mode: int, ma
         raise RuntimeError(f"supports of size {max_support} can violate with no common neighbour")
     checked = members = violations = 0
     records = []
-    for size, totals in enumerate(_pattern_totals(ellbit, max_support), 1):
-        _, _, memb, pats = _rank_tables(p, size)
-        checked += math.comb(tables.n, size) * len(pats)
-        members += int(totals @ memb.sum(axis=0))
+    ones = int(ellbit.sum())
+    for size in range(1, max_support + 1):
+        checked += math.comb(tables.n, size) * (p - 1) ** size
+        members += sum(math.comb(ones, j) * math.comb(tables.n - ones, size - j) * _members(p, size, j) for j in range(size + 1))
         row_codes = _subset_codes(tables, ellbit, size)
         hist = np.bincount(row_codes)
         codes = np.flatnonzero(hist)
-        kind, dim_g, dim_s = _verdicts(codes, p, mode, size)
-        bad = kind >= 0
-        violations += int(hist[codes] @ bad.sum(axis=1))
+        counts = [_verdict(code, p, mode, size)[2] for code in codes.tolist()]
+        violations += sum(map(operator.mul, hist[codes].tolist(), counts))
         bad_code = np.zeros(len(hist), dtype=bool)
-        bad_code[codes] = bad.any(axis=1)
+        bad_code[codes] = np.array(counts, dtype=bool)
         # each violating row adds at least one record: rows past the budget's remainder go unread
         listed = np.flatnonzero(bad_code[row_codes])[: max(0, LISTING_BUDGET - len(records))]
-        rows = tables.subsets[size].rows
-        for row, r in zip(listed, np.searchsorted(codes, row_codes[listed])):
-            sup = tuple(rows[row].tolist())
-            records += [(int(kind[r, ci]), sup, pats[ci], int(dim_g[r, ci]), int(dim_s[r, ci])) for ci in np.flatnonzero(bad[r])]
+        listings = {}
+        for sup, code in zip(map(tuple, tables.subsets[size].rows[listed].tolist()), row_codes[listed].tolist()):
+            if code not in listings:
+                listings[code] = _listing(code, p, mode, size)
+            kind, dim, exps, dims = listings[code]
+            records += zip(itertools.repeat(kind), itertools.repeat(sup), exps, itertools.repeat(dim), dims)
+            if len(records) >= LISTING_BUDGET:
+                break
     return checked, members, violations, records[:LISTING_BUDGET]
 
 
@@ -357,16 +357,8 @@ def check_support_budget(max_support: int) -> None:
         raise ConfigError("support budgets beyond 3 are not covered by the dichotomy statements")
 
 
-def _rank_table_eliminations(p: int, max_support: int) -> int:
-    """Eliminations _rank_tables runs up to max_support: B and each [B; ell|S]
-    per non-adjacency and exponent pattern."""
-    return sum(2 ** math.comb(k, 2) * (p - 1) ** k * (1 + 2**k) for k in range(1, max_support + 1))
-
-
 def _run_scan(ctx, ell, mode, max_support):
     check_support_budget(max_support)
-    if (need := _rank_table_eliminations(ctx.p, max_support)) > RANK_TABLE_BUDGET:
-        raise BudgetError(f"refusing the scan at p = {ctx.p}: {need} rank-table eliminations exceed the budget of {RANK_TABLE_BUDGET}")
     tables = _graph_tables(ctx.graph, max_support)
     checked, members, count, records = _scan_arrays(tables, _ell_bits(ctx, ell), ctx.p, mode, max_support)
     verts = ctx.vertex_order

@@ -12,6 +12,9 @@ the whole group's center, by two calls of the commuting-kernel engine.
 Inside that subgroup, centralizer dimensions mod the center separate the
 naturals from everything else: a natural with at least 7 gadgeted partners
 sits at dimension >= 6 while every other small-support element stays <= 5.
+They come in closed form, group.centralizer_dim (Mekler 1981): t + c for
+t common neighbours and c non-adjacency components of the support, one
+less unless the functional vanishes on that kernel.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .graphs import ConfigError, Graph, Natural, Vertex
 from .group import (
     GroupContext,
     GroupElement,
+    centralizer_dim,
     commuting_kernel_basis,
-    commuting_kernel_dim,
     format_element,
     from_vectors,
     is_central,
@@ -179,10 +182,10 @@ def center_of_subgroup_check(ctx: GroupContext, ell: EdgeFunctional) -> CenterCh
 
 def centralizer_dim_in_subgroup(ctx: GroupContext, ell: EdgeFunctional, a: GroupElement) -> int:
     """dim of {b in subgroup, mod Z : [a, b] = e}: the commutation kernel
-    intersected with the functional's kernel."""
+    intersected with the functional's kernel, by the closed form."""
     if not in_kernel_subgroup(ctx, ell, a):
         raise ValueError("element is not in the kernel subgroup")
-    return commuting_kernel_dim(ctx, [a.gen], ell)
+    return centralizer_dim(ctx, a.gen, ell)
 
 
 @dataclass
@@ -229,7 +232,7 @@ def assess_adequacy(ctx: GroupContext, ell: EdgeFunctional) -> FragmentAdequacy:
     dims: dict[int, int] = {}
     separated = True
     for n in unprovisioned:
-        d = commuting_kernel_dim(ctx, [FpVector(ctx.p, {ctx.vindex[Natural(n)]: 1})], ell)
+        d = centralizer_dim(ctx, FpVector(ctx.p, {ctx.vindex[Natural(n)]: 1}), ell)
         dims[n] = d
         if d >= DIM_THRESHOLD:
             separated = False

@@ -19,9 +19,11 @@ from mekler.cli import main
 from mekler import cayley, cli, graphs, group, subgroup, verify
 from mekler.graphs import ConfigError, FragmentSpec
 from mekler.group import GroupContext
-from mekler.interpret import build_down_fragment
+from mekler.interpret import build_down_fragment, build_up_fragment
+from mekler.kernels import _ell_bits
 from mekler.subgroup import EdgeFunctional
 from mekler.verify import SuiteResult, VerifyConfig
+from test_kernels import closed_form_counts
 
 
 def run(capsys, *argv):
@@ -134,8 +136,8 @@ def test_skipped_check_never_hides_a_failure():
 
 
 def test_dimension_cross_checks_do_not_compare_the_engine_with_itself(monkeypatch):
-    """Both dimension cross-checks fail once the support-local engine is off
-    by one wherever it is called: their other side is the full-column system."""
+    """Both dimension cross-checks fail once the closed form is off by one
+    wherever it is called: their other side is the full-column system."""
     ctx = GroupContext(build_down_fragment([0, 1]), 3)
     ell = EdgeFunctional.from_edges([(0, 1)])
     names = ("fast dimension formula matches the generic eliminator", "generic eliminator reproduces natural dimensions")
@@ -147,10 +149,32 @@ def test_dimension_cross_checks_do_not_compare_the_engine_with_itself(monkeypatc
         return [c.passed for c in res.checks if c.name in names]
 
     assert verdicts() == [True, True]
-    engine = group.commuting_kernel_dim
+    closed_form = group.centralizer_dim
     for module in (group, subgroup):
-        monkeypatch.setattr(module, "commuting_kernel_dim", lambda *args: engine(*args) + 1)
+        monkeypatch.setattr(module, "centralizer_dim", lambda *args: closed_form(*args) + 1)
     assert verdicts() == [False, False]
+
+
+def test_class_two_check_fails_on_a_sign_flipped_commutator(monkeypatch):
+    """The class-2 line checks ab = ba [a, b] and [a, b] c = c [a, b]
+    through mul, so a commutator of the wrong sign fails it, though the
+    flipped commutator is still central and still a basis element on each
+    non-adjacent generator pair."""
+    ctx = GroupContext(build_up_fragment([0, 1, 2]), 3)
+    name = "commutators are central (class 2)"
+
+    def verdicts():
+        res = SuiteResult(config=VerifyConfig())
+        verify._group_axiom_checks(res, ctx, random.Random(0), 50)
+        verify._defining_relation_checks(res, ctx)
+        return {c.name: c.passed for c in res.checks}
+
+    assert all(verdicts().values())
+    vector = group.commutator_vector
+    monkeypatch.setattr(group, "commutator_vector", lambda *args: -vector(*args))
+    flipped = verdicts()
+    assert flipped.pop(name) is False
+    assert all(flipped.values())
 
 
 def test_natural_dimension_check_compares_with_closed_form(monkeypatch):
@@ -289,24 +313,24 @@ def test_verify_lemmas_report_is_the_same_under_python_O():
     assert json.loads(runs[1].stdout)["ok"] is True
 
 
-def test_scans_past_their_budget_are_skip_not_pass(capsys):
-    """At p = 101 both scans' rank tables are past their budget: the two
-    scan checks SKIP with the budget in their detail, the two oracle checks
-    SKIP on theirs, and every other check runs and passes."""
+def test_scans_at_p_101_pass(capsys):
+    """At p = 101 both scans run and pass, counting the closed-form element
+    and member totals; only the two oracle checks SKIP, on their budget."""
     code, out, _ = run(capsys, "verify-lemmas", "--p", "101", "--format", "structured")
     assert code == 0
-    checks = json.loads(out)["checks"]
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert len(checks) == 25
-    skipped = {c["name"]: c["detail"] for c in checks if c["passed"] is None}
-    scans = [
-        "centralizer dimension of non-natural small supports stays at most 5",
-        "subgroup dimension dichotomy holds on all small supports",
-    ]
-    oracles = [f"formula evaluators agree with full enumeration (R {tag})" for tag in ("empty", "full")]
-    assert sorted(skipped) == sorted(scans + oracles)
-    for name in scans:
-        assert skipped[name] == "skipped: refusing the scan at p = 101: 72100300 rank-table eliminations exceed the budget of 2000000"
-    assert all(c["passed"] is True for c in checks if c["name"] not in skipped)
+    skipped = sorted(name for name, c in checks.items() if c["passed"] is None)
+    assert skipped == [f"formula evaluators agree with full enumeration (R {tag})" for tag in ("empty", "full")]
+    assert all(c["passed"] is True for name, c in checks.items() if name not in skipped)
+    up = GroupContext(build_up_fragment([0, 1, 2]), 101)
+    down = GroupContext(build_down_fragment([0, 1, 2]), 101)
+    elements = closed_form_counts(_ell_bits(up, None), 101, 3)[0]
+    members = closed_form_counts(_ell_bits(down, EdgeFunctional.from_edges([(0, 1)])), 101, 3)[1]
+    assert checks["centralizer dimension of non-natural small supports stays at most 5"]["detail"] == f"{elements} elements, 0 violations"
+    assert checks["subgroup dimension dichotomy holds on all small supports"]["detail"] == f"{members} members, 0 violations"
+    code, out, _ = run(capsys, "verify-lemmas", "--p", "101")
+    assert out.endswith("\n23/25 checks passed, 2 skipped: ok\n")
 
 
 # sha256 of the verify-lemmas reports, text and structured, recorded before

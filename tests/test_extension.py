@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mekler import extension
 from mekler.extension import (
     ExtElement,
     ext_conjugate,
@@ -87,6 +88,35 @@ def test_ext_pow_matches_iterated_mul():
     t = ExtElement(random_element(ctx, rng), 1)
     assert ext_pow(ctx, aut, t, 2 * ctx.p) == ext_identity(ctx)
     assert ext_pow(ctx, aut, t, ctx.p).eps == 1
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ext_pow_equals_repeated_products(p):
+    """ext_pow squares; for every k from -2p to 2p it equals |k| products
+    of a, or of its inverse when k < 0, taken one at a time."""
+    ctx, aut = make_ctx(p)
+    rng = random.Random(p)
+    for _ in range(6):
+        a = random_ext(ctx, rng)
+        for k in range(-2 * p, 2 * p + 1):
+            factor = a if k >= 0 else ext_inv(ctx, aut, a)
+            acc = ext_identity(ctx)
+            for _ in range(abs(k)):
+                acc = ext_mul(ctx, aut, acc, factor)
+            assert ext_pow(ctx, aut, a, k) == acc, k
+
+
+@pytest.mark.parametrize("p, products", [(3, 2), (5, 3), (997, 15)])
+def test_base_membership_squares_its_way_to_the_pth_power(monkeypatch, p, products):
+    """a^p costs about 2 log2 p products, not p - 1: two at p = 3 and 15
+    at p = 997."""
+    ctx, aut = make_ctx(p)
+    a = random_ext(ctx, random.Random(1))
+    calls = []
+    real = extension.ext_mul
+    monkeypatch.setattr(extension, "ext_mul", lambda *args: calls.append(1) or real(*args))
+    in_base_by_power_formula(ctx, aut, a)
+    assert len(calls) == products
 
 
 def test_conjugation_by_the_flip_applies_the_automorphism():

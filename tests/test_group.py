@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from mekler import group
 from mekler.fplinear import FpVector, kernel_basis, kernel_dim, rref_indexed
 from mekler.graphs import Gadget, Graph, Natural, all_pairs, build_fragment, pair_swap_automorphism
 from mekler.group import (
@@ -17,14 +18,13 @@ from mekler.group import (
     GroupElement,
     InducedAutomorphism,
     _below,
-    _commuting_system,
     central_generator,
+    centralizer_dim,
     centralizer_dim_mod_center,
     commutation_matrix,
     commutator,
     commutator_vector,
     commuting_kernel_basis,
-    commuting_kernel_dim,
     format_element,
     generator,
     identity,
@@ -200,6 +200,31 @@ def test_centralizer_dims_by_vertex_kind():
     assert centralizer_dim_mod_center(ctx, z) == 7
 
 
+def commuting_kernel_dim(ctx, family, functional=None):
+    """dim of {b mod Z : [a, b] = e for every a in the family}, within the
+    functional's kernel when one is given: the length of the support-local
+    engine's basis, so an elimination, the oracle of the closed form."""
+    return len(commuting_kernel_basis(ctx, family, functional))
+
+
+@pytest.mark.parametrize("naturals", [[0, 1], [0, 1, 2]], ids=["7-vertex", "8-vertex"])
+def test_closed_form_matches_full_columns_on_every_coset(naturals):
+    """Every coset of the one-gadget fragment on 2 and on 3 naturals (the
+    third one isolated) at p = 3, 3^7 + 3^8 = 8,748 in all: the closed form
+    equals the full-column kernel dimension, alone and within the kernel of
+    the functional for R empty and R = {0-1}."""
+    ctx = GroupContext(build_fragment(naturals, [(0, 1)]), 3)
+    n, p = ctx.n, ctx.p
+    ells = [EdgeFunctional.from_edges(edges) for edges in ([], [(0, 1)])]
+    ell_rows = [ell.row(ctx) for ell in ells]
+    for pattern in itertools.product(range(p), repeat=n):
+        agen = FpVector(p, {i: c for i, c in enumerate(pattern) if c})
+        rows = commutation_matrix(ctx, agen)
+        assert centralizer_dim(ctx, agen) == kernel_dim(rows, n, p)
+        for ell, row in zip(ells, ell_rows):
+            assert centralizer_dim(ctx, agen, ell) == kernel_dim(rows + [row], n, p)
+
+
 @pytest.mark.parametrize("r_edges", [[], [(0, 1)]], ids=["R-empty", "R-01"])
 def test_support_local_engine_matches_full_columns(r_edges):
     """Every coset of the 7-vertex fragment, with and without the
@@ -239,26 +264,29 @@ def test_support_local_engine_matches_full_columns(r_edges):
 
 
 @pytest.mark.parametrize("r_edges", [[(0, 1)], [(0, 1), (1, 2), (2, 3)]], ids=["R-01", "R-path"])
-def test_center_check_system_is_linear_in_vertices(r_edges):
+def test_center_check_system_is_linear_in_vertices(monkeypatch, r_edges):
     """Structure, not timing: every member of the centre check's witness
     family holds the pivot vertex, so without the forced-column rule each
     non-neighbour of the pivot would get its single-entry row once per
     witness, quadratically many in |V|.  With it, the 181-vertex system has
     at most one single-entry row per column and under 2 |V| rows in all.
-    The rows are final: keyed by local columns, numbered in descending
-    vertex order, and read by the eliminator as they are."""
+    The rows are final: keyed by local columns and read by the eliminator
+    as they are."""
     ctx = GroupContext(build_down_fragment([0, 1, 2, 3]), 3)
     assert ctx.n == 181
     ell = EdgeFunctional.from_edges(r_edges)
     witnesses = commuting_kernel_basis(ctx, [], ell)
     assert len(witnesses) == ctx.n - 1
-    cols, rows = _commuting_system(ctx, witnesses, ell)
-    assert cols == sorted(cols, reverse=True) and len(set(cols)) == len(cols)
-    assert all(0 <= k < len(cols) for r in rows for k in r)
+    systems = []
+    monkeypatch.setattr(group, "kernel_basis", lambda rows, ncols, p: systems.append((rows, ncols)) or kernel_basis(rows, ncols, p))
+    assert commuting_kernel_basis(ctx, witnesses, ell) == []  # the centre check passes
+    ((rows, ncols),) = systems
+    assert ncols == ctx.n
+    assert all(0 <= k < ncols for r in rows for k in r)
     singles = [next(iter(r)) for r in rows if len(r) == 1]
     assert len(singles) == len(set(singles)) <= ctx.n
     assert len(rows) < 2 * ctx.n
-    assert len(cols) - len(rref_indexed(rows, ctx.p)) == 0  # the centre check passes
+    assert len(rref_indexed(rows, ctx.p)) == ncols
 
 
 def test_the_engine_refuses_a_coset_of_another_modulus():
@@ -266,7 +294,7 @@ def test_the_engine_refuses_a_coset_of_another_modulus():
     i, j = ctx.vindex[Natural(0)], ctx.vindex[Natural(1)]
     for family in ([FpVector(5, {i: 3, j: 1})], [FpVector(3, {i: 1}), FpVector(5, {i: 3, j: 2})]):
         with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
-            commuting_kernel_dim(ctx, family)
+            centralizer_dim(ctx, family[-1])
         with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
             commuting_kernel_basis(ctx, family)
         with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):

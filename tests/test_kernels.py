@@ -1,4 +1,5 @@
-"""Scan kernels against brute force, the generic eliminator and element_dims."""
+"""Scan kernels against brute force, the generic eliminator, element_dims
+and the element closed form."""
 
 import functools
 import itertools
@@ -14,16 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mekler import kernels
-from mekler.formulas import BudgetError
-from mekler.fplinear import FpVector, kernel_dim, rref_indexed
-from mekler.graphs import ConfigError, Gadget, Natural, all_pairs, build_fragment
+from mekler.fplinear import FpVector, kernel_dim
+from mekler.graphs import ConfigError, Gadget, Graph, Natural, all_pairs, build_fragment
 from mekler.group import (
     GroupContext,
     GroupElement,
+    centralizer_dim,
     centralizer_dim_mod_center,
     commutation_matrix,
     commutator_vector,
-    commuting_kernel_dim,
     from_vectors,
 )
 from mekler.interpret import build_down_fragment
@@ -34,22 +34,21 @@ from mekler.kernels import (
     LISTING_BUDGET,
     MODE_GROUP,
     MODE_SUBGROUP,
-    RANK_TABLE_BUDGET,
     ScanResult,
     _ell_bits,
     _graph_tables,
     _GraphTables,
-    _rank_table_eliminations,
-    _rank_tables,
+    _listing,
     _scan_arrays,
     _signatures,
     _subset_codes,
-    _verdicts,
+    _verdict,
     scan_group_bound,
     scan_subgroup_dichotomy,
 )
 from mekler.subgroup import DIM_THRESHOLD, PROVISION_PARTNERS, EdgeFunctional, centralizer_dim_in_subgroup
 from test_graphs import gadget_partners
+from test_group import commuting_kernel_dim
 
 
 def ctx7():
@@ -370,6 +369,15 @@ def assert_coded_equals_anchor(tables, ellbit):
         assert np.array_equal(trimmed(coded), trimmed(walked))
 
 
+def zero_sum_tuples(p, k):
+    """The k-tuples of nonzero residues mod p that sum to 0, counted by a
+    walk over the residues, one coordinate at a time."""
+    sums = [1] + [0] * (p - 1)  # sums[r]: the tuples so far that sum to r
+    for _ in range(k):
+        sums = [sum(sums[(r - e) % p] for e in range(1, p)) for r in range(p)]
+    return sums[0]
+
+
 def closed_form_counts(ellbit, p, max_support):
     """Elements and subgroup members of a scan by combinatorics alone: a
     member's exponents on its value-1 vertices sum to 0 mod p."""
@@ -379,8 +387,7 @@ def closed_form_counts(ellbit, p, max_support):
     for s in range(1, max_support + 1):
         elements += math.comb(len(ellbit), s) * (p - 1) ** s
         for k in range(s + 1):
-            vanishing = sum(1 for exps in itertools.product(range(1, p), repeat=k) if sum(exps) % p == 0)
-            members += math.comb(zeros, s - k) * math.comb(ones, k) * (p - 1) ** (s - k) * vanishing
+            members += math.comb(zeros, s - k) * math.comb(ones, k) * (p - 1) ** (s - k) * zero_sum_tuples(p, k)
     return elements, members
 
 
@@ -532,14 +539,14 @@ def test_code_histograms_equal_np_unique_counts(n, density, seed):
             for size in (1, 2, 3):
                 rows, row_codes = unique_codes(tables, bits, size)
                 codes, row_code, counts = np.unique(row_codes, return_inverse=True, return_counts=True)
-                kind, dim_g, dim_s = _verdicts(codes, p, mode, size)
-                violations += int(counts @ (kind >= 0).sum(axis=1))
-                pats = _rank_tables(p, size)[3]
+                violating = [_verdict(code, p, mode, size)[2] for code in codes.tolist()]
+                violations += sum(map(int.__mul__, counts.tolist(), violating))
+                listings = [full_listing(code, p, mode, size) if v else None for code, v in zip(codes.tolist(), violating)]
                 for row, r in enumerate(row_code.ravel()):
                     if len(records) >= budget:
                         break
-                    sup = tuple(rows[row].tolist())
-                    records += [(int(kind[r, ci]), sup, pats[ci], int(dim_g[r, ci]), int(dim_s[r, ci])) for ci in np.flatnonzero(kind[r] >= 0)]
+                    if listings[r]:
+                        records += code_records(listings[r], tuple(rows[row].tolist()))
             assert _scan_arrays(tables, bits, p, mode, 3)[2:] == (violations, records[:budget])
 
 
@@ -574,33 +581,19 @@ def test_count_encodes_only_vertices_and_neighbourhood_subsets(monkeypatch):
     assert rows <= bound
 
 
-def test_the_rank_table_budget_counts_every_elimination(monkeypatch):
-    """The budget's count is the number of eliminations _rank_tables runs,
-    and it admits every p up to 31 at support budget 3; 37 is the first
-    prime it refuses."""
-    calls = []
-    monkeypatch.setattr(kernels, "rref_indexed", lambda rows, p: calls.append(p) or rref_indexed(rows, p))
-    for p in (3, 5, 7):
-        calls.clear()
-        for size in (1, 2, 3):
-            _rank_tables.__wrapped__(p, size)  # past the cache, so every table is built
-            assert len(calls) == _rank_table_eliminations(p, size)  # every size up to this one
-    assert _rank_table_eliminations(31, 3) == 1_953_090 <= RANK_TABLE_BUDGET
-    assert _rank_table_eliminations(37, 3) > RANK_TABLE_BUDGET
-
-
-def test_scans_past_the_rank_table_budget_refuse_at_once(monkeypatch):
-    """At p = 997 the rank tables would list 9.9e8 exponent patterns at
-    size 3; both scans refuse before any table is built."""
-    monkeypatch.setattr(kernels, "_rank_tables", None)  # any table build would fail
-    monkeypatch.setattr(kernels, "_graph_tables", None)
-    ctx = GroupContext(fragment18(), 997)
+def test_scans_at_p_101_count_every_element():
+    """Nothing is tabulated per prime: at p = 101 both scans count the
+    closed-form element and member totals, 100^k exponent patterns per
+    support of size k, and find no violation."""
+    ctx = GroupContext(build_down_fragment([0, 1, 2]), 101)
     ell = EdgeFunctional.from_edges([(0, 1)])
-    for scan in (lambda: scan_group_bound(ctx), lambda: scan_subgroup_dichotomy(ctx, ell)):
-        t0 = time.perf_counter()
-        with pytest.raises(BudgetError, match=f"eliminations exceed the budget of {RANK_TABLE_BUDGET}$"):
-            scan()
-        assert time.perf_counter() - t0 < 0.1
+    elements, members = closed_form_counts(_ell_bits(ctx, ell), 101, 3)
+    n = len(ctx)
+    assert elements == n * 100 + math.comb(n, 2) * 100**2 + math.comb(n, 3) * 100**3
+    bound, dichotomy = scan_group_bound(ctx), scan_subgroup_dichotomy(ctx, ell)
+    assert bound.ok and dichotomy.ok
+    assert bound.elements_checked == bound.members_checked == dichotomy.elements_checked == elements
+    assert dichotomy.members_checked == members < elements
 
 
 @pytest.mark.parametrize("threshold", [1, 3])
@@ -632,14 +625,13 @@ def test_no_support_without_common_neighbours_violates(monkeypatch, threshold, v
     found = 0
     for p, size, mode in itertools.product((3, 5, 7), (2, 3), (MODE_GROUP, MODE_SUBGROUP)):
         codes = np.arange(1 << (size * (size - 1) // 2 + size)) << 2  # t = 0, tl = 0, no natural bits
-        kind = _verdicts(codes, p, mode, size)[0]
-        found += int((kind >= 0).any(axis=1).sum())
+        found += sum(_verdict(code, p, mode, size)[0] >= 0 for code in codes.tolist())
     assert found == violating
 
 
 def test_size3_scan_memory_stays_small():
     """Peak traced allocation of a bound scan on the 286-vertex fragment,
-    with the rank tables already cached: the count holds the adjacency
+    after one scan to warm the caches: the count holds the adjacency
     matrix, the edges and the neighbourhood subsets, not a row per (edge,
     third vertex) or a row of all pairs per anchor."""
     ctx = GroupContext(build_fragment(range(11), all_pairs(range(11))), 3)
@@ -679,19 +671,31 @@ def test_provisioned_mask_matches_per_natural_partners(frag):
     assert sum(want) > 0
 
 
+def full_listing(code, p, mode, size):
+    """The per-code listing of every violating exponent pattern, with the
+    listing budget lifted: (kind, dim_group, exps, dim_subgroup)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "LISTING_BUDGET", (p - 1) ** size)
+        return _listing(code, p, mode, size)
+
+
+def code_records(listing, sup):
+    kind, dim_g, exps, dims = listing
+    return [(kind, sup, e, dim_g, d) for e, d in zip(exps, dims)]
+
+
 def walk_records(tables, ellbit, p, mode, max_support=3):
     """Every violation record of a scan, from the per-anchor walk over every
-    support and its own histogram, in ScanResult order."""
+    support, in ScanResult order; each code is decoded once."""
     records = []
     for size in range(1, max_support + 1):
-        codes = np.flatnonzero(anchor_histogram(tables, ellbit, size))
-        kind, dim_g, dim_s = _verdicts(codes, p, mode, size)
-        pats = _rank_tables(p, size)[3]
+        listings = {}
         for sup, t, tl in _support_batches(tables.adj, ellbit, size):
-            r = np.searchsorted(codes, _signatures(sup, t, tl, tables, ellbit, size))
-            for pos, ci in zip(*np.nonzero(kind[r] >= 0)):
-                row = r[pos]
-                records.append((int(kind[row, ci]), tuple(sup[pos].tolist()), pats[ci], int(dim_g[row, ci]), int(dim_s[row, ci])))
+            codes = _signatures(sup, t, tl, tables, ellbit, size)
+            for code in set(np.unique(codes).tolist()) - listings.keys():
+                listings[code] = full_listing(code, p, mode, size) if _verdict(code, p, mode, size)[2] else None
+            for pos in np.flatnonzero(np.isin(codes, [code for code, listing in listings.items() if listing])):
+                records += code_records(listings[int(codes[pos])], tuple(sup[pos].tolist()))
     return records
 
 
@@ -810,3 +814,96 @@ def test_a_planted_k6_lists_from_the_neighbourhood_subsets(monkeypatch):
     assert res.violation_count == len(walked) == 232
     assert as_records(ctx, res) == walked
     assert rows <= subset_bound(tables.adj)
+
+
+class Values:
+    """A functional given by its values on the vertices, 0 elsewhere."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def value(self, v):
+        return self.values.get(v, 0)
+
+
+def representative(code, size):
+    """A context-free realisation of a signature code, read field by field:
+    the graph on the support 0..size-1, with the code's non-adjacent pairs,
+    and t common neighbours joined to all of it; the functional, 1 on the
+    code's functional bits and, when tl > 0, on the first common neighbour;
+    and the natural and provisioned bits."""
+    nbits = size * (size - 1) // 2
+    t, tl = code >> (3 + size + nbits), (code >> (2 + size + nbits)) & 1
+    verts = [Natural(i) for i in range(size + t)]
+    pairs = itertools.combinations(range(size), 2)
+    edges = [(verts[u], verts[w]) for i, (u, w) in enumerate(pairs) if not (code >> (1 + size + nbits - i)) & 1]
+    edges += [(verts[c], verts[u]) for c in range(size, size + t) for u in range(size)]
+    values = {verts[u]: (code >> (1 + size - u)) & 1 for u in range(size)}
+    if tl:
+        values[verts[size]] = 1
+    return Graph(verts, edges), Values(values), (code >> 1) & 1 == 1, code & 1 == 1
+
+
+def every_code(size, max_t):
+    """Every signature code of the size with t up to max_t: tl > 0 only
+    where t > 0, natural bits only at size 1."""
+    nbits = size * (size - 1) // 2
+    for t, tl, pattern, flags in itertools.product(range(max_t + 1), (0, 1), range(1 << (nbits + size)), range(4 if size == 1 else 1)):
+        if t or not tl:
+            yield ((t * 2 + tl) << (nbits + size) | pattern) << 2 | flags
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_every_decoded_code_equals_the_element_closed_form(p):
+    """Every signature code of sizes 1 to 3 with t up to 7 (at p = 7 up to
+    7 - size, to bound the time), decoded by _verdict and _listing, against
+    the element closed form on a representative support, exponent pattern
+    by exponent pattern: the group dimension, the kind, the exact count and
+    the listing with each subgroup dimension.  At p = 3 and 5 the group
+    dimensions 5, 6 and 7 straddle the threshold for every size and number
+    of components."""
+    for size in (1, 2, 3):
+        for code in every_code(size, 7 - size if p == 7 else 7):
+            graph, ell, lone_nat, provisioned = representative(code, size)
+            lone_nat &= size == 1
+            ctx = GroupContext(graph, p)
+            found = {MODE_GROUP: [], MODE_SUBGROUP: []}
+            for exps in itertools.product(range(1, p), repeat=size):
+                gen = FpVector(p, dict(enumerate(exps)))
+                dim_g, dim_s = centralizer_dim(ctx, gen), centralizer_dim(ctx, gen, ell)
+                member = sum(e * ell.value(v) for e, v in zip(exps, ctx.vertex_order)) % p == 0
+                if not lone_nat and dim_g >= DIM_THRESHOLD:
+                    found[MODE_GROUP].append((KIND_GROUP_BOUND, exps, -1))
+                if member and not lone_nat and dim_s >= DIM_THRESHOLD:
+                    found[MODE_SUBGROUP].append((KIND_SUBGROUP_HIGH, exps, dim_s))
+                elif member and lone_nat and provisioned and dim_s < DIM_THRESHOLD:
+                    found[MODE_SUBGROUP].append((KIND_SUBGROUP_LOW, exps, dim_s))
+            for mode, want in found.items():
+                kind = want[0][0] if want else -1
+                assert _verdict(code, p, mode, size) == (kind, dim_g, len(want)), (size, code, mode)
+                if want:
+                    assert _listing(code, p, mode, size) == (kind, dim_g, [e for _, e, _ in want], [d for _, _, d in want])
+
+
+def test_a_planted_k6_at_p_101_lists_a_brute_enumeration():
+    """At p = 101 the K6 bound scan counts 100^k exponent patterns on each
+    of the 41 violating supports the p = 3 walk finds, and its listing is
+    the first LISTING_BUDGET records of an enumeration of every exponent
+    pattern of the supports it lists, each checked by element_dims."""
+    graph = k6_fragment()
+    walked = walk_records(_graph_tables(graph, 3), np.zeros(len(graph), dtype=np.int64), 3, MODE_GROUP)
+    supports = sorted({sup for _, sup, *_ in walked}, key=lambda sup: (len(sup), sup))
+    assert len(supports) == 41
+    ctx = GroupContext(graph, 101)
+    res = scan_group_bound(ctx)
+    assert res.violation_count == sum(100 ** len(sup) for sup in supports) == 20_150_600
+    listed = list(dict.fromkeys(v.support for v in res.violations))
+    brute = []
+    for sup in listed:
+        for exps in itertools.product(range(1, 101), repeat=len(sup)):
+            dim_g = element_dims(ctx, None, sup, exps)[0]
+            if dim_g >= DIM_THRESHOLD:
+                brute.append((KIND_GROUP_BOUND, tuple(ctx.vindex[s] for s in sup), exps, dim_g, -1))
+    assert len(res.violations) == LISTING_BUDGET < len(brute)
+    assert as_records(ctx, res) == brute[:LISTING_BUDGET]
+    assert [tuple(ctx.vindex[s] for s in sup) for sup in listed] == supports[: len(listed)]

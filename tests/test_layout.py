@@ -19,8 +19,10 @@ or the commuting-kernel engine.
 
 The commuting system has one row builder and one basis reader:
 group.commuting_rows writes every row once, keyed by its final column, and
-only group and the scans' rank tables (kernels._rank_tables) call it; only
-group reads a kernel basis (fplinear.kernel_basis) off those rows.
+only group calls it; only group reads a kernel basis
+(fplinear.kernel_basis) off those rows.  The scans eliminate nothing:
+kernels imports nothing from fplinear or formulas, and reads centralizer
+dimensions through the closed form's components alone.
 
 A scan codes supports once: the count and the listing of violations read
 the signature codes of kernels._subset_codes, on the vertices and the
@@ -28,11 +30,11 @@ neighbourhood subsets alone.  The full per-anchor walk, the closed-form
 counts of supports with no common neighbour it replaced, and the
 per-element reference element_dims are test oracles only.
 
-A scan keeps nothing between calls: the only caches in kernels are the
-rank tables and the index combinations, keyed by a prime, a degree and a
-support size alone, and kernels binds no module-level container.  A cache
-keyed on a graph, a context or a functional would make a rescanned graph
-look fast while no command ever rescans one.
+A scan keeps nothing between calls: the only cache in kernels is the index
+combinations, keyed by a degree and a support size alone, and kernels
+binds no module-level container.  A cache keyed on a graph, a context or a
+functional would make a rescanned graph look fast while no command ever
+rescans one.
 
 Both recovery pipelines run one driver, interpret._recover: it alone
 samples the candidate classes and partitions them by power, so the up and
@@ -120,11 +122,36 @@ def references(tree, name):
 
 
 def test_one_row_builder_and_one_basis_reader():
-    assert misuse_outside({"commuting_rows"}, {"group.py", "kernels.py"}) == {}
-    path = Path(mekler.__file__).parent / "kernels.py"
-    refs = references(ast.parse(path.read_text(), filename=str(path)), "commuting_rows")
-    assert [fn for fn, _ in refs] == ["_rank_tables"]
+    assert misuse_outside({"commuting_rows"}, {"group.py"}) == {}
     assert misuse_outside({"kernel_basis"}, {"group.py"}) == {}
+
+
+def imported_modules(tree):
+    """(line, module) of every import in tree, relative ones without their
+    leading dots, and the last part of every imported name's module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, (node.module or "").rpartition(".")[2]))
+            if not node.module:  # from . import fplinear
+                found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.rpartition(".")[2]) for alias in node.names]
+    return found
+
+
+def test_the_scans_eliminate_nothing():
+    """kernels imports nothing from fplinear or formulas: no eliminator, no
+    row builder and no budget error reaches the scans."""
+    path = Path(mekler.__file__).parent / "kernels.py"
+    modules = imported_modules(ast.parse(path.read_text(), filename=str(path)))
+    assert [(line, m) for line, m in modules if m in {"fplinear", "formulas"}] == []
+    assert {"group", "subgroup"} <= {m for _, m in modules}  # the rule sees the imports there are
+
+
+def test_the_import_rule_sees_every_form():
+    tree = ast.parse("from .fplinear import rref_indexed\nfrom . import formulas\nimport mekler.fplinear\nfrom .group import mul\n")
+    assert imported_modules(tree) == [(1, "fplinear"), (2, ""), (2, "formulas"), (3, "fplinear"), (4, "group")]
 
 
 ONLY_IN_THE_TESTS = {
@@ -173,7 +200,7 @@ def test_the_reference_rule_sees_calls_and_attributes():
     assert references(tree, "g") == [("f", 2), ("h", 5), (None, 7)]
 
 
-ENGINE = {"commutator_vector", "commuting_rows", "commuting_kernel_dim", "commuting_kernel_basis", "rref_indexed"}
+ENGINE = {"commutator_vector", "commuting_rows", "commuting_kernel_basis", "centralizer_dim", "nonadjacency_components", "rref_indexed"}
 
 
 def reachable_names(tree, root):
@@ -208,7 +235,7 @@ def test_the_count_never_falls_back_to_the_walk():
     per-anchor walk or t = 0 pattern count."""
     path = Path(mekler.__file__).parent / "kernels.py"
     names = reachable_names(ast.parse(path.read_text(), filename=str(path)), "_scan_arrays")
-    assert {"_subset_codes", "_signatures", "_verdicts"} <= names
+    assert {"_subset_codes", "_signatures", "_verdict"} <= names
     assert ONLY_IN_THE_TESTS & names == set()
 
 
@@ -291,12 +318,12 @@ def module_containers(tree):
 
 
 def test_scans_keep_no_state_between_calls():
-    """The only caches in kernels are the rank tables and the index
-    combinations, each keyed by integers alone, and kernels binds no
-    module-level dict, list, set or weak mapping."""
+    """The only cache in kernels is the index combinations, keyed by
+    integers alone, and kernels binds no module-level dict, list, set or
+    weak mapping."""
     path = Path(mekler.__file__).parent / "kernels.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert cached_functions(tree) == {"_rank_tables": ["int", "int"], "_combinations": ["int", "int"]}
+    assert cached_functions(tree) == {"_combinations": ["int", "int"]}
     assert module_containers(tree) == []
 
 
