@@ -10,7 +10,6 @@ the graph back from group-theoretic queries alone.  A side probe treats
 root counting and coset covering in finite groups given by Cayley tables.
 """
 
-from .fplinear import FpVector
 from .graphs import (
     ConfigError,
     Natural,

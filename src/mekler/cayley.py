@@ -16,9 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fplinear import FpVector
 from .graphs import ConfigError
-from .group import GroupContext, from_vectors, mul as ctx_mul, power
+from .group import GroupContext, GroupElement, mul as ctx_mul, power
 
 DEFAULT_MAX_ORDER = 2048  # largest group tabulated
 EXACT_CAP = 2000  # largest group whose covering number is searched exactly
@@ -445,12 +444,10 @@ def cayley_from_context(ctx: GroupContext) -> FiniteGroup:
     elems = []
     index = {}
     for coeffs in itertools.product(range(p), repeat=nv + nc):
-        gen = FpVector(p, dict(enumerate(coeffs[:nv])))
-        cen = FpVector(p, dict(zip(keys, coeffs[nv:])))
-        el = from_vectors(ctx, gen, cen)
+        el = GroupElement(p, dict(enumerate(coeffs[:nv])), dict(zip(keys, coeffs[nv:])))
         index[el] = len(elems)
         elems.append(el)
-    gens = [from_vectors(ctx, FpVector(p, {v: 1})) for v in range(nv)]
+    gens = [GroupElement(p, {v: 1}, {}) for v in range(nv)]
     right = np.array([[index[ctx_mul(ctx, a, x)] for a in elems] for x in gens], dtype=np.int64)
     return FiniteGroup(_tabulate(right))
 

@@ -21,17 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fplinear import FpVector
 from .graphs import mask_bits
 from .group import (
-    Coset,
     GroupContext,
     GroupElement,
     InducedAutomorphism,
     commutator_vector,
     commuting_kernel_basis,
     format_element,
-    from_vectors,
 )
 from .subgroup import EdgeFunctional, in_kernel_subgroup
 
@@ -57,17 +54,15 @@ class FormulaTrace:
 def power_separated(ctx: GroupContext, x: GroupElement, y: GroupElement) -> bool:
     """No 0 < alpha < p and central z with x^alpha = y z.
 
-    Pure coset condition: y's generator vector is no nonzero multiple of
+    Pure coset condition: y's generator part is no nonzero multiple of
     x's.  False whenever both are central.
     """
-    for alpha in range(1, ctx.p):
-        if x.gen.scale(alpha) == y.gen:
-            return False
-    return True
+    p, xgen = ctx.p, x.gen
+    return all({k: c * alpha % p for k, c in xgen.items()} != y.gen for alpha in range(1, p))
 
 
-def _commutes(ctx: GroupContext, a_gen: Coset, b_gen: Coset) -> bool:
-    return commutator_vector(ctx, a_gen, b_gen).is_zero()
+def _commutes(ctx: GroupContext, a: GroupElement, b: GroupElement) -> bool:
+    return not commutator_vector(ctx, a, b)
 
 
 def up_edge_formula(ctx: GroupContext, aut: InducedAutomorphism, x: GroupElement, y: GroupElement) -> FormulaTrace:
@@ -91,14 +86,14 @@ def up_edge_formula(ctx: GroupContext, aut: InducedAutomorphism, x: GroupElement
         return FormulaTrace(False, "VertexLikeEnumeration", note="power-related inputs")
     p, adj = ctx.p, ctx.adj
     common = (1 << ctx.n) - 1
-    for s in x.gen.support() | y.gen.support():
+    for s in x.gen.keys() | y.gen.keys():
         common &= adj[s] | 1 << s
     for w in mask_bits(common):
         hit = (adj[w] | 1 << w) & aut.moved
         if not hit:
             continue
-        u_el = from_vectors(ctx, FpVector.from_reduced(p, {w: 1}))
-        v_el = from_vectors(ctx, FpVector.from_reduced(p, {(hit & -hit).bit_length() - 1: 1}))
+        u_el = GroupElement(p, {w: 1}, {})
+        v_el = GroupElement(p, {(hit & -hit).bit_length() - 1: 1}, {})
         if not _recheck_up(ctx, aut, x, y, u_el, v_el):
             raise RuntimeError(
                 f"up-formula witness pair u={format_element(ctx, u_el)}, "
@@ -110,10 +105,10 @@ def up_edge_formula(ctx: GroupContext, aut: InducedAutomorphism, x: GroupElement
 
 def _recheck_up(ctx, aut, x, y, u, v) -> bool:
     return (
-        _commutes(ctx, u.gen, x.gen)
-        and _commutes(ctx, u.gen, y.gen)
-        and _commutes(ctx, u.gen, v.gen)
-        and aut.moves_coset(v.gen)
+        _commutes(ctx, u, x)
+        and _commutes(ctx, u, y)
+        and _commutes(ctx, u, v)
+        and aut.moves_coset(v)
         and len(u.gen) == 1
         and len(v.gen) == 1
     )
@@ -132,16 +127,11 @@ def down_edge_formula(ctx: GroupContext, ell: EdgeFunctional, x: GroupElement, y
             raise ValueError(f"{name} is not in the kernel subgroup")
     if not power_separated(ctx, x, y):
         return FormulaTrace(False, "KernelIntersection", note="power-related inputs")
-    basis = commuting_kernel_basis(ctx, [x.gen, y.gen], ell)
+    basis = commuting_kernel_basis(ctx, [x, y], ell)
     if not basis:
         return FormulaTrace(False, "KernelIntersection")
-    wit_gen = basis[0]
-    wit = from_vectors(ctx, wit_gen)
-    if (
-        wit_gen.is_zero()
-        or not in_kernel_subgroup(ctx, ell, wit)
-        or not (_commutes(ctx, wit_gen, x.gen) and _commutes(ctx, wit_gen, y.gen))
-    ):
+    wit = basis[0]
+    if not wit.gen or not in_kernel_subgroup(ctx, ell, wit) or not (_commutes(ctx, wit, x) and _commutes(ctx, wit, y)):
         raise RuntimeError(f"down-formula witness {format_element(ctx, wit)} failed its re-check")
     return FormulaTrace(True, "KernelIntersection", witnesses=(wit,), note=f"kernel dim {len(basis)}")
 
@@ -174,9 +164,10 @@ def _commuting_mask(block: np.ndarray, a: np.ndarray, pairs: tuple[np.ndarray, n
     return ~((block[:, us] * a[ws] - block[:, ws] * a[us]) % p).any(axis=1)
 
 
-def _dense(ctx: GroupContext, gen: Coset) -> np.ndarray:
+def _dense(ctx: GroupContext, a: GroupElement) -> np.ndarray:
+    """a's generator part as a dense vector over the vertex order."""
     out = np.zeros(ctx.n, dtype=np.int64)
-    for i, c in gen.items():
+    for i, c in a.gen.items():
         out[i] = c
     return out
 
@@ -212,29 +203,26 @@ def full_coset_oracle(
     def commutes(block: np.ndarray, a: np.ndarray) -> np.ndarray:
         return _commuting_mask(block, a, pairs, p)
 
-    xd, yd = _dense(ctx, x.gen), _dense(ctx, y.gen)
+    xd, yd = _dense(ctx, x), _dense(ctx, y)
     if formula == "up":
         if aut is None:
             raise ValueError("up formula needs the automorphism")
         target = np.array(aut.iperm, dtype=np.int64)
-        # one full pass evaluates the inner quantifier's own conjuncts
-        # (vertex-like, moved by the automorphism) as coset predicates
-        v_candidates = []
+        # one full pass evaluates each quantifier's own conjuncts as coset
+        # predicates: u and v vertex-like, then [u, x] = [u, y] = e and v
+        # moved by the automorphism, on the vertex-like rows
+        u_rows, v_rows = [], []
         for block in _coset_blocks(p, n):
-            image = np.empty_like(block)
-            image[:, target] = block
-            moved = (image != block).any(axis=1)
-            v_candidates.extend(block[((block != 0).sum(axis=1) == 1) & moved])
-        for block in _coset_blocks(p, n):
-            # the formula's vertex-like conjunct on u, then [u, x] = [u, y] = e
-            u_ok = ((block != 0).sum(axis=1) == 1) & commutes(block, xd) & commutes(block, yd)
-            if not u_ok.any():
-                continue
-            u_rows = block[u_ok]
-            for v in v_candidates:
-                if commutes(u_rows, v).any():
-                    return True
-        return False
+            rows = block[(block != 0).sum(axis=1) == 1]
+            image = np.empty_like(rows)
+            image[:, target] = rows
+            u_rows.append(rows[commutes(rows, xd) & commutes(rows, yd)])
+            v_rows.append(rows[(image != rows).any(axis=1)])
+        u, v = np.concatenate(u_rows), np.concatenate(v_rows)
+        # [u, v] for every pair at once: lambda(u, v)_(a,b) = u_b v_a - u_a v_b
+        us, ws = pairs
+        form = u[:, None, ws] * v[None, :, us] - u[:, None, us] * v[None, :, ws]
+        return bool((~(form % p).any(axis=2)).any())
     if formula == "down":
         if ell is None:
             raise ValueError("down formula needs the functional")

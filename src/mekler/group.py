@@ -20,14 +20,19 @@ Natural/Gadget vertices appear only at the boundary: generator and
 central_generator arguments, is_natural_vertex_like and the element text
 form.
 
-Elements are immutable slot values.  mul, inv, commutator and
+An element is one immutable slot value: its modulus p and two plain
+dicts, gen (vertex index -> nonzero residue) and cen (central key ->
+nonzero residue).  A generator coset, an element read mod Z, is an element
+whose cen is ignored, so one type serves both; commuting_kernel_basis
+returns cosets as elements with no central part.  mul, inv, commutator and
 InducedAutomorphism.apply each build the result's generator and central
 dicts in one local pass, reading the operands' dicts directly, adding the
 cocycle as they go and reducing every sum mod p on the spot.  They, like
 identity and the samplers, hand those dicts to _element, which makes the
-two vectors and the element with __new__ and the slot setters and checks
-nothing a second time: the modulus is checked once, where operands enter
-(mul, inv, commutator_vector, apply, apply_coset), and GroupElement's own
+element with __new__ and the three slot setters and checks nothing a
+second time: the modulus is checked once, where operands enter (mul, inv,
+commutator_vector, commutation_matrix, centralizer_dim,
+commuting_kernel_basis, apply, apply_coset), and GroupElement's own
 constructor, which validates, is left to outside callers.
 
 The samplers draw from the generator's random bits through _below, the
@@ -52,7 +57,7 @@ import math
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fplinear import FpVector, kernel_basis
+from .fplinear import kernel_basis
 from .graphs import (
     ConfigError,
     Graph,
@@ -64,9 +69,6 @@ from .graphs import (
     is_graph_automorphism,
     mask_bits,
 )
-
-Coset = FpVector  # generator-side cosets mod the center, keyed by vertex index
-
 
 class GroupContext:
     """Graph + odd prime + the fixed orderings all arithmetic refers to.
@@ -125,17 +127,20 @@ class GroupContext:
 
 
 class GroupElement:
-    """An element in normal form: generator part gen (keyed by vertex
-    index) and central part cen (keyed by central key).  An immutable value:
-    equal parts give equal elements with equal hashes."""
+    """An element in normal form over F_p: generator part gen (vertex index
+    -> nonzero residue) and central part cen (central key -> nonzero
+    residue), plain dicts never mutated.  An immutable value: equal parts
+    give equal elements with equal hashes.  The constructor reduces every
+    value mod p and drops zeros; the library's own results skip it."""
 
-    __slots__ = ("gen", "cen")
+    __slots__ = ("p", "gen", "cen")
 
-    def __init__(self, gen: FpVector, cen: FpVector):
-        if gen.p != cen.p:
-            raise ValueError("generator and central parts disagree on modulus")
-        _set_gen(self, gen)
-        _set_cen(self, cen)
+    def __init__(self, p: int, gen: Mapping[int, int], cen: Mapping[int, int]):
+        if p < 2:
+            raise ValueError("modulus must be at least 2")
+        _set_p(self, p)
+        _set_gen(self, {k: r for k, c in gen.items() if (r := c % p)})
+        _set_cen(self, {k: r for k, c in cen.items() if (r := c % p)})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GroupElement is immutable; cannot set {name!r}")
@@ -146,34 +151,36 @@ class GroupElement:
     def __eq__(self, other):
         if other.__class__ is not GroupElement:
             return NotImplemented
-        # both parts of an element share one modulus, so one check covers both
-        g, h = self.gen, other.gen
-        return g.p == h.p and g._entries == h._entries and self.cen._entries == other.cen._entries
+        return self.p == other.p and self.gen == other.gen and self.cen == other.cen
 
     def __hash__(self) -> int:
-        return hash((self.gen, self.cen))
+        return hash((self.p, frozenset(self.gen.items()), frozenset(self.cen.items())))
 
     def __repr__(self) -> str:
-        return f"GroupElement(gen={self.gen!r}, cen={self.cen!r})"
+        return f"GroupElement(p={self.p}, gen={self.gen!r}, cen={self.cen!r})"
 
 
 # the slot setters, which bypass the refusing __setattr__
+_set_p = GroupElement.p.__set__
 _set_gen = GroupElement.gen.__set__
 _set_cen = GroupElement.cen.__set__
 _new = object.__new__
 
 
 def _element(p: int, gen: dict[int, int], cen: dict[int, int]) -> GroupElement:
-    """Wrap a generator and a central dict, both already reduced mod p with
-    no zeros; the dicts are taken over and nothing is checked again."""
-    g = _new(FpVector)
-    g.p, g._entries, g._hash = p, gen, None
-    c = _new(FpVector)
-    c.p, c._entries, c._hash = p, cen, None
+    """The element of a generator and a central dict, both already reduced
+    mod p with no zeros; the dicts are taken over and nothing is checked
+    again."""
     a = _new(GroupElement)
-    _set_gen(a, g)
-    _set_cen(a, c)
+    _set_p(a, p)
+    _set_gen(a, gen)
+    _set_cen(a, cen)
     return a
+
+
+def _check_modulus(ctx: GroupContext, a: GroupElement) -> None:
+    if a.p != ctx.p:
+        raise ValueError(f"modulus mismatch: {a.p} vs {ctx.p}")
 
 
 def identity(ctx: GroupContext) -> GroupElement:
@@ -188,11 +195,7 @@ def generator(ctx: GroupContext, v: Vertex, exp: int = 1) -> GroupElement:
 
 
 def central_generator(ctx: GroupContext, u: Vertex, w: Vertex, exp: int = 1) -> GroupElement:
-    return GroupElement(FpVector.zero(ctx.p), FpVector(ctx.p, {ctx.central_pair(u, w): exp}))
-
-
-def from_vectors(ctx: GroupContext, gen: FpVector, cen: FpVector | None = None) -> GroupElement:
-    return GroupElement(gen, cen if cen is not None else FpVector.zero(ctx.p))
+    return GroupElement(ctx.p, {}, {ctx.central_pair(u, w): exp})
 
 
 def mul(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
@@ -201,10 +204,9 @@ def mul(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
     generators past a's: coordinate (u, w), u < w non-adjacent, gets
     a_w * b_u.  Every sum is reduced as it is made."""
     p, n, adj = ctx.p, ctx.n, ctx.adj
-    agen, bgen = a.gen, b.gen
-    if agen.p != p or bgen.p != p:
-        raise ValueError(f"modulus mismatch: {agen.p} and {bgen.p} vs {p}")
-    ag, bg = agen._entries, bgen._entries
+    if a.p != p or b.p != p:
+        raise ValueError(f"modulus mismatch: {a.p} and {b.p} vs {p}")
+    ag, bg = a.gen, b.gen
     gen = ag.copy()
     for k, c in bg.items():
         s = (gen.get(k, 0) + c) % p
@@ -212,8 +214,8 @@ def mul(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
             gen[k] = s
         else:
             del gen[k]
-    cen = a.cen._entries.copy()
-    for k, c in b.cen._entries.items():
+    cen = a.cen.copy()
+    for k, c in b.cen.items():
         s = (cen.get(k, 0) + c) % p
         if s:
             cen[k] = s
@@ -236,11 +238,9 @@ def inv(ctx: GroupContext, a: GroupElement) -> GroupElement:
     """a^-1 in one pass: a * a^-1 = e forces gen(a^-1) = -gen(a) and
     cen(a^-1) = -cen(a) + beta(a, a)."""
     p, n, adj = ctx.p, ctx.n, ctx.adj
-    agen = a.gen
-    if agen.p != p:
-        raise ValueError(f"modulus mismatch: {agen.p} vs {p}")
-    items = agen._entries.items()
-    cen = {k: p - c for k, c in a.cen._entries.items()}
+    _check_modulus(ctx, a)
+    items = a.gen.items()
+    cen = {k: p - c for k, c in a.cen.items()}
     for w, ca in items:
         adj_w = adj[w]
         for u, cb in items:
@@ -273,18 +273,19 @@ def pow_(ctx: GroupContext, a: GroupElement, k: int) -> GroupElement:
     return power(lambda x, y: mul(ctx, x, y), a, k, identity(ctx))
 
 
-def commutator_vector(ctx: GroupContext, agen: FpVector, bgen: FpVector) -> FpVector:
-    """lambda(a, b): central coordinates of [a, b], bilinear and alternating.
+def commutator_vector(ctx: GroupContext, a: GroupElement, b: GroupElement) -> dict[int, int]:
+    """lambda(a, b): the central dict of [a, b], bilinear and alternating in
+    the cosets a and b (their central parts are not read).
 
     Coordinate (u, w) gets a_w b_u - a_u b_w; adjacent pairs contribute
     nothing because the generators commute.
     """
     p, n, adj = ctx.p, ctx.n, ctx.adj
-    if agen.p != p or bgen.p != p:
-        raise ValueError(f"modulus mismatch: {agen.p} and {bgen.p} vs {p}")
+    if a.p != p or b.p != p:
+        raise ValueError(f"modulus mismatch: {a.p} and {b.p} vs {p}")
     out: dict[int, int] = {}
-    bitems = bgen._entries.items()
-    for s, ca in agen._entries.items():
+    bitems = b.gen.items()
+    for s, ca in a.gen.items():
         adj_s = adj[s]
         for t, cb in bitems:
             if t == s or (adj_s >> t) & 1:
@@ -298,15 +299,15 @@ def commutator_vector(ctx: GroupContext, agen: FpVector, bgen: FpVector) -> FpVe
                 out[key] = c
             else:
                 out.pop(key, None)
-    return FpVector.from_reduced(p, out)
+    return out
 
 
 def commutator(ctx: GroupContext, a: GroupElement, b: GroupElement) -> GroupElement:
-    return _element(ctx.p, {}, commutator_vector(ctx, a.gen, b.gen)._entries)
+    return _element(ctx.p, {}, commutator_vector(ctx, a, b))
 
 
 def is_central(a: GroupElement) -> bool:
-    return a.gen.is_zero()
+    return not a.gen
 
 
 def is_vertex_like(a: GroupElement) -> bool:
@@ -358,20 +359,20 @@ def commuting_rows(family: Iterable[dict[int, int]], nonadj: Mapping[int, int], 
                     yield {col[t]: cs, col[s]: -ct % p}
 
 
-def commuting_kernel_basis(ctx: GroupContext, family: Sequence[Coset], functional=None) -> list[Coset]:
+def commuting_kernel_basis(ctx: GroupContext, family: Sequence[GroupElement], functional=None) -> list[GroupElement]:
     """The reduced echelon basis of {b mod Z : [a, b] = e for every a in the
     family}, within the kernel of the functional (anything with
-    value(vertex), such as an EdgeFunctional) when one is given: each
-    vector is 1 at its lowest vertex and 0 at the other pivots.  The
-    columns are the family's support S and its common neighbours, in
-    descending vertex order: any other vertex is non-adjacent to some s in
-    S, whose single-entry row kills it.  The functional's row comes last."""
+    value(vertex), such as an EdgeFunctional) when one is given, as
+    elements with no central part: each is 1 at its lowest vertex and 0 at
+    the other pivots.  The columns are the family's support S and its
+    common neighbours, in descending vertex order: any other vertex is
+    non-adjacent to some s in S, whose single-entry row kills it.  The
+    functional's row comes last."""
     p, adj = ctx.p, ctx.adj
     supmask = 0
     for a in family:
-        if a.p != p:
-            raise ValueError(f"modulus mismatch: {a.p} vs {p}")
-        supmask |= sum(1 << s for s in a._entries)
+        _check_modulus(ctx, a)
+        supmask |= sum(1 << s for s in a.gen)
     common = (1 << ctx.n) - 1
     nonadj: dict[int, int] = {}
     for s in mask_bits(supmask):
@@ -379,29 +380,30 @@ def commuting_kernel_basis(ctx: GroupContext, family: Sequence[Coset], functiona
         nonadj[s] = supmask & ~adj[s] & ~(1 << s)
     cols = mask_bits(supmask | common)[::-1]
     col = {v: i for i, v in enumerate(cols)}
-    rows = list(commuting_rows([a._entries for a in family], nonadj, col, p))
+    rows = list(commuting_rows([a.gen for a in family], nonadj, col, p))
     if functional is not None:
         rows.append({i: c for i, v in enumerate(cols) if (c := functional.value(ctx.vertex_order[v]) % p)})
-    return [FpVector.from_reduced(p, {cols[i]: c for i, c in v.items()}) for v in reversed(kernel_basis(rows, len(cols), p))]
+    return [_element(p, {cols[i]: c for i, c in v.items()}, {}) for v in reversed(kernel_basis(rows, len(cols), p))]
 
 
-def commutation_matrix(ctx: GroupContext, agen: FpVector) -> list[dict[int, int]]:
-    """Index-keyed rows of b |-> lambda(a, b) over columns 0..n-1, the
-    full-column oracle for the closed form.
+def commutation_matrix(ctx: GroupContext, a: GroupElement) -> list[dict[int, int]]:
+    """Index-keyed rows of b |-> lambda(a, b) over columns 0..n-1 for the
+    coset a, the full-column oracle for the closed form.
 
     Only central coordinates touching supp(a) can be nonzero, so rows are
     built for those pairs alone (each row has at most two entries); absent
     rows are zero and cannot change the kernel.
     """
-    p = ctx.p
+    _check_modulus(ctx, a)
+    p, agen = ctx.p, a.gen
     rows: list[dict[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for s in agen.support():
+    for s in agen:
         for t in range(ctx.n):
             u, w = min(s, t), max(s, t)
             if ctx.nonadjacent(s, t) and (u, w) not in seen:
                 seen.add((u, w))
-                row = {k: c for k, c in ((u, agen.get(w)), (w, -agen.get(u) % p)) if c}
+                row = {k: c for k, c in ((u, agen.get(w, 0)), (w, -agen.get(u, 0) % p)) if c}
                 if row:
                     rows.append(row)
     return rows
@@ -424,8 +426,8 @@ def nonadjacency_components(adj: Sequence[int], support: int) -> list[int]:
     return components
 
 
-def centralizer_dim(ctx: GroupContext, gen: Coset, functional=None) -> int:
-    """dim of {b mod Z : [a, b] = e} for the coset a = gen, within the kernel
+def centralizer_dim(ctx: GroupContext, a: GroupElement, functional=None) -> int:
+    """dim of {b mod Z : [a, b] = e} for the coset of a, within the kernel
     of the functional when one is given, in closed form (A. H. Mekler,
     Stability of nilpotent groups of class 2 and prime exponent, JSL 46,
     1981): t + c, t the number of common neighbours of the support S and c
@@ -434,9 +436,8 @@ def centralizer_dim(ctx: GroupContext, gen: Coset, functional=None) -> int:
     each C, a vertex non-adjacent to some of S gets a single-entry row, and
     common neighbours are free.  The functional takes one dimension off
     unless it is zero on every common neighbour and on a|C for every C."""
-    p, adj, entries = ctx.p, ctx.adj, gen._entries
-    if gen.p != p:
-        raise ValueError(f"modulus mismatch: {gen.p} vs {p}")
+    _check_modulus(ctx, a)
+    p, adj, entries = ctx.p, ctx.adj, a.gen
     support = sum(1 << s for s in entries)
     common = (1 << ctx.n) - 1
     for s in entries:
@@ -453,7 +454,7 @@ def centralizer_dim(ctx: GroupContext, gen: Coset, functional=None) -> int:
 def centralizer_dim_mod_center(ctx: GroupContext, a: GroupElement) -> int:
     """dim of {b mod Z : [a, b] = e}, by the closed form; a central input
     centralizes everything, dimension |V|."""
-    return centralizer_dim(ctx, a.gen)
+    return centralizer_dim(ctx, a)
 
 
 class InducedAutomorphism:
@@ -473,25 +474,30 @@ class InducedAutomorphism:
         self.moved = sum(1 << i for i, j in enumerate(self.iperm) if i != j)  # the unfixed generators
         self.is_involution = all(self.iperm[j] == i for i, j in enumerate(self.iperm))
 
+    def _word(self, a: GroupElement) -> list[tuple[int, int]]:
+        """a's generator word mapped factor by factor: (image index,
+        exponent) in a's own vertex order."""
+        _check_modulus(self.ctx, a)
+        iperm = self.iperm
+        return [(iperm[v], c) for v, c in sorted(a.gen.items())]
+
     def apply(self, a: GroupElement) -> GroupElement:
         ctx, iperm = self.ctx, self.iperm
         p, n, adj = ctx.p, ctx.n, ctx.adj
-        if a.gen.p != p:
-            raise ValueError(f"modulus mismatch: {a.gen.p} vs {p}")
+        word = self._word(a)
         # a permutation sends distinct pairs to distinct pairs, so the
         # images of the central coordinates never collide
         cen: dict[int, int] = {}
-        for key, c in a.cen._entries.items():
+        for key, c in a.cen.items():
             iu, iw = iperm[key // n], iperm[key % n]
             if iu < iw:
                 cen[iu * n + iw] = c
             else:
                 cen[iw * n + iu] = p - c
-        # The generator word maps factor by factor; collecting the images
-        # back into vertex order picks up a_w a_u at (u, w) wherever the
-        # permutation inverts a non-commuting pair.  Permuting coordinates
-        # alone would not be a homomorphism.
-        word = [(iperm[v], c) for v, c in sorted(a.gen._entries.items())]
+        # Collecting the word's images back into vertex order picks up
+        # a_w a_u at (u, w) wherever the permutation inverts a
+        # non-commuting pair.  Permuting coordinates alone would not be a
+        # homomorphism.
         for k, (w, cw) in enumerate(word):
             adj_w = adj[w]
             for u, cu in word[k + 1 :]:
@@ -504,14 +510,12 @@ class InducedAutomorphism:
                         del cen[key]
         return _element(p, dict(word), cen)
 
-    def apply_coset(self, gen: FpVector) -> FpVector:
-        p, iperm = self.ctx.p, self.iperm
-        if gen.p != p:
-            raise ValueError(f"modulus mismatch: {gen.p} vs {p}")
-        return FpVector.from_reduced(p, {iperm[v]: c for v, c in gen._entries.items()})
+    def apply_coset(self, a: GroupElement) -> GroupElement:
+        """The image of a's coset, with no central part."""
+        return _element(self.ctx.p, dict(self._word(a)), {})
 
-    def moves_coset(self, gen: FpVector) -> bool:
-        return self.apply_coset(gen) != gen
+    def moves_coset(self, a: GroupElement) -> bool:
+        return self.apply_coset(a).gen != a.gen
 
 
 # --- element text form ------------------------------------------------------
@@ -563,10 +567,13 @@ def parse_element(ctx: GroupContext, text: str) -> GroupElement:
                     cen[key] = cen.get(key, 0) + int(pm.group(2))
             continue
         raise ConfigError(f"cannot parse element token {token!r}")
-    return GroupElement(FpVector(ctx.p, gen), FpVector(ctx.p, cen))
+    return GroupElement(ctx.p, gen, cen)
 
 
 # --- sampling ----------------------------------------------------------------
+
+SAMPLE_SUPPORT = 4  # the most generators random_element draws
+SAMPLE_TERMS = 3  # the most central terms random_central draws
 
 
 def _below(getrandbits, n: int) -> int:
@@ -579,17 +586,15 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def random_element(ctx: GroupContext, rng, max_support: int = 4) -> GroupElement:
+def random_element(ctx: GroupContext, rng) -> GroupElement:
     """Random normal-form element with small support and at most two
     central terms, for law suites.  rng is a random.Random; the draws are
-    those of rng.randint(0, min(max_support, n)) for the support size k,
+    those of rng.randint(0, min(SAMPLE_SUPPORT, n)) for the support size k,
     rng.sample(range(n), k) for the support and rng.randint(1, p - 1) for
     each exponent, in that order, then the central part's."""
-    if max_support < 0:
-        raise ValueError(f"max_support must be non-negative, got {max_support}")
     getrandbits = rng.getrandbits
     n, p = ctx.n, ctx.p
-    k = _below(getrandbits, min(max_support, n) + 1)
+    k = _below(getrandbits, min(SAMPLE_SUPPORT, n) + 1)
     # random.Random.sample's two paths: a pool of the unpicked indices when
     # that list is smaller than a k-element set, else a set of the picks
     setsize = 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
@@ -612,13 +617,12 @@ def random_element(ctx: GroupContext, rng, max_support: int = 4) -> GroupElement
     return _element(p, gen, _random_central_part(ctx, getrandbits, 2))
 
 
-def random_central(ctx: GroupContext, rng, max_terms: int = 3) -> GroupElement:
-    """Random central element with at most max_terms terms, drawn as
-    rng.randint(0, max_terms) terms of a rng.randrange(ncentral) pair and a
-    rng.randint(1, p - 1) exponent each (no draw when ncentral is 0)."""
-    if max_terms < 0:
-        raise ValueError(f"max_terms must be non-negative, got {max_terms}")
-    return _element(ctx.p, {}, _random_central_part(ctx, rng.getrandbits, max_terms))
+def random_central(ctx: GroupContext, rng) -> GroupElement:
+    """Random central element with at most SAMPLE_TERMS terms, drawn as
+    rng.randint(0, SAMPLE_TERMS) terms of a rng.randrange(ncentral) pair
+    and a rng.randint(1, p - 1) exponent each (no draw when ncentral is
+    0)."""
+    return _element(ctx.p, {}, _random_central_part(ctx, rng.getrandbits, SAMPLE_TERMS))
 
 
 def _random_central_part(ctx: GroupContext, getrandbits, max_terms: int) -> dict[int, int]:

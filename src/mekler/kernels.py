@@ -368,8 +368,9 @@ def _run_scan(ctx, ell, mode, max_support):
         elements_checked=checked,
         members_checked=members,  # with no functional every element is a member
         violation_count=count,
+        # itemgetter of one index gives the item itself, not a 1-tuple
         violations=[
-            ScanViolation(kind=k, support=tuple(verts[i] for i in sup), exps=exps, dim_group=dg, dim_subgroup=ds)
+            ScanViolation(k, operator.itemgetter(*sup)(verts) if len(sup) > 1 else (verts[sup[0]],), exps, dg, ds)
             for k, sup, exps, dg, ds in records
         ],
     )

@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .fplinear import FpVector
 from .graphs import ConfigError, Graph, Natural, Vertex
 from .group import (
     GroupContext,
@@ -31,7 +30,7 @@ from .group import (
     centralizer_dim,
     commuting_kernel_basis,
     format_element,
-    from_vectors,
+    generator,
     is_central,
     mul,
     random_element,
@@ -176,7 +175,7 @@ def center_of_subgroup_check(ctx: GroupContext, ell: EdgeFunctional) -> CenterCh
     return CenterCheckResult(
         ok=not center,
         witnesses=len(witnesses),
-        failures=[format_element(ctx, from_vectors(ctx, z)) for z in center],
+        failures=[format_element(ctx, z) for z in center],
     )
 
 
@@ -185,7 +184,7 @@ def centralizer_dim_in_subgroup(ctx: GroupContext, ell: EdgeFunctional, a: Group
     intersected with the functional's kernel, by the closed form."""
     if not in_kernel_subgroup(ctx, ell, a):
         raise ValueError("element is not in the kernel subgroup")
-    return centralizer_dim(ctx, a.gen, ell)
+    return centralizer_dim(ctx, a, ell)
 
 
 @dataclass
@@ -232,7 +231,7 @@ def assess_adequacy(ctx: GroupContext, ell: EdgeFunctional) -> FragmentAdequacy:
     dims: dict[int, int] = {}
     separated = True
     for n in unprovisioned:
-        d = centralizer_dim(ctx, FpVector(ctx.p, {ctx.vindex[Natural(n)]: 1}), ell)
+        d = centralizer_dim(ctx, generator(ctx, Natural(n)), ell)
         dims[n] = d
         if d >= DIM_THRESHOLD:
             separated = False

@@ -199,7 +199,7 @@ def _centralizer_bound_checks(res, ctx, rng, support_budget):
         for v, k in zip(support, exps):
             a = mul(ctx, a, generator(ctx, v, k))
         dim_fast = centralizer_dim_mod_center(ctx, a)
-        dim_generic = kernel_dim(commutation_matrix(ctx, a.gen), ctx.n, ctx.p)  # over all |V| columns
+        dim_generic = kernel_dim(commutation_matrix(ctx, a), ctx.n, ctx.p)  # over all |V| columns
         if dim_fast != dim_generic:
             agree = False
     _check(res, "fast dimension formula matches the generic eliminator", agree, "20 random supports")
@@ -290,7 +290,7 @@ def _dichotomy_checks(res, ctx, ell, support_budget):
     for n in ctx.graph.naturals()[:2]:
         x = generator(ctx, Natural(n))
         d = centralizer_dim_in_subgroup(ctx, ell, x)
-        full = commutation_matrix(ctx, x.gen) + [ell.row(ctx)]  # over all |V| columns
+        full = commutation_matrix(ctx, x) + [ell.row(ctx)]  # over all |V| columns
         agree = agree and d == kernel_dim(full, ctx.n, ctx.p)
         sample_dims.append(f"x[n:{n}]:{d}")
     _check(res, "generic eliminator reproduces natural dimensions", agree, ", ".join(sample_dims))

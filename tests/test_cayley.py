@@ -26,9 +26,8 @@ from mekler.cayley import (
     sl2_permutation_group,
     symmetric_group,
 )
-from mekler.fplinear import FpVector
 from mekler.graphs import ConfigError, Natural, build_fragment
-from mekler.group import GroupContext, from_vectors, identity, mul
+from mekler.group import GroupContext, GroupElement, identity, mul
 
 
 def _compose(f, g):
@@ -797,9 +796,7 @@ def _context_elements(ctx):
     keys = sorted(u * n + w for u in range(n) for w in range(u + 1, n) if ctx.nonadjacent(u, w))
     elems = []
     for digits in itertools.product(range(p), repeat=n + len(keys)):
-        gen = FpVector(p, {v: d for v, d in enumerate(digits[:n]) if d})
-        cen = FpVector(p, {k: d for k, d in zip(keys, digits[n:]) if d})
-        elems.append(from_vectors(ctx, gen, cen))
+        elems.append(GroupElement(p, dict(enumerate(digits[:n])), dict(zip(keys, digits[n:]))))
     return elems
 
 

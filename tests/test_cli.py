@@ -171,7 +171,7 @@ def test_class_two_check_fails_on_a_sign_flipped_commutator(monkeypatch):
 
     assert all(verdicts().values())
     vector = group.commutator_vector
-    monkeypatch.setattr(group, "commutator_vector", lambda *args: -vector(*args))
+    monkeypatch.setattr(group, "commutator_vector", lambda ctx, a, b: {k: ctx.p - c for k, c in vector(ctx, a, b).items()})
     flipped = verdicts()
     assert flipped.pop(name) is False
     assert all(flipped.values())

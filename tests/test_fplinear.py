@@ -6,12 +6,13 @@ import random
 import pytest
 
 from mekler.fplinear import (
-    FpVector,
     is_odd_prime,
     kernel_basis,
     kernel_dim,
     rref_indexed,
 )
+from mekler.graphs import build_fragment
+from mekler.group import GroupContext, GroupElement, commutator_vector, mul
 
 
 def brute_solution_count(rows, ncols, p):
@@ -36,39 +37,24 @@ def test_is_odd_prime():
         assert not is_odd_prime(bad)
 
 
-def test_vector_basic_ops():
-    p = 3
-    v = FpVector(p, {"a": 1, "b": 2})
-    w = FpVector(p, {"b": 1, "c": 1})
-    assert (v + w).get("b") == 0
-    assert (v + w).support() == frozenset({"a", "c"})
-    assert (v - w).get("c") == 2
-    assert (-v).get("b") == 1
-    assert v.scale(2).get("a") == 2
-    assert 2 * v == v.scale(2)
-    assert v * 2 == v.scale(2)
-    assert v.scale(3).is_zero()
-    assert len(v) == 2
-    assert FpVector.zero(p).is_zero()
-
-
-def test_vector_drops_zero_entries():
-    v = FpVector(3, {"a": 3, "b": 1})
-    assert v.support() == frozenset({"b"})
-    assert v.get("a") == 0
-
-
 def test_vector_hash_eq():
-    a = FpVector(3, {"x": 1, "y": 2})
-    b = FpVector(3, {"y": 2, "x": 1})
+    # a vector over F_p is a GroupElement's exponent dict; a coset is an
+    # element with no central part, equal by parts whatever the key order
+    a = GroupElement(3, {0: 1, 1: 2}, {})
+    b = GroupElement(3, {1: 2, 0: 1}, {})
     assert a == b and hash(a) == hash(b)
-    assert a != FpVector(3, {"x": 1})
-    assert a != FpVector(5, {"x": 1, "y": 2})
+    assert a != GroupElement(3, {0: 1}, {})
+    assert a != GroupElement(5, {0: 1, 1: 2}, {})
 
 
 def test_vector_rejects_mixed_modulus():
-    with pytest.raises(ValueError):
-        FpVector(3, {"a": 1}) + FpVector(5, {"a": 1})
+    # adding cosets is multiplying elements read mod Z; an operand of another
+    # modulus is refused, as is one in the bilinear commutator form
+    ctx = GroupContext(build_fragment([0, 1], [(0, 1)]), 3)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        mul(ctx, GroupElement(3, {0: 1}, {}), GroupElement(5, {0: 1}, {}))
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        commutator_vector(ctx, GroupElement(5, {0: 1}, {}), GroupElement(3, {1: 1}, {}))
 
 
 def test_kernel_of_ones_row_frozen():

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from mekler import group
-from mekler.fplinear import FpVector, kernel_basis, kernel_dim, rref_indexed
+from mekler.fplinear import kernel_basis, kernel_dim, rref_indexed
 from mekler.graphs import Gadget, Graph, Natural, all_pairs, build_fragment, pair_swap_automorphism
 from mekler.group import (
     GroupContext,
@@ -55,8 +55,8 @@ def oracle_mul(ctx, x, y):
     p = ctx.p
     word = []
     for src in (x, y):
-        for v in sorted(src.gen.support()):
-            word.append([v, src.gen.get(v)])
+        for v in sorted(src.gen):
+            word.append([v, src.gen[v]])
     cen = {}
     for src in (x, y):
         for pr, c in src.cen.items():
@@ -76,18 +76,15 @@ def oracle_mul(ctx, x, y):
     gen = {}
     for v, e in word:
         gen[v] = (gen.get(v, 0) + e) % p
-    return GroupElement(
-        FpVector(p, {v: e for v, e in gen.items() if e}),
-        FpVector(p, {k: c for k, c in cen.items() if c}),
-    )
+    return GroupElement(p, gen, cen)
 
 
 def oracle_inv(ctx, x):
     # (l1 ... lk z)^-1 = z^-1 lk^-1 ... l1^-1, then collect
-    letters = [(v, -x.gen.get(v)) for v in sorted(x.gen.support())]
-    acc = GroupElement(FpVector.zero(ctx.p), -x.cen)
+    letters = [(v, -x.gen[v]) for v in sorted(x.gen)]
+    acc = GroupElement(ctx.p, {}, {k: -c for k, c in x.cen.items()})
     for v, e in reversed(letters):
-        acc = oracle_mul(ctx, acc, GroupElement(FpVector(ctx.p, {v: e}), FpVector.zero(ctx.p)))
+        acc = oracle_mul(ctx, acc, GroupElement(ctx.p, {v: e}, {}))
     return acc
 
 
@@ -145,7 +142,7 @@ def test_defining_relations_frozen():
     assert commutator(ctx, x1, x0).cen.get(ctx.central_pair(n0, n1)) == 1
     assert commutator(ctx, x0, x1).cen.get(ctx.central_pair(n0, n1)) == ctx.p - 1
     assert mul(ctx, x1, x0).cen.get(ctx.central_pair(n0, n1)) == 1
-    assert mul(ctx, x0, x1).cen.is_zero()
+    assert not mul(ctx, x0, x1).cen
     # adjacent generators commute outright
     hub = Gadget(0, 1, "0")
     assert commutator(ctx, x0, generator(ctx, hub)) == identity(ctx)
@@ -162,25 +159,26 @@ def test_commutator_agrees_with_definition():
         assert commutator(ctx, a, b) == direct
         assert is_central(direct)
         # alternating bilinear form on cosets
-        assert commutator_vector(ctx, a.gen, a.gen).is_zero()
-        assert commutator_vector(ctx, a.gen, b.gen) == -commutator_vector(ctx, b.gen, a.gen)
+        assert commutator_vector(ctx, a, a) == {}
+        assert commutator_vector(ctx, a, b) == {k: ctx.p - c for k, c in commutator_vector(ctx, b, a).items()}
 
 
 def brute_centralizer_count(ctx, a):
     verts = ctx.vertex_order
     count = 0
     for exps in itertools.product(range(ctx.p), repeat=len(verts)):
-        bgen = FpVector(ctx.p, {i: e for i, e in enumerate(exps) if e})
-        if commutator_vector(ctx, a.gen, bgen).is_zero():
+        b = GroupElement(ctx.p, dict(enumerate(exps)), {})
+        if not commutator_vector(ctx, a, b):
             count += 1
     return count
 
 
-def test_centralizer_dim_against_brute_force():
+def test_centralizer_dim_against_brute_force(monkeypatch):
     ctx = ctx7()
     rng = random.Random(4)
     cases = [generator(ctx, v) for v in ctx.vertex_order]
-    cases += [random_element(ctx, rng, max_support=3) for _ in range(6)]
+    monkeypatch.setattr(group, "SAMPLE_SUPPORT", 3)
+    cases += [random_element(ctx, rng) for _ in range(6)]
     for a in cases:
         dim = centralizer_dim_mod_center(ctx, a)
         if is_central(a):
@@ -218,7 +216,7 @@ def test_closed_form_matches_full_columns_on_every_coset(naturals):
     ells = [EdgeFunctional.from_edges(edges) for edges in ([], [(0, 1)])]
     ell_rows = [ell.row(ctx) for ell in ells]
     for pattern in itertools.product(range(p), repeat=n):
-        agen = FpVector(p, {i: c for i, c in enumerate(pattern) if c})
+        agen = GroupElement(p, dict(enumerate(pattern)), {})
         rows = commutation_matrix(ctx, agen)
         assert centralizer_dim(ctx, agen) == kernel_dim(rows, n, p)
         for ell, row in zip(ells, ell_rows):
@@ -236,10 +234,7 @@ def test_support_local_engine_matches_full_columns(r_edges):
     ctx = ctx7()
     ell = EdgeFunctional.from_edges(r_edges)
     verts = ctx.vertex_order
-    cosets = [
-        FpVector(ctx.p, {i: c for i, c in enumerate(pattern) if c})
-        for pattern in itertools.product(range(ctx.p), repeat=len(verts))
-    ]
+    cosets = [GroupElement(ctx.p, dict(enumerate(pattern)), {}) for pattern in itertools.product(range(ctx.p), repeat=len(verts))]
     assert len(cosets) == 3**7
     rows = {agen: commutation_matrix(ctx, agen) for agen in cosets}
     n, p = len(verts), ctx.p
@@ -254,13 +249,13 @@ def test_support_local_engine_matches_full_columns(r_edges):
     for agen in cosets:
         assert commuting_kernel_dim(ctx, [agen]) == kernel_dim(full_columns([agen]), n, p)
         assert commuting_kernel_dim(ctx, [agen], ell) == kernel_dim(full_columns([agen], ell), n, p)
-    small = [agen for agen in cosets if len(agen) <= 2]
+    small = [agen for agen in cosets if len(agen.gen) <= 2]
     assert len(small) == 1 + 7 * 2 + 21 * 4
     for xgen in small:
         for ygen in small:
             basis = commuting_kernel_basis(ctx, [xgen, ygen], ell)
             oracle = kernel_basis([flip(r) for r in full_columns([xgen, ygen], ell)], n, p)
-            assert basis == [FpVector(p, flip(v)) for v in reversed(oracle)]
+            assert basis == [GroupElement(p, flip(v), {}) for v in reversed(oracle)]
 
 
 @pytest.mark.parametrize("r_edges", [[(0, 1)], [(0, 1), (1, 2), (2, 3)]], ids=["R-01", "R-path"])
@@ -292,9 +287,13 @@ def test_center_check_system_is_linear_in_vertices(monkeypatch, r_edges):
 def test_the_engine_refuses_a_coset_of_another_modulus():
     ctx = ctx7()
     i, j = ctx.vindex[Natural(0)], ctx.vindex[Natural(1)]
-    for family in ([FpVector(5, {i: 3, j: 1})], [FpVector(3, {i: 1}), FpVector(5, {i: 3, j: 2})]):
+    for family in ([GroupElement(5, {i: 3, j: 1}, {})], [GroupElement(3, {i: 1}, {}), GroupElement(5, {i: 3, j: 2}, {})]):
         with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
             centralizer_dim(ctx, family[-1])
+        with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
+            centralizer_dim(ctx, family[-1], EdgeFunctional.from_edges([(0, 1)]))
+        with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
+            commutation_matrix(ctx, family[-1])
         with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
             commuting_kernel_basis(ctx, family)
         with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
@@ -304,12 +303,15 @@ def test_the_engine_refuses_a_coset_of_another_modulus():
 def test_elements_are_immutable_values():
     ctx = ctx18()
     a = mul(ctx, generator(ctx, Natural(0), 2), central_generator(ctx, Natural(0), Natural(1)))
-    b = GroupElement(FpVector(3, dict(a.gen.items())), FpVector(3, dict(a.cen.items())))
+    b = GroupElement(3, dict(reversed(a.gen.items())), dict(reversed(a.cen.items())))
     assert a == b and a is not b and hash(a) == hash(b)
     assert len({a, b, identity(ctx)}) == 2
     assert a != generator(ctx, Natural(0), 2) and a != (a.gen, a.cen)
+    assert a != GroupElement(5, a.gen, a.cen)
     with pytest.raises(AttributeError):
-        a.gen = FpVector.zero(3)
+        a.gen = {}
+    with pytest.raises(AttributeError):
+        a.p = 5
     with pytest.raises(AttributeError):
         a.extra = 1
     with pytest.raises(AttributeError):
@@ -317,11 +319,19 @@ def test_elements_are_immutable_values():
     assert a == b
 
 
+def test_the_constructor_reduces_mod_p_and_drops_zeros():
+    a = GroupElement(3, {0: 4, 1: 3, 2: -1}, {5: 6, 7: -4})
+    assert (a.p, a.gen, a.cen) == (3, {0: 1, 2: 2}, {7: 2})
+    assert a == GroupElement(3, {2: 2, 0: 1}, {7: 2})
+    assert GroupElement(3, {0: 3}, {1: 0}) == GroupElement(3, {}, {})
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            GroupElement(p, {}, {})
+
+
 def test_modulus_mismatch_raises():
     ctx = ctx18()
-    with pytest.raises(ValueError, match="disagree on modulus"):
-        GroupElement(FpVector(3, {0: 1}), FpVector.zero(5))
-    foreign = GroupElement(FpVector(5, {0: 4, 1: 3}), FpVector.zero(5))
+    foreign = GroupElement(5, {0: 4, 1: 3}, {})
     x = generator(ctx, Natural(0))
     aut = InducedAutomorphism(ctx, pair_swap_automorphism(ctx.graph, [(0, 1)]))
     for bad in (
@@ -329,10 +339,10 @@ def test_modulus_mismatch_raises():
         lambda: mul(ctx, foreign, x),
         lambda: inv(ctx, foreign),
         lambda: aut.apply(foreign),
-        lambda: aut.apply_coset(foreign.gen),
-        lambda: aut.moves_coset(foreign.gen),
-        lambda: commutator_vector(ctx, x.gen, foreign.gen),
-        lambda: commutator_vector(ctx, foreign.gen, x.gen),
+        lambda: aut.apply_coset(foreign),
+        lambda: aut.moves_coset(foreign),
+        lambda: commutator_vector(ctx, x, foreign),
+        lambda: commutator_vector(ctx, foreign, x),
         lambda: commutator(ctx, foreign, x),
     ):
         with pytest.raises(ValueError, match="modulus mismatch"):
@@ -459,10 +469,14 @@ def test_induced_automorphism_rejects_non_automorphism():
 def test_apply_coset_and_moves_coset():
     ctx = ctx18(3)
     aut = InducedAutomorphism(ctx, pair_swap_automorphism(ctx.graph, [(0, 1)]))
-    moved = FpVector(3, {ctx.vindex[Gadget(0, 1, "1")]: 1})
-    assert aut.apply_coset(moved) == FpVector(3, {ctx.vindex[Gadget(0, 1, "1.75")]: 1})
+    moved = generator(ctx, Gadget(0, 1, "1"))
+    assert aut.apply_coset(moved) == generator(ctx, Gadget(0, 1, "1.75"))
     assert aut.moves_coset(moved)
-    assert not aut.moves_coset(FpVector(3, {ctx.vindex[Natural(0)]: 2}))
+    assert not aut.moves_coset(generator(ctx, Natural(0), 2))
+    # the image of a coset carries no central part
+    z = central_generator(ctx, Natural(0), Natural(1))
+    assert aut.apply_coset(mul(ctx, moved, z)) == aut.apply_coset(moved)
+    assert not aut.moves_coset(z)
 
 
 def test_context_validation():
@@ -488,15 +502,15 @@ def test_random_element_is_deterministic_per_seed():
     assert is_central(random_central(ctx, random.Random(6)))
 
 
-def frozen_random_element(ctx, rng, max_support=4):
+def frozen_random_element(ctx, rng, max_support):
     """The sampler as it was, through rng.randint, rng.sample and rng.randrange."""
     k = rng.randint(0, min(max_support, ctx.n))
     gen = {i: rng.randint(1, ctx.p - 1) for i in rng.sample(range(ctx.n), k)}
-    return GroupElement(FpVector.from_reduced(ctx.p, gen), frozen_central_part(ctx, rng, 2))
+    return GroupElement(ctx.p, gen, frozen_central_part(ctx, rng, 2))
 
 
-def frozen_random_central(ctx, rng, max_terms=3):
-    return GroupElement(FpVector.zero(ctx.p), frozen_central_part(ctx, rng, max_terms))
+def frozen_random_central(ctx, rng, max_terms):
+    return GroupElement(ctx.p, {}, frozen_central_part(ctx, rng, max_terms))
 
 
 def frozen_central_part(ctx, rng, max_terms):
@@ -504,7 +518,7 @@ def frozen_central_part(ctx, rng, max_terms):
     for _ in range(rng.randint(0, max_terms) if ctx.ncentral else 0):
         key = ctx.central_key_at(rng.randrange(ctx.ncentral))
         cen[key] = rng.randint(1, ctx.p - 1)
-    return FpVector.from_reduced(ctx.p, cen)
+    return cen
 
 
 def test_below_draws_as_randrange():
@@ -531,28 +545,28 @@ def complete_ctx(p):
     ],
     ids=["n7-p3", "n18-p5", "n34-p7", "n25-p3", "no-center-p5"],
 )
-def test_samplers_draw_as_the_standard_library_calls(make, n, ncentral):
+def test_samplers_draw_as_the_standard_library_calls(monkeypatch, make, n, ncentral):
     """random_element and random_central make the draws, in the same order,
     that rng.randint, rng.sample and rng.randrange made, on both paths of
     sample (the pool for n <= 21, and for k > 5 up to n = 85; the set of
     picks above) and with no center, and leave the generator in the same
-    state."""
+    state: at the module's sizes, the first pair, and at others set in
+    their place."""
     ctx = make()
     assert (ctx.n, ctx.ncentral) == (n, ncentral)
+    assert (group.SAMPLE_SUPPORT, group.SAMPLE_TERMS) == (4, 3)
     for seed in range(40):
         rng, oracle = random.Random(seed), random.Random(seed)
         for support, terms in ((4, 3), (0, 0), (1, 1), (8, 5), (ctx.n, 2)):
+            monkeypatch.setattr(group, "SAMPLE_SUPPORT", support)
+            monkeypatch.setattr(group, "SAMPLE_TERMS", terms)
             for _ in range(3):
-                a, b = random_element(ctx, rng, support), frozen_random_element(ctx, oracle, support)
+                a, b = random_element(ctx, rng), frozen_random_element(ctx, oracle, support)
                 assert a == b and list(a.gen.items()) == list(b.gen.items())
                 assert list(a.cen.items()) == list(b.cen.items())
-                a, b = random_central(ctx, rng, terms), frozen_random_central(ctx, oracle, terms)
+                a, b = random_central(ctx, rng), frozen_random_central(ctx, oracle, terms)
                 assert a == b and list(a.cen.items()) == list(b.cen.items())
         assert rng.random() == oracle.random()
-    with pytest.raises(ValueError):
-        random_element(ctx, random.Random(0), -1)
-    with pytest.raises(ValueError):
-        random_central(ctx, random.Random(0), -1)
 
 
 def old_pair_enumeration(ctx):

@@ -44,6 +44,11 @@ edge formula.
 No invariant of the library rests on an assert statement, which python -O
 removes.
 
+A group element has one format: GroupElement, with slots p, gen and cen,
+the last two plain dicts.  No other class holds gen or cen slots, fplinear
+defines no class (a vector is a dict), and no module reads the _entries or
+calls the from_reduced of a vector wrapper.
+
 Every public name has a reader.  Each public top-level function and class
 of a library module, and each public method of such a class, is read by
 some library module other than at its own definition: as a name, an
@@ -377,6 +382,63 @@ def test_the_library_has_no_assert():
 def test_the_assert_rule_sees_nested_asserts():
     tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\n")
     assert assert_lines(tree) == [3]
+
+
+def slotted_classes(tree, wanted):
+    """The classes of tree whose __slots__ name any of the wanted attributes."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                slots = {c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+                if slots & wanted:
+                    found.append(node.name)
+    return found
+
+
+def element_format_breaches(modules):
+    """Per module (file name to syntax tree), what breaks the one element
+    format: reads of a vector wrapper's internals, a class in fplinear, and
+    a class other than GroupElement with gen or cen slots."""
+    breaches = {}
+    for name, tree in modules.items():
+        found = [f"reads {n} at line {line}" for line, n in sorted(name_uses(tree, {"_entries", "from_reduced"}))]
+        if name == "fplinear.py":
+            found += [f"defines class {node.name}" for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        found += [f"slots gen/cen in {cls}" for cls in slotted_classes(tree, {"gen", "cen"}) if (name, cls) != ("group.py", "GroupElement")]
+        if found:
+            breaches[name] = found
+    return breaches
+
+
+def test_one_element_format():
+    package = Path(mekler.__file__).parent
+    modules = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    assert len(modules) > 5
+    assert slotted_classes(modules["group.py"], {"gen", "cen"}) == ["GroupElement"]
+    assert element_format_breaches(modules) == {}
+
+
+def test_the_format_rule_sees_wrappers_classes_and_slots():
+    wrapper = (
+        "class FpVector:\n"
+        "    __slots__ = ('p', '_entries')\n"
+        "    @classmethod\n"
+        "    def from_reduced(cls, p, entries):\n"
+        "        return cls(p, entries)\n"
+    )
+    modules = {
+        "fplinear.py": ast.parse(wrapper),
+        "group.py": ast.parse("class GroupElement:\n    __slots__ = ('p', 'gen', 'cen')\n\nclass Coset:\n    __slots__ = ['gen']\n"),
+        "formulas.py": ast.parse("from .fplinear import FpVector\nFpVector.from_reduced(3, {}).x\ny = a.gen._entries\n"),
+    }
+    assert element_format_breaches(modules) == {
+        "fplinear.py": ["defines class FpVector"],
+        "group.py": ["slots gen/cen in Coset"],
+        "formulas.py": ["reads from_reduced at line 2", "reads _entries at line 3"],
+    }
 
 
 PUBLIC_WITHOUT_READER = {

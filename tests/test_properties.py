@@ -17,7 +17,6 @@ from mekler.cayley import (
     parse_permutation_text,
     symmetric_group,
 )
-from mekler.fplinear import FpVector
 from mekler.graphs import ConfigError, FragmentSpec, Gadget, all_pairs, build_fragment, encode_vertex
 from mekler.group import GroupContext, GroupElement, format_element, parse_element
 
@@ -41,7 +40,7 @@ def elements(draw, p):
     gen = {i: draw(exps) for i in sorted(support)}
     keys = draw(st.sets(st.integers(0, ctx.ncentral - 1), max_size=4))
     cen = {ctx.central_key_at(k): draw(exps) for k in sorted(keys)}
-    return ctx, GroupElement(FpVector(p, gen), FpVector(p, cen))
+    return ctx, GroupElement(p, gen, cen)
 
 
 @SETTINGS

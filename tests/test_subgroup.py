@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mekler import subgroup
-from mekler.fplinear import FpVector, kernel_basis
+from mekler.fplinear import kernel_basis
 from mekler.graphs import Gadget, Natural, all_pairs, build_fragment
 from mekler.group import (
     GroupContext,
@@ -14,7 +14,6 @@ from mekler.group import (
     central_generator,
     commutator_vector,
     commuting_kernel_basis,
-    from_vectors,
     generator,
     identity,
     mul,
@@ -40,10 +39,10 @@ def ctx7(p=3):
     return GroupContext(build_fragment([0, 1], [(0, 1)]), p)
 
 
-def all_gen_vectors(ctx):
-    verts = ctx.vertex_order
-    for exps in itertools.product(range(ctx.p), repeat=len(verts)):
-        yield FpVector(ctx.p, {i: e for i, e in enumerate(exps) if e})
+def all_cosets(ctx):
+    """Every generator coset, as an element with no central part."""
+    for exps in itertools.product(range(ctx.p), repeat=ctx.n):
+        yield GroupElement(ctx.p, dict(enumerate(exps)), {})
 
 
 def test_edge_functional_vertex_values():
@@ -81,8 +80,8 @@ def test_kernel_has_index_p_by_exhaustion():
     ctx = ctx7()
     ell = EdgeFunctional.from_edges([])
     counts = {r: 0 for r in range(ctx.p)}
-    for gen in all_gen_vectors(ctx):
-        counts[ell.value_on(ctx, GroupElement(gen, FpVector.zero(ctx.p)))] += 1
+    for coset in all_cosets(ctx):
+        counts[ell.value_on(ctx, coset)] += 1
     # cosets of the kernel split the group evenly: index exactly p
     assert counts == {r: ctx.p ** 6 for r in range(ctx.p)}
 
@@ -132,11 +131,11 @@ def test_verify_index_p_catches_a_mul_that_drops_a_generator(monkeypatch):
 
     def dropping_mul(ctx, a, b):
         prod = mul(ctx, a, b)
-        if len(a.gen) < 2 or len(b.gen) < 2 or prod.gen.is_zero():
+        if len(a.gen) < 2 or len(b.gen) < 2 or not prod.gen:
             return prod
-        gen = dict(prod.gen.items())
+        gen = dict(prod.gen)
         del gen[max(gen)]
-        return GroupElement(FpVector(ctx.p, gen), prod.cen)
+        return GroupElement(ctx.p, gen, prod.cen)
 
     monkeypatch.setattr(subgroup, "mul", dropping_mul)
     report = verify_index_p(ctx, ell)
@@ -176,8 +175,8 @@ def test_single_generators_are_not_a_complete_witness_family():
     # the subgroup; only a composite witness shows it is not central
     ctx = ctx7()
     ell = EdgeFunctional.from_edges([(0, 1)])
-    singles = [FpVector(3, {i: 1}) for i, v in enumerate(ctx.vertex_order) if ell.value(v) == 0]
-    hub = FpVector(3, {ctx.vindex[Gadget(0, 1, "0")]: 1})
+    singles = [generator(ctx, v) for v in ctx.vertex_order if ell.value(v) == 0]
+    hub = generator(ctx, Gadget(0, 1, "0"))
     assert commuting_kernel_basis(ctx, singles, ell) == [hub]
     assert center_of_subgroup_check(ctx, ell).ok
 
@@ -188,26 +187,29 @@ def small_support_center_oracle(ctx, ell):
     with vertex v as column n-1-v, so it is the engine's basis."""
     p, top = ctx.p, ctx.n - 1
     row = {top - v: c for v, c in ell.row(ctx).items()}
-    witnesses = [FpVector(p, {top - c: x for c, x in w.items()}) for w in kernel_basis([row], ctx.n, p)]
+    witnesses = [GroupElement(p, {top - c: x for c, x in w.items()}, {}) for w in kernel_basis([row], ctx.n, p)]
     found = set()
     for size in (1, 2):
         for combo in itertools.combinations(range(ctx.n), size):
             for pattern in itertools.product(range(1, p), repeat=size):
-                agen = FpVector(p, dict(zip(combo, pattern)))
-                if ell.value_on(ctx, from_vectors(ctx, agen)) != 0:
+                agen = GroupElement(p, dict(zip(combo, pattern)), {})
+                if ell.value_on(ctx, agen) != 0:
                     continue
-                if all(commutator_vector(ctx, agen, w).is_zero() for w in witnesses):
+                if not any(commutator_vector(ctx, agen, w) for w in witnesses):
                     found.add(agen)
     return found
 
 
 def span(p, basis):
+    """Every combination of the basis cosets, as elements with no central
+    part."""
     out = set()
     for coeffs in itertools.product(range(p), repeat=len(basis)):
-        v = FpVector.zero(p)
+        gen = {}
         for c, b in zip(coeffs, basis):
-            v = v + b.scale(c)
-        out.add(v)
+            for k, x in b.gen.items():
+                gen[k] = gen.get(k, 0) + c * x
+        out.add(GroupElement(p, gen, {}))
     return out
 
 
@@ -240,24 +242,23 @@ def test_center_check_against_small_support_oracle(frag, p, r_edges):
     ctx = GroupContext(frag, p)
     ell = EdgeFunctional.from_edges(r_edges)
     res = center_of_subgroup_check(ctx, ell)
-    center = [parse_element(ctx, text).gen for text in res.failures]
+    center = [parse_element(ctx, text) for text in res.failures]
     found = small_support_center_oracle(ctx, ell)
-    assert found == {v for v in span(p, center) if 0 < len(v) <= 2}
+    assert found == {v for v in span(p, center) if 0 < len(v.gen) <= 2}
     if found:
         assert not res.ok
     if p ** ctx.n <= 3**7:
-        members = [gen for gen in all_gen_vectors(ctx) if ell.value_on(ctx, from_vectors(ctx, gen)) == 0]
-        brute = {b for b in members if all(commutator_vector(ctx, a, b).is_zero() for a in members)}
+        members = [b for b in all_cosets(ctx) if ell.value_on(ctx, b) == 0]
+        brute = {b for b in members if not any(commutator_vector(ctx, a, b) for a in members)}
         assert brute == span(p, center)
 
 
 def brute_subgroup_centralizer_count(ctx, ell, a):
     count = 0
-    for bgen in all_gen_vectors(ctx):
-        b = GroupElement(bgen, FpVector.zero(ctx.p))
+    for b in all_cosets(ctx):
         if not in_kernel_subgroup(ctx, ell, b):
             continue
-        if commutator_vector(ctx, a.gen, bgen).is_zero():
+        if not commutator_vector(ctx, a, b):
             count += 1
     return count
 
